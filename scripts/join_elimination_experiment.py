@@ -92,7 +92,7 @@ def main():
             t0 = time.perf_counter()
             source = TupleSet.from_tuples(
                 relation_schema(db.catalog.lookup(source_rel)),
-                db.published.scan(source_rel),
+                db.published.scan(source_rel).values(),
                 relation=source_rel,
             )
             engine = connect(target, source, db.env()).keys()

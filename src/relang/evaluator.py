@@ -61,14 +61,18 @@ class TupleSet:
     ``relation`` names the relation the tuples are a subset of, when there is
     one; constructed sets carry None. The completely empty constructor ``()``
     has no schema at all and unifies with any shape.
+
+    ``rows`` maps each tuple's canonical key to the tuple. A set taken from
+    a relation adopts the map ``DbState.scan`` returns, and sets derived from
+    it copy those keys: only constructed tuples are encoded, once, by ``add``.
     """
 
-    def __init__(self, schema, relation=None):
+    def __init__(self, schema, relation=None, rows=None):
         self.schema: Optional[Tuple[SchemaCol, ...]] = (
             tuple(schema) if schema is not None else None
         )
         self.relation = relation
-        self._rows: Dict[bytes, tuple] = {}
+        self._rows: Dict[bytes, tuple] = rows if rows is not None else {}
 
     @classmethod
     def from_tuples(cls, schema, tuples, relation=None) -> "TupleSet":
@@ -483,8 +487,7 @@ def eval_union(members, env: Env) -> TupleSet:
             a.type_name != b.type_name for a, b in zip(s.schema, schema)
         ):
             raise SchemaMismatch("union members must share one tuple shape")
-        for t in s.tuples():
-            result.add(t)
+        result._rows.update(s._rows)
     return result
 
 
@@ -514,9 +517,7 @@ def eval_selection(sel: syntax.Selection, env: Env) -> TupleSet:
     rel = env.catalog.lookup(name)
     if rel.klass == "domain":
         return _construct_domain_tuples(rel, sel, env)
-    base = TupleSet.from_tuples(
-        relation_schema(rel), env.state.scan(name), relation=name
-    )
+    base = TupleSet(relation_schema(rel), relation=name, rows=env.state.scan(name))
     return _select_from_set(base, sel, env)
 
 
@@ -532,13 +533,13 @@ def _select_from_set(base: TupleSet, sel: syntax.Selection, env: Env) -> TupleSe
         constraint = _positional_constraint(arg, base.schema[pos], env)
         if constraint is not None:
             constraints.append((pos, constraint))
-    result = TupleSet(base.schema, relation=base.relation)
-    for values in base.tuples():
+    kept = {}
+    for key, values in base._rows.items():
         if all(check(values[pos]) for pos, check in constraints):
             if sel.filter is not None and not _filter_passes(sel.filter, base, values, env):
                 continue
-            result.add(values)
-    return result
+            kept[key] = values
+    return TupleSet(base.schema, relation=base.relation, rows=kept)
 
 
 def _filter_passes(filter_expr, base: TupleSet, values, env: Env) -> bool:
@@ -582,25 +583,16 @@ def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
                 f"position {col.attr!r} holds a scalar; a constraining set must"
                 " have one column"
             )
-        members = {coerce_scalar(t[0], col.type_name) for t in allowed.tuples()}
+        members = {coerce_scalar(t[0], col.type_name) for t in allowed._rows.values()}
         return lambda v: v in members
     # relation-valued position: keep values whose target tuple is in the set
     target_rel = env.catalog.lookup(col.type_name)
     if target_rel.klass == "domain":
-        keys = allowed.keys()
-        return lambda v: isinstance(v, TupleVal) and encode_tuple(v.values) in keys
-    keys = allowed.keys()
-
-    def check(v):
-        if not isinstance(v, RefVal) or v.relation != col.type_name:
-            return False
-        try:
-            row = env.state.get_row(v.relation, v.row)
-        except Exception:
-            return False
-        return encode_tuple(row) in keys
-
-    return check
+        members = set(allowed._rows.values())
+        return lambda v: isinstance(v, TupleVal) and v.values in members
+    # a reference matches when its row is stored under one of the set's keys
+    rowids = env.state.rowids(col.type_name, allowed._rows)
+    return lambda v: isinstance(v, RefVal) and v.relation == col.type_name and v.row in rowids
 
 
 def _construct_domain_tuples(rel: RelationDef, sel: syntax.Selection, env: Env) -> TupleSet:
@@ -689,18 +681,6 @@ def _apply_by_name(name: str, sel: syntax.Selection, env: Env) -> TupleSet:
         return scalar_context(out, "a function result")
 
     return _apply(name, params, fn.result_type, args, call, env)
-
-
-def apply_function(fn: RelationDef, arg_sets, env: Env) -> TupleSet:
-    """Apply a function relation over argument sets (mapped elementwise over
-    their Cartesian product)."""
-    params = tuple(d.type_name for d in fn.domains)
-
-    def call(vals):
-        frame = {d.attr: v for d, v in zip(fn.domains, vals)}
-        return scalar_context(eval_expr(fn.body, env.with_locals(frame)), "a result")
-
-    return _apply(fn.name, params, fn.result_type, list(arg_sets), call, env)
 
 
 def _apply(name, params, result_type, arg_sets, call, env: Env) -> TupleSet:
@@ -899,11 +879,9 @@ def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
                     advanced.add((start, referrer))
         pairs = advanced
         current = nxt
-    source_keys = source.keys()
+    source_rows = state.rowids(source.relation, source._rows)
     src_idx = state.indexes[source.relation]
     for start, end in pairs:
-        end_values = src_idx.rows.get(end)
-        if end_values is None or encode_tuple(end_values) not in source_keys:
-            continue
-        result.add(tuple(idx.rows[start]) + tuple(end_values))
+        if end in source_rows:
+            result.add(idx.rows[start] + src_idx.rows[end])
     return result

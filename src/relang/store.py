@@ -4,6 +4,12 @@ The forward map (canonical key -> row id) IS the relation; the rows map is
 its inverse view, and per-position reverse maps invert every reference so
 referential traversal and cascades never scan.
 
+Invariant: a tuple's canonical key is computed when the tuple is stored
+(insert or rekey) and kept only as its forward-map entry. Readers never
+re-encode a stored tuple: they take keys from ``scan``, and they match a
+reference by the row id it holds. Only removal and rekey encode a stored
+tuple again, to find the slot it leaves, since no row id -> key map is kept.
+
 Row ids are allocated from a per-relation counter starting at 1 and are never
 reused within a database lifetime. They are internal: no language syntax can
 mention one and no output ever shows one.
@@ -72,8 +78,19 @@ class MultitableIndex:
         copy.next_rowid = self.next_rowid
         return copy
 
-    def sorted_keys(self):
-        return sorted(self.forward)
+    def release(self, key: bytes, rowid: int):
+        """Drop a row's hold on a key slot. When the row owned the slot, the
+        first row of a deferred collision under the key takes it over."""
+        extras = self.collisions.get(key, [])
+        if self.forward.get(key) == rowid:
+            if extras:
+                self.forward[key] = extras.pop(0)
+            else:
+                del self.forward[key]
+        elif rowid in extras:
+            extras.remove(rowid)
+        if key in self.collisions and not extras:
+            del self.collisions[key]
 
 
 def iter_refs(values) -> Iterable[Tuple[str, int]]:
@@ -197,6 +214,18 @@ class DbState:
         idx = self._index(relation)
         return idx.forward.get(encode_tuple(values))
 
+    def rowids(self, relation: str, keys) -> Set[int]:
+        """Every live row id stored under one of the keys, the extra rows of
+        a deferred update collision included."""
+        idx = self._index(relation)
+        found = set()
+        for key in keys:
+            rowid = idx.forward.get(key)
+            if rowid is not None:
+                found.add(rowid)
+                found.update(idx.collisions.get(key, ()))
+        return found
+
     def get_row(self, relation: str, rowid: int) -> tuple:
         idx = self._index(relation)
         row = idx.rows.get(rowid)
@@ -204,13 +233,18 @@ class DbState:
             raise RowNotFound(f"no row {rowid} in relation {relation!r}")
         return row
 
-    def scan(self, relation: str):
-        """All tuples in canonical-key order."""
+    def scan(self, relation: str) -> Dict[bytes, tuple]:
+        """The relation as a fresh canonical key -> tuple map, in key order.
+
+        The keys are the ones stored in the forward map, so a caller that
+        needs a tuple's key takes it from here instead of encoding the tuple
+        again. A deferred update collision shows once, under its key.
+        """
         rel = self.catalog.lookup(relation)
         if rel.klass != "simple":
             raise NotEnumerable(f"{relation!r} is a {rel.klass} relation")
         idx = self.indexes[relation]
-        return [idx.rows[idx.forward[k]] for k in idx.sorted_keys()]
+        return {k: idx.rows[idx.forward[k]] for k in sorted(idx.forward)}
 
     def referrers(self, relation: str, rowid: int):
         """Every (relation, attr, row) whose tuple references the given row."""
@@ -256,19 +290,7 @@ class DbState:
     def _remove_row(self, relation: str, rowid: int):
         idx = self.indexes[relation]
         values = idx.rows.pop(rowid)
-        key = encode_tuple(values)
-        extras = idx.collisions.get(key)
-        if idx.forward.get(key) == rowid:
-            if extras:
-                idx.forward[key] = extras.pop(0)
-                if not extras:
-                    del idx.collisions[key]
-            else:
-                del idx.forward[key]
-        elif extras and rowid in extras:
-            extras.remove(rowid)
-            if not extras:
-                del idx.collisions[key]
+        idx.release(encode_tuple(values), rowid)
         self._drop_reverse(idx, rowid, values)
 
     def rekey(self, relation: str, rowid: int, new_values, *, allow_collision=False):
@@ -291,19 +313,7 @@ class DbState:
             raise DuplicateTuple(
                 f"another row of {relation!r} already holds this tuple"
             )
-        # release the old key slot
-        extras = idx.collisions.get(old_key)
-        if idx.forward.get(old_key) == rowid:
-            if extras:
-                idx.forward[old_key] = extras.pop(0)
-                if not extras:
-                    del idx.collisions[old_key]
-            else:
-                del idx.forward[old_key]
-        elif extras and rowid in extras:
-            extras.remove(rowid)
-            if not extras:
-                del idx.collisions[old_key]
+        idx.release(old_key, rowid)
         if collided:
             idx.collisions.setdefault(new_key, []).append(rowid)
         else:

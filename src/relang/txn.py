@@ -318,32 +318,27 @@ class TxnPlan:
             )
 
     def _resolve_target_rows(self, rel: RelationDef, expr):
-        """Rows of ``rel`` named by a remove/update set argument, in canonical
-        order. A set argument from a different relation resolves through the
-        connection operator (keep target rows connected to the given set)."""
+        """(key, row id) of each row of ``rel`` named by a remove/update set
+        argument, in canonical order. A set argument from a different
+        relation resolves through the connection operator (keep target rows
+        connected to the given set).
+
+        Each key names the row holding its slot, as ``contains_tuple`` does:
+        the extra rows of a deferred update collision are not named.
+        """
         env = self.env()
         value = None
         if not (isinstance(expr, syntax.Union_) and expr.members and len(expr.members) == rel.arity):
             value = eval_expr(expr, env)
-        if value is not None and isinstance(value, TupleSet) and value.relation not in (None, rel.name):
+        if isinstance(value, TupleSet) and value.relation == rel.name:
+            keys = value.keys()
+        elif isinstance(value, TupleSet) and value.relation is not None:
             pairs = connect(rel.name, value, env)
-            width = rel.arity
-            targets = TupleSet(relation_schema(rel), relation=rel.name)
-            for p in pairs.tuples():
-                targets.add(tuple(p[:width]))
-            tuples = targets.tuples()
+            keys = {encode_tuple(p[: rel.arity]) for p in pairs.tuples()}
         else:
-            if value is not None and isinstance(value, TupleSet) and value.relation == rel.name:
-                tuples = list(value.tuples())
-            else:
-                tuples = self._resolve_write_tuples(rel, expr, deferred=False)
-        keyed = []
-        for t in tuples:
-            rowid = self.shadow.contains_tuple(rel.name, t)
-            if rowid is not None:
-                keyed.append((encode_tuple(t), rowid))
-        keyed.sort()
-        return [rowid for _key, rowid in keyed]
+            keys = {encode_tuple(t) for t in self._resolve_write_tuples(rel, expr, deferred=False)}
+        forward = self.shadow.indexes[rel.name].forward
+        return [(key, forward[key]) for key in sorted(keys) if key in forward]
 
     # -- planned commands
 
@@ -370,8 +365,8 @@ class TxnPlan:
         self._require_open()
         self._stmt += 1
         rel = self._simple_relation(relation)
-        removed = TupleSet(relation_schema(rel), relation=relation)
-        for rowid in self._resolve_target_rows(rel, set_expr):
+        removed = {}
+        for key, rowid in self._resolve_target_rows(rel, set_expr):
             idx = self.shadow.indexes[relation]
             if rowid not in idx.rows:
                 continue  # already gone via an earlier cascade
@@ -389,9 +384,9 @@ class TxnPlan:
                         )
                     )
                 self.shadow.erase(relation, rowid, force=True)
-            removed.add(values)
+            removed[key] = values
         self.steps.append(("abolish" if cascade else "remove", relation, len(removed)))
-        return removed
+        return TupleSet(relation_schema(rel), relation=relation, rows=removed)
 
     def plan_update(self, relation: str, set_expr, assignments) -> TupleSet:
         self._require_open()
@@ -409,7 +404,7 @@ class TxnPlan:
         # compute every new tuple against the pre-statement state first, so a
         # type error in any row leaves the shadow untouched
         planned = []
-        for rowid in self._resolve_target_rows(rel, set_expr):
+        for _key, rowid in self._resolve_target_rows(rel, set_expr):
             old = self.shadow.get_row(relation, rowid)
             frame = {d.attr: v for d, v in zip(rel.domains, old)}
             new = list(old)
@@ -608,9 +603,14 @@ class Database:
         catalog = self.catalog.define(stmt)
         self.catalog = catalog
         rel = catalog.lookup(stmt.name)
-        for state in (self.published, self.txn.shadow):
-            state.catalog = catalog
-            state.add_relation(rel)
+        # publish a new state: readers holding the old one keep its catalog
+        # and relations; the unchanged indexes are shared, never mutated
+        published = DbState(catalog)
+        published.indexes = dict(self.published.indexes)
+        published.add_relation(rel)
+        self.published = published
+        self.txn.shadow.catalog = catalog
+        self.txn.shadow.add_relation(rel)
 
     def _command(self, stmt: syntax.Command) -> TupleSet:
         if stmt.verb == "add":

@@ -35,6 +35,10 @@ _MASK = (1 << 64) - 1
 class IntVal:
     value: int
 
+    def __post_init__(self):
+        if not INT64_MIN <= self.value <= INT64_MAX:
+            raise DomainTypeMismatch(f"integer out of 64-bit range: {self.value}")
+
 
 @dataclass(frozen=True)
 class RealVal:

@@ -88,7 +88,7 @@ def engine_connection_keys(db, target, source_relation):
     env = db.env()
     rel = db.catalog.lookup(source_relation)
     source = TupleSet.from_tuples(
-        relation_schema(rel), db.txn.shadow.scan(source_relation), relation=source_relation
+        relation_schema(rel), db.txn.shadow.scan(source_relation).values(), relation=source_relation
     )
     return connect(target, source, env).keys(), source.tuples()
 

@@ -62,7 +62,7 @@ def test_criterion_2_join_elimination_oracle():
         target, source_rel = connectable_pair(db, names, rng)
         paths = all_shortest_edge_paths(db.catalog, target, source_rel)
         assert len(paths) == 1  # trees have unique shortest paths
-        source_tuples = db.txn.shadow.scan(source_rel)
+        source_tuples = db.txn.shadow.scan(source_rel).values()
         source = TupleSet.from_tuples(
             relation_schema(db.catalog.lookup(source_rel)),
             source_tuples,
@@ -118,7 +118,7 @@ def test_criterion_5_set_semantics():
                 rid = state.contains_tuple("genre", (value,))
                 if rid is not None:
                     state.erase("genre", rid)
-        keys = [encode_tuple(t) for t in state.scan("genre")]
+        keys = [encode_tuple(t) for t in state.scan("genre").values()]
         assert len(keys) == len(set(keys))
         # idempotence: re-inserting an existing tuple is a no-op
         probe = TextVal("probe")

@@ -71,3 +71,17 @@ def test_evaluation_is_safe_to_run_concurrently_on_one_state():
     for t in threads:
         t.join()
     assert errors == []
+
+
+def test_a_definition_publishes_a_new_state():
+    db = build_db(LIBRARY_SCRIPT)
+    old_state = db.published
+    old_catalog = old_state.catalog
+    run(db, "relation (shelf text)")
+    assert db.published is not old_state
+    assert old_state.catalog is old_catalog
+    assert "shelf" not in old_state.catalog
+    assert "shelf" not in old_state.indexes
+    assert "shelf" in db.published.indexes
+    env = Env(old_state.catalog, old_state, {})
+    assert len(eval_expr(parse_expression("(genre)"), env)) == 3

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
+from relang import parse_expression
 from relang.errors import (
     AmbiguousPath,
     ArityMismatch,
     BadCast,
     BadRegex,
+    DomainTypeMismatch,
     NoConnection,
     NotARelation,
     NotEnumerable,
@@ -19,10 +21,11 @@ from relang.errors import (
     UnknownName,
     UnknownRelation,
 )
-from relang.evaluator import TupleSet, apply_function, relation_schema
+from relang.evaluator import Env, TupleSet, eval_expr, relation_schema
 from relang.values import IntVal, RealVal, TextVal, encode_tuple
 
 from conftest import build_db, q, rows, run
+from oracles import random_tree_db
 
 
 class TestExpressions:
@@ -60,6 +63,19 @@ class TestExpressions:
     def test_division_by_zero(self, library):
         with pytest.raises(TypeMismatch):
             q(library, "(/ 1 0)")
+
+    def test_integer_arithmetic_stays_in_64_bits(self, library):
+        assert q(library, "(+ 9223372036854775806 1)") == IntVal(9223372036854775807)
+        with pytest.raises(DomainTypeMismatch):
+            q(library, "(+ 9223372036854775807 1)")
+
+    def test_integer_cast_stays_in_64_bits(self, library):
+        with pytest.raises(DomainTypeMismatch):
+            q(library, '(int "99999999999999999999")')
+
+    def test_integer_literal_stays_in_64_bits(self, library):
+        with pytest.raises(DomainTypeMismatch):
+            q(library, "9223372036854775808")
 
     def test_logic_and_negation(self, library):
         assert q(library, "(& (> 2 1) (! (> 1 2)))") is True
@@ -216,31 +232,13 @@ class TestFunctions:
     def test_mapping_coherence(self, library):
         # f(A, B) equals the union of f over all singleton pairs
         run(library, "function (avg2 (a real) (b real)) (/ (+ a b) 2)")
-        fn = library.catalog.lookup("avg2")
-        env = library.env()
-        col = relation_schema(library.catalog.lookup("avg2"))[:1]
         for size_a, size_b in [(1, 1), (2, 3), (4, 2)]:
-            a_vals = [IntVal(i) for i in range(size_a)]
-            b_vals = [IntVal(10 + i) for i in range(size_b)]
-            whole = apply_function(
-                fn,
-                [
-                    TupleSet.from_tuples(col, [(v,) for v in a_vals]),
-                    TupleSet.from_tuples(col, [(v,) for v in b_vals]),
-                ],
-                env,
-            )
+            a_vals = range(size_a)
+            b_vals = range(10, 10 + size_b)
+            whole = q(library, f"(avg2 {_union_text(a_vals)} {_union_text(b_vals)})")
             pieces = set()
             for va, vb in itertools.product(a_vals, b_vals):
-                piece = apply_function(
-                    fn,
-                    [
-                        TupleSet.from_tuples(col, [(va,)]),
-                        TupleSet.from_tuples(col, [(vb,)]),
-                    ],
-                    env,
-                )
-                pieces |= piece.keys()
+                pieces |= q(library, f"(avg2 {va} {vb})").keys()
             assert whole.keys() == pieces
 
 
@@ -421,6 +419,29 @@ def test_selection_const_equals_filter_for_every_fixture_relation(library):
         positional = q(library, positional_args)
         filtered = q(library, f"({relation} :({attr} = {const}))")
         assert positional.same_tuples(filtered)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_reference_selection_equals_a_dereferencing_filter(rng):
+    # the slow path: dereference each reference and compare encoded keys
+    db, names = random_tree_db(rng)
+    state = db.txn.shadow
+    for child in names[1:]:
+        parent = db.catalog.lookup(child).domains[0].type_name
+        chosen = [t for t in state.scan(parent).values() if rng.random() < 0.5]
+        allowed = TupleSet.from_tuples(
+            relation_schema(db.catalog.lookup(parent)), chosen, relation=parent
+        )
+        env = Env(db.catalog, state, {"allowed": allowed})
+        result = eval_expr(parse_expression(f"({child} allowed)"), env)
+        allowed_keys = allowed.keys()
+        expected = {
+            encode_tuple(t)
+            for t in state.scan(child).values()
+            if encode_tuple(state.get_row(parent, t[0].row)) in allowed_keys
+        }
+        assert result.keys() == expected
 
 
 def test_every_result_is_duplicate_free(library):

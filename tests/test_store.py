@@ -196,11 +196,11 @@ class TestScan:
         state = library_state()
         for g in ["sci-fi", "bore", "epic"]:
             state.insert("genre", (TextVal(g),))
-        assert [t[0].value for t in state.scan("genre")] == ["bore", "epic", "sci-fi"]
+        assert [t[0].value for t in state.scan("genre").values()] == ["bore", "epic", "sci-fi"]
 
     def test_scan_empty_relation(self):
         state = library_state()
-        assert state.scan("genre") == []
+        assert state.scan("genre") == {}
 
     def test_domain_class_is_not_enumerable(self):
         state = make_state("domain (point2d real real)", "relation (spot point2d)")
@@ -324,8 +324,8 @@ def test_set_semantics_under_random_insert_erase(sequence):
             if rid is not None:
                 state.erase("genre", rid)
             shadow.discard(value)
-    assert {t[0].value for t in state.scan("genre")} == shadow
-    keys = [encode_tuple(t) for t in state.scan("genre")]
+    assert {t[0].value for t in state.scan("genre").values()} == shadow
+    keys = [encode_tuple(t) for t in state.scan("genre").values()]
     assert len(keys) == len(set(keys))
 
 

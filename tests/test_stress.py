@@ -94,11 +94,11 @@ def test_awkward_text_values_survive_everything():
         escaped = s.replace("\\", "\\\\").replace('"', '\\"')
         run(db, f'add note {{"{escaped}"}}')
     run(db, "commit")
-    stored = {t[0].value for t in db.published.scan("note")}
+    stored = {t[0].value for t in db.published.scan("note").values()}
     assert stored == set(weird)
     text = relang.save_snapshot(db)
     loaded = relang.load_snapshot(text)
-    assert {t[0].value for t in loaded.published.scan("note")} == set(weird)
+    assert {t[0].value for t in loaded.published.scan("note").values()} == set(weird)
     assert relang.save_snapshot(loaded) == text
 
 

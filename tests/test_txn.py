@@ -63,7 +63,7 @@ class TestPlanAdd:
         for trial in range(30):
             chosen = rng.sample(pool, rng.randint(1, 6))
             pre_existing = {
-                t[0].value for t in db.txn.shadow.scan("genre")
+                t[0].value for t in db.txn.shadow.scan("genre").values()
             } & set(chosen)
             arg = " ".join("{" + f'"{g}"' + "}" for g in chosen)
             result = run(db, f"add genre ({arg})")
@@ -285,6 +285,32 @@ class TestAtomicity:
         with pytest.raises(IntegrityError):
             run(db, "commit")
         assert fingerprint(db) == before
+
+    def test_reads_see_both_rows_of_a_deferred_collision(self, library_ddl):
+        db = library_ddl
+        run(
+            db,
+            'add author ({"X" "1900"} {"Y" "1900"})'
+            ' add book ({(author "X" .) "One" "1950"} {(author "Y" .) "Two" "1951"})'
+            " commit",
+        )
+        run(db, 'update author (author "Y" .) (name "X")')
+        assert db.txn.shadow.collision_keys()
+        books = q(db, '(book (author "X" .) .)')
+        assert {t[1].value for t in books.tuples()} == {"One", "Two"}
+        pairs = q(db, '{book (author "X" .)}')
+        assert {t[1].value for t in pairs.tuples()} == {"One", "Two"}
+
+    def test_a_dangling_referrer_matches_nothing(self, library_ddl):
+        db = library_ddl
+        run(db, 'add author {"X" "1900"} add book {(author "X" .) "One" "1950"} commit')
+        run(db, 'remove author (author "X" .)')
+        # the same tuple again gets a fresh row; the book still holds the old one
+        run(db, 'add author {"X" "1900"}')
+        assert len(q(db, "(book)")) == 1
+        assert len(q(db, '(book (author "X" .) .)')) == 0
+        assert len(q(db, "(book (author) .)")) == 0
+        assert len(q(db, '{book (author "X" .)}')) == 0
 
     def test_statement_order_determinism(self):
         script = LIBRARY_SCRIPT + 'remove book (genre "bore")\nrollback\n'
