@@ -225,29 +225,27 @@ def save_snapshot(db: Database) -> str:
 
 
 def _parse_row_values(text: str, line_no: int) -> list:
-    """Parse the brace-enclosed value list of one snapshot row line."""
-    values, i = _parse_value_seq(text, 0, line_no)
-    if i != len(text):
-        raise SnapshotFormatError("trailing content in row", line_no)
-    return values
+    """Parse the brace-enclosed value list of one snapshot row line.
 
-
-def _parse_value_seq(text: str, i: int, line_no: int, stop: Optional[str] = None):
-    values = []
-    n = len(text)
-    while True:
-        while i < n and text[i] == " ":
-            i += 1
-        if i >= n:
-            if stop is not None:
-                raise SnapshotFormatError("unterminated inline tuple", line_no)
-            return values, i
+    Inline tuples nest on an explicit stack, so no nesting depth exhausts
+    the interpreter's."""
+    values = []  # the innermost open value list
+    enclosing = []
+    i, n = 0, len(text)
+    while i < n:
         ch = text[i]
-        if stop is not None and ch == stop:
-            return values, i + 1
-        if ch == "{":
-            inner, i = _parse_value_seq(text, i + 1, line_no, stop="}")
+        if ch == " ":
+            i += 1
+        elif ch == "{":
+            enclosing.append(values)
+            values = []
+            i += 1
+        elif ch == "}":
+            if not enclosing:
+                raise SnapshotFormatError("unbalanced '}' in row", line_no)
+            inner, values = values, enclosing.pop()
             values.append(("tuple", inner))
+            i += 1
         elif ch == '"':
             j = i + 1
             chars = []
@@ -262,24 +260,21 @@ def _parse_value_seq(text: str, i: int, line_no: int, stop: Optional[str] = None
                 raise SnapshotFormatError("unterminated text in row", line_no)
             values.append(("text", "".join(chars)))
             i = j + 1
-        elif ch == "#":
+        else:
             j = i + 1
             while j < n and text[j] not in " }":
                 j += 1
-            token = text[i + 1 : j]
-            if ":" not in token:
-                raise SnapshotFormatError(f"malformed reference #{token}", line_no)
-            rel, _colon, ordinal = token.partition(":")
-            if not ordinal.isdigit():
-                raise SnapshotFormatError(f"malformed reference #{token}", line_no)
-            values.append(("ref", rel, int(ordinal)))
+            if ch == "#":
+                rel, colon, ordinal = text[i + 1 : j].partition(":")
+                if not colon or not (ordinal.isascii() and ordinal.isdigit()):
+                    raise SnapshotFormatError(f"malformed reference {text[i:j]}", line_no)
+                values.append(("ref", rel, int(ordinal)))
+            else:
+                values.append(("atom", text[i:j]))
             i = j
-        else:
-            j = i
-            while j < n and text[j] not in " }":
-                j += 1
-            values.append(("atom", text[i:j]))
-            i = j
+    if enclosing:
+        raise SnapshotFormatError("unterminated inline tuple", line_no)
+    return values
 
 
 def _atom_value(token: str, expected: str, line_no: int) -> Value:
@@ -373,7 +368,7 @@ def load_snapshot(text: str) -> Database:
         rel = db.catalog.lookup(rel_name)
         if rel.klass != "simple":
             raise SnapshotFormatError(f"{rel_name!r} stores no rows", i)
-        if not ordinal_text.isdigit():
+        if not (ordinal_text.isascii() and ordinal_text.isdigit()):
             raise SnapshotFormatError(f"malformed ordinal {ordinal_text!r}", i)
         ordinal = int(ordinal_text)
         expected = loaded_rows.get(rel_name, 0) + 1

@@ -35,6 +35,10 @@ OPERATORS = frozenset(["+", "-", "*", "/", "=", "!=", "<", ">", "<=", ">=", "&",
 SCALAR_TYPE_NAMES = ("int", "real", "text", "timestamp")
 DML_VERBS = frozenset(["add", "remove", "update", "abolish"])
 FORMAT_NAMES = frozenset(["tabular", "csv", "sexpr"])
+# Deepest bracket nesting a script may use. Parsing, type checking and
+# evaluation recurse over the tree; this bound keeps them well inside
+# Python's default recursion limit.
+MAX_NESTING = 100
 
 # token kinds
 LPAREN, RPAREN = "lparen", "rparen"
@@ -44,6 +48,8 @@ COLON, EQUALS, DOT, QUESTION = "colon", "equals", "dot", "question"
 NAME, OPERATOR, KEYWORD = "name", "operator", "keyword"
 INT_LIT, REAL_LIT, TEXT_LIT = "int-literal", "real-literal", "text-literal"
 EOF = "eof"
+
+_DIGITS = frozenset("0123456789")  # str.isdigit() also accepts digits int() rejects
 
 _PUNCT = {
     "(": LPAREN,
@@ -123,24 +129,24 @@ def tokenize(source: str):
                 advance()
             tokens.append(Token(TEXT_LIT, "".join(chars), start_line, start_col))
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "-" and i + 1 < n and source[i + 1] in _DIGITS):
             j = i + 1 if ch == "-" else i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             is_real = False
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
                 is_real = True
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
                     is_real = True
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in _DIGITS:
                         j += 1
             lexeme = source[i:j]
             if j < n and (source[j].isalpha() or source[j] == "_"):
@@ -316,6 +322,7 @@ class Parser:
             sentinel = Token(EOF, "", 1, 1)
         self._tokens = tokens + [sentinel]
         self._pos = 0
+        self._depth = 0  # brackets open around the current token
 
     def _peek(self, ahead=0) -> Token:
         j = min(self._pos + ahead, len(self._tokens) - 1)
@@ -349,6 +356,11 @@ class Parser:
     def _error(self, message, expected=()):
         tok = self._peek()
         raise ParseError(message, tok.line, tok.column, expected=expected)
+
+    def _enter(self):
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            self._error(f"brackets nest deeper than {MAX_NESTING}")
 
     # -- statements
 
@@ -461,12 +473,16 @@ class Parser:
         if tok.kind == NAME:
             self._advance()
             return Name(tok.lexeme)
-        if tok.kind == LPAREN:
-            return self._parse_paren()
-        if tok.kind == LBRACE:
-            return self._parse_brace()
-        if tok.kind == LBRACKET:
-            return self._parse_projection()
+        if tok.kind in (LPAREN, LBRACE, LBRACKET):
+            self._enter()
+            if tok.kind == LPAREN:
+                expr = self._parse_paren()
+            elif tok.kind == LBRACE:
+                expr = self._parse_brace()
+            else:
+                expr = self._parse_projection()
+            self._depth -= 1
+            return expr
         self._error(f"expected an expression, found {tok.lexeme or 'end of input'!r}")
 
     def _operator_ahead(self) -> Optional[str]:
@@ -579,7 +595,9 @@ class Parser:
         return Projection(source, tuple(paths))
 
     def _parse_path(self) -> Path:
-        if self._match(LBRACKET):
+        if self._check(LBRACKET):
+            self._enter()
+            self._advance()
             name = self._expect(NAME, "attribute name").lexeme
             subs = []
             while not self._check(RBRACKET):
@@ -587,6 +605,7 @@ class Parser:
             self._expect(RBRACKET, "']'")
             if not subs:
                 self._error("a nested path needs at least one attribute")
+            self._depth -= 1
             return Path(name, tuple(subs))
         return Path(self._expect(NAME, "attribute name").lexeme, None)
 

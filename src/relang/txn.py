@@ -2,11 +2,17 @@
 
 DML statements apply eagerly to a private shadow copy of the store (so later
 statements read their own writes), but integrity problems do not fail the
-statement: a reference to a tuple that does not exist yet, a removal that
-would strand referrers, or an update that collides with another tuple all
-become deferred obligations, re-checked in statement order at commit. Commit
-either publishes the shadow atomically or aborts leaving the published state
-untouched.
+statement. Every row a statement inserts, removes (cascades included) or
+rekeys enters the transaction's write set with the statement's number; a
+reference to a tuple that does not exist yet, and a set member that matched
+nothing, become deferred obligations. Commit checks only what the
+transaction touched, since the published state it started from already
+holds every invariant: a removed row must have no referrers, a live written
+row's references must resolve, no two rows may share a key, and no
+obligation may be open. It then either publishes the shadow atomically or
+aborts with the failure of the lowest statement number, leaving the
+published state untouched. Statements are numbered from 1 in the order the
+transaction's add, remove, abolish and update statements ran.
 
 Variables bind once, live until the transaction ends, and always hold sets
 of tuples.
@@ -43,7 +49,7 @@ from .evaluator import (
     scalar_context,
     scalar_type_name,
 )
-from .store import DbState
+from .store import DbState, iter_refs
 from .values import RefVal, TupleVal, Value, encode_tuple
 
 
@@ -148,22 +154,6 @@ class _PendingRef:
 
 
 @dataclass
-class _DeferredReferenced:
-    stmt: int
-    relation: str
-    rowid: int
-    describe: str
-
-
-@dataclass
-class _DeferredDuplicate:
-    stmt: int
-    relation: str
-    key: bytes
-    describe: str
-
-
-@dataclass
 class _UnmatchedMember:
     stmt: int
     relation: str
@@ -187,13 +177,16 @@ class CommitReport:
 
 
 class TxnPlan:
-    """One transaction: a shadow state, bindings, and deferred obligations."""
+    """One transaction: a shadow state, bindings, the write set, and
+    deferred obligations."""
 
     def __init__(self, base: DbState):
         self.base = base
         self.shadow = base.clone()
         self.bindings: Dict[str, TupleSet] = {}
         self.steps: List[Tuple[str, str, int]] = []  # (verb, relation, row count)
+        # (relation, row id) inserted, removed or rekeyed -> last statement
+        self.written: Dict[Tuple[str, int], int] = {}
         self.obligations: List[object] = []
         self.pending: Dict[Tuple[str, bytes], int] = {}
         self.status = "open"
@@ -351,10 +344,11 @@ class TxnPlan:
         for values in tuples:
             key = encode_tuple(values)
             pinned = self.pending.get((relation, key))
-            _rowid, inserted = self.shadow.insert(
+            rowid, inserted = self.shadow.insert(
                 relation, values, check_refs=False, rowid=pinned
             )
             if inserted:
+                self.written[(relation, rowid)] = self._stmt
                 # a fresh row satisfies any reference that was waiting for it
                 self.pending.pop((relation, key), None)
                 fresh.add(values)
@@ -365,26 +359,15 @@ class TxnPlan:
         self._require_open()
         self._stmt += 1
         rel = self._simple_relation(relation)
+        rows = self.shadow.indexes[relation].rows
         removed = {}
         for key, rowid in self._resolve_target_rows(rel, set_expr):
-            idx = self.shadow.indexes[relation]
-            if rowid not in idx.rows:
+            if rowid not in rows:
                 continue  # already gone via an earlier cascade
-            values = idx.rows[rowid]
-            if cascade:
-                self.shadow.erase(relation, rowid, cascade=True)
-            else:
-                if self.shadow.referrers(relation, rowid):
-                    self.obligations.append(
-                        _DeferredReferenced(
-                            self._stmt,
-                            relation,
-                            rowid,
-                            f"removed tuple of {relation!r} is still referenced",
-                        )
-                    )
-                self.shadow.erase(relation, rowid, force=True)
-            removed[key] = values
+            removed[key] = rows[rowid]
+            # a referrer left behind is caught at commit
+            for pair in self.shadow.erase(relation, rowid, cascade=cascade, force=True):
+                self.written[pair] = self._stmt
         self.steps.append(("abolish" if cascade else "remove", relation, len(removed)))
         return TupleSet(relation_schema(rel), relation=relation, rows=removed)
 
@@ -413,16 +396,9 @@ class TxnPlan:
                 new[pos] = self._conform_position(rel.domains[pos], outcome, resolver)
             planned.append((rowid, tuple(new)))
         for rowid, new in planned:
-            collided = self.shadow.rekey(relation, rowid, new, allow_collision=True)
-            if collided:
-                self.obligations.append(
-                    _DeferredDuplicate(
-                        self._stmt,
-                        relation,
-                        encode_tuple(new),
-                        f"update left two equal tuples in {relation!r}",
-                    )
-                )
+            # a collision with another row is caught at commit
+            self.shadow.rekey(relation, rowid, new, allow_collision=True)
+            self.written[(relation, rowid)] = self._stmt
             updated.add(new)
         self._adopt_buffer(resolver)
         self.steps.append(("update", relation, len(updated)))
@@ -482,51 +458,55 @@ class TxnPlan:
 
     def commit(self) -> CommitReport:
         self._require_open()
-        for ob in self.obligations:
-            problem = self._check_obligation(ob)
-            if problem is not None:
-                self.status = "aborted"
-                raise IntegrityError(problem)
-        # obligations are complete by construction; keep a defensive check
-        dangling = self.shadow.dangling_refs()
-        collisions = self.shadow.collision_keys()
-        if dangling or collisions:
+        problem = min(self._problems(), key=lambda p: p[0], default=None)
+        if problem is not None:
             self.status = "aborted"
-            raise IntegrityError("shadow state failed final validation")
+            raise IntegrityError(f"statement {problem[0]}: {problem[1]}")
         self.status = "committed"
         return self._report()
 
-    def _check_obligation(self, ob) -> Optional[str]:
-        if isinstance(ob, _UnmatchedMember):
-            return ob.describe
-        if isinstance(ob, _PendingRef):
-            if (ob.relation, ob.key) in self.pending:
-                return ob.describe
-        elif isinstance(ob, _DeferredReferenced):
-            if self.shadow._referrers(ob.relation, ob.rowid):
-                return ob.describe
-        elif isinstance(ob, _DeferredDuplicate):
-            idx = self.shadow.indexes.get(ob.relation)
-            if idx is not None and ob.key in idx.collisions:
-                return ob.describe
-        return None
+    def _problems(self):
+        """(statement, message) of every integrity failure. Only written rows
+        are examined: the base holds every invariant, so a reference breaks
+        only where its row was written or its target removed, and the target's
+        reverse maps find the rows that still hold it."""
+        for ob in self.obligations:
+            if isinstance(ob, _UnmatchedMember) or (ob.relation, ob.key) in self.pending:
+                yield ob.stmt, ob.describe
+        indexes = self.shadow.indexes
+        for (relation, rowid), stmt in self.written.items():
+            values = indexes[relation].rows.get(rowid)
+            if values is None:
+                if self.shadow._referrers(relation, rowid):
+                    yield stmt, f"removed tuple of {relation!r} is still referenced"
+                continue
+            for t_rel, t_row in iter_refs(values):
+                # a target this transaction removed is reported as removed
+                if t_row not in indexes[t_rel].rows and (t_rel, t_row) not in self.written:
+                    yield stmt, f"a tuple of {relation!r} references a missing {t_rel!r} tuple"
+        for relation, key in self.shadow.collision_keys():
+            idx = indexes[relation]
+            rowids = [idx.forward[key], *idx.collisions[key]]
+            stmt = max(self.written.get((relation, r), 0) for r in rowids)
+            yield stmt, f"update left two equal tuples in {relation!r}"
 
     def _report(self) -> CommitReport:
+        """Rows added, removed and updated, by relation: each written row's
+        base version against its shadow version."""
         report = CommitReport()
-        for name, idx in self.shadow.indexes.items():
-            base_idx = self.base.indexes.get(name)
-            base_rows = base_idx.rows if base_idx is not None else {}
-            added = len([r for r in idx.rows if r not in base_rows])
-            removed = len([r for r in base_rows if r not in idx.rows])
-            updated = len(
-                [r for r in idx.rows if r in base_rows and idx.rows[r] != base_rows[r]]
-            )
-            if added:
-                report.added[name] = added
-            if removed:
-                report.removed[name] = removed
-            if updated:
-                report.updated[name] = updated
+        for (relation, rowid) in self.written:
+            base_idx = self.base.indexes.get(relation)
+            before = base_idx.rows.get(rowid) if base_idx is not None else None
+            after = self.shadow.indexes[relation].rows.get(rowid)
+            if before == after:
+                continue  # added then removed, or updated back
+            if before is None:
+                counts = report.added
+            elif after is None:
+                counts = report.removed
+            else:
+                counts = report.updated
+            counts[relation] = counts.get(relation, 0) + 1
         return report
 
     def rollback(self) -> None:
@@ -591,13 +571,6 @@ class Database:
         if isinstance(stmt, syntax.BareQuery):
             return self.eval(stmt.expr)
         raise RelangError(f"unexecutable statement: {stmt!r}")
-
-    def run_script(self, statements):
-        """Execute statements in order; returns the last result."""
-        result = None
-        for stmt in statements:
-            result = self.execute(stmt)
-        return result
 
     def _define(self, stmt: syntax.Definition):
         catalog = self.catalog.define(stmt)

@@ -14,6 +14,7 @@ import networkx as nx
 
 import relang
 from relang import parse_script
+from relang.txn import CommitReport, _UnmatchedMember
 from relang.values import (
     IntVal,
     RealVal,
@@ -91,6 +92,38 @@ def engine_connection_keys(db, target, source_relation):
         relation_schema(rel), db.txn.shadow.scan(source_relation).values(), relation=source_relation
     )
     return connect(target, source, env).keys(), source.tuples()
+
+
+def reference_report(base, shadow):
+    """The commit report by diffing every row of every relation: the
+    whole-state reference for the write-set report."""
+    report = CommitReport()
+    for name, idx in shadow.indexes.items():
+        base_idx = base.indexes.get(name)
+        base_rows = base_idx.rows if base_idx is not None else {}
+        added = len([r for r in idx.rows if r not in base_rows])
+        removed = len([r for r in base_rows if r not in idx.rows])
+        updated = len(
+            [r for r in idx.rows if r in base_rows and idx.rows[r] != base_rows[r]]
+        )
+        if added:
+            report.added[name] = added
+        if removed:
+            report.removed[name] = removed
+        if updated:
+            report.updated[name] = updated
+    return report
+
+
+def commit_must_abort(txn) -> bool:
+    """Whether a commit of the transaction has to abort, by whole-state
+    checks of its shadow plus its open obligations."""
+    return bool(
+        txn.shadow.dangling_refs()
+        or txn.shadow.collision_keys()
+        or txn.pending
+        or any(isinstance(ob, _UnmatchedMember) for ob in txn.obligations)
+    )
 
 
 # --- random schema/database generation -------------------------------------------

@@ -13,6 +13,7 @@ from relang.errors import (
     BadRegex,
     DomainTypeMismatch,
     NoConnection,
+    ParseError,
     NotARelation,
     NotEnumerable,
     SchemaMismatch,
@@ -469,3 +470,57 @@ def test_evaluation_never_mutates_the_store(library):
     ]:
         q(library, text)
     assert relang.save_snapshot(library) == before
+
+
+def _connections(depth):
+    """Connections nested through projected selection arguments, three
+    brackets a level, padded with one-member unions to the exact depth."""
+    levels, pad = divmod(depth - 2, 3)
+    core = '{book (genre "epic")}'
+    text = "{book (genre [" * levels + core + " text])}" * levels
+    return "(" * pad + text + ")" * pad
+
+
+NESTING_FORMS = {
+    "operators": (lambda d: "(+ " * d + "1" + " 1)" * d, lambda d: {(d + 1,)}),
+    "unions": (lambda d: "(" * d + "1" + ")" * d, lambda d: {(1,)}),
+    "selection_arguments": (
+        lambda d: "(genre " * d + '"epic"' + ")" * d,
+        lambda d: {("epic",)},
+    ),
+    "projections": (
+        lambda d: "[" * (d - 1) + "(author)" + " name]" * (d - 1),
+        lambda d: {("Dawkins",), ("Homer",), ("Austen",)},
+    ),
+    "connections": (
+        _connections,
+        lambda d: {(("Homer", "-0799"), "Ulysses", "-0749", "epic")},
+    ),
+}
+
+
+def _bracket_depth(text):
+    depth = deepest = 0
+    for ch in text:  # the forms quote no brackets
+        if ch in "([{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in ")]}":
+            depth -= 1
+    return deepest
+
+
+@pytest.mark.parametrize("form", sorted(NESTING_FORMS))
+def test_each_nesting_form_evaluates_at_the_limit(library, form):
+    from relang.syntax import MAX_NESTING
+
+    build, expected = NESTING_FORMS[form]
+    text = build(MAX_NESTING)
+    assert _bracket_depth(text) == MAX_NESTING
+    result = q(library, text)
+    if isinstance(result, IntVal):
+        assert {(result.value,)} == expected(MAX_NESTING)
+    else:
+        assert rows(result, library.txn.shadow) == expected(MAX_NESTING)
+    with pytest.raises(ParseError, match="brackets nest deeper than"):
+        q(library, "(" + text + ")")

@@ -156,6 +156,26 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError):
             load_snapshot(text)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            '{"a"}}',  # a stray closing brace once looped forever
+            "{" * 3000 + '"a"' + "}" * 3000,  # once exhausted the recursion limit
+            "{" * 3000 + '"a"}',
+            '{"a" #genre:\u00b2}',  # a digit int() does not read
+        ],
+        ids=["stray_brace", "deep", "deep_unclosed", "non_ascii_digit"],
+    )
+    def test_malformed_row_values(self, values):
+        text = f";; relang snapshot v1\nrelation (genre text)\n\nrow genre 1 {values}\n"
+        with pytest.raises(SnapshotFormatError):
+            load_snapshot(text)
+
+    def test_non_ascii_ordinal(self):
+        text = ';; relang snapshot v1\nrelation (genre text)\n\nrow genre \u00b9 {"a"}\n'
+        with pytest.raises(SnapshotFormatError):
+            load_snapshot(text)
+
 
 class TestCommandLine:
     def _run(self, argv, stdin_text=""):
@@ -221,6 +241,17 @@ class TestCommandLine:
         assert code == 0
         assert out.startswith(";; relang snapshot v1\n")
         assert 'row genre 1 {"x"}' in out
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 500 + "1" + ")" * 500, "(+ " * 350 + "1" + " 1)" * 350],
+        ids=["unions", "operators"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        code, out, err = self._run(["-e", text])
+        assert code == 1
+        assert err.startswith("<-e>: error: ParseError: brackets nest deeper than")
+        assert "Traceback" not in err
 
     def test_redirected_output_defaults_to_sexpr(self):
         code, out, err = self._run(["-e", "(1 2 3)"])

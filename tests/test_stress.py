@@ -10,6 +10,7 @@ import relang
 from relang.errors import IntegrityError, RelangError
 
 from conftest import LIBRARY_DDL, build_db, fingerprint, run
+from oracles import commit_must_abort, reference_report
 
 AUTHORS = ["Ada", "Byron", "Curie", "Darwin", "Erdos"]
 TITLES = ["Alpha", "Beta", "Gamma", "Delta"]
@@ -43,20 +44,62 @@ def random_statement(rng):
     return "rollback"
 
 
+def deferred_statement(rng):
+    """A random statement whose references are spelled out by value, so they
+    resolve only at commit, over small value pools so that removals strand
+    referrers and updates collide."""
+    roll = rng.random()
+    author = f'{{"{rng.choice(AUTHORS[:2])}" "180{rng.randint(0, 1)}"}}'
+    book = f'{{{author} "{rng.choice(TITLES[:2])}" "1900"}}'
+    genre = rng.choice(GENRES[:2])
+    if roll < 0.25:
+        return f"add author {author}"
+    if roll < 0.4:
+        return f"add book {book}"
+    if roll < 0.48:
+        return f'add genre {{"{genre}"}}'
+    if roll < 0.56:
+        return f'add book_genre {{{book} {{"{genre}"}}}}'
+    if roll < 0.63:
+        return f"remove book ({book})"
+    if roll < 0.68:
+        return f'remove genre (genre "{genre}")'
+    if roll < 0.73:
+        return f"remove author ({author})"
+    if roll < 0.78:
+        return f"abolish author ({author})"
+    if roll < 0.84:
+        return f'update author ({author}) (birthdate "180{rng.randint(0, 1)}")'
+    if roll < 0.88:
+        return f'update genre (genre "{genre}") (text "{rng.choice(GENRES[:2])}")'
+    if roll < 0.97:
+        return "commit"
+    return "rollback"
+
+
 def drive(db, statements):
     """Run statements the way the shell would, tolerating integrity failures;
-    returns the count of successful commits."""
+    returns the count of successful commits.
+
+    Before each commit, the whole-state checks decide whether it must abort,
+    and a successful commit's report must equal the whole-database diff."""
     commits = 0
     for text in statements:
         before = fingerprint(db)
+        if text == "commit":
+            must_abort = commit_must_abort(db.txn)
+            base, shadow = db.txn.base, db.txn.shadow
         try:
-            run(db, text)
+            result = run(db, text)
         except IntegrityError:
+            assert text == "commit" and must_abort
             assert fingerprint(db) == before  # failed commit publishes nothing
             continue
         except RelangError:
             continue  # statement-level rejection; the transaction goes on
         if text == "commit":
+            assert not must_abort
+            assert result == reference_report(base, shadow)
             commits += 1
             assert db.published.dangling_refs() == []
             assert db.published.collision_keys() == []
@@ -74,6 +117,15 @@ def test_random_workloads_stay_consistent(seed):
     replay = build_db(LIBRARY_DDL)
     drive(replay, statements)
     assert fingerprint(replay) == fingerprint(db)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_commit_decisions_match_the_whole_state_checks(seed):
+    rng = random.Random(1000 + seed)
+    statements = [deferred_statement(rng) for _ in range(120)] + ["commit"]
+    db = build_db(LIBRARY_DDL)
+    drive(db, statements)
+    assert db.published.dangling_refs() == []
 
 
 @pytest.mark.parametrize("seed", [3, 17])

@@ -261,3 +261,21 @@ def test_whitespace_only_sources_are_empty_scripts(ws):
 @given(st.integers(-(10 ** 6), 10 ** 6))
 def test_integer_literal_round_trip(n):
     assert parse_expression(str(n)) == Const(n, "int")
+
+
+def test_nested_paths_count_toward_the_nesting_limit():
+    from relang.syntax import MAX_NESTING
+
+    def nested(levels):
+        return "[(author) " + "[name " * levels + "x" + "]" * levels + "]"
+
+    expr = parse_expression(nested(MAX_NESTING - 1))
+    assert parse_expression(render(BareQuery(expr))) == expr
+    with pytest.raises(ParseError, match="brackets nest deeper than"):
+        parse_expression(nested(MAX_NESTING))
+
+
+@pytest.mark.parametrize("text", ["²", "-²", "1²", "1.٣"])
+def test_non_ascii_digits_are_not_numbers(text):
+    with pytest.raises((IllegalCharacter, ParseError)):
+        parse_expression(text)

@@ -252,6 +252,94 @@ class TestCommit:
         assert rows(q(db, "(genre)"), db.published) == {("one",), ("two",)}
 
 
+class TestCommitReport:
+    def test_a_row_added_then_removed_counts_as_nothing(self, library_ddl):
+        report = run(
+            library_ddl,
+            'add genre {"x"} remove genre (genre "x") add genre {"y"} commit',
+        )
+        assert report.added == {"genre": 1}
+        assert report.removed == {} and report.updated == {}
+
+    def test_an_update_back_to_the_old_value_counts_as_nothing(self, library):
+        report = run(
+            library,
+            'update genre (genre "epic") (text "saga")'
+            ' update genre (genre "saga") (text "epic")'
+            ' add genre {"noir"}'
+            " commit",
+        )
+        assert report.added == {"genre": 1}
+        assert report.removed == {} and report.updated == {}
+
+    def test_abolish_counts_every_cascaded_row(self, library):
+        report = run(library, 'abolish author (author "Homer" .) commit')
+        assert report.removed == {
+            "author": 1,
+            "book": 1,
+            "book_genre": 1,
+            "available": 1,
+        }
+        assert report.added == {} and report.updated == {}
+
+    def test_a_relation_defined_mid_transaction_counts_its_rows(self, library):
+        report = run(
+            library,
+            'add genre {"noir"} relation (shelf (label text)) add shelf {"s1"} commit',
+        )
+        assert report.added == {"genre": 1, "shelf": 1}
+
+
+class TestIntegrityErrorNamesTheStatement:
+    """Statements are numbered by the transaction's DML statements, from 1."""
+
+    def _fails(self, db, script, message):
+        before = fingerprint(db)
+        run(db, script)
+        with pytest.raises(IntegrityError) as info:
+            run(db, "commit")
+        assert str(info.value) == message
+        assert fingerprint(db) == before
+
+    def test_still_referenced(self, library):
+        self._fails(
+            library,
+            'add genre {"noir"} remove genre (genre "bore")',
+            "statement 2: removed tuple of 'genre' is still referenced",
+        )
+
+    def test_never_added(self, library):
+        self._fails(
+            library,
+            'add genre {"noir"} add book {{"Nobody" "1900"} "X" "1900"}',
+            "statement 2: a tuple of 'author' referenced in this transaction"
+            " was never added",
+        )
+
+    def test_update_collision(self, library):
+        self._fails(
+            library,
+            'add genre {"noir"} update author (author) (name "same" birthdate "1900")',
+            "statement 2: update left two equal tuples in 'author'",
+        )
+
+    def test_unmatched_member(self, library):
+        self._fails(
+            library,
+            'add genre {"noir"} add book {(author "Nobody" .) "X" "1900"}',
+            "statement 2: a member of the set added to 'book' matched no tuples;"
+            " the referenced tuple was never added",
+        )
+
+    def test_the_lowest_statement_is_reported(self, library):
+        self._fails(
+            library,
+            'update author (author) (name "same" birthdate "1900")'
+            ' add book {{"Nobody" "1900"} "X" "1900"}',
+            "statement 1: update left two equal tuples in 'author'",
+        )
+
+
 class TestRollback:
     def test_rollback_restores_published_content(self, library):
         before = fingerprint(library)
