@@ -3,8 +3,9 @@
 
 Generates random tree-shaped schemas, populates them, and answers random
 connection queries two ways: with the engine's index-backed chain join and
-with full Cartesian-product enumeration. Verifies exact agreement and
-reports timings.
+with full Cartesian-product enumeration. Each query runs from the whole
+source relation, from the empty set and from a random proper subset of it.
+Verifies exact agreement and reports timings.
 
 Usage: python scripts/join_elimination_experiment.py [N_SCHEMAS] [SEED]
 """
@@ -53,7 +54,7 @@ def make_random_db(rng, n_relations, max_rows):
     return db, names
 
 
-def brute_force(db, target, source_rel):
+def brute_force(db, target, source_rel, source_tuples):
     from relang.evaluator import shortest_path
 
     path = shortest_path(db.catalog, target, source_rel)
@@ -62,6 +63,7 @@ def brute_force(db, target, source_rel):
         names.append(other)
     state = db.published
     row_lists = [sorted(state.indexes[n].rows.items()) for n in names]
+    source_keys = {encode_tuple(t) for t in source_tuples}
     out = set()
     for combo in itertools.product(*row_lists):
         ok = True
@@ -74,7 +76,7 @@ def brute_force(db, target, source_rel):
                 ok = b_tup[edge.position] == RefVal(a_rel, a_rid)
             if not ok:
                 break
-        if ok:
+        if ok and encode_tuple(combo[-1][1]) in source_keys:
             out.add(encode_tuple(tuple(combo[0][1]) + tuple(combo[-1][1])))
     return out
 
@@ -83,28 +85,34 @@ def main():
     n_schemas = int(sys.argv[1]) if len(sys.argv) > 1 else 30
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     rng = random.Random(seed)
+    pick = random.Random(seed + 1)  # draws the source subsets
     engine_total = brute_total = 0.0
     checked = 0
     for trial in range(n_schemas):
         db, names = make_random_db(rng, rng.randint(3, 5), max_rows=15)
         target, source_rel = rng.sample(names, 2)
-        try:
-            t0 = time.perf_counter()
-            source = TupleSet.from_tuples(
-                relation_schema(db.catalog.lookup(source_rel)),
-                db.published.scan(source_rel).values(),
-                relation=source_rel,
-            )
-            engine = connect(target, source, db.env()).keys()
-            t1 = time.perf_counter()
-            oracle = brute_force(db, target, source_rel)
-            t2 = time.perf_counter()
-        except relang.errors.AmbiguousPath:
-            continue
-        assert engine == oracle, f"disagreement on trial {trial}"
-        engine_total += t1 - t0
-        brute_total += t2 - t1
-        checked += 1
+        whole = list(db.published.scan(source_rel).values())
+        sources = [whole, []]
+        if len(whole) > 1:
+            sources.append(pick.sample(whole, pick.randrange(1, len(whole))))
+        for source_tuples in sources:
+            try:
+                t0 = time.perf_counter()
+                source = TupleSet.from_tuples(
+                    relation_schema(db.catalog.lookup(source_rel)),
+                    source_tuples,
+                    relation=source_rel,
+                )
+                engine = connect(target, source, db.env()).keys()
+                t1 = time.perf_counter()
+                oracle = brute_force(db, target, source_rel, source_tuples)
+                t2 = time.perf_counter()
+            except relang.errors.AmbiguousPath:
+                break
+            assert engine == oracle, f"disagreement on trial {trial}"
+            engine_total += t1 - t0
+            brute_total += t2 - t1
+            checked += 1
     print(f"{checked} random connection queries, engine == brute force on all")
     print(f"engine (index chain join): {engine_total * 1000:8.2f} ms total")
     print(f"brute force (full product): {brute_total * 1000:8.2f} ms total")

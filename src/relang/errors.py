@@ -126,6 +126,10 @@ class NoConnection(RelangError):
     pass
 
 
+class CallTooDeep(RelangError):
+    pass
+
+
 class AmbiguousPath(RelangError):
     def __init__(self, message, paths=()):
         super().__init__(message)

@@ -4,10 +4,19 @@ set of immutable variable bindings.
 Evaluation is read-only: no operation here ever mutates the store. Results
 are scalars, conditions (booleans, which can never be stored), or tuple sets.
 
+A selection from a stored relation reads it through its ordered index: the
+evaluated first argument picks the access path. A scalar reads the key
+range under its encoding; a set at a reference position reads one range per
+referenced row id, in row-id order; any other first argument reads the whole
+relation. Every positional constraint and the filter are then checked on
+each row read, since a text key range can hold longer texts.
+
 The connection operator replaces joins: it finds the shortest path between
 two relations in the schema graph and chain-joins along it, returning the
-connected (target, source) pairs. Two equally short paths are an error that
-names both, never a silent choice.
+connected (target, source) pairs. The walk starts from the source set's rows
+and goes back along the path to the target through forward values and
+reverse maps, so it touches only connected rows. Two equally short paths are
+an error that names both, never a silent choice.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .errors import (
     ArityMismatch,
     BadCast,
     BadRegex,
+    CallTooDeep,
     DomainTypeMismatch,
     NoConnection,
     NotARelation,
@@ -44,6 +54,7 @@ from .values import (
     TupleVal,
     Value,
     encode_tuple,
+    encode_value,
     parse_timestamp,
     render_timestamp,
 )
@@ -130,15 +141,17 @@ EvalValue = object  # Value | bool | TupleSet
 @dataclass
 class Env:
     """Evaluation context: catalog + readable state + immutable bindings,
-    plus the current tuple's attributes inside a filter."""
+    plus the current tuple's attributes inside a filter or the parameters
+    inside a function body, and how many function applications enclose it."""
 
     catalog: Catalog
     state: DbState
     bindings: Mapping[str, TupleSet] = field(default_factory=dict)
     locals: Optional[Mapping[str, Value]] = None
+    calls: int = 0
 
     def with_locals(self, frame: Mapping[str, Value]) -> "Env":
-        return Env(self.catalog, self.state, self.bindings, frame)
+        return Env(self.catalog, self.state, self.bindings, frame, self.calls)
 
 
 def relation_schema(rel: RelationDef) -> Tuple[SchemaCol, ...]:
@@ -507,7 +520,11 @@ def _is_type_marker(expr) -> bool:
 def eval_selection(sel: syntax.Selection, env: Env) -> TupleSet:
     name = sel.target
     if name in env.bindings:
-        return _select_from_set(env.bindings[name], sel, env)
+        base = env.bindings[name]
+        if base.schema is None:
+            return base
+        constraints, _prefixes = _constraints(base.schema, sel, env)
+        return _keep(base, base._rows, constraints, sel, env)
     if name in BUILTIN_FUNCTIONS or (
         name in env.catalog and env.catalog.lookup(name).klass == "function"
     ):
@@ -517,24 +534,43 @@ def eval_selection(sel: syntax.Selection, env: Env) -> TupleSet:
     rel = env.catalog.lookup(name)
     if rel.klass == "domain":
         return _construct_domain_tuples(rel, sel, env)
-    base = TupleSet(relation_schema(rel), relation=name, rows=env.state.scan(name))
-    return _select_from_set(base, sel, env)
+    base = TupleSet(relation_schema(rel), relation=name)
+    constraints, prefixes = _constraints(base.schema, sel, env)
+    if prefixes is None:
+        candidates = env.state.scan(name)
+    else:
+        # prefixes of one width never overlap, and visiting them in order
+        # keeps the candidates in key order
+        candidates = {}
+        for prefix in sorted(prefixes):
+            candidates.update(env.state.scan(name, prefix))
+    return _keep(base, candidates, constraints, sel, env)
 
 
-def _select_from_set(base: TupleSet, sel: syntax.Selection, env: Env) -> TupleSet:
-    if base.schema is None:
-        return base
-    if len(sel.args) > base.width():
+def _constraints(schema, sel: syntax.Selection, env: Env):
+    """Evaluate each positional argument once, into (position, predicate)
+    pairs, plus the key prefixes the leading argument allows (None when it
+    allows any key)."""
+    if len(sel.args) > len(schema):
         raise ArityMismatch(
-            f"{sel.target!r} has {base.width()} domains, got {len(sel.args)} arguments"
+            f"{sel.target!r} has {len(schema)} domains, got {len(sel.args)} arguments"
         )
     constraints = []
+    prefixes = None
     for pos, arg in enumerate(sel.args):
-        constraint = _positional_constraint(arg, base.schema[pos], env)
-        if constraint is not None:
-            constraints.append((pos, constraint))
+        if isinstance(arg, syntax.Wildcard) or _is_type_marker(arg):
+            continue
+        check, allowed = _positional_constraint(arg, schema[pos], env)
+        constraints.append((pos, check))
+        if pos == 0:
+            prefixes = allowed
+    return constraints, prefixes
+
+
+def _keep(base: TupleSet, candidates, constraints, sel: syntax.Selection, env: Env) -> TupleSet:
+    """The candidate rows that meet every constraint and the filter."""
     kept = {}
-    for key, values in base._rows.items():
+    for key, values in candidates.items():
         if all(check(values[pos]) for pos, check in constraints):
             if sel.filter is not None and not _filter_passes(sel.filter, base, values, env):
                 continue
@@ -551,10 +587,9 @@ def _filter_passes(filter_expr, base: TupleSet, values, env: Env) -> bool:
 
 
 def _positional_constraint(arg, col: SchemaCol, env: Env):
-    """Build a per-value predicate for one positional argument, or None when
-    the position is left free."""
-    if isinstance(arg, syntax.Wildcard) or _is_type_marker(arg):
-        return None
+    """A per-value predicate for one bound positional argument, and the key
+    prefixes of the values it allows when it is the leading one: an
+    iterable of encodings, or None for any value."""
     value = eval_expr(arg, env)
     if isinstance(value, bool):
         raise TypeMismatch("a positional argument cannot be a condition")
@@ -565,18 +600,19 @@ def _positional_constraint(arg, col: SchemaCol, env: Env):
 
 def _equality_constraint(value: Value, col: SchemaCol):
     if col.type_name in SCALAR_TYPES:
-        expected = coerce_scalar(value, col.type_name)
-        return lambda v: v == expected
-    if isinstance(value, (RefVal, TupleVal)) and scalar_type_name(value) == col.type_name:
-        return lambda v: v == value
-    raise TypeMismatch(
-        f"position {col.attr!r} holds {col.type_name}, got {scalar_type_name(value)}"
-    )
+        value = coerce_scalar(value, col.type_name)
+    elif not (
+        isinstance(value, (RefVal, TupleVal)) and scalar_type_name(value) == col.type_name
+    ):
+        raise TypeMismatch(
+            f"position {col.attr!r} holds {col.type_name}, got {scalar_type_name(value)}"
+        )
+    return (lambda v: v == value), (encode_value(value),)
 
 
 def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
     if allowed.schema is None:
-        return lambda v: False
+        return (lambda v: False), ()
     if col.type_name in SCALAR_TYPES:
         if allowed.width() != 1:
             raise TypeMismatch(
@@ -584,15 +620,18 @@ def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
                 " have one column"
             )
         members = {coerce_scalar(t[0], col.type_name) for t in allowed._rows.values()}
-        return lambda v: v in members
+        return (lambda v: v in members), None
     # relation-valued position: keep values whose target tuple is in the set
     target_rel = env.catalog.lookup(col.type_name)
     if target_rel.klass == "domain":
         members = set(allowed._rows.values())
-        return lambda v: isinstance(v, TupleVal) and v.values in members
+        return (lambda v: isinstance(v, TupleVal) and v.values in members), None
     # a reference matches when its row is stored under one of the set's keys
     rowids = env.state.rowids(col.type_name, allowed._rows)
-    return lambda v: isinstance(v, RefVal) and v.relation == col.type_name and v.row in rowids
+    return (
+        (lambda v: isinstance(v, RefVal) and v.relation == col.type_name and v.row in rowids),
+        (encode_value(RefVal(col.type_name, r)) for r in rowids),
+    )
 
 
 def _construct_domain_tuples(rel: RelationDef, sel: syntax.Selection, env: Env) -> TupleSet:
@@ -656,6 +695,12 @@ def _domain_position_value(tuple_values, dom, env: Env) -> Value:
 
 # --- function application -----------------------------------------------------------
 
+# Function applications may nest this deep, one level per call made from
+# inside a body. A body calls only functions defined before it, so only a
+# chain of definitions nests, and the bound keeps its evaluation well inside
+# the interpreter's stack.
+MAX_CALL_DEPTH = 64
+
 
 def _apply_by_name(name: str, sel: syntax.Selection, env: Env) -> TupleSet:
     if sel.filter is not None:
@@ -672,12 +717,17 @@ def _apply_by_name(name: str, sel: syntax.Selection, env: Env) -> TupleSet:
         return _apply(
             name, params, result_type, args, lambda vals: _BUILTIN_IMPL[name](vals), env
         )
+    if env.calls >= MAX_CALL_DEPTH:
+        raise CallTooDeep(
+            f"applying {name!r} would nest more than {MAX_CALL_DEPTH} function calls"
+        )
     fn = env.catalog.lookup(name)
     params = tuple(d.type_name for d in fn.domains)
 
     def call(vals):
         frame = {d.attr: v for d, v in zip(fn.domains, vals)}
-        out = eval_expr(fn.body, env.with_locals(frame))
+        inner = Env(env.catalog, env.state, env.bindings, frame, env.calls + 1)
+        out = eval_expr(fn.body, inner)
         return scalar_context(out, "a function result")
 
     return _apply(name, params, fn.result_type, args, call, env)
@@ -839,7 +889,13 @@ def _render_path(start, path) -> str:
 
 def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
     """Pairs (target tuple ++ source tuple) for every target row connected to
-    a source-set row along the unique shortest schema path."""
+    a source-set row along the unique shortest schema path.
+
+    The walk starts from the source set's rows and follows the path back to
+    the target, a semi-join: each step reads a forward value (the current
+    row references the next relation) or a reverse map (rows of the next
+    relation reference the current row), so it touches only connected rows.
+    """
     if source.relation is None:
         raise TypeMismatch(
             "a connection source must be a subset of a named relation"
@@ -850,38 +906,28 @@ def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
 
     pair_schema = relation_schema(target_rel) + relation_schema(source_rel)
     result = TupleSet(pair_schema)
-    if target_rel.klass != "simple" or source_rel.klass != "simple":
+    nodes = [target] + [nxt for _edge, nxt in path]
+    if any(env.catalog.lookup(n).klass != "simple" for n in nodes):
         return result
     state = env.state
-    idx = state.indexes.get(target)
-    if idx is None:
-        return result
-    # (start row, current row) pairs walked edge by edge along the path
-    pairs = {(rid, rid) for rid in idx.rows}
-    current = target
-    for edge, nxt in path:
-        nxt_rel = env.catalog.lookup(nxt)
-        if nxt_rel.klass != "simple":
-            pairs = set()
-            current = nxt
-            continue
+    # (source row, current row) pairs walked edge by edge, source to target
+    pairs = {(rid, rid) for rid in state.rowids(source.relation, source._rows)}
+    for (edge, current), nxt in zip(reversed(path), reversed(nodes[:-1])):
         advanced = set()
         if edge.adopter == current:
+            rows = state.indexes[current].rows
             for start, rid in pairs:
-                v = state.indexes[current].rows[rid][edge.position]
+                v = rows[rid][edge.position]
                 if isinstance(v, RefVal):
                     advanced.add((start, v.row))
         else:
-            nxt_idx = state.indexes[nxt]
-            reverse = nxt_idx.reverse.get(edge.position, {})
+            reverse = state.indexes[nxt].reverse.get(edge.position, {})
             for start, rid in pairs:
                 for referrer in reverse.get((current, rid), ()):
                     advanced.add((start, referrer))
         pairs = advanced
-        current = nxt
-    source_rows = state.rowids(source.relation, source._rows)
-    src_idx = state.indexes[source.relation]
+    target_rows = state.indexes[target].rows
+    source_rows = state.indexes[source.relation].rows
     for start, end in pairs:
-        if end in source_rows:
-            result.add(idx.rows[start] + src_idx.rows[end])
+        result.add(target_rows[end] + source_rows[start])
     return result

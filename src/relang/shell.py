@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import io
 import sys
 from typing import Dict, List, Optional
@@ -277,17 +278,31 @@ def _parse_row_values(text: str, line_no: int) -> list:
     return values
 
 
-def _atom_value(token: str, expected: str, line_no: int) -> Value:
+@functools.lru_cache(maxsize=4096)
+def _read_atom(token: str, expected: str) -> Optional[Value]:
+    """The scalar a canonical literal spells, or None. Only the canonical
+    literal is read (``1_0``, ``+5`` and ``1e3`` are not), so every snapshot
+    that loads is one that saving writes back byte for byte. Cached, since a
+    snapshot repeats its literals (a year, a count) many times."""
     try:
         if expected == "int":
-            return IntVal(int(token))
-        if expected == "real":
-            return RealVal(float(token))
-        if expected == "timestamp":
-            return parse_timestamp(token)
+            value = IntVal(int(token))
+        elif expected == "real":
+            value = RealVal(float(token))
+        elif expected == "timestamp":
+            value = parse_timestamp(token)
+        else:
+            return None
     except (ValueError, RelangError):
-        pass
-    raise SnapshotFormatError(f"cannot read {token!r} as {expected}", line_no)
+        return None
+    return value if render_scalar(value) == token else None
+
+
+def _atom_value(token: str, expected: str, line_no: int) -> Value:
+    value = _read_atom(token, expected)
+    if value is None:
+        raise SnapshotFormatError(f"{token!r} is not a canonical {expected} literal", line_no)
+    return value
 
 
 def _materialize(parsed, rel: RelationDef, catalog: Catalog, loaded_rows, line_no: int):

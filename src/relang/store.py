@@ -4,6 +4,18 @@ The forward map (canonical key -> row id) IS the relation; the rows map is
 its inverse view, and per-position reverse maps invert every reference so
 referential traversal and cascades never scan.
 
+Invariant: ``sorted_keys`` holds exactly the forward map's keys, in
+ascending byte order. Every write that adds or drops a forward entry keeps
+it so by bisection; a key that sorts after the last one is appended, which
+is how a snapshot load (rows arrive in key order) fills it. ``scan`` reads
+key ranges from it and never sorts.
+
+Contract of ``scan(relation, prefix)``: it returns every row whose key
+starts with the prefix bytes, in key order. Because text encodings are not
+prefix-free, that range is a superset of the rows whose leading values
+equal the prefix's value, so a caller must check its constraints on each
+row it gets back.
+
 Invariant: a tuple's canonical key is computed when the tuple is stored
 (insert or rekey) and kept only as its forward-map entry. Readers never
 re-encode a stored tuple: they take keys from ``scan``, and they match a
@@ -22,6 +34,7 @@ published.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .catalog import Catalog, RelationDef
@@ -61,6 +74,7 @@ class MultitableIndex:
         self.domains = domains
         self.rows: Dict[int, tuple] = {}
         self.forward: Dict[bytes, int] = {}
+        self.sorted_keys: List[bytes] = []  # the forward map's keys, ascending
         # key -> extra live row ids sharing the key (deferred collisions)
         self.collisions: Dict[bytes, List[int]] = {}
         # position -> (target relation, target row) -> referencing row ids
@@ -71,12 +85,22 @@ class MultitableIndex:
         copy = MultitableIndex(self.domains)
         copy.rows = dict(self.rows)
         copy.forward = dict(self.forward)
+        copy.sorted_keys = list(self.sorted_keys)
         copy.collisions = {k: list(v) for k, v in self.collisions.items()}
         copy.reverse = {
             p: {t: set(rs) for t, rs in m.items()} for p, m in self.reverse.items()
         }
         copy.next_rowid = self.next_rowid
         return copy
+
+    def place(self, key: bytes, rowid: int):
+        """Store a row under a key no row holds."""
+        self.forward[key] = rowid
+        keys = self.sorted_keys
+        if not keys or keys[-1] < key:
+            keys.append(key)
+        else:
+            insort(keys, key)
 
     def release(self, key: bytes, rowid: int):
         """Drop a row's hold on a key slot. When the row owned the slot, the
@@ -87,10 +111,20 @@ class MultitableIndex:
                 self.forward[key] = extras.pop(0)
             else:
                 del self.forward[key]
+                del self.sorted_keys[bisect_left(self.sorted_keys, key)]
         elif rowid in extras:
             extras.remove(rowid)
         if key in self.collisions and not extras:
             del self.collisions[key]
+
+
+def _prefix_end(prefix: bytes) -> Optional[bytes]:
+    """The least byte string above every string that starts with
+    ``prefix``; None when there is none (the prefix is empty or all 0xFF)."""
+    stem = prefix.rstrip(b"\xff")
+    if not stem:
+        return None
+    return stem[:-1] + bytes((stem[-1] + 1,))
 
 
 def iter_refs(values) -> Iterable[Tuple[str, int]]:
@@ -194,7 +228,7 @@ class DbState:
             rowid = idx.next_rowid
             idx.next_rowid += 1
         idx.rows[rowid] = values
-        idx.forward[key] = rowid
+        idx.place(key, rowid)
         self._add_reverse(idx, rowid, values)
         return rowid, True
 
@@ -233,8 +267,15 @@ class DbState:
             raise RowNotFound(f"no row {rowid} in relation {relation!r}")
         return row
 
-    def scan(self, relation: str) -> Dict[bytes, tuple]:
-        """The relation as a fresh canonical key -> tuple map, in key order.
+    def scan(self, relation: str, prefix: bytes = b"") -> Dict[bytes, tuple]:
+        """The rows whose canonical key starts with ``prefix``, as a fresh
+        key -> tuple map in key order; the empty prefix gives the relation.
+
+        The range is found by bisection over the sorted keys, so it costs
+        the rows it returns, not the relation. The prefix is a byte prefix,
+        not a value: text keys are not prefix-free (the key of "a" starts
+        the key of "a\\0b"), so the range is a superset and a caller must
+        check its constraints on every row again.
 
         The keys are the ones stored in the forward map, so a caller that
         needs a tuple's key takes it from here instead of encoding the tuple
@@ -244,7 +285,12 @@ class DbState:
         if rel.klass != "simple":
             raise NotEnumerable(f"{relation!r} is a {rel.klass} relation")
         idx = self.indexes[relation]
-        return {k: idx.rows[idx.forward[k]] for k in sorted(idx.forward)}
+        keys = idx.sorted_keys
+        lo = bisect_left(keys, prefix)
+        end = _prefix_end(prefix)
+        hi = len(keys) if end is None else bisect_left(keys, end, lo)
+        rows, forward = idx.rows, idx.forward
+        return {k: rows[forward[k]] for k in keys[lo:hi]}
 
     def referrers(self, relation: str, rowid: int):
         """Every (relation, attr, row) whose tuple references the given row."""
@@ -317,7 +363,7 @@ class DbState:
         if collided:
             idx.collisions.setdefault(new_key, []).append(rowid)
         else:
-            idx.forward[new_key] = rowid
+            idx.place(new_key, rowid)
         idx.rows[rowid] = new_values
         self._drop_reverse(idx, rowid, old_values)
         self._add_reverse(idx, rowid, new_values)

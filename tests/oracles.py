@@ -129,11 +129,12 @@ def commit_must_abort(txn) -> bool:
 # --- random schema/database generation -------------------------------------------
 
 
-def random_tree_db(rng: random.Random, max_rows=20):
+def random_tree_db(rng: random.Random, max_rows=20, texts=string.ascii_lowercase[:6]):
     """A database over a random tree-shaped schema (unique shortest paths).
 
     Each non-root relation adopts exactly one earlier relation, plus scalar
     padding domains; rows reference random rows of the adopted relation.
+    Text values are drawn from ``texts``.
     """
     db = relang.Database()
     n = rng.randint(2, 5)
@@ -161,7 +162,7 @@ def random_tree_db(rng: random.Random, max_rows=20):
                 if dom.type_name == "int":
                     values.append(IntVal(rng.randint(0, 9)))
                 elif dom.type_name == "text":
-                    values.append(TextVal(rng.choice(string.ascii_lowercase[:6])))
+                    values.append(TextVal(rng.choice(texts)))
                 elif dom.type_name == "real":
                     values.append(RealVal(rng.uniform(-5.0, 5.0)))
                 elif dom.type_name == "timestamp":

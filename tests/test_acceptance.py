@@ -56,24 +56,34 @@ def test_criterion_1_paper_script_scenario():
 
 def test_criterion_2_join_elimination_oracle():
     rng = random.Random(20240809)
+    pick = random.Random(20240810)  # draws the source subsets
     agreements = 0
     for _ in range(100):
         db, names = random_tree_db(rng)
         target, source_rel = connectable_pair(db, names, rng)
         paths = all_shortest_edge_paths(db.catalog, target, source_rel)
         assert len(paths) == 1  # trees have unique shortest paths
-        source_tuples = db.txn.shadow.scan(source_rel).values()
-        source = TupleSet.from_tuples(
-            relation_schema(db.catalog.lookup(source_rel)),
-            source_tuples,
-            relation=source_rel,
-        )
-        engine = connect(target, source, db.env()).keys()
-        oracle = brute_force_connection(db, target, source_tuples, source_rel)
-        assert engine == oracle
+        whole = list(db.txn.shadow.scan(source_rel).values())
+        # the whole relation, the empty set, and a random proper subset
+        sources = [whole, []]
+        if len(whole) > 1:
+            sources.append(pick.sample(whole, pick.randrange(1, len(whole))))
+        for source_tuples in sources:
+            source = TupleSet.from_tuples(
+                relation_schema(db.catalog.lookup(source_rel)),
+                source_tuples,
+                relation=source_rel,
+            )
+            engine = connect(target, source, db.env()).keys()
+            oracle = brute_force_connection(db, target, source_tuples, source_rel)
+            assert engine == oracle
         agreements += 1
     assert agreements == 100
-    ok(2, "connection equals the brute-force join oracle on 100/100 random schemas")
+    ok(
+        2,
+        "connection equals the brute-force join oracle on 100/100 random schemas,"
+        " from whole, empty and partial sources",
+    )
 
 
 def test_criterion_3_constructor_semantics():

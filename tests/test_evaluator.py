@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
-from relang import parse_expression
+from relang import parse_expression, syntax
 from relang.errors import (
     AmbiguousPath,
     ArityMismatch,
     BadCast,
     BadRegex,
+    CallTooDeep,
     DomainTypeMismatch,
     NoConnection,
     ParseError,
@@ -22,8 +23,15 @@ from relang.errors import (
     UnknownName,
     UnknownRelation,
 )
-from relang.evaluator import Env, TupleSet, eval_expr, relation_schema
-from relang.values import IntVal, RealVal, TextVal, encode_tuple
+from relang.evaluator import MAX_CALL_DEPTH, Env, TupleSet, eval_expr, relation_schema
+from relang.values import (
+    IntVal,
+    RealVal,
+    TextVal,
+    TimestampVal,
+    encode_tuple,
+    render_timestamp,
+)
 
 from conftest import build_db, q, rows, run
 from oracles import random_tree_db
@@ -443,6 +451,127 @@ def test_reference_selection_equals_a_dereferencing_filter(rng):
             if encode_tuple(state.get_row(parent, t[0].row)) in allowed_keys
         }
         assert result.keys() == expected
+
+
+# The key of "a" is a byte prefix of the keys of "a\0" and "a\0b", so a key
+# range over-approximates equality on these texts.
+PREFIX_TEXTS = ["", "a", "a\x00", "a\x00b", "ab", "b"]
+
+
+def _literal(value):
+    """A syntax node evaluating to the scalar (a timestamp is spelled as
+    text, which a timestamp position reads as one)."""
+    if isinstance(value, IntVal):
+        return syntax.Const(value.value, "int")
+    if isinstance(value, RealVal):
+        return syntax.Const(value.value, "real")
+    if isinstance(value, TextVal):
+        return syntax.Const(value.value, "text")
+    return syntax.Const(render_timestamp(value), "text")
+
+
+def _random_scalar(rng, type_name):
+    if type_name == "int":
+        return IntVal(rng.randint(0, 12))
+    if type_name == "real":
+        return RealVal(rng.uniform(-5.0, 5.0))
+    if type_name == "text":
+        return TextVal(rng.choice(PREFIX_TEXTS + ["c"]))
+    return TimestampVal(rng.randint(-800, 2100), rng.choice([None, rng.randint(1, 12)]))
+
+
+def _leading_cases(rng, state, rel, everything):
+    """(first argument, bindings, predicate on a stored leading value) for a
+    relation: stored and unstored scalars, or sets of 0, 1 and several
+    referenced rows."""
+    lead = rel.domains[0]
+    if lead.is_scalar:
+        values = [t[0] for t in rng.sample(everything, min(3, len(everything)))]
+        values.append(_random_scalar(rng, lead.type_name))
+        cases = [(_literal(v), {}, lambda x, v=v: x == v) for v in values]
+        if lead.type_name == "real":  # an int argument reads as a real
+            n = rng.randint(-5, 5)
+            cases.append((syntax.Const(n, "int"), {}, lambda x: x == RealVal(float(n))))
+        return cases
+    parent = lead.type_name
+    parent_rows = list(state.scan(parent).values())
+    cases = [(syntax.Union_(()), {}, lambda x: False)]
+    for size in (0, 1, rng.randint(2, max(2, len(parent_rows)))):
+        chosen = rng.sample(parent_rows, min(size, len(parent_rows)))
+        allowed = TupleSet.from_tuples(
+            relation_schema(state.catalog.lookup(parent)), chosen, relation=parent
+        )
+        keys = allowed.keys()
+        cases.append(
+            (
+                syntax.Name("allowed"),
+                {"allowed": allowed},
+                lambda x, keys=keys: encode_tuple(state.get_row(parent, x.row)) in keys,
+            )
+        )
+    return cases
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_every_selection_equals_a_full_scan_filter(rng):
+    db, names = random_tree_db(rng, texts=PREFIX_TEXTS)
+    state = db.txn.shadow
+    for name in names:
+        rel = db.catalog.lookup(name)
+        everything = list(state.scan(name).values())
+        for first, bindings, leading_matches in _leading_cases(rng, state, rel, everything):
+            args = [first]
+            checks = [(0, leading_matches)]
+            if rel.arity > 1 and everything and rng.random() < 0.5:
+                v = rng.choice(everything)[1]
+                args.append(_literal(v))
+                checks.append((1, lambda x, v=v: x == v))
+            last = rel.domains[-1]
+            condition = None
+            if everything and rng.random() < 0.5:
+                v = rng.choice(everything)[-1]
+                condition = syntax.OpApply("!=", (syntax.Name(last.attr), _literal(v)))
+                checks.append((rel.arity - 1, lambda x, v=v: x != v))
+            selection = syntax.Selection(name, tuple(args), condition)
+            result = eval_expr(selection, Env(db.catalog, state, bindings))
+            expected = {
+                encode_tuple(t)
+                for t in everything
+                if all(check(t[pos]) for pos, check in checks)
+            }
+            assert result.keys() == expected
+
+
+def test_a_text_key_range_is_checked_again():
+    db = build_db("relation (t (name text) (n int))")
+    for n, name in enumerate(["", "a", "a\x00b", "ab"]):
+        db.published.insert("t", (TextVal(name), IntVal(n)))
+    db.refresh()
+    assert rows(q(db, '(t "a" .)'), db.published) == {("a", 1)}
+    assert rows(q(db, '(t "" .)'), db.published) == {("", 0)}
+    assert rows(q(db, '(t "ab" .)'), db.published) == {("ab", 3)}
+
+
+def _call_chain(length):
+    """Functions f0 … f<length - 1>, each but the first calling the one
+    before it, so applying the last nests ``length`` applications."""
+    lines = ["function (f0 (x int)) (+ x 1)"]
+    lines += [f"function (f{i} (x int)) (+ (f{i - 1} x) 1)" for i in range(1, length)]
+    return build_db("\n".join(lines))
+
+
+def test_a_call_chain_at_the_limit_evaluates():
+    db = _call_chain(MAX_CALL_DEPTH)
+    result = q(db, f"(f{MAX_CALL_DEPTH - 1} 1)")
+    assert rows(result, db.published) == {(MAX_CALL_DEPTH + 1,)}
+
+
+@pytest.mark.parametrize("length", [MAX_CALL_DEPTH + 1, 400])
+def test_a_call_chain_past_the_limit_is_an_error(length):
+    db = _call_chain(length)
+    with pytest.raises(CallTooDeep):
+        q(db, f"(f{length - 1} 1)")
 
 
 def test_every_result_is_duplicate_free(library):

@@ -171,6 +171,36 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError):
             load_snapshot(text)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            "{1_0 1.5 +1941}",
+            "{+5 1.5 +1941}",
+            "{05 1.5 +1941}",
+            "{10 1e3 +1941}",
+            "{10 1.50 +1941}",
+            "{10 -0.0 +1941}",
+            "{10 2 +1941}",
+            "{10 1.5 1941}",
+        ],
+        ids=["int_underscore", "int_plus", "int_zero_padded", "real_exponent",
+             "real_trailing_zero", "real_negative_zero", "real_as_int", "timestamp_unsigned"],
+    )
+    def test_non_canonical_numbers_are_rejected(self, values):
+        text = (
+            ";; relang snapshot v1\nrelation (p (n int) (x real) (t timestamp))\n\n"
+            f"row p 1 {values}\n"
+        )
+        with pytest.raises(SnapshotFormatError, match="not a canonical"):
+            load_snapshot(text)
+
+    def test_canonical_numbers_load_and_save_back(self):
+        text = (
+            ";; relang snapshot v1\nrelation (p (n int) (x real) (t timestamp))\n\n"
+            "row p 1 {-10 1e+20 -0799}\nrow p 2 {10 1.5 +1941-03-26}\n"
+        )
+        assert save_snapshot(load_snapshot(text)) == text
+
     def test_non_ascii_ordinal(self):
         text = ';; relang snapshot v1\nrelation (genre text)\n\nrow genre \u00b9 {"a"}\n'
         with pytest.raises(SnapshotFormatError):

@@ -16,10 +16,13 @@ from relang.errors import (
 from relang.store import DbState
 from relang.syntax import parse_statement
 from relang.values import (
+    INT64_MAX,
     IntVal,
     RefVal,
     TextVal,
     TimestampVal,
+    encode_int,
+    encode_text,
     encode_tuple,
     parse_timestamp,
 )
@@ -198,6 +201,36 @@ class TestScan:
             state.insert("genre", (TextVal(g),))
         assert [t[0].value for t in state.scan("genre").values()] == ["bore", "epic", "sci-fi"]
 
+    def test_prefix_scan_returns_the_keys_starting_with_the_prefix(self):
+        state = make_state("relation (name text)")
+        for name in ["ab", "a\x00b", "", "b", "a"]:
+            state.insert("name", (TextVal(name),))
+        names = lambda rows: [t[0].value for t in rows.values()]
+        assert names(state.scan("name")) == ["", "a", "a\x00b", "ab", "b"]
+        # the key of "a" is a byte prefix of the key of "a\0b"
+        assert names(state.scan("name", encode_text("a"))) == ["a", "a\x00b"]
+        assert names(state.scan("name", b"a")) == ["a", "a\x00b", "ab"]
+        assert names(state.scan("name", encode_text("c"))) == []
+
+    def test_prefix_scan_of_high_bytes_reaches_the_last_key(self):
+        state = make_state("relation (n int)")
+        for n in [INT64_MAX, 0, INT64_MAX - 1, -1]:
+            state.insert("n", (IntVal(n),))
+        values = lambda rows: [t[0].value for t in rows.values()]
+        assert values(state.scan("n", encode_int(INT64_MAX))) == [INT64_MAX]
+        assert values(state.scan("n", b"\xff")) == [INT64_MAX - 1, INT64_MAX]
+        assert values(state.scan("n", b"\x7f")) == [-1]
+
+    def test_sorted_keys_follow_inserts_rekeys_and_erasures(self):
+        state = make_state("relation (name text)")
+        rids = {n: state.insert("name", (TextVal(n),))[0] for n in ["m", "c", "x", "a"]}
+        state.rekey("name", rids["x"], (TextVal("b"),))
+        state.erase("name", rids["c"])
+        idx = state.indexes["name"]
+        assert idx.sorted_keys == sorted(idx.forward) == [encode_text(n) for n in "abm"]
+        assert idx.clone().sorted_keys == idx.sorted_keys
+        assert idx.clone().sorted_keys is not idx.sorted_keys
+
     def test_scan_empty_relation(self):
         state = library_state()
         assert state.scan("genre") == {}
@@ -307,6 +340,7 @@ def test_reverse_index_matches_a_full_rebuild(sequence):
         assert len(idx.forward) == len(idx.rows)
         for key, rowid in idx.forward.items():
             assert encode_tuple(idx.rows[rowid]) == key
+        assert idx.sorted_keys == sorted(idx.forward)
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=50))

@@ -17,31 +17,96 @@ TITLES = ["Alpha", "Beta", "Gamma", "Delta"]
 GENRES = ["g1", "g2", "g3"]
 
 
-def random_statement(rng):
+class Added:
+    """The rows a random workload has added, by the values it names them
+    with, as far as the workload itself can tell: a rollback takes back the
+    rows added since the last commit, and every commit is taken to succeed."""
+
+    def __init__(self):
+        self.authors, self.books, self.genres = [], [], []  # books: (title, author)
+        self.since_commit = []
+
+    def add(self, pool, item):
+        pool.append(item)
+        self.since_commit.append((pool, item))
+
+    def end_transaction(self, text):
+        if text == "rollback":
+            for pool, item in self.since_commit:
+                if item in pool:
+                    pool.remove(item)
+        self.since_commit = []
+
+
+STATEMENT_KINDS = [
+    (0.25, "add author"),
+    (0.45, "add book"),
+    (0.55, "add genre"),
+    (0.62, "add book_genre"),
+    (0.72, "remove book"),
+    (0.78, "remove genre"),
+    (0.86, "abolish author"),
+    (0.92, "update author"),
+    (0.96, "commit"),
+    (1.0, "rollback"),
+]
+# the added rows a kind of statement names, and the statement adding one
+NEEDS = {
+    "add book": [("authors", "add author")],
+    "add book_genre": [("books", "add book"), ("genres", "add genre")],
+    "remove book": [("books", "add book")],
+    "remove genre": [("genres", "add genre")],
+    "abolish author": [("authors", "add author")],
+    "update author": [("authors", "add author")],
+}
+
+
+def random_statement(rng, added):
+    """A random statement. A reference names a row the workload has added,
+    so that most references match and most commits write; with no such
+    row to name, the statement adds one instead."""
     roll = rng.random()
-    author = rng.choice(AUTHORS)
-    title = rng.choice(TITLES)
-    genre = rng.choice(GENRES)
+    kind = next(k for bound, k in STATEMENT_KINDS if roll < bound)
+    while any(not getattr(added, pool) for pool, _add in NEEDS.get(kind, ())):
+        kind = next(add for pool, add in NEEDS[kind] if not getattr(added, pool))
     year = 1800 + rng.randint(0, 99)
-    if roll < 0.25:
+    if kind == "add author":
+        author = rng.choice(AUTHORS)
+        added.add(added.authors, author)
         return f'add author {{"{author}" "{year}"}}'
-    if roll < 0.45:
+    if kind == "add book":
+        author, title = rng.choice(added.authors), rng.choice(TITLES)
+        added.add(added.books, (title, author))
         return f'add book {{(author "{author}" .) "{title}" "{year}"}}'
-    if roll < 0.55:
+    if kind == "add genre":
+        genre = rng.choice(GENRES)
+        added.add(added.genres, genre)
         return f'add genre {{"{genre}"}}'
-    if roll < 0.62:
+    if kind == "add book_genre":
+        title, genre = rng.choice(added.books)[0], rng.choice(added.genres)
         return f'add book_genre {{(book . "{title}" .) (genre "{genre}")}}'
-    if roll < 0.72:
+    if kind == "remove book":
+        title = rng.choice(added.books)[0]
+        added.books[:] = [b for b in added.books if b[0] != title]
         return f'remove book (book . "{title}" .)'
-    if roll < 0.78:
+    if kind == "remove genre":
+        genre = rng.choice(added.genres)
+        added.genres[:] = [g for g in added.genres if g != genre]
         return f'remove genre (genre "{genre}")'
-    if roll < 0.86:
+    if kind == "abolish author":
+        author = rng.choice(added.authors)
+        added.authors[:] = [a for a in added.authors if a != author]
+        added.books[:] = [b for b in added.books if b[1] != author]
         return f'abolish author (author "{author}" .)'
-    if roll < 0.92:
-        return f'update author (author "{author}" .) (birthdate "{year}")'
-    if roll < 0.96:
-        return "commit"
-    return "rollback"
+    if kind == "update author":
+        return f'update author (author "{rng.choice(added.authors)}" .) (birthdate "{year}")'
+    added.end_transaction(kind)
+    return kind
+
+
+def random_workload(rng, count):
+    added = Added()
+    return [random_statement(rng, added) for _ in range(count)]
 
 
 def deferred_statement(rng):
@@ -109,7 +174,7 @@ def drive(db, statements):
 @pytest.mark.parametrize("seed", range(12))
 def test_random_workloads_stay_consistent(seed):
     rng = random.Random(seed)
-    statements = [random_statement(rng) for _ in range(80)] + ["commit"]
+    statements = random_workload(rng, 80) + ["commit"]
     db = build_db(LIBRARY_DDL)
     commits = drive(db, statements)
     assert db.published.dangling_refs() == []
@@ -131,7 +196,7 @@ def test_commit_decisions_match_the_whole_state_checks(seed):
 @pytest.mark.parametrize("seed", [3, 17])
 def test_snapshot_round_trip_after_random_workload(seed):
     rng = random.Random(seed)
-    statements = [random_statement(rng) for _ in range(60)] + ["commit"]
+    statements = random_workload(rng, 60) + ["commit"]
     db = build_db(LIBRARY_DDL)
     drive(db, statements)
     text = relang.save_snapshot(db)
