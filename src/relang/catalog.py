@@ -13,6 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from . import syntax
 from .errors import (
+    CallTooDeep,
     DuplicateName,
     SelfReference,
     TypeMismatch,
@@ -28,6 +29,13 @@ BUILTIN_FUNCTIONS = {
     "capitalize": (("text",), "text"),
     "length": (("text",), "int"),
 }
+
+# Deepest bracket nesting the evaluation of a function body may reach,
+# counting at each call the nesting of the callee's body (``call_depth``).
+# A body calls only functions defined before it, so the depth is known when
+# the function is defined; with it bounded, a call from an expression nested
+# ``syntax.MAX_NESTING`` deep stays well inside the interpreter's stack.
+MAX_CALL_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,12 @@ class Catalog:
                 raise TypeMismatch(
                     f"function {name!r} must produce a scalar, not a condition"
                 )
+            depth = call_depth(body, self, {})
+            if depth > MAX_CALL_DEPTH:
+                raise CallTooDeep(
+                    f"function {name!r} nests {depth} brackets deep through the"
+                    f" functions it calls; the limit is {MAX_CALL_DEPTH}"
+                )
         rel = RelationDef(name, klass, domains, body, result_type)
         updated = dict(self.relations)
         updated[name] = rel
@@ -229,6 +243,29 @@ def typecheck_expr(expr, attr_types: Dict[str, str], catalog: Catalog) -> str:
         "a function body may use only constants, attributes, operators,"
         " typecasts, and previously defined functions"
     )
+
+
+def call_depth(expr, catalog: Catalog, memo: Dict[str, int]) -> int:
+    """Bracket nesting reached while evaluating a well-typed function body.
+
+    Each bracket counts one level, and a call to a defined function counts
+    the depth of that function's body below the call. ``memo`` maps function
+    names to their bodies' depths, so a body that calls one function many
+    times is measured once.
+    """
+    if isinstance(expr, syntax.Typecast):
+        return 1 + call_depth(expr.expr, catalog, memo)
+    if isinstance(expr, syntax.OpApply):
+        return 1 + max(call_depth(x, catalog, memo) for x in expr.operands)
+    if isinstance(expr, syntax.Selection):
+        inner = max((call_depth(x, catalog, memo) for x in expr.args), default=0)
+        fn = catalog.relations.get(expr.target)
+        if fn is not None:  # a built-in function has no body
+            if fn.name not in memo:
+                memo[fn.name] = call_depth(fn.body, catalog, memo)
+            inner = max(inner, memo[fn.name])
+        return 1 + inner
+    return 0  # constants and attributes
 
 
 def _typecheck_op(expr: syntax.OpApply, attr_types, catalog) -> str:

@@ -19,9 +19,11 @@ class SourceError(RelangError):
 
     def __str__(self):
         base = super().__str__()
-        if self.line is not None:
-            return f"{base} (line {self.line}, column {self.column})"
-        return base
+        if self.line is None:
+            return base
+        if self.column is None:
+            return f"{base} (line {self.line})"
+        return f"{base} (line {self.line}, column {self.column})"
 
 
 # --- lexing / parsing -------------------------------------------------------
@@ -69,10 +71,6 @@ class DomainTypeMismatch(RelangError):
 
 
 class DanglingRef(RelangError):
-    pass
-
-
-class MalformedKey(RelangError):
     pass
 
 

@@ -33,7 +33,6 @@ from .errors import (
     ArityMismatch,
     BadCast,
     BadRegex,
-    CallTooDeep,
     DomainTypeMismatch,
     NoConnection,
     NotARelation,
@@ -142,16 +141,15 @@ EvalValue = object  # Value | bool | TupleSet
 class Env:
     """Evaluation context: catalog + readable state + immutable bindings,
     plus the current tuple's attributes inside a filter or the parameters
-    inside a function body, and how many function applications enclose it."""
+    inside a function body."""
 
     catalog: Catalog
     state: DbState
     bindings: Mapping[str, TupleSet] = field(default_factory=dict)
     locals: Optional[Mapping[str, Value]] = None
-    calls: int = 0
 
     def with_locals(self, frame: Mapping[str, Value]) -> "Env":
-        return Env(self.catalog, self.state, self.bindings, frame, self.calls)
+        return Env(self.catalog, self.state, self.bindings, frame)
 
 
 def relation_schema(rel: RelationDef) -> Tuple[SchemaCol, ...]:
@@ -695,13 +693,6 @@ def _domain_position_value(tuple_values, dom, env: Env) -> Value:
 
 # --- function application -----------------------------------------------------------
 
-# Function applications may nest this deep, one level per call made from
-# inside a body. A body calls only functions defined before it, so only a
-# chain of definitions nests, and the bound keeps its evaluation well inside
-# the interpreter's stack.
-MAX_CALL_DEPTH = 64
-
-
 def _apply_by_name(name: str, sel: syntax.Selection, env: Env) -> TupleSet:
     if sel.filter is not None:
         raise TypeMismatch(f"{name!r} is a function; it takes arguments, not a filter")
@@ -717,17 +708,12 @@ def _apply_by_name(name: str, sel: syntax.Selection, env: Env) -> TupleSet:
         return _apply(
             name, params, result_type, args, lambda vals: _BUILTIN_IMPL[name](vals), env
         )
-    if env.calls >= MAX_CALL_DEPTH:
-        raise CallTooDeep(
-            f"applying {name!r} would nest more than {MAX_CALL_DEPTH} function calls"
-        )
     fn = env.catalog.lookup(name)
     params = tuple(d.type_name for d in fn.domains)
 
     def call(vals):
         frame = {d.attr: v for d, v in zip(fn.domains, vals)}
-        inner = Env(env.catalog, env.state, env.bindings, frame, env.calls + 1)
-        out = eval_expr(fn.body, inner)
+        out = eval_expr(fn.body, env.with_locals(frame))
         return scalar_context(out, "a function result")
 
     return _apply(name, params, fn.result_type, args, call, env)

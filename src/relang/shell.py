@@ -60,31 +60,27 @@ SNAPSHOT_HEADER = ";; relang snapshot v1"
 # --- formatting ---------------------------------------------------------------
 
 
-def _plain_cell(v: Value, state: DbState) -> str:
-    """Human-facing cell text: bare text, braces around referenced tuples."""
-    if isinstance(v, TextVal):
-        return v.value
-    if isinstance(v, (IntVal, RealVal, TimestampVal)):
-        return render_scalar(v)
+def _cell(v: Value, state: DbState, scalar) -> str:
+    """Cell text of one value: braces around referenced and inline tuples,
+    ``scalar`` for everything else."""
     if isinstance(v, RefVal):
-        target = state.get_row(v.relation, v.row)
-        return "{" + " ".join(_plain_cell(x, state) for x in target) + "}"
-    if isinstance(v, TupleVal):
-        return "{" + " ".join(_plain_cell(x, state) for x in v.values) + "}"
-    raise RelangError(f"unformattable value: {v!r}")
+        members = state.get_row(v.relation, v.row)
+    elif isinstance(v, TupleVal):
+        members = v.values
+    else:
+        return scalar(v)
+    return "{" + " ".join(_cell(x, state, scalar) for x in members) + "}"
 
 
-def _sexpr_value(v: Value, state: DbState) -> str:
+def _plain_scalar(v: Value) -> str:
+    """Human-facing scalar text: text bare, everything else canonical."""
+    return v.value if isinstance(v, TextVal) else render_scalar(v)
+
+
+def _sexpr_scalar(v: Value) -> str:
     if isinstance(v, TimestampVal):
         return f'(timestamp "{render_timestamp(v)}")'
-    if isinstance(v, (IntVal, RealVal, TextVal)):
-        return render_scalar(v)
-    if isinstance(v, RefVal):
-        target = state.get_row(v.relation, v.row)
-        return "{" + " ".join(_sexpr_value(x, state) for x in target) + "}"
-    if isinstance(v, TupleVal):
-        return "{" + " ".join(_sexpr_value(x, state) for x in v.values) + "}"
-    raise RelangError(f"unformattable value: {v!r}")
+    return render_scalar(v)
 
 
 def _ordered_tuples(result: TupleSet, order_attrs) -> List[tuple]:
@@ -119,7 +115,7 @@ def format_sexpr(result: TupleSet, state: DbState, order_attrs=()) -> str:
     if result.schema is None or len(result) == 0:
         return "()"
     rows = [
-        "{" + " ".join(_sexpr_value(v, state) for v in t) + "}"
+        "{" + " ".join(_cell(v, state, _sexpr_scalar) for v in t) + "}"
         for t in _ordered_tuples(result, order_attrs)
     ]
     return "(" + " ".join(rows) + ")"
@@ -132,7 +128,7 @@ def format_csv(result: TupleSet, state: DbState, order_attrs=()) -> str:
         return ""
     writer.writerow([col.attr for col in result.schema])
     for t in _ordered_tuples(result, order_attrs):
-        writer.writerow([_plain_cell(v, state) for v in t])
+        writer.writerow([_cell(v, state, _plain_scalar) for v in t])
     return buf.getvalue().rstrip("\n")
 
 
@@ -141,7 +137,8 @@ def format_tabular(result: TupleSet, state: DbState, order_attrs=()) -> str:
         return "(empty set)"
     headers = [col.attr for col in result.schema]
     rows = [
-        [_plain_cell(v, state) for v in t] for t in _ordered_tuples(result, order_attrs)
+        [_cell(v, state, _plain_scalar) for v in t]
+        for t in _ordered_tuples(result, order_attrs)
     ]
     widths = [len(h) for h in headers]
     for row in rows:
@@ -394,14 +391,13 @@ def load_snapshot(text: str) -> Database:
         if not (rest.startswith("{") and rest.endswith("}")):
             raise SnapshotFormatError("row values must be brace-enclosed", i)
         parsed = _parse_row_values(rest[1:-1], i)
+        # every reference names a row loaded above, so no pass over the
+        # loaded state is needed afterwards
         values = _materialize(parsed, rel, db.catalog, loaded_rows, i)
         rowid, fresh = db.published.insert(rel_name, values)
         if not fresh or rowid != ordinal:
             raise SnapshotFormatError(f"duplicate row in {rel_name!r}", i)
         loaded_rows[rel_name] = ordinal
-    bad = db.published.dangling_refs()
-    if bad:
-        raise DanglingOrdinal(f"snapshot references missing rows: {bad[:3]}")
     db.refresh()
     return db
 

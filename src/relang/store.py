@@ -43,7 +43,6 @@ from .errors import (
     DanglingRef,
     DomainTypeMismatch,
     DuplicateTuple,
-    MalformedKey,
     NotEnumerable,
     ReferencedRow,
     RowNotFound,
@@ -56,7 +55,6 @@ from .values import (
     TimestampVal,
     TupleVal,
     encode_tuple,
-    skip_text,
 )
 
 _SCALAR_CLASSES = {
@@ -238,13 +236,8 @@ class DbState:
         idx.next_rowid += 1
         return rowid
 
-    def contains(self, relation: str, key: bytes) -> Optional[int]:
-        """Row id stored under a canonical key, or None."""
-        idx = self._index(relation)
-        self._scan_key(self.catalog.lookup(relation), key)
-        return idx.forward.get(key)
-
     def contains_tuple(self, relation: str, values) -> Optional[int]:
+        """Row id stored under the tuple's canonical key, or None."""
         idx = self._index(relation)
         return idx.forward.get(encode_tuple(values))
 
@@ -385,53 +378,9 @@ class DbState:
                     if not entry:
                         del idx.reverse[pos][target]
 
-    # -- whole-state checks
-
-    def dangling_refs(self):
-        """Every (relation, row, target-relation, target-row) whose reference
-        does not resolve. Empty on any publishable state."""
-        bad = []
-        for rel_name, idx in self.indexes.items():
-            for rowid, values in idx.rows.items():
-                for t_rel, t_row in iter_refs(values):
-                    t_idx = self.indexes.get(t_rel)
-                    if t_idx is None or t_row not in t_idx.rows:
-                        bad.append((rel_name, rowid, t_rel, t_row))
-        return bad
-
     def collision_keys(self):
         return [
             (rel_name, key)
             for rel_name, idx in self.indexes.items()
             for key in idx.collisions
         ]
-
-    # -- key well-formedness
-
-    def _scan_key(self, rel: RelationDef, key: bytes):
-        if not isinstance(key, (bytes, bytearray)):
-            raise MalformedKey("a canonical key is a byte string")
-        end = self._scan_positions(rel, bytes(key), 0)
-        if end != len(key):
-            raise MalformedKey(f"trailing bytes in key for {rel.name!r}")
-
-    def _scan_positions(self, rel: RelationDef, key: bytes, i: int) -> int:
-        for dom in rel.domains:
-            if dom.type_name == "text":
-                i = skip_text(key, i)
-                continue
-            if dom.type_name == "timestamp":
-                width = 24
-            elif dom.is_scalar:
-                width = 8
-            else:
-                target = self.catalog.lookup(dom.type_name)
-                if target.klass == "simple":
-                    width = 8
-                else:
-                    i = self._scan_positions(target, key, i)
-                    continue
-            if i + width > len(key):
-                raise MalformedKey(f"truncated key for {rel.name!r}")
-            i += width
-        return i

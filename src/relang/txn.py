@@ -3,16 +3,20 @@
 DML statements apply eagerly to a private shadow copy of the store (so later
 statements read their own writes), but integrity problems do not fail the
 statement. Every row a statement inserts, removes (cascades included) or
-rekeys enters the transaction's write set with the statement's number; a
-reference to a tuple that does not exist yet, and a set member that matched
-nothing, become deferred obligations. Commit checks only what the
-transaction touched, since the published state it started from already
-holds every invariant: a removed row must have no referrers, a live written
-row's references must resolve, no two rows may share a key, and no
-obligation may be open. It then either publishes the shadow atomically or
-aborts with the failure of the lowest statement number, leaving the
-published state untouched. Statements are numbered from 1 in the order the
-transaction's add, remove, abolish and update statements ran.
+rekeys enters the transaction's write set with the statement's number. A
+reference to a tuple that does not exist yet reserves a row id and is kept
+once, in ``pending``: (relation, key) -> (row id, statement). Adding the
+tuple takes the reserved id and drops the record, so ``pending`` holds
+exactly the references still open, each with the statement that opened it.
+A set member that matched nothing is kept in ``obligations`` as (statement,
+message). Commit checks only what the transaction touched, since the
+published state it started from already holds every invariant: a removed
+row must have no referrers, a live written row's references must resolve,
+no two rows may share a key, no reference may be pending and no member
+unmatched. It then either publishes the shadow atomically or aborts with
+the failure of the lowest statement number, leaving the published state
+untouched. Statements are numbered from 1 in the order the transaction's
+add, remove, abolish and update statements ran.
 
 Variables bind once, live until the transaction ends, and always hold sets
 of tuples.
@@ -68,14 +72,14 @@ class _RefResolver:
 
     In strict mode a missing target raises _Miss (the surrounding tuple
     simply is not resolvable). In deferred mode a missing target gets a
-    reserved phantom row id recorded in a buffer; the transaction turns the
-    buffer into pending obligations once the statement succeeds.
+    reserved phantom row id recorded in a buffer; the transaction adds the
+    buffer to its pending references once the statement succeeds.
     """
 
     def __init__(self, state: DbState, deferred: bool, pending: Dict):
         self.state = state
         self.deferred = deferred
-        self.pending = pending  # (relation, key) -> rowid, shared with the plan
+        self.pending = pending  # the plan's, read only
         self.buffer: Dict[Tuple[str, bytes], int] = {}
 
     def resolve(self, relation: str, values: tuple) -> RefVal:
@@ -83,9 +87,10 @@ class _RefResolver:
         if rowid is not None:
             return RefVal(relation, rowid)
         key = encode_tuple(values)
-        existing = self.pending.get((relation, key))
-        if existing is None:
-            existing = self.buffer.get((relation, key))
+        waiting = self.pending.get((relation, key))
+        if waiting is not None:
+            return RefVal(relation, waiting[0])
+        existing = self.buffer.get((relation, key))
         if existing is not None:
             return RefVal(relation, existing)
         if not self.deferred:
@@ -142,24 +147,6 @@ def _conform_from(rel: RelationDef, flat, i: int, catalog, resolver):
     return tuple(out), i
 
 
-# --- deferred obligations ------------------------------------------------------
-
-
-@dataclass
-class _PendingRef:
-    stmt: int
-    relation: str
-    key: bytes
-    describe: str
-
-
-@dataclass
-class _UnmatchedMember:
-    stmt: int
-    relation: str
-    describe: str
-
-
 @dataclass
 class CommitReport:
     """Per-relation row counts of a successful commit."""
@@ -184,11 +171,14 @@ class TxnPlan:
         self.base = base
         self.shadow = base.clone()
         self.bindings: Dict[str, TupleSet] = {}
-        self.steps: List[Tuple[str, str, int]] = []  # (verb, relation, row count)
+        self.steps = 0  # statements that ran to completion
         # (relation, row id) inserted, removed or rekeyed -> last statement
         self.written: Dict[Tuple[str, int], int] = {}
-        self.obligations: List[object] = []
-        self.pending: Dict[Tuple[str, bytes], int] = {}
+        # (statement, message) of each set member that matched nothing
+        self.obligations: List[Tuple[int, str]] = []
+        # (relation, key) of each referenced tuple not yet added
+        #   -> (reserved row id, statement that referenced it)
+        self.pending: Dict[Tuple[str, bytes], Tuple[int, int]] = {}
         self.status = "open"
         self._stmt = 0
 
@@ -241,9 +231,8 @@ class TxnPlan:
                 return None
             if deferred:
                 self.obligations.append(
-                    _UnmatchedMember(
+                    (
                         self._stmt,
-                        rel.name,
                         f"a member of the set added to {rel.name!r} matched no"
                         " tuples; the referenced tuple was never added",
                     )
@@ -299,16 +288,8 @@ class TxnPlan:
         return out
 
     def _adopt_buffer(self, resolver: _RefResolver):
-        for (relation, key), rowid in resolver.buffer.items():
-            self.pending[(relation, key)] = rowid
-            self.obligations.append(
-                _PendingRef(
-                    self._stmt,
-                    relation,
-                    key,
-                    f"a tuple of {relation!r} referenced in this transaction was never added",
-                )
-            )
+        for ref, rowid in resolver.buffer.items():
+            self.pending[ref] = (rowid, self._stmt)
 
     def _resolve_target_rows(self, rel: RelationDef, expr):
         """(key, row id) of each row of ``rel`` named by a remove/update set
@@ -343,7 +324,8 @@ class TxnPlan:
         fresh = TupleSet(relation_schema(rel), relation=relation)
         for values in tuples:
             key = encode_tuple(values)
-            pinned = self.pending.get((relation, key))
+            waiting = self.pending.get((relation, key))
+            pinned = None if waiting is None else waiting[0]
             rowid, inserted = self.shadow.insert(
                 relation, values, check_refs=False, rowid=pinned
             )
@@ -352,7 +334,7 @@ class TxnPlan:
                 # a fresh row satisfies any reference that was waiting for it
                 self.pending.pop((relation, key), None)
                 fresh.add(values)
-        self.steps.append(("add", relation, len(fresh)))
+        self.steps += 1
         return fresh
 
     def plan_remove(self, relation: str, set_expr, cascade: bool) -> TupleSet:
@@ -368,7 +350,7 @@ class TxnPlan:
             # a referrer left behind is caught at commit
             for pair in self.shadow.erase(relation, rowid, cascade=cascade, force=True):
                 self.written[pair] = self._stmt
-        self.steps.append(("abolish" if cascade else "remove", relation, len(removed)))
+        self.steps += 1
         return TupleSet(relation_schema(rel), relation=relation, rows=removed)
 
     def plan_update(self, relation: str, set_expr, assignments) -> TupleSet:
@@ -401,7 +383,7 @@ class TxnPlan:
             self.written[(relation, rowid)] = self._stmt
             updated.add(new)
         self._adopt_buffer(resolver)
-        self.steps.append(("update", relation, len(updated)))
+        self.steps += 1
         return updated
 
     def _conform_position(self, dom: Domain, outcome, resolver: _RefResolver) -> Value:
@@ -470,9 +452,11 @@ class TxnPlan:
         are examined: the base holds every invariant, so a reference breaks
         only where its row was written or its target removed, and the target's
         reverse maps find the rows that still hold it."""
-        for ob in self.obligations:
-            if isinstance(ob, _UnmatchedMember) or (ob.relation, ob.key) in self.pending:
-                yield ob.stmt, ob.describe
+        yield from self.obligations
+        for (relation, _key), (_rowid, stmt) in self.pending.items():
+            yield stmt, (
+                f"a tuple of {relation!r} referenced in this transaction was never added"
+            )
         indexes = self.shadow.indexes
         for (relation, rowid), stmt in self.written.items():
             values = indexes[relation].rows.get(rowid)
@@ -617,4 +601,4 @@ class Database:
 
     @property
     def uncommitted_steps(self) -> int:
-        return len(self.txn.steps)
+        return self.txn.steps

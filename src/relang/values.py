@@ -23,7 +23,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .errors import BadCast, DomainTypeMismatch, MalformedKey
+from .errors import BadCast, DomainTypeMismatch
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -209,18 +209,3 @@ def encode_value(v: Value) -> bytes:
 def encode_tuple(values) -> bytes:
     return b"".join(encode_value(v) for v in values)
 
-
-def skip_text(key: bytes, i: int) -> int:
-    """Return the index just past a text encoding starting at ``i``.
-
-    Raises MalformedKey when no terminator is found.
-    """
-    n = len(key)
-    while i < n:
-        if key[i] == 0:
-            if i + 1 < n and key[i + 1] == 0xFF:
-                i += 2
-                continue
-            return i + 1
-        i += 1
-    raise MalformedKey("unterminated text in key")

@@ -14,7 +14,8 @@ import networkx as nx
 
 import relang
 from relang import parse_script
-from relang.txn import CommitReport, _UnmatchedMember
+from relang.store import iter_refs
+from relang.txn import CommitReport
 from relang.values import (
     IntVal,
     RealVal,
@@ -115,14 +116,29 @@ def reference_report(base, shadow):
     return report
 
 
+def dangling_refs(state):
+    """Every (relation, row, target-relation, target-row) whose reference
+    does not resolve, found by reading every row of the state. Empty on any
+    publishable state."""
+    bad = []
+    for rel_name, idx in state.indexes.items():
+        for rowid, values in idx.rows.items():
+            for t_rel, t_row in iter_refs(values):
+                t_idx = state.indexes.get(t_rel)
+                if t_idx is None or t_row not in t_idx.rows:
+                    bad.append((rel_name, rowid, t_rel, t_row))
+    return bad
+
+
 def commit_must_abort(txn) -> bool:
     """Whether a commit of the transaction has to abort, by whole-state
-    checks of its shadow plus its open obligations."""
+    checks of its shadow plus its open pending references and unmatched
+    members."""
     return bool(
-        txn.shadow.dangling_refs()
+        dangling_refs(txn.shadow)
         or txn.shadow.collision_keys()
         or txn.pending
-        or any(isinstance(ob, _UnmatchedMember) for ob in txn.obligations)
+        or txn.obligations
     )
 
 

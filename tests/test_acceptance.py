@@ -20,6 +20,7 @@ from oracles import (
     all_shortest_edge_paths,
     brute_force_connection,
     connectable_pair,
+    dangling_refs,
     random_tree_db,
 )
 
@@ -40,7 +41,7 @@ def test_criterion_1_paper_script_scenario():
         db.execute(stmt)
     for stmt in parse_script(LIBRARY_DATA):
         db.execute(stmt)
-    assert db.published.dangling_refs() == []
+    assert dangling_refs(db.published) == []
 
     result = q(db, '{genre (author "Dawkins" ?)}')
     assert len(result) == 1
@@ -151,7 +152,7 @@ def test_criterion_6_cascade_correctness():
     for command in targets:
         db = build_db(LIBRARY_DDL + LIBRARY_DATA)
         run(db, command + " commit")
-        assert db.published.dangling_refs() == [], command
+        assert dangling_refs(db.published) == [], command
 
     # a non-cascade removal of a referenced row aborts ...
     db = build_db(LIBRARY_DDL + LIBRARY_DATA)
@@ -166,7 +167,7 @@ def test_criterion_6_cascade_correctness():
         ' remove book_genre (book_genre (book . "Emma" .) .)'
         " commit",
     )
-    assert db.published.dangling_refs() == []
+    assert dangling_refs(db.published) == []
     ok(6, "every abolish leaves zero dangling refs; bare removals defer correctly")
 
 
@@ -191,7 +192,7 @@ def test_criterion_8_snapshot_round_trip():
         text = save_snapshot(rdb)
         loaded = load_snapshot(text)
         assert save_snapshot(loaded) == text
-        assert loaded.published.dangling_refs() == []
+        assert dangling_refs(loaded.published) == []
         for name in rdb.catalog.names():
             if rdb.catalog.lookup(name).klass != "simple":
                 continue

@@ -1,7 +1,8 @@
 import pytest
 
-from relang.catalog import Catalog, Domain, RelationDef
+from relang.catalog import MAX_CALL_DEPTH, Catalog, Domain, RelationDef, call_depth
 from relang.errors import (
+    CallTooDeep,
     DuplicateName,
     SelfReference,
     TypeMismatch,
@@ -184,6 +185,45 @@ class TestFunctionTypechecking:
         assert c.lookup("shout").result_type == "text"
         c = define(c, "function (len2 (s text)) (* (length s) 2)")
         assert c.lookup("len2").result_type == "int"
+
+
+class TestCallDepth:
+    def test_a_call_counts_its_callee_below_the_call_site(self):
+        c = define(Catalog(), "function (f (a int)) (+ (+ a 1) 1)")
+        assert call_depth(c.lookup("f").body, c, {}) == 2
+        # the call sits one bracket down in g's body: 1 + (1 + 2) = 4, and
+        # the callee's depth does not add to g's deeper branch (depth 3)
+        c = define(c, "function (g (a int)) (+ (f a) (+ (+ a 1) 1))")
+        assert call_depth(c.lookup("g").body, c, {}) == 4
+        c = define(c, "function (h (a int)) (int (g (* a 2)))")
+        assert call_depth(c.lookup("h").body, c, {}) == 6
+        c = define(c, "function (k (a text)) (length (capitalize a))")
+        assert call_depth(c.lookup("k").body, c, {}) == 2
+
+    def test_body_nesting_counts_toward_the_bound(self):
+        # 30 functions, each wrapping its call in ten nested (+ … 1): f<i>
+        # nests 10 + 11 * i deep, so f5 (65) is the first past the bound
+        def wrapped(inner):
+            return "(+ " * 10 + inner + " 1)" * 10
+
+        c = define(Catalog(), "function (f0 (x int)) " + wrapped("x"))
+        for i in range(1, 30):
+            text = f"function (f{i} (x int)) " + wrapped(f"(f{i - 1} x)")
+            if 10 + 11 * i > MAX_CALL_DEPTH:
+                with pytest.raises(CallTooDeep, match=f"'f{i}'"):
+                    define(c, text)
+                assert i == 5 and f"f{i}" not in c
+                break
+            c = define(c, text)
+        else:
+            pytest.fail("no definition passed the bound")
+
+    def test_a_body_calling_one_function_often_is_measured_once(self):
+        c = define(Catalog(), "function (f0 (x int)) (+ x 1)")
+        for i in range(1, 32):  # unmemoised, f31 would take 8 ** 31 steps
+            calls = " ".join([f"(f{i - 1} x)"] * 8)
+            c = define(c, f"function (f{i} (x int)) (+ {calls})")
+        assert call_depth(c.lookup("f31").body, c, {}) == 1 + 2 * 31
 
 
 def test_define_returns_a_new_catalog_version():

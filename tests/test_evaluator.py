@@ -23,7 +23,8 @@ from relang.errors import (
     UnknownName,
     UnknownRelation,
 )
-from relang.evaluator import MAX_CALL_DEPTH, Env, TupleSet, eval_expr, relation_schema
+from relang.catalog import MAX_CALL_DEPTH
+from relang.evaluator import Env, TupleSet, eval_expr, relation_schema
 from relang.values import (
     IntVal,
     RealVal,
@@ -555,9 +556,10 @@ def test_a_text_key_range_is_checked_again():
 
 def _call_chain(length):
     """Functions f0 … f<length - 1>, each but the first calling the one
-    before it, so applying the last nests ``length`` applications."""
+    before it, so f<k> nests k + 1 brackets deep through its callees and
+    f<k>(x) = x + k + 1. A call is the costliest bracket to evaluate."""
     lines = ["function (f0 (x int)) (+ x 1)"]
-    lines += [f"function (f{i} (x int)) (+ (f{i - 1} x) 1)" for i in range(1, length)]
+    lines += [f"function (f{i} (x int)) (f{i - 1} (+ x 1))" for i in range(1, length)]
     return build_db("\n".join(lines))
 
 
@@ -569,9 +571,33 @@ def test_a_call_chain_at_the_limit_evaluates():
 
 @pytest.mark.parametrize("length", [MAX_CALL_DEPTH + 1, 400])
 def test_a_call_chain_past_the_limit_is_an_error(length):
-    db = _call_chain(length)
-    with pytest.raises(CallTooDeep):
-        q(db, f"(f{length - 1} 1)")
+    # the first definition past the bound fails; nothing is evaluated
+    with pytest.raises(CallTooDeep, match=f"'f{MAX_CALL_DEPTH}'"):
+        _call_chain(length)
+
+
+# Expressions that nest a call to the chain's last function, ``call``, as
+# deep as the parser allows, and the value they give when ``call`` gives v.
+CALL_SITES = {
+    "operators": (lambda d, call: "(+ " * d + call + " 1)" * d, lambda d, v: v + d),
+    "unions": (lambda d, call: "(" * d + call + ")" * d, lambda d, v: v),
+    "function_arguments": (lambda d, call: "(f0 " * d + call + ")" * d, lambda d, v: v + d),
+    "selection_arguments": (lambda d, call: "(num " * d + call + ")" * d, lambda d, v: v),
+}
+
+
+@pytest.mark.parametrize("form", sorted(CALL_SITES))
+def test_the_deepest_function_evaluates_at_the_nesting_limit(form):
+    from relang.syntax import MAX_NESTING
+
+    db = _call_chain(MAX_CALL_DEPTH)
+    run(db, f"relation (num int)\nadd num {{{MAX_CALL_DEPTH + 1}}}\ncommit")
+    build, expected = CALL_SITES[form]
+    text = build(MAX_NESTING - 1, f"(f{MAX_CALL_DEPTH - 1} 1)")
+    assert _bracket_depth(text) == MAX_NESTING
+    result = q(db, text)
+    got = {(result.value,)} if isinstance(result, IntVal) else rows(result, db.published)
+    assert got == {(expected(MAX_NESTING - 1, MAX_CALL_DEPTH + 1),)}
 
 
 def test_every_result_is_duplicate_free(library):

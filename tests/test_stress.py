@@ -10,7 +10,7 @@ import relang
 from relang.errors import IntegrityError, RelangError
 
 from conftest import LIBRARY_DDL, build_db, fingerprint, run
-from oracles import commit_must_abort, reference_report
+from oracles import commit_must_abort, dangling_refs, reference_report
 
 AUTHORS = ["Ada", "Byron", "Curie", "Darwin", "Erdos"]
 TITLES = ["Alpha", "Beta", "Gamma", "Delta"]
@@ -166,7 +166,7 @@ def drive(db, statements):
             assert not must_abort
             assert result == reference_report(base, shadow)
             commits += 1
-            assert db.published.dangling_refs() == []
+            assert dangling_refs(db.published) == []
             assert db.published.collision_keys() == []
     return commits
 
@@ -177,7 +177,7 @@ def test_random_workloads_stay_consistent(seed):
     statements = random_workload(rng, 80) + ["commit"]
     db = build_db(LIBRARY_DDL)
     commits = drive(db, statements)
-    assert db.published.dangling_refs() == []
+    assert dangling_refs(db.published) == []
     # replaying the identical script reproduces the state exactly
     replay = build_db(LIBRARY_DDL)
     drive(replay, statements)
@@ -190,7 +190,7 @@ def test_commit_decisions_match_the_whole_state_checks(seed):
     statements = [deferred_statement(rng) for _ in range(120)] + ["commit"]
     db = build_db(LIBRARY_DDL)
     drive(db, statements)
-    assert db.published.dangling_refs() == []
+    assert dangling_refs(db.published) == []
 
 
 @pytest.mark.parametrize("seed", [3, 17])

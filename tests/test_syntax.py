@@ -206,6 +206,14 @@ class TestParser:
             parse_script("relation (author")
         assert exc.value.line == 1
         assert exc.value.column >= 16
+        assert str(exc.value).endswith(f"(line 1, column {exc.value.column})")
+
+    @pytest.mark.parametrize(
+        "line, column, text",
+        [(None, None, "bad"), (4, None, "bad (line 4)"), (4, 7, "bad (line 4, column 7)")],
+    )
+    def test_an_error_names_only_the_position_it_knows(self, line, column, text):
+        assert str(ParseError("bad", line, column)) == text
 
     def test_statement_boundaries_need_no_separator(self):
         stmts = parse_script("(author) (book) commit")

@@ -10,7 +10,8 @@ from relang.errors import (
 )
 from relang.txn import CommitReport
 
-from conftest import LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
+from conftest import LIBRARY_DDL, LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
+from oracles import dangling_refs
 
 
 class TestPlanAdd:
@@ -106,11 +107,11 @@ class TestPlanRemove:
         result = run(library, "remove book (His_Books)")
         assert {t[1].value for t in result.tuples()} == {"Ulysses"}
         run(library, "commit")
-        assert library.published.dangling_refs() == []
+        assert dangling_refs(library.published) == []
 
     def test_abolish_cascades_through_every_referrer(self, library):
         run(library, 'abolish author (author "Homer" .) commit')
-        assert library.published.dangling_refs() == []
+        assert dangling_refs(library.published) == []
         assert rows(q(library, "[(book) title]"), library.published) == {
             ("The Selfish Gene",),
             ("Emma",),
@@ -219,7 +220,7 @@ class TestCommit:
             ' remove book_genre (book_genre (book . "Emma" .) .)'
             " commit",
         )
-        assert library.published.dangling_refs() == []
+        assert dangling_refs(library.published) == []
 
     def test_remove_referenced_without_referrer_fails(self, library):
         run(library, 'remove genre (genre "bore")')
@@ -339,6 +340,32 @@ class TestIntegrityErrorNamesTheStatement:
             "statement 1: update left two equal tuples in 'author'",
         )
 
+    # statement 2 adds the author statement 1 references, so statement 1 has
+    # nothing left open; what fails is the removal and the new reference
+    REOPENED = """
+add book {{"Homer" "800 BC"} "Ulysses" "750 BC"}
+add author {"Homer" "800 BC"}
+%s author (author "Homer" .)
+add book {{"Homer" "800 BC"} "Iliad" "760 BC"}
+"""
+
+    def test_a_satisfied_reference_is_not_blamed_for_a_removal(self):
+        self._fails(
+            build_db(LIBRARY_DDL),
+            self.REOPENED % "remove",
+            "statement 3: removed tuple of 'author' is still referenced",
+        )
+
+    def test_a_reference_opened_again_names_the_later_statement(self):
+        # abolish takes Ulysses with its author, so only statement 4's
+        # reference is left open
+        self._fails(
+            build_db(LIBRARY_DDL),
+            self.REOPENED % "abolish",
+            "statement 4: a tuple of 'author' referenced in this transaction"
+            " was never added",
+        )
+
 
 class TestRollback:
     def test_rollback_restores_published_content(self, library):
@@ -362,7 +389,7 @@ class TestAtomicity:
             " add author {'Homer' '800 BC'}"
             " commit",
         )
-        assert db.published.dangling_refs() == []
+        assert dangling_refs(db.published) == []
         assert len(q(db, "(book)")) == 1
 
     def test_update_collision_defers_and_aborts(self, library_ddl):

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from relang.errors import BadCast, DomainTypeMismatch, MalformedKey
+from relang.errors import BadCast, DomainTypeMismatch
 from relang.values import (
     INT64_MAX,
     INT64_MIN,
@@ -18,7 +18,6 @@ from relang.values import (
     parse_timestamp,
     quote_text,
     render_timestamp,
-    skip_text,
 )
 
 
@@ -100,6 +99,9 @@ class TestRealEncoding:
             RealVal(float("inf"))
 
 
+text_pairs = st.tuples(st.text(max_size=10), st.text(max_size=10))
+
+
 class TestTextEncoding:
     def test_terminator_and_escape(self):
         assert encode_text("a") == b"a\x00"
@@ -109,14 +111,16 @@ class TestTextEncoding:
     def test_order_preserving(self, a, b):
         assert (a < b) == (encode_text(a) < encode_text(b))
 
-    @given(st.text(max_size=30))
-    def test_skip_text_finds_the_terminator(self, s):
-        key = encode_text(s) + b"trailing"
-        assert skip_text(key, 0) == len(encode_text(s))
-
-    def test_skip_text_rejects_unterminated(self):
-        with pytest.raises(MalformedKey):
-            skip_text(b"abc", 0)
+    @given(text_pairs, text_pairs)
+    @example(("a", "\0b"), ("a\0", "b"))
+    @example(("a", ""), ("", "a"))
+    def test_two_text_tuples_order_as_their_keys(self, a, b):
+        # each text's encoding ends itself, so the first text never runs
+        # into the second: ("a", "\0b") and ("a\0", "b") keep their order
+        ka = encode_tuple(tuple(TextVal(s) for s in a))
+        kb = encode_tuple(tuple(TextVal(s) for s in b))
+        assert (a < b) == (ka < kb)
+        assert (a == b) == (ka == kb)
 
 
 class TestTimestampEncoding:
