@@ -70,19 +70,11 @@ class DomainTypeMismatch(RelangError):
     pass
 
 
-class DanglingRef(RelangError):
-    pass
-
-
 class RowNotFound(RelangError):
     pass
 
 
 class ReferencedRow(RelangError):
-    pass
-
-
-class DuplicateTuple(RelangError):
     pass
 
 

@@ -14,9 +14,9 @@ each row read, since a text key range can hold longer texts.
 The connection operator replaces joins: it finds the shortest path between
 two relations in the schema graph and chain-joins along it, returning the
 connected (target, source) pairs. The walk starts from the source set's rows
-and goes back along the path to the target through forward values and
-reverse maps, so it touches only connected rows. Two equally short paths are
-an error that names both, never a silent choice.
+and goes back along the path to the target through the references rows hold
+and reverse maps, so it touches only connected rows. Two equally short paths
+are an error that names both, never a silent choice.
 """
 
 from __future__ import annotations
@@ -681,7 +681,10 @@ def _domain_position_value(tuple_values, dom, env: Env) -> Value:
         return v
     if len(tuple_values) == target.arity:
         if target.klass == "domain":
-            return TupleVal(target.name, tuple(tuple_values))
+            return TupleVal(target.name, tuple(
+                _domain_position_value((v,), sub, env)
+                for v, sub in zip(tuple_values, target.domains)
+            ))
         rowid = env.state.contains_tuple(dom.type_name, tuple(tuple_values))
         if rowid is not None:
             return RefVal(dom.type_name, rowid)
@@ -749,14 +752,18 @@ def eval_projection(proj: syntax.Projection, env: Env) -> TupleSet:
         raise TypeMismatch("a projection applies to a set of tuples")
     if source.schema is None:
         return source
-    out_schema = []
-    for path in proj.paths:
-        out_schema.extend(_path_schema(path, source.schema, env))
-    result = TupleSet(tuple(out_schema))
+    columns = [c for path in proj.paths for c in _resolve_path(path, source.schema, env)]
+    routes = [route for _col, route in columns]
+    get_row = env.state.get_row
+    result = TupleSet(tuple(col for col, _route in columns))
     for values in source.tuples():
         out = []
-        for path in proj.paths:
-            out.extend(_project_path(path, source.schema, values, env))
+        for route in routes:
+            v = values[route[0]]
+            for pos in route[1:]:
+                inner = get_row(v.relation, v.row) if isinstance(v, RefVal) else v.values
+                v = inner[pos]
+            out.append(v)
         result.add(tuple(out))
     return result
 
@@ -768,37 +775,21 @@ def _schema_position(schema, name: str):
     raise UnknownAttr(f"no attribute {name!r} here")
 
 
-def _path_schema(path: syntax.Path, schema, env: Env):
-    _, col = _schema_position(schema, path.name)
+def _resolve_path(path: syntax.Path, schema, env: Env):
+    """The (column, route) of each output column of a projection path: the
+    route is the positions to read from the source tuple, every one but the
+    last holding a reference or an inline tuple to read the next one from."""
+    pos, col = _schema_position(schema, path.name)
     if path.subs is None:
-        return [col]
+        return [(col, (pos,))]
     if col.type_name in SCALAR_TYPES:
         raise NotARelation(f"attribute {path.name!r} is a scalar; it has no attributes")
-    target = env.catalog.lookup(col.type_name)
-    inner = relation_schema(target)
-    out = []
-    for sub in path.subs:
-        out.extend(_path_schema(sub, inner, env))
-    return out
-
-
-def _project_path(path: syntax.Path, schema, values, env: Env):
-    pos, col = _schema_position(schema, path.name)
-    v = values[pos]
-    if path.subs is None:
-        return [v]
-    if isinstance(v, RefVal):
-        inner_values = env.state.get_row(v.relation, v.row)
-        inner_schema = relation_schema(env.catalog.lookup(v.relation))
-    elif isinstance(v, TupleVal):
-        inner_values = v.values
-        inner_schema = relation_schema(env.catalog.lookup(v.relation))
-    else:
-        raise NotARelation(f"attribute {path.name!r} is a scalar; it has no attributes")
-    out = []
-    for sub in path.subs:
-        out.extend(_project_path(sub, inner_schema, inner_values, env))
-    return out
+    inner = relation_schema(env.catalog.lookup(col.type_name))
+    return [
+        (sub_col, (pos,) + route)
+        for sub in path.subs
+        for sub_col, route in _resolve_path(sub, inner, env)
+    ]
 
 
 # --- connection (the join-replacing operation) -----------------------------------------
@@ -878,7 +869,7 @@ def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
     a source-set row along the unique shortest schema path.
 
     The walk starts from the source set's rows and follows the path back to
-    the target, a semi-join: each step reads a forward value (the current
+    the target, a semi-join: each step reads a reference value (the current
     row references the next relation) or a reverse map (rows of the next
     relation reference the current row), so it touches only connected rows.
     """

@@ -1,14 +1,11 @@
 """Tuple storage: each simple relation is exactly one ordered multitable index.
 
-The forward map (canonical key -> row id) IS the relation; the rows map is
-its inverse view, and per-position reverse maps invert every reference so
-referential traversal and cascades never scan.
-
-Invariant: ``sorted_keys`` holds exactly the forward map's keys, in
-ascending byte order. Every write that adds or drops a forward entry keeps
-it so by bisection; a key that sorts after the last one is appended, which
-is how a snapshot load (rows arrive in key order) fills it. ``scan`` reads
-key ranges from it and never sorts.
+The index is two parallel lists: ``keys`` holds every stored tuple's
+canonical key in ascending byte order, and ``ids[i]`` is the row stored
+under ``keys[i]``. That pair IS the relation; the rows map is its inverse
+view, and per-position reverse maps invert every reference so referential
+traversal and cascades never scan. Every lookup is a bisection over
+``keys``, and ``scan`` reads a key range from it and never sorts.
 
 Contract of ``scan(relation, prefix)``: it returns every row whose key
 starts with the prefix bytes, in key order. Because text encodings are not
@@ -17,10 +14,11 @@ equal the prefix's value, so a caller must check its constraints on each
 row it gets back.
 
 Invariant: a tuple's canonical key is computed when the tuple is stored
-(insert or rekey) and kept only as its forward-map entry. Readers never
-re-encode a stored tuple: they take keys from ``scan``, and they match a
-reference by the row id it holds. Only removal and rekey encode a stored
-tuple again, to find the slot it leaves, since no row id -> key map is kept.
+(insert or rekey) and kept only in ``keys``. Readers never re-encode a
+stored tuple: they take keys from ``scan``, and they match a reference by
+the row id it holds. Only removal and rekey encode a stored tuple again, to
+find the entry it leaves, since no row id -> key map is kept; so does a
+commit, for each row whose rekey collided.
 
 Row ids are allocated from a per-relation counter starting at 1 and are never
 reused within a database lifetime. They are internal: no language syntax can
@@ -28,21 +26,19 @@ mention one and no output ever shows one.
 
 A transaction's shadow state may temporarily hold two live rows under one
 canonical key (an update collision whose resolution is deferred to commit).
-That state is tracked in a side map and must be empty whenever a state is
-published.
+Such rows form a run of equal keys, the earliest holder first; a published
+state has no run.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .catalog import Catalog, RelationDef
 from .errors import (
     ArityMismatch,
-    DanglingRef,
     DomainTypeMismatch,
-    DuplicateTuple,
     NotEnumerable,
     ReferencedRow,
     RowNotFound,
@@ -71,10 +67,8 @@ class MultitableIndex:
     def __init__(self, domains):
         self.domains = domains
         self.rows: Dict[int, tuple] = {}
-        self.forward: Dict[bytes, int] = {}
-        self.sorted_keys: List[bytes] = []  # the forward map's keys, ascending
-        # key -> extra live row ids sharing the key (deferred collisions)
-        self.collisions: Dict[bytes, List[int]] = {}
+        self.keys: List[bytes] = []  # ascending; equal keys only in a collision
+        self.ids: List[int] = []  # ids[i] is the row stored under keys[i]
         # position -> (target relation, target row) -> referencing row ids
         self.reverse: Dict[int, Dict[Tuple[str, int], Set[int]]] = {}
         self.next_rowid = 1
@@ -82,38 +76,34 @@ class MultitableIndex:
     def clone(self) -> "MultitableIndex":
         copy = MultitableIndex(self.domains)
         copy.rows = dict(self.rows)
-        copy.forward = dict(self.forward)
-        copy.sorted_keys = list(self.sorted_keys)
-        copy.collisions = {k: list(v) for k, v in self.collisions.items()}
+        copy.keys = list(self.keys)
+        copy.ids = list(self.ids)
         copy.reverse = {
             p: {t: set(rs) for t, rs in m.items()} for p, m in self.reverse.items()
         }
         copy.next_rowid = self.next_rowid
         return copy
 
-    def place(self, key: bytes, rowid: int):
-        """Store a row under a key no row holds."""
-        self.forward[key] = rowid
-        keys = self.sorted_keys
-        if not keys or keys[-1] < key:
-            keys.append(key)
-        else:
-            insort(keys, key)
+    def first(self, key: bytes) -> Optional[int]:
+        """The row stored first under a key (its earliest holder), or None."""
+        keys = self.keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return self.ids[i]
+        return None
+
+    def run(self, key: bytes) -> List[int]:
+        """Every row stored under a key, the earliest holder first."""
+        keys = self.keys
+        lo = bisect_left(keys, key)
+        return self.ids[lo:bisect_right(keys, key, lo)]
 
     def release(self, key: bytes, rowid: int):
-        """Drop a row's hold on a key slot. When the row owned the slot, the
-        first row of a deferred collision under the key takes it over."""
-        extras = self.collisions.get(key, [])
-        if self.forward.get(key) == rowid:
-            if extras:
-                self.forward[key] = extras.pop(0)
-            else:
-                del self.forward[key]
-                del self.sorted_keys[bisect_left(self.sorted_keys, key)]
-        elif rowid in extras:
-            extras.remove(rowid)
-        if key in self.collisions and not extras:
-            del self.collisions[key]
+        """Drop a row's entry under a key; the next row of a collision run
+        becomes the key's first holder."""
+        i = self.ids.index(rowid, bisect_left(self.keys, key))
+        del self.keys[i]
+        del self.ids[i]
 
 
 def _prefix_end(prefix: bytes) -> Optional[bytes]:
@@ -199,34 +189,33 @@ class DbState:
                     self._validate_against(target, v.values)
         return values
 
-    def _check_refs(self, values):
-        for rel_name, row in iter_refs(values):
-            idx = self.indexes.get(rel_name)
-            if idx is None or row not in idx.rows:
-                raise DanglingRef(f"no row {row} in relation {rel_name!r}")
-
     # -- operations
 
-    def insert(self, relation: str, values, *, check_refs=True, rowid=None):
+    def insert(self, relation: str, values, *, rowid=None):
         """Insert a tuple; returns (row id, freshly-inserted flag).
 
         Duplicate insertion is an idempotent no-op returning the existing id.
         ``rowid`` pins the id of a fresh row (used when a deferred reference
         is being satisfied); it must have been reserved via reserve_rowid.
+        References are not checked here: the transaction checks them at
+        commit, and a snapshot load rejects an ordinal it has not loaded.
         """
         idx = self._index(relation)
         values = self.validate_tuple(relation, values)
-        if check_refs:
-            self._check_refs(values)
         key = encode_tuple(values)
-        existing = idx.forward.get(key)
-        if existing is not None:
-            return existing, False
+        keys = idx.keys
+        i = len(keys)
+        # a key above the last one (every row of a snapshot load) is new
+        if keys and key <= keys[-1]:
+            i = bisect_left(keys, key)
+            if keys[i] == key:
+                return idx.ids[i], False
         if rowid is None:
             rowid = idx.next_rowid
             idx.next_rowid += 1
         idx.rows[rowid] = values
-        idx.place(key, rowid)
+        keys.insert(i, key)
+        idx.ids.insert(i, rowid)
         self._add_reverse(idx, rowid, values)
         return rowid, True
 
@@ -237,9 +226,8 @@ class DbState:
         return rowid
 
     def contains_tuple(self, relation: str, values) -> Optional[int]:
-        """Row id stored under the tuple's canonical key, or None."""
-        idx = self._index(relation)
-        return idx.forward.get(encode_tuple(values))
+        """Row id stored first under the tuple's canonical key, or None."""
+        return self._index(relation).first(encode_tuple(values))
 
     def rowids(self, relation: str, keys) -> Set[int]:
         """Every live row id stored under one of the keys, the extra rows of
@@ -247,10 +235,7 @@ class DbState:
         idx = self._index(relation)
         found = set()
         for key in keys:
-            rowid = idx.forward.get(key)
-            if rowid is not None:
-                found.add(rowid)
-                found.update(idx.collisions.get(key, ()))
+            found.update(idx.run(key))
         return found
 
     def get_row(self, relation: str, rowid: int) -> tuple:
@@ -270,20 +255,19 @@ class DbState:
         the key of "a\\0b"), so the range is a superset and a caller must
         check its constraints on every row again.
 
-        The keys are the ones stored in the forward map, so a caller that
-        needs a tuple's key takes it from here instead of encoding the tuple
-        again. A deferred update collision shows once, under its key.
+        The keys are the stored ones, so a caller that needs a tuple's key
+        takes it from here instead of encoding the tuple again. A deferred
+        update collision shows once, under its key.
         """
         rel = self.catalog.lookup(relation)
         if rel.klass != "simple":
             raise NotEnumerable(f"{relation!r} is a {rel.klass} relation")
         idx = self.indexes[relation]
-        keys = idx.sorted_keys
+        keys, ids, rows = idx.keys, idx.ids, idx.rows
         lo = bisect_left(keys, prefix)
         end = _prefix_end(prefix)
         hi = len(keys) if end is None else bisect_left(keys, end, lo)
-        rows, forward = idx.rows, idx.forward
-        return {k: rows[forward[k]] for k in keys[lo:hi]}
+        return {keys[i]: rows[ids[i]] for i in range(lo, hi)}
 
     def referrers(self, relation: str, rowid: int):
         """Every (relation, attr, row) whose tuple references the given row."""
@@ -332,11 +316,12 @@ class DbState:
         idx.release(encode_tuple(values), rowid)
         self._drop_reverse(idx, rowid, values)
 
-    def rekey(self, relation: str, rowid: int, new_values, *, allow_collision=False):
+    def rekey(self, relation: str, rowid: int, new_values) -> bool:
         """Replace a row's tuple in place, preserving its row id.
 
-        Returns True when the new key collided with a different live row (only
-        possible with ``allow_collision``; the caller must defer resolution).
+        Returns True when the new key collided with a different live row. The
+        row is then stored after the key's earlier holders, and the caller
+        must resolve the collision (a transaction aborts at commit).
         """
         idx = self._index(relation)
         old_values = self.get_row(relation, rowid)
@@ -346,21 +331,15 @@ class DbState:
         if new_key == old_key:
             idx.rows[rowid] = new_values
             return False
-        holder = idx.forward.get(new_key)
-        collided = holder is not None and holder != rowid
-        if collided and not allow_collision:
-            raise DuplicateTuple(
-                f"another row of {relation!r} already holds this tuple"
-            )
         idx.release(old_key, rowid)
-        if collided:
-            idx.collisions.setdefault(new_key, []).append(rowid)
-        else:
-            idx.place(new_key, rowid)
+        keys = idx.keys
+        i = bisect_right(keys, new_key)
+        keys.insert(i, new_key)
+        idx.ids.insert(i, rowid)
         idx.rows[rowid] = new_values
         self._drop_reverse(idx, rowid, old_values)
         self._add_reverse(idx, rowid, new_values)
-        return collided
+        return i > 0 and keys[i - 1] == new_key
 
     # -- reverse index maintenance
 
@@ -377,10 +356,3 @@ class DbState:
                     entry.discard(rowid)
                     if not entry:
                         del idx.reverse[pos][target]
-
-    def collision_keys(self):
-        return [
-            (rel_name, key)
-            for rel_name, idx in self.indexes.items()
-            for key in idx.collisions
-        ]

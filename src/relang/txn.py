@@ -179,6 +179,8 @@ class TxnPlan:
         # (relation, key) of each referenced tuple not yet added
         #   -> (reserved row id, statement that referenced it)
         self.pending: Dict[Tuple[str, bytes], Tuple[int, int]] = {}
+        # (relation, row id) of each rekey that collided with another row
+        self.collided: List[Tuple[str, int]] = []
         self.status = "open"
         self._stmt = 0
 
@@ -311,8 +313,9 @@ class TxnPlan:
             keys = {encode_tuple(p[: rel.arity]) for p in pairs.tuples()}
         else:
             keys = {encode_tuple(t) for t in self._resolve_write_tuples(rel, expr, deferred=False)}
-        forward = self.shadow.indexes[rel.name].forward
-        return [(key, forward[key]) for key in sorted(keys) if key in forward]
+        idx = self.shadow.indexes[rel.name]
+        found = ((key, idx.first(key)) for key in sorted(keys))
+        return [(key, rowid) for key, rowid in found if rowid is not None]
 
     # -- planned commands
 
@@ -326,9 +329,7 @@ class TxnPlan:
             key = encode_tuple(values)
             waiting = self.pending.get((relation, key))
             pinned = None if waiting is None else waiting[0]
-            rowid, inserted = self.shadow.insert(
-                relation, values, check_refs=False, rowid=pinned
-            )
+            rowid, inserted = self.shadow.insert(relation, values, rowid=pinned)
             if inserted:
                 self.written[(relation, rowid)] = self._stmt
                 # a fresh row satisfies any reference that was waiting for it
@@ -379,7 +380,8 @@ class TxnPlan:
             planned.append((rowid, tuple(new)))
         for rowid, new in planned:
             # a collision with another row is caught at commit
-            self.shadow.rekey(relation, rowid, new, allow_collision=True)
+            if self.shadow.rekey(relation, rowid, new):
+                self.collided.append((relation, rowid))
             self.written[(relation, rowid)] = self._stmt
             updated.add(new)
         self._adopt_buffer(resolver)
@@ -468,11 +470,13 @@ class TxnPlan:
                 # a target this transaction removed is reported as removed
                 if t_row not in indexes[t_rel].rows and (t_rel, t_row) not in self.written:
                     yield stmt, f"a tuple of {relation!r} references a missing {t_rel!r} tuple"
-        for relation, key in self.shadow.collision_keys():
+        for relation, rowid in self.collided:
             idx = indexes[relation]
-            rowids = [idx.forward[key], *idx.collisions[key]]
-            stmt = max(self.written.get((relation, r), 0) for r in rowids)
-            yield stmt, f"update left two equal tuples in {relation!r}"
+            values = idx.rows.get(rowid)
+            rowids = [] if values is None else idx.run(encode_tuple(values))
+            if len(rowids) > 1:
+                stmt = max(self.written.get((relation, r), 0) for r in rowids)
+                yield stmt, f"update left two equal tuples in {relation!r}"
 
     def _report(self) -> CommitReport:
         """Rows added, removed and updated, by relation: each written row's

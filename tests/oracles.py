@@ -130,13 +130,24 @@ def dangling_refs(state):
     return bad
 
 
+def collision_keys(state):
+    """Every (relation, key) held by more than one row, found by reading
+    every relation's key array. Empty on any publishable state."""
+    return [
+        (rel_name, key)
+        for rel_name, idx in state.indexes.items()
+        for key, after in zip(idx.keys, idx.keys[1:])
+        if key == after
+    ]
+
+
 def commit_must_abort(txn) -> bool:
     """Whether a commit of the transaction has to abort, by whole-state
     checks of its shadow plus its open pending references and unmatched
     members."""
     return bool(
         dangling_refs(txn.shadow)
-        or txn.shadow.collision_keys()
+        or collision_keys(txn.shadow)
         or txn.pending
         or txn.obligations
     )

@@ -30,6 +30,7 @@ from relang.values import (
     RealVal,
     TextVal,
     TimestampVal,
+    TupleVal,
     encode_tuple,
     render_timestamp,
 )
@@ -275,13 +276,20 @@ class TestProjection:
         result = q(library, "[(author) birthdate]")
         assert len(result) == 3  # two authors share 1941-03-26
 
+    # paths are resolved before any row is read, so an empty source fails too
+    SOURCES = ["(book)", '(book . "no such title" .)']
+
     def test_unknown_attr(self, library):
-        with pytest.raises(UnknownAttr):
-            q(library, "[(book) missing]")
+        for source in self.SOURCES:
+            with pytest.raises(UnknownAttr):
+                q(library, f"[{source} missing]")
+            with pytest.raises(UnknownAttr):
+                q(library, f"[{source} [author missing]]")
 
     def test_nested_path_on_scalar_is_rejected(self, library):
-        with pytest.raises(NotARelation):
-            q(library, "[(book) [title text]]")
+        for source in self.SOURCES:
+            with pytest.raises(NotARelation):
+                q(library, f"[{source} [title text]]")
 
 
 class TestConnection:
@@ -379,6 +387,24 @@ class TestDomainClassEvaluation:
         )
         result = q(library, "(my_circle)")
         assert rows(result, library.published) == {((0.5, (1.0, 2.0)),)}
+
+    NESTED = "domain (p (x real) (y real)) domain (s (a p)) relation (r (v s))"
+
+    def test_a_spelled_out_inner_tuple_takes_its_domains_types(self, library):
+        run(library, self.NESTED)
+        assert q(library, "(s {1 2})").tuples() == [
+            (TupleVal("p", (RealVal(1.0), RealVal(2.0))),)
+        ]
+
+    def test_a_constructed_inner_tuple_can_be_stored(self, library):
+        run(library, self.NESTED + " add r {(s {1 2})} commit")
+        assert rows(q(library, "(r)"), library.published) == {(((1.0, 2.0),),)}
+
+    def test_an_ill_typed_inner_tuple_is_rejected(self, library):
+        run(library, "domain (pt (x int) (y int)) domain (seg (a pt) (b pt))")
+        assert len(q(library, "(seg {3 4} {1 2})")) == 1
+        with pytest.raises(TypeMismatch):
+            q(library, '(seg {"x" "y"} {1 2})')
 
 
 # --- algebraic properties ---------------------------------------------------------

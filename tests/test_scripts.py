@@ -1,0 +1,39 @@
+"""Smoke tests for the runnable files under scripts/: each still runs to the
+end against the current engine."""
+
+import io
+import subprocess
+import sys
+from pathlib import Path
+
+from relang.shell import run as shell_run
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = shell_run(argv, stdin=io.StringIO(), stdout=out, stderr=err)
+    assert code == 0, err.getvalue()
+    return out.getvalue()
+
+
+def test_library_script_survives_a_save_and_load(tmp_path):
+    snap = tmp_path / "library.snap"
+    out = _run([str(SCRIPTS / "library.rl"), "--format", "sexpr", "--save", str(snap)])
+    query = "[(book_genre . (genre \"sci-fi\")) [book [author name] title]]"
+    assert '({"Dawkins" "The Selfish Gene"})' in out.split("\n")
+    # the loaded snapshot saves to the same bytes and answers the same query
+    assert _run(["--db", str(snap), "--dump"]) == snap.read_text()
+    reloaded = _run(["--db", str(snap), "--format", "sexpr", "-e", f"output {query}"])
+    assert reloaded == '({"Dawkins" "The Selfish Gene"})\n'
+
+
+def test_join_elimination_experiment_agrees_with_brute_force():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "join_elimination_experiment.py"), "3", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "engine == brute force on all" in done.stdout

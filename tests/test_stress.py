@@ -10,7 +10,7 @@ import relang
 from relang.errors import IntegrityError, RelangError
 
 from conftest import LIBRARY_DDL, build_db, fingerprint, run
-from oracles import commit_must_abort, dangling_refs, reference_report
+from oracles import collision_keys, commit_must_abort, dangling_refs, reference_report
 
 AUTHORS = ["Ada", "Byron", "Curie", "Darwin", "Erdos"]
 TITLES = ["Alpha", "Beta", "Gamma", "Delta"]
@@ -167,7 +167,7 @@ def drive(db, statements):
             assert result == reference_report(base, shadow)
             commits += 1
             assert dangling_refs(db.published) == []
-            assert db.published.collision_keys() == []
+            assert collision_keys(db.published) == []
     return commits
 
 

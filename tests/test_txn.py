@@ -11,7 +11,7 @@ from relang.errors import (
 from relang.txn import CommitReport
 
 from conftest import LIBRARY_DDL, LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
-from oracles import dangling_refs
+from oracles import collision_keys, dangling_refs
 
 
 class TestPlanAdd:
@@ -410,7 +410,7 @@ class TestAtomicity:
             " commit",
         )
         run(db, 'update author (author "Y" .) (name "X")')
-        assert db.txn.shadow.collision_keys()
+        assert collision_keys(db.txn.shadow)
         books = q(db, '(book (author "X" .) .)')
         assert {t[1].value for t in books.tuples()} == {"One", "Two"}
         pairs = q(db, '{book (author "X" .)}')
