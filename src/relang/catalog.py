@@ -110,6 +110,9 @@ class Catalog:
     def __init__(self, relations=None):
         self.relations: Dict[str, RelationDef] = dict(relations or {})
         self._graph: Optional[SchemaGraph] = None
+        # (start, goal) -> the path ``evaluator.shortest_path`` found, or the
+        # error it raised
+        self._paths: Dict[Tuple[str, str], object] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self.relations

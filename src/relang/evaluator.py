@@ -21,13 +21,14 @@ are an error that names both, never a silent choice.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import re as _re
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from . import syntax
-from .catalog import BUILTIN_FUNCTIONS, SCALAR_TYPES, Catalog, RelationDef
+from .catalog import BUILTIN_FUNCTIONS, SCALAR_TYPES, Catalog, RelationDef, SchemaGraph
 from .errors import (
     AmbiguousPath,
     ArityMismatch,
@@ -803,12 +804,26 @@ def eval_connection(node: syntax.Connection, env: Env) -> TupleSet:
 def shortest_path(catalog: Catalog, start: str, goal: str):
     """The unique shortest edge path between two relations in the schema
     graph. Raises NoConnection when none exists and AmbiguousPath (naming
-    every competitor) when more than one is equally short."""
-    graph = catalog.schema_graph()
-    if start not in graph._adj:
-        raise UnknownRelation(f"unknown relation {start!r}")
-    if goal not in graph._adj:
-        raise UnknownRelation(f"unknown relation {goal!r}")
+    every competitor) when more than one is equally short.
+
+    The outcome is memoised on the catalog, which never changes; a failure
+    is raised afresh, as a copy of the first one, on every call."""
+    for name in (start, goal):
+        if name not in catalog:
+            raise UnknownRelation(f"unknown relation {name!r}")
+    found = catalog._paths.get((start, goal))
+    if found is None:
+        try:
+            found = tuple(_search_path(catalog.schema_graph(), start, goal))
+        except (NoConnection, AmbiguousPath) as exc:
+            found = exc.with_traceback(None)
+        catalog._paths[(start, goal)] = found
+    if isinstance(found, Exception):
+        raise copy.copy(found)
+    return found
+
+
+def _search_path(graph: SchemaGraph, start: str, goal: str):
     if start == goal:
         return []
     dist = {start: 0}

@@ -48,6 +48,7 @@ from .values import (
     Value,
     encode_value,
     parse_timestamp,
+    quote_text,
     render_scalar,
     render_timestamp,
     unescape_char,
@@ -60,27 +61,42 @@ SNAPSHOT_HEADER = ";; relang snapshot v1"
 # --- formatting ---------------------------------------------------------------
 
 
-def _cell(v: Value, state: DbState, scalar) -> str:
-    """Cell text of one value: braces around referenced and inline tuples,
-    ``scalar`` for everything else."""
-    if isinstance(v, RefVal):
-        members = state.get_row(v.relation, v.row)
-    elif isinstance(v, TupleVal):
-        members = v.values
-    else:
-        return scalar(v)
-    return "{" + " ".join(_cell(x, state, scalar) for x in members) + "}"
+def _members(values, state: DbState, writers) -> str:
+    """Cell text of a tuple's values, each written by its type's writer,
+    in braces."""
+    return "{" + " ".join(writers[type(v)](v, state, writers) for v in values) + "}"
 
 
-def _plain_scalar(v: Value) -> str:
-    """Human-facing scalar text: text bare, everything else canonical."""
-    return v.value if isinstance(v, TextVal) else render_scalar(v)
+def _ref_cell(v: RefVal, state: DbState, writers) -> str:
+    return _members(state.get_row(v.relation, v.row), state, writers)
 
 
-def _sexpr_scalar(v: Value) -> str:
-    if isinstance(v, TimestampVal):
-        return f'(timestamp "{render_timestamp(v)}")'
-    return render_scalar(v)
+def _tuple_cell(v: TupleVal, state: DbState, writers) -> str:
+    return _members(v.values, state, writers)
+
+
+# Cell writers by value type, each called as ``writer(value, state,
+# writers)``. Human-facing cells show text bare and every other scalar as
+# its canonical literal (``render_scalar``); s-expression cells are
+# literals that read back, timestamps included. Referenced and inline
+# tuples are their members in braces.
+_PLAIN_CELLS = {
+    TextVal: lambda v, _state, _writers: v.value,
+    IntVal: lambda v, _state, _writers: str(v.value),
+    RealVal: lambda v, _state, _writers: repr(v.value),
+    TimestampVal: lambda v, _state, _writers: render_timestamp(v),
+    RefVal: _ref_cell,
+    TupleVal: _tuple_cell,
+}
+_SEXPR_CELLS = {
+    **_PLAIN_CELLS,
+    TextVal: lambda v, _state, _writers: quote_text(v.value),
+    TimestampVal: lambda v, _state, _writers: f'(timestamp "{render_timestamp(v)}")',
+}
+
+
+def _plain_cells(t, state: DbState) -> List[str]:
+    return [_PLAIN_CELLS[type(v)](v, state, _PLAIN_CELLS) for v in t]
 
 
 def _ordered_tuples(result: TupleSet, order_attrs) -> List[tuple]:
@@ -114,10 +130,7 @@ def format_result(result, fmt: str, state: DbState, order_attrs=()) -> str:
 def format_sexpr(result: TupleSet, state: DbState, order_attrs=()) -> str:
     if result.schema is None or len(result) == 0:
         return "()"
-    rows = [
-        "{" + " ".join(_cell(v, state, _sexpr_scalar) for v in t) + "}"
-        for t in _ordered_tuples(result, order_attrs)
-    ]
+    rows = [_members(t, state, _SEXPR_CELLS) for t in _ordered_tuples(result, order_attrs)]
     return "(" + " ".join(rows) + ")"
 
 
@@ -128,7 +141,7 @@ def format_csv(result: TupleSet, state: DbState, order_attrs=()) -> str:
         return ""
     writer.writerow([col.attr for col in result.schema])
     for t in _ordered_tuples(result, order_attrs):
-        writer.writerow([_cell(v, state, _plain_scalar) for v in t])
+        writer.writerow(_plain_cells(t, state))
     return buf.getvalue().rstrip("\n")
 
 
@@ -136,10 +149,7 @@ def format_tabular(result: TupleSet, state: DbState, order_attrs=()) -> str:
     if result.schema is None:
         return "(empty set)"
     headers = [col.attr for col in result.schema]
-    rows = [
-        [_cell(v, state, _plain_scalar) for v in t]
-        for t in _ordered_tuples(result, order_attrs)
-    ]
+    rows = [_plain_cells(t, state) for t in _ordered_tuples(result, order_attrs)]
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):

@@ -28,6 +28,17 @@ A transaction's shadow state may temporarily hold two live rows under one
 canonical key (an update collision whose resolution is deferred to commit).
 Such rows form a run of equal keys, the earliest holder first; a published
 state has no run.
+
+Ownership: a state mutates only the indexes it owns, and an index mutates
+only the reverse buckets it owns. ``DbState.fork`` makes a state that shares
+every index with its parent, and after it neither state owns any of them.
+A state's first write to a relation it does not own copies that index
+shallowly: the rows map, the key and id arrays and each position's reverse
+map are copied, while the row tuples and the reverse buckets stay shared.
+The copy's first write to a bucket copies that bucket. An index that no
+state owns is never written again, so a transaction costs the relations it
+writes, and a published state, which a fork leaves owning nothing, stays
+an immutable value that may be read concurrently.
 """
 
 from __future__ import annotations
@@ -71,16 +82,18 @@ class MultitableIndex:
         self.ids: List[int] = []  # ids[i] is the row stored under keys[i]
         # position -> (target relation, target row) -> referencing row ids
         self.reverse: Dict[int, Dict[Tuple[str, int], Set[int]]] = {}
+        # (position, target) of each reverse bucket this index may write
+        self.owned: Set[Tuple[int, Tuple[str, int]]] = set()
         self.next_rowid = 1
 
-    def clone(self) -> "MultitableIndex":
+    def copy(self) -> "MultitableIndex":
+        """A copy for a new owner, sharing the row tuples and every reverse
+        bucket with this index; the copy owns no bucket yet."""
         copy = MultitableIndex(self.domains)
         copy.rows = dict(self.rows)
         copy.keys = list(self.keys)
         copy.ids = list(self.ids)
-        copy.reverse = {
-            p: {t: set(rs) for t, rs in m.items()} for p, m in self.reverse.items()
-        }
+        copy.reverse = {p: dict(m) for p, m in self.reverse.items()}
         copy.next_rowid = self.next_rowid
         return copy
 
@@ -105,6 +118,31 @@ class MultitableIndex:
         del self.keys[i]
         del self.ids[i]
 
+    def link(self, rowid: int, values):
+        """Enter each reference a row holds in the reverse maps."""
+        for pos, v in enumerate(values):
+            for target in iter_refs([v]):
+                self._bucket(pos, target).add(rowid)
+
+    def unlink(self, rowid: int, values):
+        """Take each reference a row holds out of the reverse maps."""
+        for pos, v in enumerate(values):
+            for target in iter_refs([v]):
+                bucket = self._bucket(pos, target)
+                bucket.discard(rowid)
+                if not bucket:
+                    del self.reverse[pos][target]
+                    self.owned.discard((pos, target))
+
+    def _bucket(self, pos: int, target: Tuple[str, int]) -> Set[int]:
+        """The rows referencing ``target`` at ``pos``, as a bucket this index
+        owns: a shared bucket is copied, a missing one made."""
+        refs = self.reverse.setdefault(pos, {})
+        if (pos, target) not in self.owned:
+            refs[target] = set(refs.get(target, ()))
+            self.owned.add((pos, target))
+        return refs[target]
+
 
 def _prefix_end(prefix: bytes) -> Optional[bytes]:
     """The least byte string above every string that starts with
@@ -128,23 +166,39 @@ def iter_refs(values) -> Iterable[Tuple[str, int]]:
 class DbState:
     """All stored tuples of a database version.
 
-    One writer at a time mutates a state; a published state is treated as an
-    immutable value and may be read concurrently. The catalog reference is
-    the catalog version the data conforms to.
+    A state mutates only the indexes it owns: those it created and those it
+    copied on a first write. A fork owns none, and forking takes ownership
+    from the parent too, so a published state that a transaction forked is
+    never written again and may be read concurrently. The catalog reference
+    is the catalog version the data conforms to.
     """
 
     def __init__(self, catalog: Optional[Catalog] = None):
         self.catalog = catalog or Catalog()
         self.indexes: Dict[str, MultitableIndex] = {}
+        self.owned: Set[str] = set()  # relations whose index this state may write
 
-    def clone(self) -> "DbState":
-        copy = DbState(self.catalog)
-        copy.indexes = {name: idx.clone() for name, idx in self.indexes.items()}
-        return copy
+    def fork(self, catalog: Optional[Catalog] = None) -> "DbState":
+        """A state with the same tuples (under ``catalog``, if given) that
+        shares every index with this one; it costs the relation count, and
+        each state copies an index on its first write to it."""
+        fork = DbState(catalog or self.catalog)
+        fork.indexes = dict(self.indexes)
+        self.owned = set()
+        return fork
 
     def add_relation(self, rel: RelationDef):
         if rel.klass == "simple" and rel.name not in self.indexes:
             self.indexes[rel.name] = MultitableIndex(rel.domains)
+            self.owned.add(rel.name)
+
+    def _writable(self, relation: str) -> MultitableIndex:
+        """The relation's index, copied first unless this state owns it."""
+        idx = self._index(relation)
+        if relation not in self.owned:
+            idx = self.indexes[relation] = idx.copy()
+            self.owned.add(relation)
+        return idx
 
     def _index(self, relation: str) -> MultitableIndex:
         idx = self.indexes.get(relation)
@@ -210,17 +264,18 @@ class DbState:
             i = bisect_left(keys, key)
             if keys[i] == key:
                 return idx.ids[i], False
+        idx = self._writable(relation)
         if rowid is None:
             rowid = idx.next_rowid
             idx.next_rowid += 1
         idx.rows[rowid] = values
-        keys.insert(i, key)
+        idx.keys.insert(i, key)
         idx.ids.insert(i, rowid)
-        self._add_reverse(idx, rowid, values)
+        idx.link(rowid, values)
         return rowid, True
 
     def reserve_rowid(self, relation: str) -> int:
-        idx = self._index(relation)
+        idx = self._writable(relation)
         rowid = idx.next_rowid
         idx.next_rowid += 1
         return rowid
@@ -311,10 +366,10 @@ class DbState:
         return doomed
 
     def _remove_row(self, relation: str, rowid: int):
-        idx = self.indexes[relation]
+        idx = self._writable(relation)
         values = idx.rows.pop(rowid)
         idx.release(encode_tuple(values), rowid)
-        self._drop_reverse(idx, rowid, values)
+        idx.unlink(rowid, values)
 
     def rekey(self, relation: str, rowid: int, new_values) -> bool:
         """Replace a row's tuple in place, preserving its row id.
@@ -323,11 +378,11 @@ class DbState:
         row is then stored after the key's earlier holders, and the caller
         must resolve the collision (a transaction aborts at commit).
         """
-        idx = self._index(relation)
         old_values = self.get_row(relation, rowid)
         new_values = self.validate_tuple(relation, new_values)
         old_key = encode_tuple(old_values)
         new_key = encode_tuple(new_values)
+        idx = self._writable(relation)
         if new_key == old_key:
             idx.rows[rowid] = new_values
             return False
@@ -337,22 +392,6 @@ class DbState:
         keys.insert(i, new_key)
         idx.ids.insert(i, rowid)
         idx.rows[rowid] = new_values
-        self._drop_reverse(idx, rowid, old_values)
-        self._add_reverse(idx, rowid, new_values)
+        idx.unlink(rowid, old_values)
+        idx.link(rowid, new_values)
         return i > 0 and keys[i - 1] == new_key
-
-    # -- reverse index maintenance
-
-    def _add_reverse(self, idx: MultitableIndex, rowid: int, values):
-        for pos, v in enumerate(values):
-            for target in iter_refs([v]):
-                idx.reverse.setdefault(pos, {}).setdefault(target, set()).add(rowid)
-
-    def _drop_reverse(self, idx: MultitableIndex, rowid: int, values):
-        for pos, v in enumerate(values):
-            for target in iter_refs([v]):
-                entry = idx.reverse.get(pos, {}).get(target)
-                if entry is not None:
-                    entry.discard(rowid)
-                    if not entry:
-                        del idx.reverse[pos][target]

@@ -1,8 +1,11 @@
 """Transactions as lazily validated plans.
 
-DML statements apply eagerly to a private shadow copy of the store (so later
+DML statements apply eagerly to the transaction's shadow state (so later
 statements read their own writes), but integrity problems do not fail the
-statement. Every row a statement inserts, removes (cascades included) or
+statement. The shadow is a fork of the published state, not a copy: it
+shares every index with it, and its first write to a relation copies that
+one index (see ``store``), so opening, reading and discarding a transaction
+copy nothing. Every row a statement inserts, removes (cascades included) or
 rekeys enters the transaction's write set with the statement's number. A
 reference to a tuple that does not exist yet reserves a row id and is kept
 once, in ``pending``: (relation, key) -> (row id, statement). Adding the
@@ -169,7 +172,7 @@ class TxnPlan:
 
     def __init__(self, base: DbState):
         self.base = base
-        self.shadow = base.clone()
+        self.shadow = base.fork()
         self.bindings: Dict[str, TupleSet] = {}
         self.steps = 0  # statements that ran to completion
         # (relation, row id) inserted, removed or rekeyed -> last statement
@@ -342,12 +345,12 @@ class TxnPlan:
         self._require_open()
         self._stmt += 1
         rel = self._simple_relation(relation)
-        rows = self.shadow.indexes[relation].rows
         removed = {}
         for key, rowid in self._resolve_target_rows(rel, set_expr):
-            if rowid not in rows:
+            values = self.shadow.indexes[relation].rows.get(rowid)
+            if values is None:
                 continue  # already gone via an earlier cascade
-            removed[key] = rows[rowid]
+            removed[key] = values
             # a referrer left behind is caught at commit
             for pair in self.shadow.erase(relation, rowid, cascade=cascade, force=True):
                 self.written[pair] = self._stmt
@@ -565,9 +568,8 @@ class Database:
         self.catalog = catalog
         rel = catalog.lookup(stmt.name)
         # publish a new state: readers holding the old one keep its catalog
-        # and relations; the unchanged indexes are shared, never mutated
-        published = DbState(catalog)
-        published.indexes = dict(self.published.indexes)
+        # and relations, since neither state owns the indexes they share
+        published = self.published.fork(catalog)
         published.add_relation(rel)
         self.published = published
         self.txn.shadow.catalog = catalog

@@ -130,6 +130,34 @@ def dangling_refs(state):
     return bad
 
 
+def index_faults(state):
+    """Every (relation, what) whose index disagrees with its own rows: the
+    key array must list each row once, under its own key, in key order, and
+    the reverse maps must equal a rebuild from the rows. Empty on any state,
+    published or not."""
+    faults = []
+    for rel_name, idx in state.indexes.items():
+        if any(k > after for k, after in zip(idx.keys, idx.keys[1:])):
+            faults.append((rel_name, "keys out of order"))
+        if list(zip(idx.keys, idx.ids)) != [
+            (encode_tuple(idx.rows[rowid]), rowid) for rowid in idx.ids
+        ] or sorted(idx.ids) != sorted(idx.rows):
+            faults.append((rel_name, "keys differ from the rows"))
+        rebuilt = {}
+        for rowid, values in idx.rows.items():
+            for pos, v in enumerate(values):
+                for target in iter_refs([v]):
+                    rebuilt.setdefault(pos, {}).setdefault(target, set()).add(rowid)
+        current = {
+            pos: {t: set(rs) for t, rs in mapping.items() if rs}
+            for pos, mapping in idx.reverse.items()
+            if any(mapping.values())
+        }
+        if current != rebuilt:
+            faults.append((rel_name, "reverse maps differ from the rows"))
+    return faults
+
+
 def collision_keys(state):
     """Every (relation, key) held by more than one row, found by reading
     every relation's key array. Empty on any publishable state."""

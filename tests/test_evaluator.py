@@ -24,7 +24,7 @@ from relang.errors import (
     UnknownRelation,
 )
 from relang.catalog import MAX_CALL_DEPTH
-from relang.evaluator import Env, TupleSet, eval_expr, relation_schema
+from relang.evaluator import Env, TupleSet, eval_expr, relation_schema, shortest_path
 from relang.values import (
     IntVal,
     RealVal,
@@ -332,6 +332,42 @@ class TestConnection:
         assert len(exc.value.paths) == 2
         assert any("flight.frm" in p for p in exc.value.paths)
         assert any("flight.to" in p for p in exc.value.paths)
+
+    def test_path_failures_raise_on_every_call_with_the_same_message(self, library):
+        run(
+            library,
+            "relation (island text) relation (city text)"
+            " relation (flight (frm city) (to city))",
+        )
+        for error, start, goal in [
+            (NoConnection, "island", "author"),
+            (AmbiguousPath, "city", "flight"),
+        ]:
+            raised = []
+            for _ in range(3):
+                with pytest.raises(error) as exc:
+                    shortest_path(library.catalog, start, goal)
+                raised.append(exc.value)
+            assert len({str(e) for e in raised}) == 1
+            assert len({id(e) for e in raised}) == 3  # a fresh error each call
+            assert len({getattr(e, "paths", ()) for e in raised}) == 1
+
+    def test_a_defined_catalog_does_not_see_its_parents_paths(self, library):
+        run(library, "relation (island text)")
+        parent = library.catalog
+        with pytest.raises(NoConnection):
+            shortest_path(parent, "island", "author")
+        genre_path = shortest_path(parent, "genre", "author")
+        run(library, "relation (ferry island author)")
+        child = library.catalog
+        assert [e.label() for e, _ in shortest_path(child, "island", "author")] == [
+            "ferry.island",
+            "ferry.author",
+        ]
+        assert shortest_path(child, "genre", "author") == genre_path
+        with pytest.raises(NoConnection):
+            shortest_path(parent, "island", "author")
+        assert rows(q(library, '{island (author "Homer" .)}'), library.txn.shadow) == set()
 
     def test_variable_source_keeps_its_relation(self, library):
         run(library, 'A = (author "Dawkins" .)')

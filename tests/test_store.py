@@ -24,7 +24,7 @@ from relang.values import (
     parse_timestamp,
 )
 
-from oracles import dangling_refs
+from oracles import dangling_refs, index_faults
 
 
 def make_state(*definitions):
@@ -224,7 +224,10 @@ class TestScan:
         idx = state.indexes["name"]
         assert idx.keys == [encode_text(n) for n in "abm"]
         assert idx.ids == [rids["a"], rids["x"], rids["m"]]
-        copy = idx.clone()
+        # a fork's first write to the relation copies both arrays
+        fork = state.fork()
+        fork.reserve_rowid("name")
+        copy = fork.indexes["name"]
         assert (copy.keys, copy.ids) == (idx.keys, idx.ids)
         assert copy.keys is not idx.keys and copy.ids is not idx.ids
 
@@ -262,30 +265,60 @@ class TestReferrers:
         }
 
 
+class TestFork:
+    def test_a_fork_shares_every_index_until_it_writes_one(self):
+        state, ids = small_library()
+        fork = state.fork()
+        assert all(fork.indexes[n] is idx for n, idx in state.indexes.items())
+        # a stored tuple is no write
+        assert fork.insert("genre", (TextVal("epic"),)) == (ids["genre"], False)
+        assert fork.indexes["genre"] is state.indexes["genre"]
+        fork.insert("genre", (TextVal("noir"),))
+        copied = [n for n, idx in state.indexes.items() if fork.indexes[n] is not idx]
+        assert copied == ["genre"]
+        assert fork.contains_tuple("genre", (TextVal("noir"),)) is not None
+        assert state.contains_tuple("genre", (TextVal("noir"),)) is None
+
+    def test_a_forked_parent_copies_before_it_writes(self):
+        state, ids = small_library()
+        fork = state.fork()
+        shared = state.indexes["department"]
+        state.erase("department", ids["spare"])
+        assert state.indexes["department"] is not shared
+        assert fork.indexes["department"] is shared
+        assert len(fork.scan("department")) == 2
+        assert len(state.scan("department")) == 1
+        assert index_faults(state) == index_faults(fork) == []
+
+    def test_a_written_bucket_is_copied_and_the_base_bucket_kept(self):
+        state, ids = small_library()
+        dawkins, _ = state.insert("author", author("Dawkins", "1941-03-26"))
+        gene, _ = state.insert(
+            "book", (RefVal("author", dawkins), TextVal("Gene"), TimestampVal(1976))
+        )
+        base = state.indexes["book"].reverse[0]
+        homer_bucket, dawkins_bucket = base[("author", ids["homer"])], base[("author", dawkins)]
+        fork = state.fork()
+        iliad, _ = fork.insert(
+            "book", (RefVal("author", ids["homer"]), TextVal("Iliad"), TimestampVal(-760))
+        )
+        reverse = fork.indexes["book"].reverse[0]
+        written = reverse[("author", ids["homer"])]
+        assert written is not homer_bucket
+        assert written == {ids["book"], iliad}
+        assert homer_bucket == {ids["book"]}
+        assert reverse[("author", dawkins)] is dawkins_bucket  # not written, still shared
+        # the copy is the fork's own: later writes to it copy nothing more
+        fork.erase("book", iliad)
+        assert reverse[("author", ids["homer"])] is written and written == {ids["book"]}
+        # dropping a shared bucket's last row leaves the base's bucket whole
+        fork.erase("book", gene, cascade=True)
+        assert ("author", dawkins) not in reverse
+        assert dawkins_bucket == {gene}
+        assert index_faults(state) == index_faults(fork) == []
+
+
 # --- properties -----------------------------------------------------------------
-
-
-def rebuild_reverse(state):
-    from relang.store import iter_refs
-
-    rebuilt = {}
-    for rel_name, idx in state.indexes.items():
-        for rowid, values in idx.rows.items():
-            for pos, v in enumerate(values):
-                for target in iter_refs([v]):
-                    rebuilt.setdefault((rel_name, pos), {}).setdefault(
-                        target, set()
-                    ).add(rowid)
-    return rebuilt
-
-
-def current_reverse(state):
-    return {
-        (rel_name, pos): {t: set(rs) for t, rs in mapping.items() if rs}
-        for rel_name, idx in state.indexes.items()
-        for pos, mapping in idx.reverse.items()
-        if any(mapping.values())
-    }
 
 
 ops = st.lists(
@@ -342,14 +375,7 @@ def test_reverse_index_matches_a_full_rebuild(sequence):
             authors = sorted(state.indexes["author"].rows)
             if authors:
                 state.erase("author", authors[a % len(authors)], cascade=True)
-    assert current_reverse(state) == rebuild_reverse(state)
-    # the key array lists each row once, under its own key, in key order
-    for idx in state.indexes.values():
-        assert all(k <= after for k, after in zip(idx.keys, idx.keys[1:]))
-        assert list(zip(idx.keys, idx.ids)) == [
-            (encode_tuple(idx.rows[rowid]), rowid) for rowid in idx.ids
-        ]
-        assert sorted(idx.ids) == sorted(idx.rows)
+    assert index_faults(state) == []
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=50))

@@ -1,17 +1,22 @@
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relang
 from relang.errors import (
     IntegrityError,
     NameCollision,
     Rebind,
+    RelangError,
     TypeMismatch,
     UnknownAttr,
 )
 from relang.txn import CommitReport
 
 from conftest import LIBRARY_DDL, LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
-from oracles import collision_keys, dangling_refs
+from oracles import collision_keys, dangling_refs, index_faults
 
 
 class TestPlanAdd:
@@ -431,3 +436,109 @@ class TestAtomicity:
         script = LIBRARY_SCRIPT + 'remove book (genre "bore")\nrollback\n'
         a, b = build_db(script), build_db(script)
         assert fingerprint(a) == fingerprint(b)
+
+
+# --- copy on write ------------------------------------------------------------------
+
+
+def copied(db):
+    """The relations whose index the shadow no longer shares with the
+    published state."""
+    shadow, published = db.txn.shadow.indexes, db.published.indexes
+    return {n for n in shadow.keys() | published.keys() if shadow.get(n) is not published.get(n)}
+
+
+class TestSharing:
+    def test_a_reopened_transaction_shares_every_index(self, library):
+        assert copied(library) == set()
+        run(library, 'add genre {"noir"} commit')
+        assert copied(library) == set()
+        run(library, 'add genre {"pulp"}')
+        assert copied(library) == {"genre"}
+        run(library, "rollback")
+        assert copied(library) == set()
+        run(library, 'remove genre (genre "epic")')
+        with pytest.raises(IntegrityError):
+            run(library, "commit")
+        assert copied(library) == set()
+
+    def test_reads_and_a_stored_tuple_copy_nothing(self, library):
+        q(library, '{genre (author "Homer" .)}')
+        q(library, "[(book) [author name] title]")
+        run(library, 'B = (book . "Emma" .) add genre {"epic"}')
+        assert copied(library) == set()
+
+    def test_an_update_copies_only_its_relation(self, library):
+        published = library.published
+        run(library, 'update author (author "Homer" .) (birthdate "700 BC")')
+        assert copied(library) == {"author"}
+        run(library, "commit")
+        assert library.published is not published
+        assert {
+            n for n, idx in published.indexes.items() if library.published.indexes[n] is not idx
+        } == {"author"}
+
+    def test_an_abolish_copies_the_relations_it_removes_from(self, library):
+        run(library, 'abolish author (author "Homer" .)')
+        assert copied(library) == {"author", "book", "book_genre", "available"}
+
+
+def state_snapshot(state):
+    return relang.save_snapshot(SimpleNamespace(catalog=state.catalog, published=state))
+
+
+_AUTHORS = st.sampled_from(['{"Ada" "1801"}', '{"Ada" "1802"}', '{"Byron" "1801"}'])
+_BOOKS = st.builds(
+    lambda a, t: f'{{{a} "{t}" "1900"}}', _AUTHORS, st.sampled_from(["Alpha", "Beta"])
+)
+_GENRES = st.sampled_from(['"g1"', '"g2"'])
+# references spelled out by value, over small pools, so that removals strand
+# referrers, updates collide and commits abort
+STATEMENTS = st.one_of(
+    _AUTHORS.map(lambda a: f"add author {a}"),
+    _BOOKS.map(lambda b: f"add book {b}"),
+    _GENRES.map(lambda g: f"add genre {{{g}}}"),
+    st.builds(lambda b, g: f"add book_genre {{{b} {{{g}}}}}", _BOOKS, _GENRES),
+    st.builds(
+        lambda a, y: f'update author ({a}) (birthdate "{y}")',
+        _AUTHORS,
+        st.sampled_from(["1801", "1802"]),
+    ),
+    st.builds(lambda g, h: f"update genre (genre {g}) (text {h})", _GENRES, _GENRES),
+    _BOOKS.map(lambda b: f"remove book ({b})"),
+    _GENRES.map(lambda g: f"remove genre (genre {g})"),
+    _AUTHORS.map(lambda a: f"remove author ({a})"),
+    _AUTHORS.map(lambda a: f"abolish author ({a})"),
+    st.just("commit"),
+    st.just("commit"),
+    st.just("commit"),
+    st.sampled_from(["rollback", "define", "shelve"]),
+)
+
+
+@given(st.lists(STATEMENTS, min_size=5, max_size=50))
+@settings(max_examples=80, deadline=None)
+def test_published_states_never_change(statements):
+    db = build_db(LIBRARY_DDL)
+    published = [(db.published, state_snapshot(db.published))]
+    shelves = 0
+    for text in statements:
+        if text == "define":  # a definition in the middle of a transaction
+            shelves += 1
+            text = f"relation (shelf{shelves} book (label text))"
+        elif text == "shelve":
+            if not shelves:
+                continue
+            text = f'add shelf{shelves} {{(book . "Alpha" .) "top"}}'
+        try:
+            run(db, text)
+        except RelangError:
+            pass  # a rejected statement, or a commit that aborted
+        if db.published is not published[-1][0]:
+            published.append((db.published, state_snapshot(db.published)))
+    for state, saved in published:
+        assert state_snapshot(state) == saved
+        assert index_faults(state) == []
+    last = relang.save_snapshot(db)
+    assert relang.save_snapshot(relang.load_snapshot(last)) == last
+
