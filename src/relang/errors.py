@@ -74,10 +74,6 @@ class RowNotFound(RelangError):
     pass
 
 
-class ReferencedRow(RelangError):
-    pass
-
-
 class NotEnumerable(RelangError):
     pass
 

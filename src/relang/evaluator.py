@@ -908,9 +908,12 @@ def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
         advanced = set()
         if edge.adopter == current:
             rows = state.indexes[current].rows
+            # a reference may name an unstored row: one reserved for a
+            # pending reference, or one removed with its referrer left
+            stored = state.indexes[nxt].rows
             for start, rid in pairs:
                 v = rows[rid][edge.position]
-                if isinstance(v, RefVal):
+                if isinstance(v, RefVal) and v.row in stored:
                     advanced.add((start, v.row))
         else:
             reverse = state.indexes[nxt].reverse.get(edge.position, {})

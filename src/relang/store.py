@@ -20,6 +20,13 @@ the row id it holds. Only removal and rekey encode a stored tuple again, to
 find the entry it leaves, since no row id -> key map is kept; so does a
 commit, for each row whose rekey collided.
 
+The store is a plain holder of conforming tuples and checks no integrity
+rule. Callers hand ``insert`` and ``rekey`` tuples that conform to the
+relation's domains: a transaction conforms every tuple it writes
+(``txn.conform_flat``) and checks references, removals and key collisions at
+commit, and a snapshot load checks each row's shape and references once
+(``shell._materialize``).
+
 Row ids are allocated from a per-relation counter starting at 1 and are never
 reused within a database lifetime. They are internal: no language syntax can
 mention one and no output ever shows one.
@@ -47,36 +54,14 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .catalog import Catalog, RelationDef
-from .errors import (
-    ArityMismatch,
-    DomainTypeMismatch,
-    NotEnumerable,
-    ReferencedRow,
-    RowNotFound,
-)
-from .values import (
-    IntVal,
-    RealVal,
-    RefVal,
-    TextVal,
-    TimestampVal,
-    TupleVal,
-    encode_tuple,
-)
-
-_SCALAR_CLASSES = {
-    "int": IntVal,
-    "real": RealVal,
-    "text": TextVal,
-    "timestamp": TimestampVal,
-}
+from .errors import NotEnumerable, RowNotFound
+from .values import RefVal, TupleVal, encode_tuple
 
 
 class MultitableIndex:
     """Ordered index holding every tuple of one simple relation."""
 
-    def __init__(self, domains):
-        self.domains = domains
+    def __init__(self):
         self.rows: Dict[int, tuple] = {}
         self.keys: List[bytes] = []  # ascending; equal keys only in a collision
         self.ids: List[int] = []  # ids[i] is the row stored under keys[i]
@@ -89,7 +74,7 @@ class MultitableIndex:
     def copy(self) -> "MultitableIndex":
         """A copy for a new owner, sharing the row tuples and every reverse
         bucket with this index; the copy owns no bucket yet."""
-        copy = MultitableIndex(self.domains)
+        copy = MultitableIndex()
         copy.rows = dict(self.rows)
         copy.keys = list(self.keys)
         copy.ids = list(self.ids)
@@ -189,7 +174,7 @@ class DbState:
 
     def add_relation(self, rel: RelationDef):
         if rel.klass == "simple" and rel.name not in self.indexes:
-            self.indexes[rel.name] = MultitableIndex(rel.domains)
+            self.indexes[rel.name] = MultitableIndex()
             self.owned.add(rel.name)
 
     def _writable(self, relation: str) -> MultitableIndex:
@@ -207,42 +192,6 @@ class DbState:
             raise NotEnumerable(f"{relation!r} is a {rel.klass} relation; it has no stored tuples")
         return idx
 
-    # -- validation
-
-    def validate_tuple(self, relation: str, values) -> tuple:
-        """Check a tuple structurally against the relation's domains."""
-        rel = self.catalog.lookup(relation)
-        return self._validate_against(rel, values)
-
-    def _validate_against(self, rel: RelationDef, values) -> tuple:
-        values = tuple(values)
-        if len(values) != rel.arity:
-            raise ArityMismatch(
-                f"{rel.name!r} has arity {rel.arity}, got {len(values)} values"
-            )
-        for dom, v in zip(rel.domains, values):
-            if dom.is_scalar:
-                if not isinstance(v, _SCALAR_CLASSES[dom.type_name]):
-                    raise DomainTypeMismatch(
-                        f"position {dom.attr!r} of {rel.name!r} holds {dom.type_name}"
-                    )
-            else:
-                target = self.catalog.lookup(dom.type_name)
-                if target.klass == "simple":
-                    if not isinstance(v, RefVal) or v.relation != dom.type_name:
-                        raise DomainTypeMismatch(
-                            f"position {dom.attr!r} of {rel.name!r} references"
-                            f" {dom.type_name!r}"
-                        )
-                else:  # domain-class: inline complex value
-                    if not isinstance(v, TupleVal) or v.relation != dom.type_name:
-                        raise DomainTypeMismatch(
-                            f"position {dom.attr!r} of {rel.name!r} holds an inline"
-                            f" {dom.type_name!r} tuple"
-                        )
-                    self._validate_against(target, v.values)
-        return values
-
     # -- operations
 
     def insert(self, relation: str, values, *, rowid=None):
@@ -251,11 +200,9 @@ class DbState:
         Duplicate insertion is an idempotent no-op returning the existing id.
         ``rowid`` pins the id of a fresh row (used when a deferred reference
         is being satisfied); it must have been reserved via reserve_rowid.
-        References are not checked here: the transaction checks them at
-        commit, and a snapshot load rejects an ordinal it has not loaded.
+        The tuple is stored as given, so it must conform to the relation.
         """
         idx = self._index(relation)
-        values = self.validate_tuple(relation, values)
         key = encode_tuple(values)
         keys = idx.keys
         i = len(keys)
@@ -297,7 +244,7 @@ class DbState:
         idx = self._index(relation)
         row = idx.rows.get(rowid)
         if row is None:
-            raise RowNotFound(f"no row {rowid} in relation {relation!r}")
+            raise RowNotFound(f"no such tuple in relation {relation!r}")
         return row
 
     def scan(self, relation: str, prefix: bytes = b"") -> Dict[bytes, tuple]:
@@ -324,43 +271,33 @@ class DbState:
         hi = len(keys) if end is None else bisect_left(keys, end, lo)
         return {keys[i]: rows[ids[i]] for i in range(lo, hi)}
 
-    def referrers(self, relation: str, rowid: int):
-        """Every (relation, attr, row) whose tuple references the given row."""
-        self.get_row(relation, rowid)
-        return self._referrers(relation, rowid)
-
-    def _referrers(self, relation: str, rowid: int):
+    def referrers(self, relation: str, rowid: int) -> Set[Tuple[str, int]]:
+        """Every (relation, row) whose tuple references the given row, which
+        need not be stored any more."""
         found = set()
         target = (relation, rowid)
         for q_name, q_idx in self.indexes.items():
-            for pos, refs in q_idx.reverse.items():
+            for refs in q_idx.reverse.values():
                 for referrer in refs.get(target, ()):
-                    found.add((q_name, q_idx.domains[pos].attr, referrer))
+                    found.add((q_name, referrer))
         return found
 
-    def erase(self, relation: str, rowid: int, *, cascade=False, force=False):
+    def erase(self, relation: str, rowid: int, *, cascade=False):
         """Remove a row; returns the set of (relation, row) pairs removed.
 
-        Without cascade, a still-referenced row is rejected unless ``force``
-        is set (the transaction layer forces and defers the check to commit).
-        With cascade, every transitively referencing row goes too.
+        With cascade, every row referencing it, transitively, goes too.
+        Without, only the row goes, and a referrer left behind is the
+        caller's to report: a transaction reports it at commit.
         """
         self.get_row(relation, rowid)
+        doomed = {(relation, rowid)}
         if cascade:
-            doomed = {(relation, rowid)}
             frontier = [(relation, rowid)]
             while frontier:
-                rel_name, rid = frontier.pop()
-                for q_name, _attr, q_row in self._referrers(rel_name, rid):
-                    if (q_name, q_row) not in doomed:
-                        doomed.add((q_name, q_row))
-                        frontier.append((q_name, q_row))
-        else:
-            if not force and self._referrers(relation, rowid):
-                raise ReferencedRow(
-                    f"row {rowid} of {relation!r} is referenced by other tuples"
-                )
-            doomed = {(relation, rowid)}
+                for pair in self.referrers(*frontier.pop()):
+                    if pair not in doomed:
+                        doomed.add(pair)
+                        frontier.append(pair)
         for rel_name, rid in doomed:
             self._remove_row(rel_name, rid)
         return doomed
@@ -372,14 +309,14 @@ class DbState:
         idx.unlink(rowid, values)
 
     def rekey(self, relation: str, rowid: int, new_values) -> bool:
-        """Replace a row's tuple in place, preserving its row id.
+        """Replace a row's tuple in place, preserving its row id; the new
+        tuple is stored as given.
 
         Returns True when the new key collided with a different live row. The
         row is then stored after the key's earlier holders, and the caller
         must resolve the collision (a transaction aborts at commit).
         """
         old_values = self.get_row(relation, rowid)
-        new_values = self.validate_tuple(relation, new_values)
         old_key = encode_tuple(old_values)
         new_key = encode_tuple(new_values)
         idx = self._writable(relation)

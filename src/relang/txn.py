@@ -115,7 +115,6 @@ def conform_flat(rel: RelationDef, flat, catalog: Catalog, resolver: _RefResolve
         raise ArityMismatch(
             f"{rel.name!r} takes {rel.arity} domains; {len(flat) - end} values left over"
         )
-    encode_tuple(values)  # any unencodable value fails here, before any write
     return values
 
 
@@ -352,7 +351,7 @@ class TxnPlan:
                 continue  # already gone via an earlier cascade
             removed[key] = values
             # a referrer left behind is caught at commit
-            for pair in self.shadow.erase(relation, rowid, cascade=cascade, force=True):
+            for pair in self.shadow.erase(relation, rowid, cascade=cascade):
                 self.written[pair] = self._stmt
         self.steps += 1
         return TupleSet(relation_schema(rel), relation=relation, rows=removed)
@@ -466,7 +465,7 @@ class TxnPlan:
         for (relation, rowid), stmt in self.written.items():
             values = indexes[relation].rows.get(rowid)
             if values is None:
-                if self.shadow._referrers(relation, rowid):
+                if self.shadow.referrers(relation, rowid):
                     yield stmt, f"removed tuple of {relation!r} is still referenced"
                 continue
             for t_rel, t_row in iter_refs(values):

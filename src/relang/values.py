@@ -55,6 +55,14 @@ class RealVal:
 class TextVal:
     value: str
 
+    def __post_init__(self):
+        # a lone surrogate has no UTF-8 encoding, so no key
+        if not self.value.isascii():
+            try:
+                self.value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DomainTypeMismatch("text holds a lone surrogate") from None
+
 
 @dataclass(frozen=True)
 class TimestampVal:

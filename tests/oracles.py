@@ -22,6 +22,7 @@ from relang.values import (
     RefVal,
     TextVal,
     TimestampVal,
+    TupleVal,
     encode_tuple,
 )
 
@@ -156,6 +157,44 @@ def index_faults(state):
         if current != rebuilt:
             faults.append((rel_name, "reverse maps differ from the rows"))
     return faults
+
+
+SCALAR_CLASSES = {"int": IntVal, "real": RealVal, "text": TextVal, "timestamp": TimestampVal}
+
+
+def type_faults(state):
+    """Every (relation, row) whose stored tuple does not conform to its
+    relation's domains: the arity, each scalar's class, each reference's
+    relation, and each inline tuple, recursively. Empty on any state,
+    published or not."""
+    catalog = state.catalog
+
+    def conforms(rel, values):
+        if not isinstance(values, tuple) or len(values) != rel.arity:
+            return False
+        for dom, v in zip(rel.domains, values):
+            if dom.is_scalar:
+                if type(v) is not SCALAR_CLASSES[dom.type_name]:
+                    return False
+                continue
+            target = catalog.lookup(dom.type_name)
+            if target.klass == "simple":
+                if not (isinstance(v, RefVal) and v.relation == target.name):
+                    return False
+            elif not (
+                isinstance(v, TupleVal)
+                and v.relation == target.name
+                and conforms(target, v.values)
+            ):
+                return False
+        return True
+
+    return [
+        (rel_name, rowid)
+        for rel_name, idx in state.indexes.items()
+        for rowid, values in idx.rows.items()
+        if not conforms(catalog.lookup(rel_name), values)
+    ]
 
 
 def collision_keys(state):

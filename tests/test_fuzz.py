@@ -15,6 +15,7 @@ from relang.errors import RelangError
 from relang.shell import Session
 
 from conftest import LIBRARY_SCRIPT, build_db
+from oracles import type_faults
 
 SNAPSHOT = save_snapshot(
     build_db(
@@ -72,6 +73,8 @@ def test_mutated_snapshots_load_or_raise_relang_errors(edits):
         db = load_snapshot(text)
     except RelangError:
         return
+    # the loader is the only check on a snapshot row's shape
+    assert type_faults(db.published) == []
     saved = save_snapshot(db)
     assert save_snapshot(load_snapshot(saved)) == saved
 

@@ -213,6 +213,38 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="not a canonical"):
             load_snapshot(text)
 
+    SHAPED = (
+        ";; relang snapshot v1\n"
+        "relation (author (name text))\n"
+        "relation (book author (title text))\n"
+        "domain (point2d real real)\n"
+        "relation (p (n int) (label text) (by author) (at point2d))\n"
+        "\n"
+        'row author 1 {"A"}\n'
+        'row book 1 {#author:1 "T"}\n'
+    )
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            '{1 "x" #author:1 {1.5 2.5} 2}',
+            '{1 "x" #author:1}',
+            '{1 "x" #author:1 {1.5}}',
+            '{"1" "x" #author:1 {1.5 2.5}}',
+            '{1 2 #author:1 {1.5 2.5}}',
+            '{1 "x" #book:1 {1.5 2.5}}',
+            '{1 "x" {"A"} {1.5 2.5}}',
+            '{1 "x" #author:1 #author:1}',
+        ],
+        ids=["too_many", "too_few", "inline_too_few", "text_at_int", "number_at_text",
+             "wrong_relation", "inline_at_reference", "reference_at_inline"],
+    )
+    def test_rows_of_the_wrong_shape_are_rejected(self, values):
+        good = self.SHAPED + 'row p 1 {1 "x" #author:1 {1.5 2.5}}\n'
+        assert len(load_snapshot(good).published.scan("p")) == 1
+        with pytest.raises(SnapshotFormatError):
+            load_snapshot(self.SHAPED + f"row p 1 {values}\n")
+
     def test_a_row_error_names_its_line_without_a_column(self):
         text = ";; relang snapshot v1\nrelation (p (n int) (x real))\n\nrow p 1 {1_0 1.5}\n"
         with pytest.raises(SnapshotFormatError) as exc:

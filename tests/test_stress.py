@@ -7,10 +7,17 @@ import random
 import pytest
 
 import relang
+from relang import format_result, parse_expression
 from relang.errors import IntegrityError, RelangError
 
 from conftest import LIBRARY_DDL, build_db, fingerprint, run
-from oracles import collision_keys, commit_must_abort, dangling_refs, reference_report
+from oracles import (
+    collision_keys,
+    commit_must_abort,
+    dangling_refs,
+    reference_report,
+    type_faults,
+)
 
 AUTHORS = ["Ada", "Byron", "Curie", "Darwin", "Erdos"]
 TITLES = ["Alpha", "Beta", "Gamma", "Delta"]
@@ -142,12 +149,27 @@ def deferred_statement(rng):
     return "rollback"
 
 
+# a connection walking two references and a projection dereferencing one,
+# read while references may be pending or referrers stranded
+READS = ("{author (book_genre)}", "[(book) [author name] title]")
+
+
+def read_all(db):
+    """Evaluate and format each of READS: each works or raises a RelangError."""
+    for text in READS:
+        try:
+            format_result(db.eval(parse_expression(text)), "sexpr", db.txn.shadow)
+        except RelangError:
+            pass
+
+
 def drive(db, statements):
     """Run statements the way the shell would, tolerating integrity failures;
     returns the count of successful commits.
 
     Before each commit, the whole-state checks decide whether it must abort,
-    and a successful commit's report must equal the whole-database diff."""
+    and a successful commit's report must equal the whole-database diff.
+    After every other statement that runs, the transaction is read."""
     commits = 0
     for text in statements:
         before = fingerprint(db)
@@ -168,6 +190,9 @@ def drive(db, statements):
             commits += 1
             assert dangling_refs(db.published) == []
             assert collision_keys(db.published) == []
+            assert type_faults(db.published) == []
+        elif text != "rollback":
+            read_all(db)
     return commits
 
 

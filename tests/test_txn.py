@@ -6,17 +6,19 @@ from hypothesis import strategies as st
 
 import relang
 from relang.errors import (
+    DomainTypeMismatch,
     IntegrityError,
     NameCollision,
     Rebind,
     RelangError,
+    RowNotFound,
     TypeMismatch,
     UnknownAttr,
 )
 from relang.txn import CommitReport
 
 from conftest import LIBRARY_DDL, LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
-from oracles import collision_keys, dangling_refs, index_faults
+from oracles import collision_keys, dangling_refs, index_faults, type_faults
 
 
 class TestPlanAdd:
@@ -76,6 +78,12 @@ class TestPlanAdd:
             returned = {t[0].value for t in result.tuples()}
             assert returned == set(chosen) - pre_existing
             assert returned | pre_existing == set(chosen)
+
+    def test_a_lone_surrogate_fails_the_statement_before_any_write(self, library_ddl):
+        db = library_ddl
+        with pytest.raises(DomainTypeMismatch):
+            run(db, 'add genre ({"a"} {"b\ud800"})')
+        assert len(q(db, "(genre)")) == 0
 
 
 class TestPlanRemove:
@@ -438,6 +446,55 @@ class TestAtomicity:
         assert fingerprint(a) == fingerprint(b)
 
 
+class TestReadsWhileAReferenceIsPending:
+    """A row reserved for a referenced tuple that was never added is not a
+    row: a connection drops it, and dereferencing it is a RelangError."""
+
+    @pytest.fixture
+    def pending(self, library_ddl):
+        run(
+            library_ddl,
+            "add book {{'Homer' '800 BC'} 'Ulysses' '750 BC'}"
+            " add genre {'epic'}"
+            " add book_genre {(book . 'Ulysses' .) (genre 'epic')}",
+        )
+        assert library_ddl.txn.pending
+        return library_ddl
+
+    def _aborts_as_never_added(self, db):
+        with pytest.raises(IntegrityError, match="never added"):
+            run(db, "commit")
+
+    def test_a_connection_to_the_pending_row_is_empty(self, pending):
+        assert len(q(pending, "{author (book)}")) == 0
+        assert len(q(pending, "{author (book_genre)}")) == 0  # through book
+        assert len(q(pending, "{genre (book)}")) == 1  # the book itself is stored
+        self._aborts_as_never_added(pending)
+
+    def test_abolishing_through_the_pending_row_is_a_no_op(self, pending):
+        shadow = pending.txn.shadow
+        before = {name: dict(idx.rows) for name, idx in shadow.indexes.items()}
+        assert len(run(pending, "abolish author (book)")) == 0
+        assert {name: dict(idx.rows) for name, idx in shadow.indexes.items()} == before
+        self._aborts_as_never_added(pending)
+
+    @pytest.mark.parametrize("text", ["(book)", "[(book) [author name] title]"])
+    def test_dereferencing_the_pending_row_shows_no_row_id(self, pending, text):
+        with pytest.raises(RowNotFound) as exc:
+            relang.format_result(q(pending, text), "sexpr", pending.txn.shadow)
+        message = str(exc.value)
+        assert "'author'" in message
+        assert not any(ch.isdigit() for ch in message)
+
+    def test_a_connection_to_a_removed_row_is_empty(self, library_ddl):
+        db = library_ddl
+        run(db, 'add author {"X" "1900"} add book {(author "X" .) "One" "1950"} commit')
+        run(db, 'remove author (author "X" .)')
+        assert len(q(db, "{author (book)}")) == 0
+        with pytest.raises(IntegrityError, match="still referenced"):
+            run(db, "commit")
+
+
 # --- copy on write ------------------------------------------------------------------
 
 
@@ -539,6 +596,7 @@ def test_published_states_never_change(statements):
     for state, saved in published:
         assert state_snapshot(state) == saved
         assert index_faults(state) == []
+        assert type_faults(state) == []
     last = relang.save_snapshot(db)
     assert relang.save_snapshot(relang.load_snapshot(last)) == last
 

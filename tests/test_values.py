@@ -123,6 +123,13 @@ class TestTextEncoding:
         assert (a == b) == (ka == kb)
 
 
+    def test_a_lone_surrogate_is_rejected_when_built(self):
+        # it has no UTF-8 encoding, so a stored text holding one has no key
+        assert TextVal("caf\u00e9 \U0001f600").value == "caf\u00e9 \U0001f600"
+        with pytest.raises(DomainTypeMismatch):
+            TextVal("a\ud800")
+
+
 class TestTimestampEncoding:
     @given(
         st.tuples(
