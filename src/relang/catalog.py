@@ -110,6 +110,8 @@ class Catalog:
     def __init__(self, relations=None):
         self.relations: Dict[str, RelationDef] = dict(relations or {})
         self._graph: Optional[SchemaGraph] = None
+        # relation -> the positions ``referencing`` returns
+        self._referencing: Optional[Dict[str, Tuple[Tuple[str, int], ...]]] = None
         # (start, goal) -> the path ``evaluator.shortest_path`` found, or the
         # error it raised
         self._paths: Dict[Tuple[str, str], object] = {}
@@ -201,6 +203,26 @@ class Catalog:
                         edges.append(Edge(rel.name, dom.attr, pos, dom.type_name))
             self._graph = SchemaGraph(self.relations.keys(), edges)
         return self._graph
+
+    def referencing(self, target: str) -> Tuple[Tuple[str, int], ...]:
+        """(relation, position) of every simple-relation position whose value
+        may reference a row of ``target``: the schema graph's edges into
+        ``target``, followed back through domain classes, so that a position
+        holding an inline tuple that holds such a reference counts."""
+        if self._referencing is None:
+            # type -> the simple relations its values may reference; a
+            # domain class's edges come after those of the types it adopts
+            reached = {n: {n} for n, rel in self.relations.items() if rel.klass == "simple"}
+            found: Dict[str, list] = {}
+            for edge in self.schema_graph().edges:
+                names = reached.get(edge.target, set())
+                if self.relations[edge.adopter].klass == "simple":
+                    for name in sorted(names):
+                        found.setdefault(name, []).append((edge.adopter, edge.position))
+                else:
+                    reached.setdefault(edge.adopter, set()).update(names)
+            self._referencing = {name: tuple(found[name]) for name in found}
+        return self._referencing.get(target, ())
 
 
 # --- static typing of expressions ---------------------------------------------

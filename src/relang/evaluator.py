@@ -27,7 +27,7 @@ import re as _re
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
-from . import syntax
+from . import store, syntax
 from .catalog import BUILTIN_FUNCTIONS, SCALAR_TYPES, Catalog, RelationDef, SchemaGraph
 from .errors import (
     AmbiguousPath,
@@ -902,27 +902,34 @@ def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
     if any(env.catalog.lookup(n).klass != "simple" for n in nodes):
         return result
     state = env.state
+    bits = store.ROW_BITS
+    mask = (1 << bits) - 1
     # (source row, current row) pairs walked edge by edge, source to target
     pairs = {(rid, rid) for rid in state.rowids(source.relation, source._rows)}
     for (edge, current), nxt in zip(reversed(path), reversed(nodes[:-1])):
         advanced = set()
         if edge.adopter == current:
-            rows = state.indexes[current].rows
+            pages = state.indexes[current].rows.pages
             # a reference may name an unstored row: one reserved for a
-            # pending reference, or one removed with its referrer left
-            stored = state.indexes[nxt].rows
+            # pending reference, or one removed with its referrer left; its
+            # page, covering a row id handed out, is in the table
+            stored = state.indexes[nxt].rows.pages
             for start, rid in pairs:
-                v = rows[rid][edge.position]
-                if isinstance(v, RefVal) and v.row in stored:
-                    advanced.add((start, v.row))
+                v = pages[rid >> bits][rid & mask][edge.position]
+                if isinstance(v, RefVal):
+                    page = stored[v.row >> bits]
+                    if page is not None and page[v.row & mask] is not None:
+                        advanced.add((start, v.row))
         else:
             reverse = state.indexes[nxt].reverse.get(edge.position, {})
             for start, rid in pairs:
-                for referrer in reverse.get((current, rid), ()):
-                    advanced.add((start, referrer))
+                page = reverse.get(rid >> bits)
+                if page is not None:
+                    for referrer in page.get((current, rid), ()):
+                        advanced.add((start, referrer))
         pairs = advanced
-    target_rows = state.indexes[target].rows
-    source_rows = state.indexes[source.relation].rows
+    target_pages = state.indexes[target].rows.pages
+    source_pages = state.indexes[source.relation].rows.pages
     for start, end in pairs:
-        result.add(target_rows[end] + source_rows[start])
+        result.add(target_pages[end >> bits][end & mask] + source_pages[start >> bits][start & mask])
     return result

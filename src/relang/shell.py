@@ -26,10 +26,11 @@ import io
 import sys
 from typing import Dict, List, Optional
 
-from . import syntax
+from . import store, syntax
 from .catalog import Catalog, RelationDef
 from .errors import (
     DanglingOrdinal,
+    DomainTypeMismatch,
     RelangError,
     SnapshotFormatError,
     SourceError,
@@ -189,8 +190,14 @@ def _export_orders(catalog: Catalog, state: DbState) -> Dict[str, Dict[int, int]
         if catalog.lookup(name).klass != "simple":
             continue
         idx = state.indexes.get(name)
-        rows = idx.rows if idx is not None else {}
-        keyed = sorted((export_key(values), rowid) for rowid, values in rows.items())
+        pages, bits = idx.rows.pages if idx is not None else (), store.ROW_BITS
+        keyed = sorted(
+            (export_key(values), (n << bits) + i)
+            for n, page in enumerate(pages)
+            if page is not None
+            for i, values in enumerate(page)
+            if values is not None
+        )
         orders[name] = {rowid: i + 1 for i, (_k, rowid) in enumerate(keyed)}
     return orders
 
@@ -225,9 +232,10 @@ def save_snapshot(db: Database) -> str:
         idx = state.indexes.get(name)
         if idx is None:
             continue
+        pages, bits, mask = idx.rows.pages, store.ROW_BITS, (1 << store.ROW_BITS) - 1
         by_ordinal = sorted(orders[name].items(), key=lambda kv: kv[1])
         for rowid, ordinal in by_ordinal:
-            values = " ".join(_snapshot_value(v, orders) for v in idx.rows[rowid])
+            values = " ".join(_snapshot_value(v, orders) for v in pages[rowid >> bits][rowid & mask])
             lines.append(f"row {name} {ordinal} {{{values}}}")
     return "\n".join(lines) + "\n"
 
@@ -322,7 +330,10 @@ def _materialize(parsed, rel: RelationDef, catalog: Catalog, loaded_rows, line_n
         if dom.is_scalar:
             if item[0] == "text":
                 if dom.type_name == "text":
-                    out.append(TextVal(item[1]))
+                    try:
+                        out.append(TextVal(item[1]))
+                    except DomainTypeMismatch as exc:  # a lone surrogate
+                        raise SnapshotFormatError(str(exc), line_no) from None
                     continue
                 raise SnapshotFormatError(
                     f"text where {dom.type_name} expected", line_no

@@ -1,11 +1,24 @@
 """Tuple storage: each simple relation is exactly one ordered multitable index.
 
-The index is two parallel lists: ``keys`` holds every stored tuple's
-canonical key in ascending byte order, and ``ids[i]`` is the row stored
-under ``keys[i]``. That pair IS the relation; the rows map is its inverse
-view, and per-position reverse maps invert every reference so referential
-traversal and cascades never scan. Every lookup is a bisection over
-``keys``, and ``scan`` reads a key range from it and never sorts.
+The index is paged, and every page is a plain list, dict or set:
+
+- **Keys.** Every stored tuple's canonical key, in ascending byte order, cut
+  into sorted chunks of at most ``CHUNK_MAX`` keys: ``key_chunks[c]`` holds
+  the keys, ``id_chunks[c][i]`` the row stored under ``key_chunks[c][i]``,
+  and ``maxes[c]`` the chunk's largest key. The chunks ARE the relation.
+  A lookup bisects ``maxes`` for the chunk, then the chunk for the slot; a
+  chunk that outgrows ``CHUNK_MAX`` splits in half, and an emptied one is
+  dropped. This is the layout of ``sortedcontainers.SortedList``.
+- **Rows.** The inverse view, row id -> tuple, in pages of
+  ``2 ** ROW_BITS`` consecutive row ids: slot ``rowid & mask`` of page
+  ``rows.pages[rowid >> ROW_BITS]`` holds the row's tuple. A page whose
+  last row goes is dropped.
+- **Reverse maps.** Per position, every reference the rows hold, inverted:
+  ``reverse[pos][t_row >> ROW_BITS][(t_rel, t_row)]`` is the bucket (a set)
+  of rows that reference ``(t_rel, t_row)`` at ``pos``, so referential
+  traversal and cascades never scan.
+
+``scan`` reads a key range from the chunks and never sorts.
 
 Contract of ``scan(relation, prefix)``: it returns every row whose key
 starts with the prefix bytes, in key order. Because text encodings are not
@@ -14,8 +27,8 @@ equal the prefix's value, so a caller must check its constraints on each
 row it gets back.
 
 Invariant: a tuple's canonical key is computed when the tuple is stored
-(insert or rekey) and kept only in ``keys``. Readers never re-encode a
-stored tuple: they take keys from ``scan``, and they match a reference by
+(insert or rekey) and kept only in the key chunks. Readers never re-encode
+a stored tuple: they take keys from ``scan``, and they match a reference by
 the row id it holds. Only removal and rekey encode a stored tuple again, to
 find the entry it leaves, since no row id -> key map is kept; so does a
 commit, for each row whose rekey collided.
@@ -33,100 +46,289 @@ mention one and no output ever shows one.
 
 A transaction's shadow state may temporarily hold two live rows under one
 canonical key (an update collision whose resolution is deferred to commit).
-Such rows form a run of equal keys, the earliest holder first; a published
-state has no run.
+Such rows form a run of equal keys, the earliest holder first, which may
+span chunks; a published state has no run.
 
-Ownership: a state mutates only the indexes it owns, and an index mutates
-only the reverse buckets it owns. ``DbState.fork`` makes a state that shares
-every index with its parent, and after it neither state owns any of them.
-A state's first write to a relation it does not own copies that index
-shallowly: the rows map, the key and id arrays and each position's reverse
-map are copied, while the row tuples and the reverse buckets stay shared.
-The copy's first write to a bucket copies that bucket. An index that no
-state owns is never written again, so a transaction costs the relations it
-writes, and a published state, which a fork leaves owning nothing, stays
-an immutable value that may be read concurrently.
+Ownership has one rule, applied at every level: a copy shares every part
+of the original, and after it neither side owns a shared part, so each
+copies a part on its first write to it. A state owns the indexes it made
+or copied, and ``DbState.fork`` shares every index with the new state. An
+index owns the key chunks, row pages, reverse pages and buckets it made or
+copied (their ``id()`` is in ``owned``), and ``MultitableIndex.copy``
+copies only the page tables. So a state's first write to a relation costs
+O(rows / page size), and each write the pages it touches. An index no
+state owns is never written again: a published state, which a fork leaves
+owning nothing, stays an immutable value that may be read concurrently.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .catalog import Catalog, RelationDef
 from .errors import NotEnumerable, RowNotFound
 from .values import RefVal, TupleVal, encode_tuple
+
+# Page sizes, picked by measurement: a larger page makes a relation's first
+# copy cheaper and each further page copy dearer.
+CHUNK_MAX = 512  # keys per chunk at most; a chunk that outgrows it splits in half
+ROW_BITS = 8  # a row page (and a reverse page) covers 2 ** ROW_BITS row ids
+
+
+class Rows:
+    """The rows of one index, row id -> tuple, read through its pages.
+
+    ``pages[rowid >> ROW_BITS][rowid & mask]`` is a row's tuple, or None
+    where no row is; a page that holds no row is None. The page table
+    covers every row id the index has handed out, so a reference never
+    reads past its end. It reads like a dict; only the index writes it."""
+
+    __slots__ = ("pages", "count")
+
+    def __init__(self, pages: Optional[List[Optional[List[Optional[tuple]]]]] = None, count: int = 0):
+        self.pages = [] if pages is None else pages
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def get(self, rowid, default=None):
+        n = rowid >> ROW_BITS
+        page = self.pages[n] if 0 <= n < len(self.pages) else None
+        row = None if page is None else page[rowid & ((1 << ROW_BITS) - 1)]
+        return default if row is None else row
+
+    def __contains__(self, rowid) -> bool:
+        return self.get(rowid) is not None
+
+    def __getitem__(self, rowid) -> tuple:
+        row = self.get(rowid)
+        if row is None:
+            raise KeyError(rowid)
+        return row
+
+    def items(self) -> Iterator[Tuple[int, tuple]]:
+        for n, page in enumerate(self.pages):
+            if page is not None:
+                base = n << ROW_BITS
+                for i, row in enumerate(page):
+                    if row is not None:
+                        yield base + i, row
+
+    def __iter__(self) -> Iterator[int]:
+        for rowid, _row in self.items():
+            yield rowid
 
 
 class MultitableIndex:
     """Ordered index holding every tuple of one simple relation."""
 
     def __init__(self):
-        self.rows: Dict[int, tuple] = {}
-        self.keys: List[bytes] = []  # ascending; equal keys only in a collision
-        self.ids: List[int] = []  # ids[i] is the row stored under keys[i]
-        # position -> (target relation, target row) -> referencing row ids
-        self.reverse: Dict[int, Dict[Tuple[str, int], Set[int]]] = {}
-        # (position, target) of each reverse bucket this index may write
-        self.owned: Set[Tuple[int, Tuple[str, int]]] = set()
+        self.key_chunks: List[List[bytes]] = []  # ascending; equal keys only in a collision
+        self.id_chunks: List[List[int]] = []  # id_chunks[c][i] is stored under key_chunks[c][i]
+        self.maxes: List[bytes] = []  # maxes[c] is key_chunks[c][-1]
+        self.rows = Rows()
+        # position -> target page -> (target relation, target row) -> referencing row ids
+        self.reverse: Dict[int, Dict[int, Dict[Tuple[str, int], Set[int]]]] = {}
+        # id() of each key chunk, row page, reverse page and bucket this index
+        # made or copied, and so may write
+        self.owned: Set[int] = set()
         self.next_rowid = 1
 
     def copy(self) -> "MultitableIndex":
-        """A copy for a new owner, sharing the row tuples and every reverse
-        bucket with this index; the copy owns no bucket yet."""
+        """A copy for a new owner: it shares every page and bucket with this
+        index, copying only the page tables. Afterwards neither index owns
+        any page, so each copies a page on its first write to it."""
         copy = MultitableIndex()
-        copy.rows = dict(self.rows)
-        copy.keys = list(self.keys)
-        copy.ids = list(self.ids)
-        copy.reverse = {p: dict(m) for p, m in self.reverse.items()}
+        copy.key_chunks = self.key_chunks.copy()
+        copy.id_chunks = self.id_chunks.copy()
+        copy.maxes = self.maxes.copy()
+        copy.rows = Rows(self.rows.pages.copy(), self.rows.count)
+        copy.reverse = {pos: pages.copy() for pos, pages in self.reverse.items()}
         copy.next_rowid = self.next_rowid
+        self.owned = set()  # the pages are shared now: neither index may write them
         return copy
+
+    # -- pages
+
+    def _own(self, table, k, make):
+        """``table[k]`` as a page this index may write: one it did not make
+        is copied first, and a missing one is made by ``make``."""
+        page = table.get(k)
+        if page is None:
+            page = table[k] = make()
+        elif id(page) in self.owned:
+            return page
+        else:
+            page = table[k] = page.copy()
+        self.owned.add(id(page))
+        return page
+
+    def _own_chunk(self, c: int) -> Tuple[List[bytes], List[int]]:
+        """Chunk ``c``'s keys and ids as lists this index may write."""
+        keys, ids = self.key_chunks[c], self.id_chunks[c]
+        if id(keys) not in self.owned:
+            keys = self.key_chunks[c] = keys.copy()
+            ids = self.id_chunks[c] = ids.copy()
+            self.owned.add(id(keys))
+        return keys, ids
+
+    def _drop(self, table, k):
+        """Drop the emptied page ``table[k]``."""
+        self.owned.discard(id(table.pop(k)))
+
+    # -- keys
 
     def first(self, key: bytes) -> Optional[int]:
         """The row stored first under a key (its earliest holder), or None."""
-        keys = self.keys
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            return self.ids[i]
+        c = bisect_left(self.maxes, key)
+        if c < len(self.maxes):
+            keys = self.key_chunks[c]
+            i = bisect_left(keys, key)
+            if keys[i] == key:
+                return self.id_chunks[c][i]
         return None
 
     def run(self, key: bytes) -> List[int]:
         """Every row stored under a key, the earliest holder first."""
-        keys = self.keys
-        lo = bisect_left(keys, key)
-        return self.ids[lo:bisect_right(keys, key, lo)]
+        maxes = self.maxes
+        c = bisect_left(maxes, key)
+        if c == len(maxes):
+            return []
+        keys = self.key_chunks[c]
+        i = bisect_left(keys, key)
+        j = bisect_right(keys, key, i)
+        found = self.id_chunks[c][i:j]
+        while j == len(keys) and c + 1 < len(maxes):  # the run may go on
+            c += 1
+            keys = self.key_chunks[c]
+            j = bisect_right(keys, key)
+            found += self.id_chunks[c][:j]
+        return found
+
+    def place(self, c: int, i: int, key: bytes, rowid: int):
+        """Store ``key`` -> ``rowid`` at slot ``i`` of chunk ``c``; chunk
+        ``len(maxes)`` means after every key, where a full last chunk is
+        followed by a new one, so keys stored in order fill their chunks."""
+        maxes = self.maxes
+        if c == len(maxes):
+            if not maxes or len(self.key_chunks[-1]) >= CHUNK_MAX:
+                self._new_chunk(c, [key], [rowid])
+                return
+            c -= 1
+            i = len(self.key_chunks[c])
+        keys, ids = self._own_chunk(c)
+        keys.insert(i, key)
+        ids.insert(i, rowid)
+        if len(keys) > CHUNK_MAX:
+            half = len(keys) >> 1
+            self._new_chunk(c + 1, keys[half:], ids[half:])
+            del keys[half:], ids[half:]
+        maxes[c] = keys[-1]
+
+    def _new_chunk(self, c: int, keys: List[bytes], ids: List[int]):
+        self.key_chunks.insert(c, keys)
+        self.id_chunks.insert(c, ids)
+        self.maxes.insert(c, keys[-1])
+        self.owned.add(id(keys))
 
     def release(self, key: bytes, rowid: int):
         """Drop a row's entry under a key; the next row of a collision run
         becomes the key's first holder."""
-        i = self.ids.index(rowid, bisect_left(self.keys, key))
-        del self.keys[i]
-        del self.ids[i]
+        c = bisect_left(self.maxes, key)
+        i = bisect_left(self.key_chunks[c], key)
+        while self.id_chunks[c][i] != rowid:  # walk the run, across chunks
+            i += 1
+            if i == len(self.id_chunks[c]):
+                c, i = c + 1, 0
+        if len(self.key_chunks[c]) == 1:
+            self.owned.discard(id(self.key_chunks[c]))
+            del self.key_chunks[c], self.id_chunks[c], self.maxes[c]
+            return
+        keys, ids = self._own_chunk(c)
+        del keys[i], ids[i]
+        self.maxes[c] = keys[-1]
+
+    # -- rows
+
+    def new_rowid(self) -> int:
+        """Hand out the next row id, growing the page table to cover it."""
+        rowid = self.next_rowid
+        self.next_rowid += 1
+        if rowid >> ROW_BITS == len(self.rows.pages):
+            self.rows.pages.append(None)
+        return rowid
+
+    def _row_page(self, n: int) -> List[Optional[tuple]]:
+        """Row page ``n`` as a page this index may write: one it did not make
+        is copied first, and a missing one is made."""
+        page = self.rows.pages[n]
+        if page is None:
+            page = [None] * (1 << ROW_BITS)
+        elif id(page) in self.owned:
+            return page
+        else:
+            page = page.copy()
+        self.rows.pages[n] = page
+        self.owned.add(id(page))
+        return page
+
+    def replace_row(self, rowid: int, values):
+        """Store a new tuple for a stored row."""
+        self._row_page(rowid >> ROW_BITS)[rowid & ((1 << ROW_BITS) - 1)] = values
+
+    def pop_row(self, rowid: int) -> tuple:
+        """Take a stored row out; returns its tuple."""
+        n, i = rowid >> ROW_BITS, rowid & ((1 << ROW_BITS) - 1)
+        page = self._row_page(n)
+        values, page[i] = page[i], None
+        self.rows.count -= 1
+        if page.count(None) == len(page):  # its last row went
+            self.rows.pages[n] = None
+            self.owned.discard(id(page))
+        return values
+
+    # -- reverse maps
 
     def link(self, rowid: int, values):
         """Enter each reference a row holds in the reverse maps."""
+        owned = self.owned
         for pos, v in enumerate(values):
-            for target in iter_refs([v]):
-                self._bucket(pos, target).add(rowid)
+            if isinstance(v, RefVal):
+                targets: Iterable[Tuple[str, int]] = ((v.relation, v.row),)
+            elif isinstance(v, TupleVal):
+                targets = iter_refs(v.values)
+            else:
+                continue
+            pages = self.reverse.get(pos)
+            if pages is None:
+                pages = self.reverse[pos] = {}
+            for target in targets:
+                # ``_own`` is called only for a page or bucket this index
+                # does not own yet: a snapshot load links every row it loads
+                n = target[1] >> ROW_BITS
+                page = pages.get(n)
+                if page is None or id(page) not in owned:
+                    page = self._own(pages, n, dict)
+                bucket = page.get(target)
+                if bucket is None or id(bucket) not in owned:
+                    bucket = self._own(page, target, set)
+                bucket.add(rowid)
 
     def unlink(self, rowid: int, values):
         """Take each reference a row holds out of the reverse maps."""
         for pos, v in enumerate(values):
             for target in iter_refs([v]):
-                bucket = self._bucket(pos, target)
-                bucket.discard(rowid)
-                if not bucket:
-                    del self.reverse[pos][target]
-                    self.owned.discard((pos, target))
-
-    def _bucket(self, pos: int, target: Tuple[str, int]) -> Set[int]:
-        """The rows referencing ``target`` at ``pos``, as a bucket this index
-        owns: a shared bucket is copied, a missing one made."""
-        refs = self.reverse.setdefault(pos, {})
-        if (pos, target) not in self.owned:
-            refs[target] = set(refs.get(target, ()))
-            self.owned.add((pos, target))
-        return refs[target]
+                pages = self.reverse[pos]
+                n = target[1] >> ROW_BITS
+                page = self._own(pages, n, dict)
+                if len(page[target]) == 1:  # its last row goes: drop it uncopied
+                    self._drop(page, target)
+                    if not page:
+                        self._drop(pages, n)
+                else:
+                    self._own(page, target, set).discard(rowid)
 
 
 def _prefix_end(prefix: bytes) -> Optional[bytes]:
@@ -204,28 +406,44 @@ class DbState:
         """
         idx = self._index(relation)
         key = encode_tuple(values)
-        keys = idx.keys
-        i = len(keys)
+        maxes = idx.maxes
+        c, i = len(maxes), 0
         # a key above the last one (every row of a snapshot load) is new
-        if keys and key <= keys[-1]:
+        if maxes and key <= maxes[-1]:
+            c = bisect_left(maxes, key)
+            keys = idx.key_chunks[c]
             i = bisect_left(keys, key)
             if keys[i] == key:
-                return idx.ids[i], False
-        idx = self._writable(relation)
+                return idx.id_chunks[c][i], False
+        if relation not in self.owned:
+            idx = self._writable(relation)
+        # The row id, the row page and the key's chunk are taken here when
+        # this index owns them and the key goes last, as on a snapshot load;
+        # ``new_rowid``, ``_row_page`` and ``place`` do the same in general.
+        pages = idx.rows.pages
         if rowid is None:
             rowid = idx.next_rowid
             idx.next_rowid += 1
-        idx.rows[rowid] = values
-        idx.keys.insert(i, key)
-        idx.ids.insert(i, rowid)
+            if rowid >> ROW_BITS == len(pages):
+                pages.append(None)
+        owned, n = idx.owned, rowid >> ROW_BITS
+        page = pages[n]
+        if page is None or id(page) not in owned:
+            page = idx._row_page(n)
+        page[rowid & ((1 << ROW_BITS) - 1)] = values
+        idx.rows.count += 1
+        keys = idx.key_chunks[c - 1] if c and c == len(idx.maxes) else None
+        if keys is not None and id(keys) in owned and len(keys) < CHUNK_MAX:
+            keys.append(key)
+            idx.id_chunks[c - 1].append(rowid)
+            idx.maxes[c - 1] = key
+        else:
+            idx.place(c, i, key, rowid)
         idx.link(rowid, values)
         return rowid, True
 
     def reserve_rowid(self, relation: str) -> int:
-        idx = self._writable(relation)
-        rowid = idx.next_rowid
-        idx.next_rowid += 1
-        return rowid
+        return self._writable(relation).new_rowid()
 
     def contains_tuple(self, relation: str, values) -> Optional[int]:
         """Row id stored first under the tuple's canonical key, or None."""
@@ -241,8 +459,10 @@ class DbState:
         return found
 
     def get_row(self, relation: str, rowid: int) -> tuple:
-        idx = self._index(relation)
-        row = idx.rows.get(rowid)
+        pages = self._index(relation).rows.pages  # ``Rows.get``, without its call
+        n = rowid >> ROW_BITS
+        page = pages[n] if 0 <= n < len(pages) else None
+        row = None if page is None else page[rowid & ((1 << ROW_BITS) - 1)]
         if row is None:
             raise RowNotFound(f"no such tuple in relation {relation!r}")
         return row
@@ -251,11 +471,12 @@ class DbState:
         """The rows whose canonical key starts with ``prefix``, as a fresh
         key -> tuple map in key order; the empty prefix gives the relation.
 
-        The range is found by bisection over the sorted keys, so it costs
-        the rows it returns, not the relation. The prefix is a byte prefix,
-        not a value: text keys are not prefix-free (the key of "a" starts
-        the key of "a\\0b"), so the range is a superset and a caller must
-        check its constraints on every row again.
+        The range is found by bisection over the chunks' largest keys and
+        then inside a chunk, so it costs the rows it returns, not the
+        relation. The prefix is a byte prefix, not a value: text keys are not
+        prefix-free (the key of "a" starts the key of "a\\0b"), so the range
+        is a superset and a caller must check its constraints on every row
+        again.
 
         The keys are the stored ones, so a caller that needs a tuple's key
         takes it from here instead of encoding the tuple again. A deferred
@@ -265,20 +486,34 @@ class DbState:
         if rel.klass != "simple":
             raise NotEnumerable(f"{relation!r} is a {rel.klass} relation")
         idx = self.indexes[relation]
-        keys, ids, rows = idx.keys, idx.ids, idx.rows
-        lo = bisect_left(keys, prefix)
-        end = _prefix_end(prefix)
-        hi = len(keys) if end is None else bisect_left(keys, end, lo)
-        return {keys[i]: rows[ids[i]] for i in range(lo, hi)}
+        maxes, key_chunks, id_chunks = idx.maxes, idx.key_chunks, idx.id_chunks
+        pages, bits, mask = idx.rows.pages, ROW_BITS, (1 << ROW_BITS) - 1
+        c = bisect_left(maxes, prefix)
+        if c == len(maxes):
+            return {}
+        keys, lo, end = key_chunks[c], bisect_left(key_chunks[c], prefix), _prefix_end(prefix)
+        if end is not None and end <= maxes[c]:  # the range ends in this chunk
+            ids, hi = id_chunks[c], bisect_left(keys, end, lo)
+            return {keys[i]: pages[ids[i] >> bits][ids[i] & mask] for i in range(lo, hi)}
+        last = len(maxes) if end is None else bisect_left(maxes, end, c + 1)
+        ranges = [(keys[lo:], id_chunks[c][lo:])]
+        ranges += zip(key_chunks[c + 1 : last], id_chunks[c + 1 : last])
+        if last < len(maxes):
+            hi = bisect_left(key_chunks[last], end)
+            ranges.append((key_chunks[last][:hi], id_chunks[last][:hi]))
+        return {k: pages[r >> bits][r & mask] for keys, ids in ranges for k, r in zip(keys, ids)}
 
     def referrers(self, relation: str, rowid: int) -> Set[Tuple[str, int]]:
         """Every (relation, row) whose tuple references the given row, which
-        need not be stored any more."""
+        need not be stored any more. Only the positions that may hold such
+        a reference are read."""
         found = set()
         target = (relation, rowid)
-        for q_name, q_idx in self.indexes.items():
-            for refs in q_idx.reverse.values():
-                for referrer in refs.get(target, ()):
+        n = rowid >> ROW_BITS
+        for q_name, pos in self.catalog.referencing(relation):
+            page = self.indexes[q_name].reverse.get(pos, {}).get(n)
+            if page is not None:
+                for referrer in page.get(target, ()):
                     found.add((q_name, referrer))
         return found
 
@@ -304,7 +539,7 @@ class DbState:
 
     def _remove_row(self, relation: str, rowid: int):
         idx = self._writable(relation)
-        values = idx.rows.pop(rowid)
+        values = idx.pop_row(rowid)
         idx.release(encode_tuple(values), rowid)
         idx.unlink(rowid, values)
 
@@ -320,15 +555,19 @@ class DbState:
         old_key = encode_tuple(old_values)
         new_key = encode_tuple(new_values)
         idx = self._writable(relation)
+        idx.replace_row(rowid, new_values)
         if new_key == old_key:
-            idx.rows[rowid] = new_values
             return False
         idx.release(old_key, rowid)
-        keys = idx.keys
-        i = bisect_right(keys, new_key)
-        keys.insert(i, new_key)
-        idx.ids.insert(i, rowid)
-        idx.rows[rowid] = new_values
+        maxes = idx.maxes
+        c = bisect_right(maxes, new_key)
+        i = bisect_right(idx.key_chunks[c], new_key) if c < len(maxes) else 0
+        # the entry before the new one: the previous slot, or the end of the
+        # previous chunk
+        collided = (i > 0 and idx.key_chunks[c][i - 1] == new_key) or (
+            i == 0 and c > 0 and maxes[c - 1] == new_key
+        )
+        idx.place(c, i, new_key, rowid)
         idx.unlink(rowid, old_values)
         idx.link(rowid, new_values)
-        return i > 0 and keys[i - 1] == new_key
+        return collided

@@ -13,7 +13,7 @@ import string
 import networkx as nx
 
 import relang
-from relang import parse_script
+from relang import parse_script, store
 from relang.store import iter_refs
 from relang.txn import CommitReport
 from relang.values import (
@@ -131,29 +131,69 @@ def dangling_refs(state):
     return bad
 
 
+def flat_keys(idx):
+    """An index's keys in order, read across its chunks."""
+    return [key for chunk in idx.key_chunks for key in chunk]
+
+
+def flat_ids(idx):
+    """An index's row ids in key order, read across its chunks."""
+    return [rowid for chunk in idx.id_chunks for rowid in chunk]
+
+
 def index_faults(state):
-    """Every (relation, what) whose index disagrees with its own rows: the
-    key array must list each row once, under its own key, in key order, and
-    the reverse maps must equal a rebuild from the rows. Empty on any state,
-    published or not."""
+    """Every (relation, what) whose index disagrees with its own rows or
+    with its paged layout.
+
+    The keys must list each row once, under its own key, in key order, and
+    the reverse maps must equal a rebuild from the rows. The layout: chunks
+    are non-empty and hold at most ``store.CHUNK_MAX`` keys, each with one id,
+    and each chunk's recorded largest key is its last key; every row page has
+    one slot per id of its page and holds a row, and the page table covers
+    every id handed out; every reverse page holds only targets of its own
+    page and is non-empty, as is every bucket; the row count is the number
+    of stored rows. Empty on any state, published or not."""
     faults = []
     for rel_name, idx in state.indexes.items():
-        if any(k > after for k, after in zip(idx.keys, idx.keys[1:])):
+        chunks = list(zip(idx.key_chunks, idx.id_chunks))
+        if not len(chunks) == len(idx.key_chunks) == len(idx.id_chunks) == len(idx.maxes):
+            faults.append((rel_name, "chunk tables differ in length"))
+        if any(len(keys) != len(ids) for keys, ids in chunks):
+            faults.append((rel_name, "a key chunk and its id chunk differ in length"))
+        if any(not keys for keys, _ids in chunks):
+            faults.append((rel_name, "empty chunk"))
+        if any(len(keys) > store.CHUNK_MAX for keys, _ids in chunks):
+            faults.append((rel_name, "chunk over the size limit"))
+        if [keys[-1:] for keys in idx.key_chunks] != [[m] for m in idx.maxes]:
+            faults.append((rel_name, "recorded largest key differs from the chunk's last"))
+        pages = [page for page in idx.rows.pages if page is not None]
+        if any(len(page) != 1 << store.ROW_BITS or page.count(None) == len(page) for page in pages):
+            faults.append((rel_name, "row page of the wrong size, or empty"))
+        if idx.next_rowid > 1 and len(idx.rows.pages) <= (idx.next_rowid - 1) >> store.ROW_BITS:
+            faults.append((rel_name, "row page table short of the ids handed out"))
+        rows = dict(idx.rows.items())
+        if len(idx.rows) != sum(len(page) - page.count(None) for page in pages):
+            faults.append((rel_name, "row count differs from the stored rows"))
+        keys, ids = flat_keys(idx), flat_ids(idx)
+        if any(k > after for k, after in zip(keys, keys[1:])):
             faults.append((rel_name, "keys out of order"))
-        if list(zip(idx.keys, idx.ids)) != [
-            (encode_tuple(idx.rows[rowid]), rowid) for rowid in idx.ids
-        ] or sorted(idx.ids) != sorted(idx.rows):
+        if list(zip(keys, ids)) != [
+            (encode_tuple(rows[rowid]), rowid) if rowid in rows else None for rowid in ids
+        ] or sorted(ids) != sorted(rows):
             faults.append((rel_name, "keys differ from the rows"))
         rebuilt = {}
-        for rowid, values in idx.rows.items():
+        for rowid, values in rows.items():
             for pos, v in enumerate(values):
                 for target in iter_refs([v]):
                     rebuilt.setdefault(pos, {}).setdefault(target, set()).add(rowid)
-        current = {
-            pos: {t: set(rs) for t, rs in mapping.items() if rs}
-            for pos, mapping in idx.reverse.items()
-            if any(mapping.values())
-        }
+        current = {}
+        for pos, rpages in idx.reverse.items():
+            for n, page in rpages.items():
+                misplaced = any(t_row >> store.ROW_BITS != n for _t_rel, t_row in page)
+                if not page or misplaced or not all(page.values()):
+                    faults.append((rel_name, "reverse page or bucket empty or misplaced"))
+                for target, bucket in page.items():
+                    current.setdefault(pos, {})[target] = set(bucket)
         if current != rebuilt:
             faults.append((rel_name, "reverse maps differ from the rows"))
     return faults
@@ -199,11 +239,11 @@ def type_faults(state):
 
 def collision_keys(state):
     """Every (relation, key) held by more than one row, found by reading
-    every relation's key array. Empty on any publishable state."""
+    every relation's keys. Empty on any publishable state."""
     return [
         (rel_name, key)
         for rel_name, idx in state.indexes.items()
-        for key, after in zip(idx.keys, idx.keys[1:])
+        for key, after in zip(flat_keys(idx), flat_keys(idx)[1:])
         if key == after
     ]
 

@@ -251,6 +251,12 @@ class TestSnapshots:
             load_snapshot(text)
         assert str(exc.value).endswith("(line 4)")
 
+    def test_a_lone_surrogate_is_a_format_error_naming_its_line(self):
+        text = ';; relang snapshot v1\nrelation (genre text)\n\nrow genre 1 {"a\ud800"}\n'
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_snapshot(text)
+        assert str(exc.value) == "text holds a lone surrogate (line 4)"
+
     def test_canonical_numbers_load_and_save_back(self):
         text = (
             ";; relang snapshot v1\nrelation (p (n int) (x real) (t timestamp))\n\n"

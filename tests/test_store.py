@@ -1,7 +1,17 @@
+from bisect import bisect_left, bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
+from relang import store
 from relang.catalog import Catalog
 from relang.errors import NotEnumerable, RowNotFound
 from relang.store import DbState
@@ -12,13 +22,15 @@ from relang.values import (
     RefVal,
     TextVal,
     TimestampVal,
+    TupleVal,
     encode_int,
     encode_text,
     encode_tuple,
+    encode_value,
     parse_timestamp,
 )
 
-from oracles import dangling_refs, index_faults
+from oracles import dangling_refs, flat_ids, flat_keys, index_faults
 
 
 def make_state(*definitions):
@@ -47,6 +59,11 @@ def author(name, date):
     return (TextVal(name), parse_timestamp(date))
 
 
+def reverse_page(idx, pos, target):
+    """The reverse page of ``idx`` that holds ``target``'s bucket at ``pos``."""
+    return idx.reverse[pos][target[1] >> store.ROW_BITS]
+
+
 class TestInsert:
     def test_fresh_insert_into_empty_genre(self):
         state = library_state()
@@ -66,8 +83,8 @@ class TestInsert:
         book, _ = state.insert(
             "book", (RefVal("author", homer), TextVal("Ulysses"), parse_timestamp("750 BC"))
         )
-        reverse = state.indexes["book"].reverse
-        assert reverse[0][("author", homer)] == {book}
+        page = reverse_page(state.indexes["book"], 0, ("author", homer))
+        assert page[("author", homer)] == {book}
 
     def test_rowids_never_reused(self):
         state = library_state()
@@ -164,15 +181,15 @@ class TestRekey:
         assert state.rekey("author", rid, author("Dawkins", "1941-03-26")) is True
         key = encode_tuple(author("Dawkins", "1941-03-26"))
         idx = state.indexes["author"]
-        assert idx.keys == [key, key] and idx.ids == [first, rid]
+        assert flat_keys(idx) == [key, key] and flat_ids(idx) == [first, rid]
         assert state.contains_tuple("author", author("Dawkins", "1941-03-26")) == first
         # the later holder leaves the run: the earlier one keeps the key
         assert state.rekey("author", rid, author("Homer", "800 BC")) is False
-        assert idx.ids == [first, rid]
+        assert flat_ids(idx) == [first, rid]
         # the earlier holder leaves: the later one takes its place
         state.rekey("author", rid, author("Dawkins", "1941-03-26"))
         state.erase("author", first)
-        assert idx.keys == [key] and idx.ids == [rid]
+        assert flat_keys(idx) == [key] and flat_ids(idx) == [rid]
         assert state.contains_tuple("author", author("Dawkins", "1941-03-26")) == rid
 
 
@@ -209,14 +226,8 @@ class TestScan:
         state.rekey("name", rids["x"], (TextVal("b"),))
         state.erase("name", rids["c"])
         idx = state.indexes["name"]
-        assert idx.keys == [encode_text(n) for n in "abm"]
-        assert idx.ids == [rids["a"], rids["x"], rids["m"]]
-        # a fork's first write to the relation copies both arrays
-        fork = state.fork()
-        fork.reserve_rowid("name")
-        copy = fork.indexes["name"]
-        assert (copy.keys, copy.ids) == (idx.keys, idx.ids)
-        assert copy.keys is not idx.keys and copy.ids is not idx.ids
+        assert flat_keys(idx) == [encode_text(n) for n in "abm"]
+        assert flat_ids(idx) == [rids["a"], rids["x"], rids["m"]]
 
     def test_scan_empty_relation(self):
         state = library_state()
@@ -247,6 +258,23 @@ class TestReferrers:
         state, ids = small_library()
         found = state.referrers("book", ids["book"])
         assert found == {("book_genre", ids["bg"]), ("available", ids["av"])}
+
+    def test_references_inside_inline_tuples_count(self):
+        state = make_state(
+            "relation (author (name text))",
+            "domain (entry author (n int))",
+            "domain (pair entry entry)",
+            "relation (shelf pair (label text) author)",
+        )
+        a, _ = state.insert("author", (TextVal("a"),))
+        b, _ = state.insert("author", (TextVal("b"),))
+        entry = lambda rid: TupleVal("entry", (RefVal("author", rid), IntVal(1)))
+        pair = TupleVal("pair", (entry(a), entry(b)))
+        shelf, _ = state.insert("shelf", (pair, TextVal("s"), RefVal("author", b)))
+        assert state.catalog.referencing("author") == (("shelf", 0), ("shelf", 2))
+        assert state.referrers("author", a) == state.referrers("author", b) == {("shelf", shelf)}
+        state.erase("author", a, cascade=True)
+        assert len(state.scan("shelf")) == 0 and index_faults(state) == []
 
 
 class TestFork:
@@ -280,25 +308,26 @@ class TestFork:
         gene, _ = state.insert(
             "book", (RefVal("author", dawkins), TextVal("Gene"), TimestampVal(1976))
         )
-        base = state.indexes["book"].reverse[0]
-        homer_bucket, dawkins_bucket = base[("author", ids["homer"])], base[("author", dawkins)]
+        homer, dawkins = ("author", ids["homer"]), ("author", dawkins)
+        base = reverse_page(state.indexes["book"], 0, homer)
+        assert reverse_page(state.indexes["book"], 0, dawkins) is base
+        homer_bucket, dawkins_bucket = base[homer], base[dawkins]
         fork = state.fork()
-        iliad, _ = fork.insert(
-            "book", (RefVal("author", ids["homer"]), TextVal("Iliad"), TimestampVal(-760))
-        )
-        reverse = fork.indexes["book"].reverse[0]
-        written = reverse[("author", ids["homer"])]
-        assert written is not homer_bucket
+        iliad, _ = fork.insert("book", (RefVal(*homer), TextVal("Iliad"), TimestampVal(-760)))
+        page = reverse_page(fork.indexes["book"], 0, homer)
+        written = page[homer]
+        assert page is not base and written is not homer_bucket
         assert written == {ids["book"], iliad}
         assert homer_bucket == {ids["book"]}
-        assert reverse[("author", dawkins)] is dawkins_bucket  # not written, still shared
-        # the copy is the fork's own: later writes to it copy nothing more
+        assert page[dawkins] is dawkins_bucket  # not written, still shared
+        # the copies are the fork's own: later writes to them copy nothing more
         fork.erase("book", iliad)
-        assert reverse[("author", ids["homer"])] is written and written == {ids["book"]}
+        assert reverse_page(fork.indexes["book"], 0, homer) is page
+        assert page[homer] is written and written == {ids["book"]}
         # dropping a shared bucket's last row leaves the base's bucket whole
         fork.erase("book", gene, cascade=True)
-        assert ("author", dawkins) not in reverse
-        assert dawkins_bucket == {gene}
+        assert dawkins not in page
+        assert dawkins_bucket == {gene} and base[dawkins] is dawkins_bucket
         assert index_faults(state) == index_faults(fork) == []
 
 
@@ -384,11 +413,11 @@ def test_set_semantics_under_random_insert_erase(sequence):
 
 def test_insert_then_erase_restores_the_prior_store():
     state, _ids = small_library()
-    before_rows = {name: dict(idx.rows) for name, idx in state.indexes.items()}
+    before_rows = {name: dict(idx.rows.items()) for name, idx in state.indexes.items()}
     rid, fresh = state.insert("genre", (TextVal("noir"),))
     assert fresh
     state.erase("genre", rid)
-    after_rows = {name: dict(idx.rows) for name, idx in state.indexes.items()}
+    after_rows = {name: dict(idx.rows.items()) for name, idx in state.indexes.items()}
     assert after_rows == before_rows
 
 
@@ -396,3 +425,318 @@ def test_cascade_never_leaves_dangling_refs():
     state, ids = small_library()
     state.erase("book", ids["book"], cascade=True)
     assert dangling_refs(state) == []
+
+
+# --- the paged layout ---------------------------------------------------------------
+
+
+@pytest.fixture
+def small_pages(monkeypatch):
+    """Chunks of at most 4 keys and pages of 4 row ids, so a few rows reach
+    every case of the paged layout."""
+    monkeypatch.setattr(store, "CHUNK_MAX", 4)
+    monkeypatch.setattr(store, "ROW_BITS", 2)
+
+
+def numbers(*ns):
+    state = make_state("relation (item (n int))")
+    rids = [state.insert("item", (IntVal(n),))[0] for n in ns]
+    return state, state.indexes["item"], rids
+
+
+class TestPages:
+    def test_a_full_chunk_splits_in_half(self, small_pages):
+        state, idx, _ = numbers(10, 20, 30, 40)
+        assert len(idx.key_chunks) == 1
+        state.insert("item", (IntVal(25),))
+        assert [len(keys) for keys in idx.key_chunks] == [2, 3]
+        assert flat_keys(idx) == [encode_int(n) for n in (10, 20, 25, 30, 40)]
+        assert index_faults(state) == []
+
+    def test_an_emptied_chunk_is_dropped(self, small_pages):
+        state, idx, rids = numbers(*range(8))
+        assert len(idx.key_chunks) == 2
+        for rid in rids[:4]:
+            state.erase("item", rid)
+        assert len(idx.key_chunks) == 1 and flat_ids(idx) == rids[4:]
+        assert index_faults(state) == []
+
+    def test_a_collision_run_spans_chunks(self, small_pages):
+        state, idx, rids = numbers(*range(7))
+        for rid in rids[1:6]:
+            assert state.rekey("item", rid, (IntVal(0),)) is True
+        key = encode_int(0)
+        assert len(idx.key_chunks) > 1 and idx.maxes[0] == key == idx.key_chunks[1][0]
+        assert idx.run(key) == rids[:6] and idx.first(key) == rids[0]
+        # the run's holders leave from inside it, across the chunk boundary
+        state.erase("item", rids[4])
+        state.rekey("item", rids[0], (IntVal(9),))
+        assert idx.run(key) == [rids[1], rids[2], rids[3], rids[5]]
+        assert state.contains_tuple("item", (IntVal(0),)) == rids[1]
+        assert index_faults(state) == []
+
+    def test_a_rekey_onto_the_last_key_of_a_chunk_collides(self, small_pages):
+        state, idx, rids = numbers(*range(6))
+        boundary = idx.maxes[0]
+        holder = flat_keys(idx).index(boundary)
+        assert state.rekey("item", rids[-1], state.get_row("item", rids[holder])) is True
+        assert idx.run(boundary) == [rids[holder], rids[-1]]
+
+    def test_sparse_pages_read_and_drop(self, small_pages):
+        state, idx, rids = numbers(*range(10))
+        for rid in rids[1:9]:
+            state.erase("item", rid)
+        # ids 1 and 10 are left; the pages of ids 4..7 emptied and went
+        assert [n for n, page in enumerate(idx.rows.pages) if page] == [0, 2]
+        assert len(idx.rows) == 2
+        assert dict(idx.rows.items()) == {rids[0]: (IntVal(0),), rids[9]: (IntVal(9),)}
+        assert rids[5] not in idx.rows and idx.rows.get(rids[5]) is None
+        assert list(state.scan("item")) == [encode_int(0), encode_int(9)]
+        assert index_faults(state) == []
+
+
+def _sharing(parent, fork):
+    """Per part of the index, the pages of ``fork`` that are not ``parent``'s."""
+    def unshared(mine, theirs):
+        ids = {id(page) for page in theirs}
+        return [page for page in mine if id(page) not in ids]
+
+    def reverse_pages(idx):
+        return [page for pages in idx.reverse.values() for page in pages.values()]
+
+    return {
+        "key chunks": unshared(fork.key_chunks, parent.key_chunks),
+        "id chunks": unshared(fork.id_chunks, parent.id_chunks),
+        "row pages": unshared(filter(None, fork.rows.pages), filter(None, parent.rows.pages)),
+        "reverse pages": unshared(reverse_pages(fork), reverse_pages(parent)),
+    }
+
+
+class TestSharing:
+    """A one-row write in a fork copies the pages it writes and shares the
+    rest of the relation with the parent: the gate for O(change) writes."""
+
+    @pytest.fixture(scope="class")
+    def parent(self):
+        state = make_state("relation (author (name text))", "relation (book author (title text))")
+        authors = [state.insert("author", (TextVal(f"a{i:04d}"),))[0] for i in range(1000)]
+        for i in range(5000):
+            state.insert("book", (RefVal("author", authors[i % 1000]), TextVal(f"t{(i * 7919) % 5000:04d}")))
+        return state
+
+    def write(self, parent, op):
+        base = parent.indexes["book"]
+        before = list(parent.scan("book").items())
+        fork = parent.fork()
+        op(fork)
+        assert list(parent.scan("book").items()) == before
+        assert index_faults(fork) == [] and index_faults(parent) == []
+        return base, fork.indexes["book"]
+
+    def test_the_relation_spans_many_pages(self, parent):
+        idx = parent.indexes["book"]
+        assert len(idx.rows) == 5000
+        assert len(idx.key_chunks) >= 10 and len(idx.rows.pages) >= 10
+        assert len(idx.reverse[0]) == 4  # 1000 authors, 256 to a page
+
+    def test_an_insert_copies_one_chunk_one_row_page_and_one_reverse_page(self, parent):
+        book = (RefVal("author", 3), TextVal("t2500x"))
+        base, idx = self.write(parent, lambda s: s.insert("book", book))
+        new = _sharing(base, idx)
+        split = len(idx.key_chunks) - len(base.key_chunks)
+        assert len(new["key chunks"]) == len(new["id chunks"]) == 1 + split
+        assert len(new["row pages"]) == len(new["reverse pages"]) == 1
+        # in the written page, only the written bucket was copied
+        page, base_page = idx.reverse[0][0], base.reverse[0][0]
+        assert [t for t, bucket in page.items() if bucket is not base_page[t]] == [("author", 3)]
+        assert parent.contains_tuple("book", book) is None
+
+    def test_an_erase_copies_one_chunk_one_row_page_and_one_reverse_page(self, parent):
+        base, idx = self.write(parent, lambda s: s.erase("book", 2600))
+        new = _sharing(base, idx)
+        assert {part: len(pages) for part, pages in new.items()} == dict.fromkeys(new, 1)
+        assert 2600 in parent.indexes["book"].rows and 2600 not in idx.rows
+
+    def test_a_rekey_copies_the_chunks_it_leaves_and_enters(self, parent):
+        old = parent.get_row("book", 1234)
+        assert old[0].row >> store.ROW_BITS == 0
+        # the highest author and title: the new key goes last
+        book = (RefVal("author", 1000), TextVal("zzz"))
+        base, idx = self.write(parent, lambda s: s.rekey("book", 1234, book))
+        new = _sharing(base, idx)
+        # the chunk the old key leaves, and the last chunk, which the new key joins
+        assert len(new["key chunks"]) == len(new["id chunks"]) == 2
+        assert any(chunk is idx.key_chunks[-1] for chunk in new["key chunks"])
+        assert len(new["row pages"]) == 1
+        # the reverse pages of the old author (page 0) and the new one (page 3)
+        assert len(new["reverse pages"]) == 2
+        assert parent.get_row("book", 1234) == old
+
+
+# --- a model check of the paged index ---------------------------------------------
+
+
+class ListModel:
+    """One relation as a plain sorted list of (key, row id) pairs, the
+    earliest holder of a key first, plus a row id -> tuple dict."""
+
+    def __init__(self):
+        self.entries = []
+        self.rows = {}
+        self.next_rowid = 1
+
+    def copy(self):
+        other = ListModel()
+        other.entries, other.rows, other.next_rowid = list(self.entries), dict(self.rows), self.next_rowid
+        return other
+
+    def keys(self):
+        return [key for key, _rid in self.entries]
+
+    def insert(self, values, rowid=None):
+        key = encode_tuple(values)
+        for k, rid in self.entries:
+            if k == key:
+                return rid, False
+        if rowid is None:
+            rowid = self.next_rowid
+            self.next_rowid += 1
+        self.entries.insert(bisect_left(self.keys(), key), (key, rowid))
+        self.rows[rowid] = values
+        return rowid, True
+
+    def erase(self, rowid):
+        self.entries.remove((encode_tuple(self.rows.pop(rowid)), rowid))
+
+    def rekey(self, rowid, values):
+        old, new = encode_tuple(self.rows[rowid]), encode_tuple(values)
+        self.rows[rowid] = values
+        if old == new:
+            return False
+        self.entries.remove((old, rowid))
+        i = bisect_right(self.keys(), new)
+        self.entries.insert(i, (new, rowid))
+        return i > 0 and self.entries[i - 1][0] == new
+
+
+class PagedIndexMachine(RuleBasedStateMachine):
+    """Inserts, erases and rekeys (colliding ones too) on the states of a
+    fork tree, each state checked against its own list model after every
+    step: so a parent must read the same before and after its fork writes,
+    and the other way round."""
+
+    def __init__(self):
+        super().__init__()
+        state = make_state("relation (item (n int))", "relation (tag item (m int))")
+        self.worlds = [(state, {"item": ListModel(), "tag": ListModel()}, [])]
+
+    def world(self, w):
+        return self.worlds[w % len(self.worlds)]
+
+    def pick(self, model, i):
+        rows = sorted(model.rows)
+        return rows[i % len(rows)] if rows else None
+
+    @rule(w=st.integers(0, 7), n=st.integers(0, 9))
+    def insert_item(self, w, n):
+        state, models, _ = self.world(w)
+        assert state.insert("item", (IntVal(n),)) == models["item"].insert((IntVal(n),))
+
+    @rule(w=st.integers(0, 7), i=st.integers(0, 99), m=st.integers(0, 2))
+    def insert_tag(self, w, i, m):
+        state, models, _ = self.world(w)
+        target = self.pick(models["item"], i)
+        if target is not None:
+            values = (RefVal("item", target), IntVal(m))
+            assert state.insert("tag", values) == models["tag"].insert(values)
+
+    @rule(w=st.integers(0, 7))
+    def reserve(self, w):
+        state, models, reserved = self.world(w)
+        rowid = state.reserve_rowid("item")
+        assert rowid == models["item"].next_rowid
+        models["item"].next_rowid += 1
+        reserved.append(rowid)
+
+    @rule(w=st.integers(0, 7), n=st.integers(10, 12))
+    def insert_reserved(self, w, n):
+        state, models, reserved = self.world(w)
+        if reserved:
+            values = (IntVal(n),)
+            got = state.insert("item", values, rowid=reserved[0])
+            assert got == models["item"].insert(values, rowid=reserved[0])
+            if got[1]:
+                reserved.pop(0)
+
+    @rule(
+        w=st.integers(0, 7),
+        relation=st.sampled_from(["item", "tag"]),
+        i=st.integers(0, 99),
+        cascade=st.booleans(),
+    )
+    def erase(self, w, relation, i, cascade):
+        state, models, _ = self.world(w)
+        rowid = self.pick(models[relation], i)
+        if rowid is None:
+            return
+        doomed = {(relation, rowid)}
+        if cascade and relation == "item":
+            doomed |= {("tag", t) for t, v in models["tag"].rows.items() if v[0].row == rowid}
+        assert state.erase(relation, rowid, cascade=cascade) == doomed
+        for rel, rid in doomed:
+            models[rel].erase(rid)
+
+    @rule(w=st.integers(0, 7), i=st.integers(0, 99), n=st.integers(0, 9))
+    def rekey_item(self, w, i, n):
+        state, models, _ = self.world(w)
+        rowid = self.pick(models["item"], i)
+        if rowid is not None:
+            values = (IntVal(n),)
+            assert state.rekey("item", rowid, values) == models["item"].rekey(rowid, values)
+
+    @rule(w=st.integers(0, 7), i=st.integers(0, 99), j=st.integers(0, 99), m=st.integers(0, 2))
+    def rekey_tag(self, w, i, j, m):
+        state, models, _ = self.world(w)
+        rowid, target = self.pick(models["tag"], i), self.pick(models["item"], j)
+        if rowid is not None and target is not None:
+            values = (RefVal("item", target), IntVal(m))
+            assert state.rekey("tag", rowid, values) == models["tag"].rekey(rowid, values)
+
+    @precondition(lambda self: len(self.worlds) < 4)
+    @rule(w=st.integers(0, 7))
+    def fork(self, w):
+        state, models, reserved = self.world(w)
+        self.worlds.append(
+            (state.fork(), {rel: m.copy() for rel, m in models.items()}, list(reserved))
+        )
+
+    @invariant()
+    def every_state_reads_as_its_model(self):
+        for state, models, _ in self.worlds:
+            assert index_faults(state) == []
+            for relation, model in models.items():
+                idx = state.indexes[relation]
+                assert list(zip(flat_keys(idx), flat_ids(idx))) == model.entries
+                assert dict(idx.rows.items()) == model.rows and len(idx.rows) == len(model.rows)
+                assert idx.next_rowid == model.next_rowid
+                assert state.scan(relation) == {k: model.rows[r] for k, r in model.entries}
+                for key in set(model.keys()) | {encode_int(-1)}:
+                    held = [r for k, r in model.entries if k == key]
+                    assert idx.run(key) == held and idx.first(key) == (held[0] if held else None)
+            tags = models["tag"]
+            for rowid in range(1, models["item"].next_rowid):
+                assert state.referrers("item", rowid) == {
+                    ("tag", t) for t, v in tags.rows.items() if v[0].row == rowid
+                }
+                # the tags of one item: a key range that may span chunks
+                prefix = encode_value(RefVal("item", rowid))
+                assert state.scan("tag", prefix) == {
+                    k: tags.rows[r] for k, r in tags.entries if k.startswith(prefix)
+                }
+
+
+def test_the_paged_index_reads_as_a_sorted_list_model(small_pages):
+    run_state_machine_as_test(
+        PagedIndexMachine,
+        settings=settings(max_examples=100, stateful_step_count=50, deadline=None),
+    )

@@ -473,9 +473,9 @@ class TestReadsWhileAReferenceIsPending:
 
     def test_abolishing_through_the_pending_row_is_a_no_op(self, pending):
         shadow = pending.txn.shadow
-        before = {name: dict(idx.rows) for name, idx in shadow.indexes.items()}
+        before = {name: dict(idx.rows.items()) for name, idx in shadow.indexes.items()}
         assert len(run(pending, "abolish author (book)")) == 0
-        assert {name: dict(idx.rows) for name, idx in shadow.indexes.items()} == before
+        assert {name: dict(idx.rows.items()) for name, idx in shadow.indexes.items()} == before
         self._aborts_as_never_added(pending)
 
     @pytest.mark.parametrize("text", ["(book)", "[(book) [author name] title]"])
