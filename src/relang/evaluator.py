@@ -904,8 +904,9 @@ def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
     state = env.state
     bits = store.ROW_BITS
     mask = (1 << bits) - 1
-    # (source row, current row) pairs walked edge by edge, source to target
-    pairs = {(rid, rid) for rid in state.rowids(source.relation, source._rows)}
+    # (source key, current row) pairs walked edge by edge, source to target
+    run = state.indexes[source.relation].run
+    pairs = {(key, rid) for key in source._rows for rid in run(key)}
     for (edge, current), nxt in zip(reversed(path), reversed(nodes[:-1])):
         advanced = set()
         if edge.adopter == current:
@@ -928,8 +929,11 @@ def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
                     for referrer in page.get((current, rid), ()):
                         advanced.add((start, referrer))
         pairs = advanced
+    # a pair's key is the target tuple's key followed by the source's, so
+    # only the target tuple is encoded
     target_pages = state.indexes[target].rows.pages
-    source_pages = state.indexes[source.relation].rows.pages
-    for start, end in pairs:
-        result.add(target_pages[end >> bits][end & mask] + source_pages[start >> bits][start & mask])
+    found, source_rows = result._rows, source._rows
+    for key, end in pairs:
+        values = target_pages[end >> bits][end & mask]
+        found[encode_tuple(values) + key] = values + source_rows[key]
     return result

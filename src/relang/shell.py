@@ -24,7 +24,7 @@ import csv as _csv
 import functools
 import io
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import store, syntax
 from .catalog import Catalog, RelationDef
@@ -167,13 +167,20 @@ def format_tabular(result: TupleSet, state: DbState, order_attrs=()) -> str:
 # --- snapshots ----------------------------------------------------------------
 
 
-def _export_orders(catalog: Catalog, state: DbState) -> Dict[str, Dict[int, int]]:
-    """Per relation, map row id -> export ordinal (1-based).
+def _export_orders(
+    catalog: Catalog, state: DbState
+) -> Tuple[Dict[str, Dict[int, int]], Dict[str, List[int]]]:
+    """Per relation, its row ids in export order, and the map row id ->
+    export ordinal (1-based).
 
     Ordinals follow canonical tuple order computed with references replaced
     by target ordinals, which makes them independent of internal row ids.
+    A relation that holds no reference is in that order already, since its
+    stored keys are its export keys.
     """
     orders: Dict[str, Dict[int, int]] = {}
+    ordered: Dict[str, List[int]] = {}
+    adopters = {q for name in catalog.names() for q, _pos in catalog.referencing(name)}
 
     def export_key(values) -> bytes:
         out = []
@@ -190,16 +197,23 @@ def _export_orders(catalog: Catalog, state: DbState) -> Dict[str, Dict[int, int]
         if catalog.lookup(name).klass != "simple":
             continue
         idx = state.indexes.get(name)
-        pages, bits = idx.rows.pages if idx is not None else (), store.ROW_BITS
-        keyed = sorted(
-            (export_key(values), (n << bits) + i)
-            for n, page in enumerate(pages)
-            if page is not None
-            for i, values in enumerate(page)
-            if values is not None
-        )
-        orders[name] = {rowid: i + 1 for i, (_k, rowid) in enumerate(keyed)}
-    return orders
+        if idx is None:
+            continue
+        if name in adopters:
+            pages, bits = idx.rows.pages, store.ROW_BITS
+            keyed = sorted(
+                (export_key(values), (n << bits) + i)
+                for n, page in enumerate(pages)
+                if page is not None
+                for i, values in enumerate(page)
+                if values is not None
+            )
+            rowids = [rowid for _k, rowid in keyed]
+        else:
+            rowids = [rowid for ids in idx.id_chunks for rowid in ids]
+        ordered[name] = rowids
+        orders[name] = {rowid: i for i, rowid in enumerate(rowids, 1)}
+    return orders, ordered
 
 
 def _snapshot_value(v: Value, orders) -> str:
@@ -225,16 +239,10 @@ def save_snapshot(db: Database) -> str:
             syntax.render(syntax.Definition(klass, rel.name, domains, rel.body))
         )
     lines.append("")
-    orders = _export_orders(catalog, state)
-    for name in catalog.names():
-        if catalog.lookup(name).klass != "simple":
-            continue
-        idx = state.indexes.get(name)
-        if idx is None:
-            continue
-        pages, bits, mask = idx.rows.pages, store.ROW_BITS, (1 << store.ROW_BITS) - 1
-        by_ordinal = sorted(orders[name].items(), key=lambda kv: kv[1])
-        for rowid, ordinal in by_ordinal:
+    orders, ordered = _export_orders(catalog, state)
+    for name, rowids in ordered.items():
+        pages, bits, mask = state.indexes[name].rows.pages, store.ROW_BITS, (1 << store.ROW_BITS) - 1
+        for ordinal, rowid in enumerate(rowids, 1):
             values = " ".join(_snapshot_value(v, orders) for v in pages[rowid >> bits][rowid & mask])
             lines.append(f"row {name} {ordinal} {{{values}}}")
     return "\n".join(lines) + "\n"

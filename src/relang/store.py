@@ -152,16 +152,17 @@ class MultitableIndex:
 
     # -- pages
 
-    def _own(self, table, k, make):
-        """``table[k]`` as a page this index may write: one it did not make
-        is copied first, and a missing one is made by ``make``."""
-        page = table.get(k)
+    def _own(self, table, k, page, make):
+        """``table[k]``, which is ``page`` (None where there is none), as a
+        page this index may write: one it did not make is copied first, and
+        a missing one is made by ``make``."""
         if page is None:
-            page = table[k] = make()
+            page = make()
         elif id(page) in self.owned:
             return page
         else:
-            page = table[k] = page.copy()
+            page = page.copy()
+        table[k] = page
         self.owned.add(id(page))
         return page
 
@@ -261,18 +262,9 @@ class MultitableIndex:
         return rowid
 
     def _row_page(self, n: int) -> List[Optional[tuple]]:
-        """Row page ``n`` as a page this index may write: one it did not make
-        is copied first, and a missing one is made."""
-        page = self.rows.pages[n]
-        if page is None:
-            page = [None] * (1 << ROW_BITS)
-        elif id(page) in self.owned:
-            return page
-        else:
-            page = page.copy()
-        self.rows.pages[n] = page
-        self.owned.add(id(page))
-        return page
+        """Row page ``n`` as a page this index may write."""
+        pages = self.rows.pages
+        return self._own(pages, n, pages[n], _empty_row_page)
 
     def replace_row(self, rowid: int, values):
         """Store a new tuple for a stored row."""
@@ -310,25 +302,38 @@ class MultitableIndex:
                 n = target[1] >> ROW_BITS
                 page = pages.get(n)
                 if page is None or id(page) not in owned:
-                    page = self._own(pages, n, dict)
+                    page = self._own(pages, n, page, dict)
                 bucket = page.get(target)
                 if bucket is None or id(bucket) not in owned:
-                    bucket = self._own(page, target, set)
+                    bucket = self._own(page, target, bucket, set)
                 bucket.add(rowid)
 
     def unlink(self, rowid: int, values):
         """Take each reference a row holds out of the reverse maps."""
         for pos, v in enumerate(values):
-            for target in iter_refs([v]):
-                pages = self.reverse[pos]
+            if isinstance(v, RefVal):
+                targets: Iterable[Tuple[str, int]] = ((v.relation, v.row),)
+            elif isinstance(v, TupleVal):
+                # an inline tuple may hold one reference twice; its bucket
+                # holds the row once
+                targets = set(iter_refs(v.values))
+            else:
+                continue
+            pages = self.reverse[pos]
+            for target in targets:
                 n = target[1] >> ROW_BITS
-                page = self._own(pages, n, dict)
-                if len(page[target]) == 1:  # its last row goes: drop it uncopied
+                page = self._own(pages, n, pages[n], dict)
+                bucket = page[target]
+                if len(bucket) == 1:  # its last row goes: drop it uncopied
                     self._drop(page, target)
                     if not page:
                         self._drop(pages, n)
                 else:
-                    self._own(page, target, set).discard(rowid)
+                    self._own(page, target, bucket, set).discard(rowid)
+
+
+def _empty_row_page() -> List[Optional[tuple]]:
+    return [None] * (1 << ROW_BITS)
 
 
 def _prefix_end(prefix: bytes) -> Optional[bytes]:
@@ -459,10 +464,7 @@ class DbState:
         return found
 
     def get_row(self, relation: str, rowid: int) -> tuple:
-        pages = self._index(relation).rows.pages  # ``Rows.get``, without its call
-        n = rowid >> ROW_BITS
-        page = pages[n] if 0 <= n < len(pages) else None
-        row = None if page is None else page[rowid & ((1 << ROW_BITS) - 1)]
+        row = self._index(relation).rows.get(rowid)
         if row is None:
             raise RowNotFound(f"no such tuple in relation {relation!r}")
         return row

@@ -276,6 +276,31 @@ class TestReferrers:
         state.erase("author", a, cascade=True)
         assert len(state.scan("shelf")) == 0 and index_faults(state) == []
 
+    def test_one_reference_held_twice_in_an_inline_tuple_leaves_once(self):
+        state = make_state(
+            "relation (author (name text))",
+            "domain (duo author author)",
+            "relation (shelf duo (label text))",
+        )
+        a, _ = state.insert("author", (TextVal("a"),))
+        b, _ = state.insert("author", (TextVal("b"),))
+        duo = TupleVal("duo", (RefVal("author", a), RefVal("author", a)))
+        s1, _ = state.insert("shelf", (duo, TextVal("1")))
+        s2, _ = state.insert("shelf", (duo, TextVal("2")))
+        s3, _ = state.insert("shelf", (duo, TextVal("3")))
+        state.erase("shelf", s1)
+        assert state.referrers("author", a) == {("shelf", s2), ("shelf", s3)}
+        assert index_faults(state) == []
+        other = TupleVal("duo", (RefVal("author", b), RefVal("author", b)))
+        state.rekey("shelf", s2, (other, TextVal("2")))
+        assert state.referrers("author", a) == {("shelf", s3)}
+        assert state.referrers("author", b) == {("shelf", s2)}
+        assert index_faults(state) == []
+        state.erase("shelf", s3)  # the last row referencing a
+        assert state.referrers("author", a) == set() and index_faults(state) == []
+        assert state.erase("author", b, cascade=True) == {("author", b), ("shelf", s2)}
+        assert state.referrers("author", b) == set() and index_faults(state) == []
+
 
 class TestFork:
     def test_a_fork_shares_every_index_until_it_writes_one(self):
@@ -619,16 +644,29 @@ class ListModel:
         return i > 0 and self.entries[i - 1][0] == new
 
 
+def referrers_of(models, item):
+    """The tag and pair rows of ``models`` that reference an item row."""
+    tags = {("tag", t) for t, v in models["tag"].rows.items() if v[0].row == item}
+    pairs = {("pair", p) for p, v in models["pair"].rows.items() if item in {r.row for r in v[0].values}}
+    return tags | pairs
+
+
 class PagedIndexMachine(RuleBasedStateMachine):
     """Inserts, erases and rekeys (colliding ones too) on the states of a
     fork tree, each state checked against its own list model after every
     step: so a parent must read the same before and after its fork writes,
-    and the other way round."""
+    and the other way round. A pair's inline tuple may hold one item twice,
+    so a row may reference a target twice at one position."""
 
     def __init__(self):
         super().__init__()
-        state = make_state("relation (item (n int))", "relation (tag item (m int))")
-        self.worlds = [(state, {"item": ListModel(), "tag": ListModel()}, [])]
+        state = make_state(
+            "relation (item (n int))",
+            "relation (tag item (m int))",
+            "domain (duo item item)",
+            "relation (pair duo (m int))",
+        )
+        self.worlds = [(state, {rel: ListModel() for rel in ("item", "tag", "pair")}, [])]
 
     def world(self, w):
         return self.worlds[w % len(self.worlds)]
@@ -637,18 +675,35 @@ class PagedIndexMachine(RuleBasedStateMachine):
         rows = sorted(model.rows)
         return rows[i % len(rows)] if rows else None
 
+    def referencing(self, relation, models, i, j, same, m):
+        """A tuple of ``relation`` that references items, or None when there
+        is none: a tag references one item, a pair two, one item twice when
+        ``same``."""
+        a, b = self.pick(models["item"], i), self.pick(models["item"], j)
+        if a is None:
+            return None
+        if relation == "tag":
+            return (RefVal("item", a), IntVal(m))
+        return (TupleVal("duo", (RefVal("item", a), RefVal("item", a if same else b))), IntVal(m))
+
     @rule(w=st.integers(0, 7), n=st.integers(0, 9))
     def insert_item(self, w, n):
         state, models, _ = self.world(w)
         assert state.insert("item", (IntVal(n),)) == models["item"].insert((IntVal(n),))
 
-    @rule(w=st.integers(0, 7), i=st.integers(0, 99), m=st.integers(0, 2))
-    def insert_tag(self, w, i, m):
+    @rule(
+        w=st.integers(0, 7),
+        relation=st.sampled_from(["tag", "pair"]),
+        i=st.integers(0, 99),
+        j=st.integers(0, 99),
+        same=st.booleans(),
+        m=st.integers(0, 2),
+    )
+    def insert_referrer(self, w, relation, i, j, same, m):
         state, models, _ = self.world(w)
-        target = self.pick(models["item"], i)
-        if target is not None:
-            values = (RefVal("item", target), IntVal(m))
-            assert state.insert("tag", values) == models["tag"].insert(values)
+        values = self.referencing(relation, models, i, j, same, m)
+        if values is not None:
+            assert state.insert(relation, values) == models[relation].insert(values)
 
     @rule(w=st.integers(0, 7))
     def reserve(self, w):
@@ -670,7 +725,7 @@ class PagedIndexMachine(RuleBasedStateMachine):
 
     @rule(
         w=st.integers(0, 7),
-        relation=st.sampled_from(["item", "tag"]),
+        relation=st.sampled_from(["item", "tag", "pair"]),
         i=st.integers(0, 99),
         cascade=st.booleans(),
     )
@@ -681,7 +736,7 @@ class PagedIndexMachine(RuleBasedStateMachine):
             return
         doomed = {(relation, rowid)}
         if cascade and relation == "item":
-            doomed |= {("tag", t) for t, v in models["tag"].rows.items() if v[0].row == rowid}
+            doomed |= referrers_of(models, rowid)
         assert state.erase(relation, rowid, cascade=cascade) == doomed
         for rel, rid in doomed:
             models[rel].erase(rid)
@@ -694,13 +749,21 @@ class PagedIndexMachine(RuleBasedStateMachine):
             values = (IntVal(n),)
             assert state.rekey("item", rowid, values) == models["item"].rekey(rowid, values)
 
-    @rule(w=st.integers(0, 7), i=st.integers(0, 99), j=st.integers(0, 99), m=st.integers(0, 2))
-    def rekey_tag(self, w, i, j, m):
+    @rule(
+        w=st.integers(0, 7),
+        relation=st.sampled_from(["tag", "pair"]),
+        k=st.integers(0, 99),
+        i=st.integers(0, 99),
+        j=st.integers(0, 99),
+        same=st.booleans(),
+        m=st.integers(0, 2),
+    )
+    def rekey_referrer(self, w, relation, k, i, j, same, m):
         state, models, _ = self.world(w)
-        rowid, target = self.pick(models["tag"], i), self.pick(models["item"], j)
-        if rowid is not None and target is not None:
-            values = (RefVal("item", target), IntVal(m))
-            assert state.rekey("tag", rowid, values) == models["tag"].rekey(rowid, values)
+        rowid = self.pick(models[relation], k)
+        values = self.referencing(relation, models, i, j, same, m)
+        if rowid is not None and values is not None:
+            assert state.rekey(relation, rowid, values) == models[relation].rekey(rowid, values)
 
     @precondition(lambda self: len(self.worlds) < 4)
     @rule(w=st.integers(0, 7))
@@ -725,9 +788,7 @@ class PagedIndexMachine(RuleBasedStateMachine):
                     assert idx.run(key) == held and idx.first(key) == (held[0] if held else None)
             tags = models["tag"]
             for rowid in range(1, models["item"].next_rowid):
-                assert state.referrers("item", rowid) == {
-                    ("tag", t) for t, v in tags.rows.items() if v[0].row == rowid
-                }
+                assert state.referrers("item", rowid) == referrers_of(models, rowid)
                 # the tags of one item: a key range that may span chunks
                 prefix = encode_value(RefVal("item", rowid))
                 assert state.scan("tag", prefix) == {
