@@ -15,6 +15,13 @@ Rows appear per relation in export order with ordinals from 1; a reference
 is written #<relation>:<ordinal>. Export order is the canonical tuple order
 computed over values with references replaced by target ordinals, so it does
 not depend on internal row ids and a save/load/save cycle is a fixed point.
+Where the ordinals of every relation a relation references rise with their
+row ids, as in any loaded database, that order is the relation's stored key
+order, and saving reads it off the index without sorting.
+
+Loading reads back only what saving writes: canonical scalar literals and
+text escapes, rows in ordinal order, references to rows loaded above, and
+no duplicate row.
 """
 
 from __future__ import annotations
@@ -23,11 +30,12 @@ import argparse
 import csv as _csv
 import functools
 import io
+import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
 from . import store, syntax
-from .catalog import Catalog, RelationDef
+from .catalog import SCALAR_TYPES, Catalog, RelationDef
 from .errors import (
     DanglingOrdinal,
     DomainTypeMismatch,
@@ -65,7 +73,7 @@ SNAPSHOT_HEADER = ";; relang snapshot v1"
 def _members(values, state: DbState, writers) -> str:
     """Cell text of a tuple's values, each written by its type's writer,
     in braces."""
-    return "{" + " ".join(writers[type(v)](v, state, writers) for v in values) + "}"
+    return "{" + " ".join([writers[type(v)](v, state, writers) for v in values]) + "}"
 
 
 def _ref_cell(v: RefVal, state: DbState, writers) -> str:
@@ -93,6 +101,14 @@ _SEXPR_CELLS = {
     **_PLAIN_CELLS,
     TextVal: lambda v, _state, _writers: quote_text(v.value),
     TimestampVal: lambda v, _state, _writers: f'(timestamp "{render_timestamp(v)}")',
+}
+
+# Snapshot cells take the export ordinals (``orders``) in place of a state:
+# each scalar is its canonical literal, a reference ``#<relation>:<ordinal>``.
+_SNAPSHOT_CELLS = {
+    **_SEXPR_CELLS,
+    TimestampVal: lambda v, _orders, _writers: render_timestamp(v),
+    RefVal: lambda v, orders, _writers: f"#{v.relation}:{orders[v.relation][v.row]}",
 }
 
 
@@ -175,12 +191,20 @@ def _export_orders(
 
     Ordinals follow canonical tuple order computed with references replaced
     by target ordinals, which makes them independent of internal row ids.
-    A relation that holds no reference is in that order already, since its
-    stored keys are its export keys.
+    A reference's stored key is its target's row id and its export key the
+    target's ordinal, both 8 bytes wide. So a relation is in export order as
+    stored when every relation it references has ordinals that rise with
+    their row ids, and so is a relation that holds no reference; only the
+    others are sorted by export key. Ordinals rise with row ids in any
+    loaded database (there they are equal) and after appends in key order.
     """
     orders: Dict[str, Dict[int, int]] = {}
     ordered: Dict[str, List[int]] = {}
-    adopters = {q for name in catalog.names() for q, _pos in catalog.referencing(name)}
+    rising: Dict[str, bool] = {}  # whether a relation's ordinals rise with its row ids
+    targets: Dict[str, set] = {}  # relation -> the relations it references
+    for name in catalog.names():
+        for q, _pos in catalog.referencing(name):
+            targets.setdefault(q, set()).add(name)
 
     def export_key(values) -> bytes:
         out = []
@@ -199,7 +223,9 @@ def _export_orders(
         idx = state.indexes.get(name)
         if idx is None:
             continue
-        if name in adopters:
+        if all(rising.get(t, False) for t in targets.get(name, ())):
+            rowids = [rowid for ids in idx.id_chunks for rowid in ids]
+        else:
             pages, bits = idx.rows.pages, store.ROW_BITS
             keyed = sorted(
                 (export_key(values), (n << bits) + i)
@@ -209,19 +235,10 @@ def _export_orders(
                 if values is not None
             )
             rowids = [rowid for _k, rowid in keyed]
-        else:
-            rowids = [rowid for ids in idx.id_chunks for rowid in ids]
         ordered[name] = rowids
         orders[name] = {rowid: i for i, rowid in enumerate(rowids, 1)}
+        rising[name] = rowids == sorted(rowids)
     return orders, ordered
-
-
-def _snapshot_value(v: Value, orders) -> str:
-    if isinstance(v, RefVal):
-        return f"#{v.relation}:{orders[v.relation][v.row]}"
-    if isinstance(v, TupleVal):
-        return "{" + " ".join(_snapshot_value(x, orders) for x in v.values) + "}"
-    return render_scalar(v)
 
 
 def save_snapshot(db: Database) -> str:
@@ -243,9 +260,20 @@ def save_snapshot(db: Database) -> str:
     for name, rowids in ordered.items():
         pages, bits, mask = state.indexes[name].rows.pages, store.ROW_BITS, (1 << store.ROW_BITS) - 1
         for ordinal, rowid in enumerate(rowids, 1):
-            values = " ".join(_snapshot_value(v, orders) for v in pages[rowid >> bits][rowid & mask])
-            lines.append(f"row {name} {ordinal} {{{values}}}")
+            values = _members(pages[rowid >> bits][rowid & mask], orders, _SNAPSHOT_CELLS)
+            lines.append(f"row {name} {ordinal} {values}")
     return "\n".join(lines) + "\n"
+
+
+# One token of a row's value list, after any spaces: an opening brace, a
+# closing brace, a text literal with only the escapes ``quote_text`` writes,
+# an atom (a scalar literal or a reference), or a quote that opens no such
+# text, taken up to its closing quote if it has one.
+_ROW_TOKEN = re.compile(
+    r' *(?:(\{)|(\})|("(?:[^"\\]|\\["\\ntr])*")|([^ {}"][^ }]*)|("(?:[^"\\]|\\.)*)(")?)',
+    re.S,
+)
+_ESCAPE = re.compile(r"\\(.)")
 
 
 def _parse_row_values(text: str, line_no: int) -> list:
@@ -255,47 +283,32 @@ def _parse_row_values(text: str, line_no: int) -> list:
     the interpreter's."""
     values = []  # the innermost open value list
     enclosing = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == " ":
-            i += 1
-        elif ch == "{":
+    for opening, closing, quoted, atom, bad, closed in _ROW_TOKEN.findall(text):
+        if quoted:
+            body = quoted[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(lambda m: unescape_char(m[1]), body)
+            values.append(("text", body))
+        elif atom:
+            if atom[0] == "#":
+                rel, colon, ordinal = atom[1:].partition(":")
+                if not colon or not (ordinal.isascii() and ordinal.isdigit()):
+                    raise SnapshotFormatError(f"malformed reference {atom}", line_no)
+                values.append(("ref", rel, int(ordinal)))
+            else:
+                values.append(("atom", atom))
+        elif opening:
             enclosing.append(values)
             values = []
-            i += 1
-        elif ch == "}":
+        elif closing:
             if not enclosing:
                 raise SnapshotFormatError("unbalanced '}' in row", line_no)
             inner, values = values, enclosing.pop()
             values.append(("tuple", inner))
-            i += 1
-        elif ch == '"':
-            j = i + 1
-            chars = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    chars.append(unescape_char(text[j + 1]))
-                    j += 2
-                else:
-                    chars.append(text[j])
-                    j += 1
-            if j >= n:
-                raise SnapshotFormatError("unterminated text in row", line_no)
-            values.append(("text", "".join(chars)))
-            i = j + 1
+        elif closed:
+            raise SnapshotFormatError(f"non-canonical escape in text {bad}{closed}", line_no)
         else:
-            j = i + 1
-            while j < n and text[j] not in " }":
-                j += 1
-            if ch == "#":
-                rel, colon, ordinal = text[i + 1 : j].partition(":")
-                if not colon or not (ordinal.isascii() and ordinal.isdigit()):
-                    raise SnapshotFormatError(f"malformed reference {text[i:j]}", line_no)
-                values.append(("ref", rel, int(ordinal)))
-            else:
-                values.append(("atom", text[i:j]))
-            i = j
+            raise SnapshotFormatError("unterminated text in row", line_no)
     if enclosing:
         raise SnapshotFormatError("unterminated inline tuple", line_no)
     return values
@@ -328,49 +341,37 @@ def _atom_value(token: str, expected: str, line_no: int) -> Value:
     return value
 
 
-def _materialize(parsed, rel: RelationDef, catalog: Catalog, loaded_rows, line_no: int):
+def _materialize(parsed, rel: RelationDef, catalog: Catalog, refs, line_no: int):
+    """The tuple a parsed row spells under ``rel``. ``refs[t]`` lists the
+    references to the rows of ``t`` loaded so far, ordinal ``n`` at
+    ``n - 1``: a loaded row is referenced through one shared ``RefVal``."""
     if len(parsed) != rel.arity:
         raise SnapshotFormatError(
             f"{rel.name!r} takes {rel.arity} values, got {len(parsed)}", line_no
         )
     out = []
     for item, dom in zip(parsed, rel.domains):
-        if dom.is_scalar:
-            if item[0] == "text":
-                if dom.type_name == "text":
-                    try:
-                        out.append(TextVal(item[1]))
-                    except DomainTypeMismatch as exc:  # a lone surrogate
-                        raise SnapshotFormatError(str(exc), line_no) from None
-                    continue
-                raise SnapshotFormatError(
-                    f"text where {dom.type_name} expected", line_no
-                )
-            if item[0] != "atom":
-                raise SnapshotFormatError(
-                    f"expected a {dom.type_name} literal", line_no
-                )
-            out.append(_atom_value(item[1], dom.type_name, line_no))
-            continue
-        target = catalog.lookup(dom.type_name)
-        if target.klass == "simple":
-            if item[0] != "ref" or item[1] != dom.type_name:
-                raise SnapshotFormatError(
-                    f"expected a #{dom.type_name} reference", line_no
-                )
-            count = loaded_rows.get(dom.type_name, 0)
-            if not 1 <= item[2] <= count:
-                raise DanglingOrdinal(
-                    f"#{dom.type_name}:{item[2]} does not name a loaded row"
-                )
-            out.append(RefVal(dom.type_name, item[2]))
+        tag, kind = item[0], dom.type_name
+        if tag == "text" and kind == "text":
+            try:
+                out.append(TextVal(item[1]))
+            except DomainTypeMismatch as exc:  # a lone surrogate
+                raise SnapshotFormatError(str(exc), line_no) from None
+        elif tag == "atom" and kind in SCALAR_TYPES:
+            out.append(_atom_value(item[1], kind, line_no))
+        elif tag == "ref" and item[1] == kind and kind in refs:
+            loaded = refs[kind]
+            if not 1 <= item[2] <= len(loaded):
+                raise DanglingOrdinal(f"#{kind}:{item[2]} does not name a loaded row")
+            out.append(loaded[item[2] - 1])
+        elif tag == "tuple" and kind not in SCALAR_TYPES and catalog.lookup(kind).klass != "simple":
+            out.append(TupleVal(kind, _materialize(item[1], catalog.lookup(kind), catalog, refs, line_no)))
+        elif kind in SCALAR_TYPES:
+            raise SnapshotFormatError(f"expected a {kind} literal", line_no)
+        elif catalog.lookup(kind).klass == "simple":
+            raise SnapshotFormatError(f"expected a #{kind} reference", line_no)
         else:
-            if item[0] != "tuple":
-                raise SnapshotFormatError(
-                    f"expected an inline {dom.type_name} tuple", line_no
-                )
-            inner = _materialize(item[1], target, catalog, loaded_rows, line_no)
-            out.append(TupleVal(dom.type_name, tuple(inner)))
+            raise SnapshotFormatError(f"expected an inline {kind} tuple", line_no)
     return tuple(out)
 
 
@@ -393,26 +394,26 @@ def load_snapshot(text: str) -> Database:
         i += 1
     if i >= len(lines):
         raise SnapshotFormatError("missing data section", len(lines))
-    i += 1  # blank separator
-    loaded_rows: Dict[str, int] = {}
-    while i < len(lines):
-        line = lines[i]
-        i += 1
+    catalog, state = db.catalog, db.published
+    relations = {name: catalog.lookup(name) for name in catalog.names()}
+    # the references to each referenced relation's loaded rows, by ordinal
+    refs: Dict[str, List[RefVal]] = {name: [] for name in relations if catalog.referencing(name)}
+    for i, line in enumerate(lines[i + 1 :], i + 2):  # after the blank separator
         if not line.strip():
             continue
         parts = line.split(" ", 3)
         if len(parts) != 4 or parts[0] != "row":
             raise SnapshotFormatError(f"malformed row line: {line!r}", i)
         _row, rel_name, ordinal_text, rest = parts
-        if rel_name not in db.catalog:
+        rel = relations.get(rel_name)
+        if rel is None:
             raise SnapshotFormatError(f"row for undefined relation {rel_name!r}", i)
-        rel = db.catalog.lookup(rel_name)
         if rel.klass != "simple":
             raise SnapshotFormatError(f"{rel_name!r} stores no rows", i)
         if not (ordinal_text.isascii() and ordinal_text.isdigit()):
             raise SnapshotFormatError(f"malformed ordinal {ordinal_text!r}", i)
         ordinal = int(ordinal_text)
-        expected = loaded_rows.get(rel_name, 0) + 1
+        expected = len(state.indexes[rel_name].rows) + 1
         if ordinal != expected:
             raise SnapshotFormatError(
                 f"ordinal {ordinal} out of order (expected {expected})", i
@@ -422,11 +423,12 @@ def load_snapshot(text: str) -> Database:
         parsed = _parse_row_values(rest[1:-1], i)
         # every reference names a row loaded above, so no pass over the
         # loaded state is needed afterwards
-        values = _materialize(parsed, rel, db.catalog, loaded_rows, i)
-        rowid, fresh = db.published.insert(rel_name, values)
+        values = _materialize(parsed, rel, catalog, refs, i)
+        rowid, fresh = state.insert(rel_name, values)
         if not fresh or rowid != ordinal:
             raise SnapshotFormatError(f"duplicate row in {rel_name!r}", i)
-        loaded_rows[rel_name] = ordinal
+        if rel_name in refs:
+            refs[rel_name].append(RefVal(rel_name, rowid))
     db.refresh()
     return db
 

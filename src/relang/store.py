@@ -570,6 +570,9 @@ class DbState:
             i == 0 and c > 0 and maxes[c - 1] == new_key
         )
         idx.place(c, i, new_key, rowid)
-        idx.unlink(rowid, old_values)
-        idx.link(rowid, new_values)
+        # relink only the positions whose value changed: a position masked
+        # to None holds no reference
+        pairs = list(zip(old_values, new_values))
+        idx.unlink(rowid, [a if a != b else None for a, b in pairs])
+        idx.link(rowid, [b if a != b else None for a, b in pairs])
         return collided

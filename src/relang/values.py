@@ -13,6 +13,11 @@ Encoding per kind, concatenated in domain order:
   timestamp  year, month, day as three int encodings (absent parts encode 0)
   ref        8 bytes, the target row id (big-endian)
   tuple      the concatenation of its member encodings (inline complex value)
+
+``encode_value`` and ``encode_tuple`` find each value's encoder in one
+table keyed by its exact class (``_ENCODERS``); a value of any other type
+has no key and raises ``TypeError``. The value classes are slotted frozen
+dataclasses: an instance carries no ``__dict__``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ _SIGN = 1 << 63
 _MASK = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntVal:
     value: int
 
@@ -40,7 +45,7 @@ class IntVal:
             raise DomainTypeMismatch(f"integer out of 64-bit range: {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealVal:
     value: float
 
@@ -51,7 +56,7 @@ class RealVal:
             object.__setattr__(self, "value", 0.0)  # collapse -0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextVal:
     value: str
 
@@ -64,7 +69,7 @@ class TextVal:
                 raise DomainTypeMismatch("text holds a lone surrogate") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimestampVal:
     """A calendar instant ordered by (astronomical year, month, day)."""
 
@@ -76,7 +81,7 @@ class TimestampVal:
         return (self.year, self.month or 0, self.day or 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefVal:
     """Reference to a row of a simple relation. Never visible in output."""
 
@@ -84,7 +89,7 @@ class RefVal:
     row: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TupleVal:
     """Inline complex value: a tuple conforming to a domain-class relation."""
 
@@ -140,12 +145,12 @@ def render_timestamp(ts: TimestampVal) -> str:
 
 # --- canonical literals (quoting) -------------------------------------------
 
-_TEXT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_TEXT_ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"})
 _UNESCAPES = {'"': '"', "'": "'", "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 
 
 def quote_text(s: str) -> str:
-    return '"' + "".join(_TEXT_ESCAPES.get(ch, ch) for ch in s) + '"'
+    return '"' + s.translate(_TEXT_ESCAPES) + '"'
 
 
 def unescape_char(ch: str) -> str:
@@ -187,33 +192,39 @@ def encode_real(v: float) -> bytes:
 
 
 def encode_text(s: str) -> bytes:
-    return s.encode("utf-8").replace(b"\x00", b"\x00\xff") + b"\x00"
+    if "\x00" in s:
+        return s.encode("utf-8").replace(b"\x00", b"\x00\xff") + b"\x00"
+    return s.encode("utf-8") + b"\x00"
 
 
 def encode_timestamp(ts: TimestampVal) -> bytes:
-    return (
-        encode_int(ts.year)
-        + encode_int(ts.month or 0)
-        + encode_int(ts.day or 0)
-    )
+    year, month, day = ts.year, ts.month or 0, ts.day or 0
+    if not (-_SIGN <= year < _SIGN and -_SIGN <= month < _SIGN and -_SIGN <= day < _SIGN):
+        raise DomainTypeMismatch(f"timestamp part out of 64-bit range: {ts!r}")
+    # three int encodings at once: v + 2**63 is v's flipped two's complement
+    return ((year + _SIGN) << 128 | (month + _SIGN) << 64 | (day + _SIGN)).to_bytes(24, "big")
 
 
-def encode_value(v: Value) -> bytes:
-    if isinstance(v, IntVal):
-        return encode_int(v.value)
-    if isinstance(v, RealVal):
-        return encode_real(v.value)
-    if isinstance(v, TextVal):
-        return encode_text(v.value)
-    if isinstance(v, TimestampVal):
-        return encode_timestamp(v)
-    if isinstance(v, RefVal):
-        return v.row.to_bytes(8, "big")
-    if isinstance(v, TupleVal):
-        return b"".join(encode_value(x) for x in v.values)
+def _unencodable(v) -> bytes:
     raise TypeError(f"unencodable value: {v!r}")
 
 
-def encode_tuple(values) -> bytes:
-    return b"".join(encode_value(v) for v in values)
+# Key encoders by value class. An IntVal's range was checked when it was
+# built, so its encoder is ``encode_int`` without the check.
+_ENCODERS = {
+    IntVal: lambda v: (v.value + _SIGN).to_bytes(8, "big"),
+    RealVal: lambda v: encode_real(v.value),
+    TextVal: lambda v: encode_text(v.value),
+    TimestampVal: encode_timestamp,
+    RefVal: lambda v: v.row.to_bytes(8, "big"),
+    TupleVal: lambda v: encode_tuple(v.values),
+}
 
+
+def encode_value(v: Value) -> bytes:
+    return _ENCODERS.get(type(v), _unencodable)(v)
+
+
+def encode_tuple(values) -> bytes:
+    encoders = _ENCODERS
+    return b"".join([encoders.get(type(v), _unencodable)(v) for v in values])

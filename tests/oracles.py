@@ -4,6 +4,10 @@ The brute-force connection oracle finds the shortest schema path with
 networkx (not the engine's search) and then enumerates the full Cartesian
 product of every relation on the path, filtering on reference equality along
 each edge. It must agree with the engine's chain-join exactly.
+
+The snapshot oracles are the slow paths the snapshot code replaced: a
+character loop for the row tokenizer, and a sort of every relation by its
+export key for the export order.
 """
 
 import itertools
@@ -14,6 +18,7 @@ import networkx as nx
 
 import relang
 from relang import parse_script, store
+from relang.errors import SnapshotFormatError
 from relang.store import iter_refs
 from relang.txn import CommitReport
 from relang.values import (
@@ -24,6 +29,8 @@ from relang.values import (
     TimestampVal,
     TupleVal,
     encode_tuple,
+    encode_value,
+    unescape_char,
 )
 
 
@@ -258,6 +265,89 @@ def commit_must_abort(txn) -> bool:
         or txn.pending
         or txn.obligations
     )
+
+
+# --- snapshots -------------------------------------------------------------------
+
+
+def parse_row_values(text: str, line_no: int, canonical_escapes=False) -> list:
+    """The brace-enclosed value list of one snapshot row line, read one
+    character at a time. With ``canonical_escapes``, a backslash escape
+    other than those ``quote_text`` writes is a format error."""
+    values = []  # the innermost open value list
+    enclosing = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == " ":
+            i += 1
+        elif ch == "{":
+            enclosing.append(values)
+            values = []
+            i += 1
+        elif ch == "}":
+            if not enclosing:
+                raise SnapshotFormatError("unbalanced '}' in row", line_no)
+            inner, values = values, enclosing.pop()
+            values.append(("tuple", inner))
+            i += 1
+        elif ch == '"':
+            j = i + 1
+            chars = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    if canonical_escapes and text[j + 1] not in '"\\ntr':
+                        raise SnapshotFormatError("non-canonical escape in text", line_no)
+                    chars.append(unescape_char(text[j + 1]))
+                    j += 2
+                else:
+                    chars.append(text[j])
+                    j += 1
+            if j >= n:
+                raise SnapshotFormatError("unterminated text in row", line_no)
+            values.append(("text", "".join(chars)))
+            i = j + 1
+        else:
+            j = i + 1
+            while j < n and text[j] not in " }":
+                j += 1
+            if ch == "#":
+                rel, colon, ordinal = text[i + 1 : j].partition(":")
+                if not colon or not (ordinal.isascii() and ordinal.isdigit()):
+                    raise SnapshotFormatError(f"malformed reference {text[i:j]}", line_no)
+                values.append(("ref", rel, int(ordinal)))
+            else:
+                values.append(("atom", text[i:j]))
+            i = j
+    if enclosing:
+        raise SnapshotFormatError("unterminated inline tuple", line_no)
+    return values
+
+
+def export_orders(catalog, state):
+    """Per simple relation, its row ids in export order: every relation
+    sorted by its export key, the canonical key with each reference replaced
+    by its target's ordinal (a relation defined earlier, so already
+    ordered)."""
+    orders, ordered = {}, {}
+
+    def export_key(values) -> bytes:
+        out = []
+        for v in values:
+            if isinstance(v, RefVal):
+                out.append(orders[v.relation][v.row].to_bytes(8, "big"))
+            elif isinstance(v, TupleVal):
+                out.append(export_key(v.values))
+            else:
+                out.append(encode_value(v))
+        return b"".join(out)
+
+    for name in catalog.names():
+        if name in state.indexes:
+            rows = state.indexes[name].rows.items()
+            ordered[name] = [rowid for _k, rowid in sorted((export_key(v), r) for r, v in rows)]
+            orders[name] = {rowid: i for i, rowid in enumerate(ordered[name], 1)}
+    return ordered
 
 
 # --- random schema/database generation -------------------------------------------

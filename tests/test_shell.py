@@ -1,10 +1,15 @@
 import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import relang
+from relang import shell, values
 from relang.errors import DanglingOrdinal, SnapshotFormatError, UnknownAttr
 from relang.shell import (
+    _export_orders,
+    _parse_row_values,
     format_csv,
     format_result,
     format_sexpr,
@@ -13,9 +18,10 @@ from relang.shell import (
     run as shell_run,
     save_snapshot,
 )
+from relang.values import quote_text
 
 from conftest import LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
-from oracles import dangling_refs
+from oracles import dangling_refs, export_orders, flat_ids, parse_row_values
 
 
 class TestFormats:
@@ -264,10 +270,125 @@ class TestSnapshots:
         )
         assert save_snapshot(load_snapshot(text)) == text
 
+    @pytest.mark.parametrize("text", ['"a\\qb"', '"a\\\'b"'], ids=["unknown", "single_quote"])
+    def test_non_canonical_text_escapes_are_rejected(self, text):
+        # saving would write them back as "a\\qb" and "a'b"
+        good = ';; relang snapshot v1\nrelation (p text)\n\nrow p 1 {"a\\"\\\\\\n\\t\\rb"}\n'
+        assert save_snapshot(load_snapshot(good)) == good
+        with pytest.raises(SnapshotFormatError, match="non-canonical escape"):
+            load_snapshot(f";; relang snapshot v1\nrelation (p text)\n\nrow p 1 {{{text}}}\n")
+
     def test_non_ascii_ordinal(self):
         text = ';; relang snapshot v1\nrelation (genre text)\n\nrow genre \u00b9 {"a"}\n'
         with pytest.raises(SnapshotFormatError):
             load_snapshot(text)
+
+
+# Fragments of row texts: braces, quotes, canonical and other escapes, and
+# atoms, references among them.
+ROW_FRAGMENTS = [
+    "{", "}", " ", '"', "\\", '\\"', "\\\\", "\\n", "\\t", "\\r", "\\q", "\\'",
+    "#a:1", "#b:", "#:3", "#c:x", "#a:\u00b2", "12", "-0.5", "+1941-03", "x", "\u00e9", "\t",
+]
+
+# Parsed row values: texts, atoms, references and inline tuples of them.
+PARSED_VALUES = st.recursive(
+    st.one_of(
+        st.tuples(st.just("text"), st.text(max_size=6)),
+        st.tuples(st.just("atom"), st.sampled_from(["12", "-0.5", "+1941-03", "x{y"])),
+        st.tuples(st.just("ref"), st.sampled_from(["a", "b_c"]), st.integers(0, 300)),
+    ),
+    lambda inner: st.lists(inner, max_size=3).map(lambda items: ("tuple", items)),
+    max_leaves=8,
+)
+
+
+def _render_parsed(item) -> str:
+    if item[0] == "text":
+        return quote_text(item[1])
+    if item[0] == "atom":
+        return item[1]
+    if item[0] == "ref":
+        return f"#{item[1]}:{item[2]}"
+    return "{" + " ".join(_render_parsed(x) for x in item[1]) + "}"
+
+
+class TestRowTokenizer:
+    """The regular-expression tokenizer against the character loop it
+    replaced, which only differs in rejecting escapes ``quote_text`` never
+    writes."""
+
+    @given(st.lists(st.sampled_from(ROW_FRAGMENTS), max_size=14).map("".join))
+    def test_agrees_with_the_character_loop(self, text):
+        try:
+            expected = parse_row_values(text, 1, canonical_escapes=True)
+        except SnapshotFormatError:
+            with pytest.raises(SnapshotFormatError):
+                _parse_row_values(text, 1)
+        else:
+            assert _parse_row_values(text, 1) == expected
+            if "\\" not in text:
+                assert parse_row_values(text, 1) == expected
+
+    @given(st.lists(PARSED_VALUES, max_size=4))
+    def test_reads_back_what_saving_writes(self, items):
+        text = " ".join(_render_parsed(item) for item in items)
+        assert _parse_row_values(text, 1) == parse_row_values(text, 1) == items
+
+
+class TestExportOrder:
+    """``_export_orders`` takes a relation's stored order when it is its
+    export order, and must agree with sorting every relation by export key."""
+
+    INLINE = (
+        "relation (author (name text)) domain (entry author (n int))"
+        " relation (shelf entry (label text))"
+        ' add author {"B"} add author {"A"}'
+        ' add shelf ({(entry (author "B") 1) "x"} {(entry (author "A") 1) "y"})'
+        " commit"
+    )
+
+    def check(self, db, monkeypatch):
+        """The export order, checked against the oracle, and every value
+        the export-key sort encoded; a save/load/save is a fixed point."""
+        encoded = []
+        monkeypatch.setattr(shell, "encode_value", lambda v: encoded.append(v) or values.encode_value(v))
+        _orders, ordered = _export_orders(db.catalog, db.published)
+        monkeypatch.undo()
+        assert ordered == export_orders(db.catalog, db.published)
+        text = save_snapshot(db)
+        assert save_snapshot(load_snapshot(text)) == text
+        return ordered, encoded
+
+    @pytest.mark.parametrize("script", [LIBRARY_SCRIPT, INLINE], ids=["library", "inline"])
+    def test_a_loaded_database_is_saved_in_stored_order(self, script, monkeypatch):
+        db = load_snapshot(save_snapshot(build_db(script)))
+        ordered, encoded = self.check(db, monkeypatch)
+        assert encoded == []
+        assert ordered == {name: flat_ids(idx) for name, idx in db.published.indexes.items()}
+
+    def test_an_author_sorting_first_makes_its_referrers_sort(self, library, monkeypatch):
+        db = load_snapshot(save_snapshot(library))
+        run(
+            db,
+            'add author {"Aardvark" "1900"} add book {(author "Aardvark" .) "Zzz" "1950"}'
+            ' add book_genre {(book . "Zzz" .) (genre "epic")} commit',
+        )
+        ordered, encoded = self.check(db, monkeypatch)
+        assert encoded
+        # the new rows (row id 4) come first in export order; only the
+        # author is stored first too
+        assert ordered["author"] == flat_ids(db.published.indexes["author"])
+        for name in ("author", "book", "book_genre"):
+            assert ordered[name][0] == 4
+        for name in ("book", "book_genre"):
+            assert flat_ids(db.published.indexes[name])[-1] == 4
+
+    def test_references_inside_an_inline_tuple_make_their_holder_sort(self, monkeypatch):
+        db = build_db(self.INLINE)
+        ordered, encoded = self.check(db, monkeypatch)
+        assert encoded
+        assert ordered["shelf"] == flat_ids(db.published.indexes["shelf"])[::-1]
 
 
 class TestCommandLine:

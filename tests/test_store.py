@@ -597,6 +597,15 @@ class TestSharing:
         assert len(new["reverse pages"]) == 2
         assert parent.get_row("book", 1234) == old
 
+    def test_a_rekey_that_keeps_the_reference_copies_no_reverse_page(self, parent):
+        old = parent.get_row("book", 1234)
+        book = (old[0], TextVal("zzz"))
+        base, idx = self.write(parent, lambda s: s.rekey("book", 1234, book))
+        new = _sharing(base, idx)
+        assert new["reverse pages"] == []
+        assert idx.reverse[0] == base.reverse[0]
+        assert parent.get_row("book", 1234) == old
+
 
 # --- a model check of the paged index ---------------------------------------------
 

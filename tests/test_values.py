@@ -1,8 +1,11 @@
+import typing
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relang.errors import BadCast, DomainTypeMismatch
+from relang import values
 from relang.values import (
     INT64_MAX,
     INT64_MIN,
@@ -10,11 +13,13 @@ from relang.values import (
     RealVal,
     TextVal,
     TimestampVal,
+    Value,
     encode_int,
     encode_real,
     encode_text,
     encode_timestamp,
     encode_tuple,
+    encode_value,
     parse_timestamp,
     quote_text,
     render_timestamp,
@@ -92,6 +97,7 @@ class TestRealEncoding:
 
     def test_negative_zero_collapses(self):
         assert RealVal(-0.0) == RealVal(0.0)
+        assert repr(RealVal(-0.0).value) == "0.0"  # under slots too
         assert encode_tuple((RealVal(-0.0),)) == encode_tuple((RealVal(0.0),))
 
     def test_non_finite_value_rejected(self):
@@ -160,3 +166,34 @@ def test_tuple_encoding_is_concatenation(values):
     from relang.values import encode_value
 
     assert encode_tuple(values) == b"".join(encode_value(v) for v in values)
+
+
+class TestValueLayer:
+    """Every value class is slotted, so an instance carries no ``__dict__``,
+    and has a key encoder; anything else has no key."""
+
+    @pytest.mark.parametrize("cls", typing.get_args(Value), ids=lambda cls: cls.__name__)
+    def test_slotted_with_an_encoder(self, cls):
+        assert "__slots__" in vars(cls) and "__dict__" not in dir(cls)
+        assert cls in values._ENCODERS
+
+    def test_an_unknown_type_has_no_key(self):
+        with pytest.raises(TypeError):
+            encode_value(object())
+        with pytest.raises(TypeError):
+            encode_tuple((IntVal(1), 1))
+
+    @given(st.integers(INT64_MIN, INT64_MAX), st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=5))
+    def test_table_keys_are_the_per_kind_encodings(self, n, x, s):
+        assert encode_value(IntVal(n)) == encode_int(n)
+        assert encode_value(RealVal(x)) == encode_real(RealVal(x).value)
+        assert encode_value(TextVal(s)) == s.encode("utf-8").replace(b"\x00", b"\x00\xff") + b"\x00"
+
+    @given(st.integers(-(1 << 70), 1 << 70), st.integers(-(1 << 70), 1 << 70), st.integers(-(1 << 70), 1 << 70))
+    def test_a_timestamp_key_is_three_int_keys(self, year, month, day):
+        ts = TimestampVal(year, month, day)
+        if all(INT64_MIN <= v <= INT64_MAX for v in (year, month, day)):
+            assert encode_value(ts) == encode_int(year) + encode_int(month) + encode_int(day)
+        else:
+            with pytest.raises(DomainTypeMismatch):
+                encode_value(ts)
