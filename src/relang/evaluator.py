@@ -67,7 +67,7 @@ class SchemaCol:
 
 
 class TupleSet:
-    """A duplicate-free set of same-shaped tuples, iterated in key order.
+    """A duplicate-free set of same-shaped tuples.
 
     ``relation`` names the relation the tuples are a subset of, when there is
     one; constructed sets carry None. The completely empty constructor ``()``
@@ -76,6 +76,8 @@ class TupleSet:
     ``rows`` maps each tuple's canonical key to the tuple. A set taken from
     a relation adopts the map ``DbState.scan`` returns, and sets derived from
     it copy those keys: only constructed tuples are encoded, once, by ``add``.
+    Key order is storage order, not output order: a reference's key is its
+    target's row id. The shell prints tuples in value order.
     """
 
     def __init__(self, schema, relation=None, rows=None):
@@ -102,11 +104,9 @@ class TupleSet:
     def __len__(self):
         return len(self._rows)
 
-    def __contains__(self, values) -> bool:
-        return encode_tuple(values) in self._rows
-
     def tuples(self):
-        """Tuples in canonical-key order."""
+        """Tuples in canonical-key order, which is storage order, not
+        output order."""
         return [self._rows[k] for k in sorted(self._rows)]
 
     def keys(self):
@@ -125,14 +125,6 @@ class TupleSet:
 
     def same_tuples(self, other: "TupleSet") -> bool:
         return self.keys() == other.keys()
-
-    def __repr__(self):
-        shape = (
-            " ".join(f"{c.attr}:{c.type_name}" for c in self.schema)
-            if self.schema is not None
-            else "?"
-        )
-        return f"<TupleSet [{shape}] {len(self)} tuples>"
 
 
 EvalValue = object  # Value | bool | TupleSet

@@ -4,6 +4,12 @@ Formatting lives here and only here; it never alters the tuple set it
 renders, and ordering requested at the output level is a formatting concern,
 not a relational one.
 
+Value order: every output lists its tuples, and every snapshot its rows, by
+the canonical key of their values (``values.py``) with each reference
+replaced by the key of the tuple it references. So it depends on values
+only, never on row ids or on the history of inserts. ``order_key`` builds
+every such key; ``order`` attributes sort on top of value order, stably.
+
 Snapshot format (text, deterministic byte for byte):
 
     ;; relang snapshot v1
@@ -11,13 +17,12 @@ Snapshot format (text, deterministic byte for byte):
     <blank line>
     row <relation> <ordinal> {v1 ... vn}
 
-Rows appear per relation in export order with ordinals from 1; a reference
-is written #<relation>:<ordinal>. Export order is the canonical tuple order
-computed over values with references replaced by target ordinals, so it does
-not depend on internal row ids and a save/load/save cycle is a fixed point.
-Where the ordinals of every relation a relation references rise with their
-row ids, as in any loaded database, that order is the relation's stored key
-order, and saving reads it off the index without sorting.
+Rows appear per relation in value order with ordinals from 1; a reference
+is written #<relation>:<ordinal>. Ordering by the target's ordinal orders by
+the target's values, so a save/load/save cycle is a fixed point. Where the
+ordinals of every relation a relation references rise with their row ids,
+as in any loaded database, value order is the relation's stored key order,
+and saving reads it off the index without sorting.
 
 Loading reads back only what saving writes: canonical scalar literals and
 text escapes, rows in ordinal order, references to rows loaded above, and
@@ -116,17 +121,37 @@ def _plain_cells(t, state: DbState) -> List[str]:
     return [_PLAIN_CELLS[type(v)](v, state, _PLAIN_CELLS) for v in t]
 
 
-def _ordered_tuples(result: TupleSet, order_attrs) -> List[tuple]:
-    tuples = result.tuples()
-    if not order_attrs:
-        return tuples
-    positions = []
-    for attr in order_attrs:
-        pos = result.attr_index(attr)
-        if pos is None:
-            raise UnknownAttr(f"no attribute {attr!r} to order by")
-        positions.append(pos)
-    return sorted(tuples, key=lambda t: tuple(encode_value(t[p]) for p in positions))
+def order_key(values, ref_key) -> bytes:
+    """The value-order key of a tuple: its canonical key with each
+    reference, inline tuples included, replaced by ``ref_key(reference)``."""
+    return b"".join([
+        ref_key(v) if type(v) is RefVal
+        else order_key(v.values, ref_key) if type(v) is TupleVal
+        else encode_value(v)
+        for v in values
+    ])
+
+
+def _target_keys(state: DbState):
+    """A ``ref_key`` giving each reference its target's order key, memoised
+    for one output."""
+    target_key = functools.cache(lambda rel, row: order_key(state.get_row(rel, row), ref_key))
+    ref_key = lambda v: target_key(v.relation, v.row)
+    return ref_key
+
+
+def _ordered_tuples(result: TupleSet, state: DbState, order_attrs) -> List[tuple]:
+    """The result's tuples in value order (as stored when every column is
+    scalar), then sorted stably by its ``order`` attributes."""
+    positions = [result.attr_index(attr) for attr in order_attrs]
+    if None in positions:
+        raise UnknownAttr(f"no attribute {order_attrs[positions.index(None)]!r} to order by")
+    tuples, ref_key = result.tuples(), _target_keys(state)
+    if any(col.type_name not in SCALAR_TYPES for col in result.schema):
+        tuples.sort(key=lambda t: order_key(t, ref_key))
+    if positions:
+        tuples.sort(key=lambda t: order_key([t[p] for p in positions], ref_key))
+    return tuples
 
 
 def format_result(result, fmt: str, state: DbState, order_attrs=()) -> str:
@@ -147,7 +172,7 @@ def format_result(result, fmt: str, state: DbState, order_attrs=()) -> str:
 def format_sexpr(result: TupleSet, state: DbState, order_attrs=()) -> str:
     if result.schema is None or len(result) == 0:
         return "()"
-    rows = [_members(t, state, _SEXPR_CELLS) for t in _ordered_tuples(result, order_attrs)]
+    rows = [_members(t, state, _SEXPR_CELLS) for t in _ordered_tuples(result, state, order_attrs)]
     return "(" + " ".join(rows) + ")"
 
 
@@ -157,7 +182,7 @@ def format_csv(result: TupleSet, state: DbState, order_attrs=()) -> str:
     if result.schema is None:
         return ""
     writer.writerow([col.attr for col in result.schema])
-    for t in _ordered_tuples(result, order_attrs):
+    for t in _ordered_tuples(result, state, order_attrs):
         writer.writerow(_plain_cells(t, state))
     return buf.getvalue().rstrip("\n")
 
@@ -166,7 +191,7 @@ def format_tabular(result: TupleSet, state: DbState, order_attrs=()) -> str:
     if result.schema is None:
         return "(empty set)"
     headers = [col.attr for col in result.schema]
-    rows = [_plain_cells(t, state) for t in _ordered_tuples(result, order_attrs)]
+    rows = [_plain_cells(t, state) for t in _ordered_tuples(result, state, order_attrs)]
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
@@ -186,17 +211,16 @@ def format_tabular(result: TupleSet, state: DbState, order_attrs=()) -> str:
 def _export_orders(
     catalog: Catalog, state: DbState
 ) -> Tuple[Dict[str, Dict[int, int]], Dict[str, List[int]]]:
-    """Per relation, its row ids in export order, and the map row id ->
+    """Per relation, its row ids in value order, and the map row id ->
     export ordinal (1-based).
 
-    Ordinals follow canonical tuple order computed with references replaced
-    by target ordinals, which makes them independent of internal row ids.
-    A reference's stored key is its target's row id and its export key the
-    target's ordinal, both 8 bytes wide. So a relation is in export order as
-    stored when every relation it references has ordinals that rise with
-    their row ids, and so is a relation that holds no reference; only the
-    others are sorted by export key. Ordinals rise with row ids in any
-    loaded database (there they are equal) and after appends in key order.
+    A reference's order key is its target's ordinal, which ranks targets in
+    their own value order. A reference's stored key is its target's row id;
+    both are 8 bytes wide. So a relation is in value order as stored when
+    every relation it references has ordinals that rise with their row ids,
+    and so is a relation that holds no reference; only the others are
+    sorted by order key. Ordinals rise with row ids in any loaded database
+    (there they are equal) and after appends in key order.
     """
     orders: Dict[str, Dict[int, int]] = {}
     ordered: Dict[str, List[int]] = {}
@@ -205,17 +229,7 @@ def _export_orders(
     for name in catalog.names():
         for q, _pos in catalog.referencing(name):
             targets.setdefault(q, set()).add(name)
-
-    def export_key(values) -> bytes:
-        out = []
-        for v in values:
-            if isinstance(v, RefVal):
-                out.append(orders[v.relation][v.row].to_bytes(8, "big"))
-            elif isinstance(v, TupleVal):
-                out.append(export_key(v.values))
-            else:
-                out.append(encode_value(v))
-        return b"".join(out)
+    ref_key = lambda v: orders[v.relation][v.row].to_bytes(8, "big")
 
     for name in catalog.names():
         if catalog.lookup(name).klass != "simple":
@@ -228,7 +242,7 @@ def _export_orders(
         else:
             pages, bits = idx.rows.pages, store.ROW_BITS
             keyed = sorted(
-                (export_key(values), (n << bits) + i)
+                (order_key(values, ref_key), (n << bits) + i)
                 for n, page in enumerate(pages)
                 if page is not None
                 for i, values in enumerate(page)

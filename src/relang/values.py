@@ -9,7 +9,8 @@ Encoding per kind, concatenated in domain order:
   int        8 bytes, two's complement with the sign bit flipped (big-endian)
   real       8 bytes, IEEE-754 bits; positive values flip the sign bit,
              negative values flip all bits (total order, NaN unrepresentable)
-  text       UTF-8 bytes, NUL escaped as 0x00 0xFF, terminated by bare 0x00
+  text       UTF-8 bytes, NUL escaped as 0x01 0x01 and 0x01 as 0x01 0x02,
+             terminated by 0x00 (so no text key is a prefix of another)
   timestamp  year, month, day as three int encodings (absent parts encode 0)
   ref        8 bytes, the target row id (big-endian)
   tuple      the concatenation of its member encodings (inline complex value)
@@ -192,8 +193,8 @@ def encode_real(v: float) -> bytes:
 
 
 def encode_text(s: str) -> bytes:
-    if "\x00" in s:
-        return s.encode("utf-8").replace(b"\x00", b"\x00\xff") + b"\x00"
+    if "\x00" in s or "\x01" in s:
+        return s.encode("utf-8").replace(b"\x01", b"\x01\x02").replace(b"\x00", b"\x01\x01") + b"\x00"
     return s.encode("utf-8") + b"\x00"
 
 

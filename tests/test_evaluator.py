@@ -516,9 +516,9 @@ def test_reference_selection_equals_a_dereferencing_filter(rng):
         assert result.keys() == expected
 
 
-# The key of "a" is a byte prefix of the keys of "a\0" and "a\0b", so a key
-# range over-approximates equality on these texts.
-PREFIX_TEXTS = ["", "a", "a\x00", "a\x00b", "ab", "b"]
+# "a" is a prefix of the other texts starting with "a", and NUL and 0x01 are
+# the bytes a text key escapes: keys must still tell each of them apart.
+PREFIX_TEXTS = ["", "a", "a\x00", "a\x00b", "a\x01", "ab", "b"]
 
 
 def _literal(value):

@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relang
@@ -20,7 +20,7 @@ from relang.shell import (
 )
 from relang.values import quote_text
 
-from conftest import LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
+from conftest import LIBRARY_DDL, LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
 from oracles import dangling_refs, export_orders, flat_ids, parse_row_values
 
 
@@ -391,6 +391,66 @@ class TestExportOrder:
         assert ordered["shelf"] == flat_ids(db.published.indexes["shelf"])[::-1]
 
 
+def _printed(db, statements: str) -> str:
+    out = io.StringIO()
+    session = shell.Session(db, out, None)
+    for stmt in relang.parse_script(statements):
+        session.execute(stmt)
+    return out.getvalue()
+
+
+@st.composite
+def library_rows(draw):
+    """Statements adding authors (names may repeat), their books and the
+    books' genre links, each tuple spelled as a value-complete literal."""
+    authors = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["Amy", "Bo", "Zed"]), st.sampled_from(["800 BC", "1900", "1950"])),
+            min_size=1, max_size=4, unique=True,
+        )
+    )
+    books = draw(
+        st.lists(st.tuples(st.sampled_from(authors), st.sampled_from("abc")), max_size=6, unique=True)
+    )
+    links = []
+    if books:
+        links = draw(
+            st.lists(st.tuples(st.sampled_from(books), st.sampled_from(["epic", "noir"])), max_size=6, unique=True)
+        )
+    author = lambda a: '{"%s" "%s"}' % a
+    book = lambda b: '{%s "%s" "2000"}' % (author(b[0]), b[1])
+    return (
+        [f"add author {author(a)}" for a in authors]
+        + [f"add book {book(b)}" for b in books]
+        + [f'add book_genre {{{book(b)} {{"{g}"}}}}' for b, g in links]
+    )
+
+
+class TestValueOrder:
+    """Outputs list tuples in value order, whatever the row ids."""
+
+    OUTPUTS = " ".join(
+        f"output {fmt} {order}{expr}"
+        for fmt in ("sexpr", "csv", "tabular")
+        for order in ("", "order author ")
+        for expr in ("(book)", "{book (author)}", "[(book) author title]")
+    ) + " output sexpr (book_genre) output csv {book_genre (author)} output tabular order book (book_genre)"
+
+    @given(library_rows(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_two_insertion_orders_print_the_same_bytes(self, adds, rng):
+        shuffled = list(adds)
+        rng.shuffle(shuffled)
+        script = LIBRARY_DDL + ' add genre ({"epic"} {"noir"}) '
+        one = build_db(script + " ".join(adds) + " commit")
+        two = build_db(script + " ".join(shuffled) + " commit")
+        printed = _printed(one, self.OUTPUTS)
+        assert _printed(two, self.OUTPUTS) == printed
+        loaded = load_snapshot(save_snapshot(two))
+        assert _printed(loaded, self.OUTPUTS) == printed
+        assert save_snapshot(loaded) == save_snapshot(one)
+
+
 class TestCommandLine:
     def _run(self, argv, stdin_text=""):
         out, err = io.StringIO(), io.StringIO()
@@ -482,6 +542,31 @@ class TestCommandLine:
         assert code == 0, err
         names = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
         assert names == ["Homer", "Austen", "Dawkins"]
+
+    def test_output_order_survives_a_save_and_load(self, tmp_path):
+        # Zed's rows have the lower row ids; the loaded snapshot numbers
+        # Amy's first. Both print Amy's rows first, in value order.
+        outputs = (
+            "output sexpr (book) output csv order author (book)"
+            " output sexpr {book (author)} output sexpr [(book) author title]"
+        )
+        snap = tmp_path / "zed.snap"
+        code, first, err = self._run(
+            [
+                "-e",
+                "relation (author (name text)) relation (book author (title text))"
+                ' add author {"Zed"} add author {"Amy"}'
+                ' add book {(author "Zed") "z1"} add book {(author "Amy") "a1"} commit '
+                + outputs,
+                "--save",
+                str(snap),
+            ]
+        )
+        assert code == 0, err
+        code, loaded, err = self._run(["--db", str(snap), "-e", outputs])
+        assert code == 0, err
+        assert loaded == first
+        assert first.split("\n")[0] == '({{"Amy"} "a1"} {{"Zed"} "z1"})'
 
     def test_stdin_script_mode(self):
         code, out, err = self._run([], stdin_text="(+ 1 1)\n")

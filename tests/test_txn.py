@@ -55,6 +55,21 @@ class TestPlanAdd:
         run(db, 'add author ({"A" "1901"} {"B" "1902"})')
         assert len(q(db, "(author)")) == 2
 
+    def test_an_empty_member_of_one_shape_reads_as_the_union(self):
+        # as one tuple, the empty member would match no pair; every member
+        # has the pair's shape, so the set is the union it also reads as
+        db = build_db("relation (pair (a int) (b int))")
+        run(db, "add pair ({1 2} (pair 9 .)) commit")
+        assert rows(q(db, "(pair)"), db.published) == {(1, 2)}
+
+    def test_an_empty_member_of_another_shape_fails_at_commit(self, library_ddl):
+        # the members' shapes differ, so no union: an author never added
+        db = library_ddl
+        run(db, 'add book ((author "Nobody" .) "X" "1900")')
+        with pytest.raises(IntegrityError, match="matched no tuples"):
+            run(db, "commit")
+        assert len(q(db, "(book)")) == 0
+
     def test_read_your_writes(self, library_ddl):
         db = library_ddl
         run(db, 'add genre {"noir"}')
