@@ -1,15 +1,28 @@
 """Expression and query evaluation against a catalog, a store state, and a
 set of immutable variable bindings.
 
-Evaluation is read-only: no operation here ever mutates the store. Results
-are scalars, conditions (booleans, which can never be stored), or tuple sets.
+Evaluation never changes the tuples a state holds. Its one write is to
+build a value map (below), and it makes it only in an unsealed state, such
+as a transaction's own. Results are scalars, conditions (booleans, which
+can never be stored), or tuple sets.
 
-A selection from a stored relation reads it through its ordered index: the
-evaluated first argument picks the access path. A scalar reads the key
-range under its encoding; a set at a reference position reads one range per
-referenced row id, in row-id order; any other first argument reads the whole
-relation. Every positional constraint and the filter are then checked on
-each row read, since a text key range can hold longer texts.
+A selection from a stored relation reads it through its multitable index.
+Each bound position whose allowed values are known offers an access path:
+
+- the leading position: one key range per value the argument allows (a
+  value, a set of scalars, or a set's rows at a reference position), read
+  in key order;
+- a reference position: the buckets of its reverse map, one per row the
+  argument allows;
+- a scalar position: the buckets of its value map, one per value. The map
+  is built the first time a selection binds the position, unless the state
+  is sealed; a sealed state without one reads another path.
+
+The selection reads the smallest of these by row count, and the whole
+relation when there is none. Every positional constraint and the filter are
+then checked on each row read, since a text key range can hold longer
+texts. A row read from a bucket comes without its key, so only a row that
+passes is encoded.
 
 The connection operator replaces joins: it finds the shortest path between
 two relations in the schema graph and chain-joins along it, returning the
@@ -514,8 +527,8 @@ def eval_selection(sel: syntax.Selection, env: Env) -> TupleSet:
         base = env.bindings[name]
         if base.schema is None:
             return base
-        constraints, _prefixes = _constraints(base.schema, sel, env)
-        return _keep(base, base._rows, constraints, sel, env)
+        constraints, _bound = _constraints(base.schema, sel, env)
+        return _keep(base, base._rows.items(), constraints, sel, env)
     if name in BUILTIN_FUNCTIONS or (
         name in env.catalog and env.catalog.lookup(name).klass == "function"
     ):
@@ -526,46 +539,77 @@ def eval_selection(sel: syntax.Selection, env: Env) -> TupleSet:
     if rel.klass == "domain":
         return _construct_domain_tuples(rel, sel, env)
     base = TupleSet(relation_schema(rel), relation=name)
-    constraints, prefixes = _constraints(base.schema, sel, env)
-    if prefixes is None:
-        candidates = env.state.scan(name)
-    else:
-        # prefixes of one width never overlap, and visiting them in order
-        # keeps the candidates in key order
-        candidates = {}
-        for prefix in sorted(prefixes):
-            candidates.update(env.state.scan(name, prefix))
-    return _keep(base, candidates, constraints, sel, env)
+    constraints, bound = _constraints(base.schema, sel, env)
+    return _keep(base, _candidates(name, bound, env), constraints, sel, env)
 
 
 def _constraints(schema, sel: syntax.Selection, env: Env):
     """Evaluate each positional argument once, into (position, predicate)
-    pairs, plus the key prefixes the leading argument allows (None when it
-    allows any key)."""
+    pairs, plus (position, column, values) for each position whose allowed
+    values are known (see ``_positional_constraint``)."""
     if len(sel.args) > len(schema):
         raise ArityMismatch(
             f"{sel.target!r} has {len(schema)} domains, got {len(sel.args)} arguments"
         )
     constraints = []
-    prefixes = None
+    bound = []
     for pos, arg in enumerate(sel.args):
         if isinstance(arg, syntax.Wildcard) or _is_type_marker(arg):
             continue
-        check, allowed = _positional_constraint(arg, schema[pos], env)
+        check, values = _positional_constraint(arg, schema[pos], env)
         constraints.append((pos, check))
+        if values is not None:
+            bound.append((pos, schema[pos], values))
+    return constraints, bound
+
+
+def _candidates(name: str, bound, env: Env):
+    """The rows of a stored relation that a selection reads, as (key,
+    tuple) pairs; a row read through a bucket comes with the key None.
+
+    The source is the smallest that the bound positions allow: one key
+    range per leading value; the buckets of a reference position; or the
+    buckets of a scalar position's value map, which is built on first use
+    unless the state is sealed. With none of them, the whole relation."""
+    state = env.state
+    leading, maps = None, []
+    for pos, col, values in bound:
         if pos == 0:
-            prefixes = allowed
-    return constraints, prefixes
+            leading = values
+        elif col.type_name in SCALAR_TYPES:
+            if not state.sealed or pos in state.indexes[name].valued:
+                state.index_values(name, pos)
+                maps.append((pos, [encode_value(v) for v in values]))
+        elif env.catalog.lookup(col.type_name).klass == "simple":
+            maps.append((pos, [(v.relation, v.row) for v in values]))
+    # the values are distinct, and so are their encodings
+    prefixes = None if leading is None else sorted(map(encode_value, leading))
+    if maps:
+        idx = state.indexes[name]
+        size, pos, keys = min((sum(len(idx.bucket(p, k)) for k in ks), p, ks) for p, ks in maps)
+        if size < (len(idx.rows) if prefixes is None else sum(map(idx.count, prefixes))):
+            return [(None, state.get_row(name, r)) for key in keys for r in idx.bucket(pos, key)]
+    if prefixes is None:
+        return state.scan(name).items()
+    if len(prefixes) == 1:
+        return state.scan(name, prefixes[0]).items()
+    # prefixes of one width never overlap, and reading them in order keeps
+    # the candidates in key order
+    candidates = {}
+    for prefix in prefixes:
+        candidates.update(state.scan(name, prefix))
+    return candidates.items()
 
 
 def _keep(base: TupleSet, candidates, constraints, sel: syntax.Selection, env: Env) -> TupleSet:
-    """The candidate rows that meet every constraint and the filter."""
+    """The candidate (key, tuple) pairs that meet every constraint and the
+    filter; a tuple read without its key is encoded only when kept."""
     kept = {}
-    for key, values in candidates.items():
+    for key, values in candidates:
         if all(check(values[pos]) for pos, check in constraints):
             if sel.filter is not None and not _filter_passes(sel.filter, base, values, env):
                 continue
-            kept[key] = values
+            kept[encode_tuple(values) if key is None else key] = values
     return TupleSet(base.schema, relation=base.relation, rows=kept)
 
 
@@ -578,9 +622,9 @@ def _filter_passes(filter_expr, base: TupleSet, values, env: Env) -> bool:
 
 
 def _positional_constraint(arg, col: SchemaCol, env: Env):
-    """A per-value predicate for one bound positional argument, and the key
-    prefixes of the values it allows when it is the leading one: an
-    iterable of encodings, or None for any value."""
+    """A per-value predicate for one bound positional argument, and the
+    values it allows, each as stored (a scalar coerced to the column type,
+    a reference to a stored row), or None when they are not known."""
     value = eval_expr(arg, env)
     if isinstance(value, bool):
         raise TypeMismatch("a positional argument cannot be a condition")
@@ -598,7 +642,7 @@ def _equality_constraint(value: Value, col: SchemaCol):
         raise TypeMismatch(
             f"position {col.attr!r} holds {col.type_name}, got {scalar_type_name(value)}"
         )
-    return (lambda v: v == value), (encode_value(value),)
+    return (lambda v: v == value), (value,)
 
 
 def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
@@ -611,7 +655,7 @@ def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
                 " have one column"
             )
         members = {coerce_scalar(t[0], col.type_name) for t in allowed._rows.values()}
-        return (lambda v: v in members), None
+        return (lambda v: v in members), members
     # relation-valued position: keep values whose target tuple is in the set
     target_rel = env.catalog.lookup(col.type_name)
     if target_rel.klass == "domain":
@@ -621,7 +665,7 @@ def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
     rowids = env.state.rowids(col.type_name, allowed._rows)
     return (
         (lambda v: isinstance(v, RefVal) and v.relation == col.type_name and v.row in rowids),
-        (encode_value(RefVal(col.type_name, r)) for r in rowids),
+        [RefVal(col.type_name, r) for r in rowids],
     )
 
 
@@ -914,9 +958,11 @@ def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
                     if page is not None and page[v.row & mask] is not None:
                         advanced.add((start, v.row))
         else:
-            reverse = state.indexes[nxt].reverse.get(edge.position, {})
+            # the reverse map's page of a referenced row, as ``bucket``
+            # finds it, read inline: this loop is hot
+            pages = state.indexes[nxt].maps.get(edge.position, {})
             for start, rid in pairs:
-                page = reverse.get(rid >> bits)
+                page = pages.get(rid >> bits)
                 if page is not None:
                     for referrer in page.get((current, rid), ()):
                         advanced.add((start, referrer))

@@ -13,10 +13,19 @@ The index is paged, and every page is a plain list, dict or set:
   ``2 ** ROW_BITS`` consecutive row ids: slot ``rowid & mask`` of page
   ``rows.pages[rowid >> ROW_BITS]`` holds the row's tuple. A page whose
   last row goes is dropped.
-- **Reverse maps.** Per position, every reference the rows hold, inverted:
-  ``reverse[pos][t_row >> ROW_BITS][(t_rel, t_row)]`` is the bucket (a set)
-  of rows that reference ``(t_rel, t_row)`` at ``pos``, so referential
-  traversal and cascades never scan.
+- **Position maps.** Per position, the rows inverted by what they hold
+  there: ``maps[pos][page][key]`` is the bucket (a set) of rows whose entry
+  at ``pos`` is ``key``. Both kinds of position share the type, its paging
+  and its ownership. A reference position's map, its reverse map, is keyed
+  by the targets ``(t_rel, t_row)`` the rows hold there (an inline tuple
+  may hold several), on page ``t_row >> ROW_BITS``; every reference
+  position has one, so referential traversal and cascades never scan. A
+  scalar position's map, a value map (``valued`` lists them), is keyed by
+  the value's encoding, on page ``hash(key) & (2 ** ROW_BITS - 1)``, so a
+  copy costs a fixed page table. A scalar position has a map only once
+  something asked for one (``DbState.index_values``: the evaluator, the
+  first time a selection binds the position); from then on every write
+  keeps it, and until then it costs ``link`` one truthiness test.
 
 ``scan`` reads a key range from the chunks and never sorts.
 
@@ -28,10 +37,13 @@ row it gets back.
 
 Invariant: a tuple's canonical key is computed when the tuple is stored
 (insert or rekey) and kept only in the key chunks. Readers never re-encode
-a stored tuple: they take keys from ``scan``, and they match a reference by
-the row id it holds. Only removal and rekey encode a stored tuple again, to
-find the entry it leaves, since no row id -> key map is kept; so does a
-commit, for each row whose rekey collided.
+a stored tuple they read through a key range: they take keys from
+``scan``, and they match a reference by the row id it holds. The exception
+is a row read through a position map's bucket, which holds row ids only: a
+selection encodes each such row it returns, and no other. Only removal and
+rekey encode a stored tuple again, to find the entry it leaves, since no
+row id -> key map is kept; so does a commit, for each row whose rekey
+collided.
 
 The store is a plain holder of conforming tuples and checks no integrity
 rule. Callers hand ``insert`` and ``rekey`` tuples that conform to the
@@ -53,27 +65,29 @@ Ownership has one rule, applied at every level: a copy shares every part
 of the original, and after it neither side owns a shared part, so each
 copies a part on its first write to it. A state owns the indexes it made
 or copied, and ``DbState.fork`` shares every index with the new state. An
-index owns the key chunks, row pages, reverse pages and buckets it made or
+index owns the key chunks, row pages, map pages and buckets it made or
 copied (their ``id()`` is in ``owned``), and ``MultitableIndex.copy``
 copies only the page tables. So a state's first write to a relation costs
 O(rows / page size), and each write the pages it touches. An index no
 state owns is never written again: a published state, which a fork leaves
-owning nothing, stays an immutable value that may be read concurrently.
+owning nothing and ``sealed``, stays an immutable value that may be read
+concurrently; that is why only an unsealed state builds a value map.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .catalog import Catalog, RelationDef
 from .errors import NotEnumerable, RowNotFound
-from .values import RefVal, TupleVal, encode_tuple
+from .values import RefVal, TupleVal, encode_tuple, encode_value
 
 # Page sizes, picked by measurement: a larger page makes a relation's first
 # copy cheaper and each further page copy dearer.
 CHUNK_MAX = 512  # keys per chunk at most; a chunk that outgrows it splits in half
-ROW_BITS = 8  # a row page (and a reverse page) covers 2 ** ROW_BITS row ids
+ROW_BITS = 8  # a row page covers 2 ** ROW_BITS row ids, as does a reference's map page
 
 
 class Rows:
@@ -129,9 +143,10 @@ class MultitableIndex:
         self.id_chunks: List[List[int]] = []  # id_chunks[c][i] is stored under key_chunks[c][i]
         self.maxes: List[bytes] = []  # maxes[c] is key_chunks[c][-1]
         self.rows = Rows()
-        # position -> target page -> (target relation, target row) -> referencing row ids
-        self.reverse: Dict[int, Dict[int, Dict[Tuple[str, int], Set[int]]]] = {}
-        # id() of each key chunk, row page, reverse page and bucket this index
+        # position -> page -> key -> row ids: see the module docstring
+        self.maps: Dict[int, Dict[int, Dict[object, Set[int]]]] = {}
+        self.valued: Tuple[int, ...] = ()  # the scalar positions that have a map
+        # id() of each key chunk, row page, map page and bucket this index
         # made or copied, and so may write
         self.owned: Set[int] = set()
         self.next_rowid = 1
@@ -145,7 +160,8 @@ class MultitableIndex:
         copy.id_chunks = self.id_chunks.copy()
         copy.maxes = self.maxes.copy()
         copy.rows = Rows(self.rows.pages.copy(), self.rows.count)
-        copy.reverse = {pos: pages.copy() for pos, pages in self.reverse.items()}
+        copy.maps = {pos: pages.copy() for pos, pages in self.maps.items()}
+        copy.valued = self.valued
         copy.next_rowid = self.next_rowid
         self.owned = set()  # the pages are shared now: neither index may write them
         return copy
@@ -207,6 +223,27 @@ class MultitableIndex:
             j = bisect_right(keys, key)
             found += self.id_chunks[c][:j]
         return found
+
+    def span(self, prefix: bytes) -> Tuple[int, int, int, int]:
+        """``(c, lo, d, hi)``: the keys that start with ``prefix`` run from
+        slot ``lo`` of chunk ``c`` up to slot ``hi`` of chunk ``d``, not
+        included; ``d`` is ``len(maxes)``, and ``hi`` 0, when they run to
+        the end."""
+        maxes, key_chunks = self.maxes, self.key_chunks
+        c = bisect_left(maxes, prefix)
+        if c == len(maxes):
+            return c, 0, c, 0
+        keys, end = key_chunks[c], _prefix_end(prefix)
+        lo = bisect_left(keys, prefix)
+        if end is not None and end <= maxes[c]:  # the range ends in this chunk
+            return c, lo, c, bisect_left(keys, end, lo)
+        d = len(maxes) if end is None else bisect_left(maxes, end, c + 1)
+        return c, lo, d, 0 if d == len(maxes) else bisect_left(key_chunks[d], end)
+
+    def count(self, prefix: bytes) -> int:
+        """How many keys start with ``prefix``, a collision run's included."""
+        c, lo, d, hi = self.span(prefix)
+        return sum(map(len, self.key_chunks[c:d])) - lo + hi
 
     def place(self, c: int, i: int, key: bytes, rowid: int):
         """Store ``key`` -> ``rowid`` at slot ``i`` of chunk ``c``; chunk
@@ -281,55 +318,86 @@ class MultitableIndex:
             self.owned.discard(id(page))
         return values
 
-    # -- reverse maps
+    # -- position maps
 
     def link(self, rowid: int, values):
-        """Enter each reference a row holds in the reverse maps."""
-        owned = self.owned
+        """Enter a row in the position maps: each reference it holds, and
+        its value at each position in ``valued``. A position masked to None
+        (as ``DbState.rekey`` masks the ones it keeps) holds nothing."""
+        owned, maps, valued = self.owned, self.maps, self.valued
         for pos, v in enumerate(values):
             if isinstance(v, RefVal):
-                targets: Iterable[Tuple[str, int]] = ((v.relation, v.row),)
+                keys: Iterable = ((v.relation, v.row),)
             elif isinstance(v, TupleVal):
-                targets = iter_refs(v.values)
+                keys = iter_refs(v.values)
+            elif valued and v is not None and pos in valued:
+                keys = (encode_value(v),)
             else:
                 continue
-            pages = self.reverse.get(pos)
+            pages = maps.get(pos)
             if pages is None:
-                pages = self.reverse[pos] = {}
-            for target in targets:
+                pages = maps[pos] = {}
+            for key in keys:
                 # ``_own`` is called only for a page or bucket this index
                 # does not own yet: a snapshot load links every row it loads
-                n = target[1] >> ROW_BITS
+                n = _page_of(key)
                 page = pages.get(n)
                 if page is None or id(page) not in owned:
                     page = self._own(pages, n, page, dict)
-                bucket = page.get(target)
+                bucket = page.get(key)
                 if bucket is None or id(bucket) not in owned:
-                    bucket = self._own(page, target, bucket, set)
+                    bucket = self._own(page, key, bucket, set)
                 bucket.add(rowid)
 
     def unlink(self, rowid: int, values):
-        """Take each reference a row holds out of the reverse maps."""
+        """Take a row out of the position maps; as in ``link``, a position
+        masked to None holds nothing."""
+        valued = self.valued
         for pos, v in enumerate(values):
             if isinstance(v, RefVal):
-                targets: Iterable[Tuple[str, int]] = ((v.relation, v.row),)
+                keys: Iterable = ((v.relation, v.row),)
             elif isinstance(v, TupleVal):
                 # an inline tuple may hold one reference twice; its bucket
                 # holds the row once
-                targets = set(iter_refs(v.values))
+                keys = set(iter_refs(v.values))
+            elif valued and v is not None and pos in valued:
+                keys = (encode_value(v),)
             else:
                 continue
-            pages = self.reverse[pos]
-            for target in targets:
-                n = target[1] >> ROW_BITS
+            pages = self.maps[pos]
+            for key in keys:
+                n = _page_of(key)
                 page = self._own(pages, n, pages[n], dict)
-                bucket = page[target]
+                bucket = page[key]
                 if len(bucket) == 1:  # its last row goes: drop it uncopied
-                    self._drop(page, target)
+                    self._drop(page, key)
                     if not page:
                         self._drop(pages, n)
                 else:
-                    self._own(page, target, bucket, set).discard(rowid)
+                    self._own(page, key, bucket, set).discard(rowid)
+
+    def index_values(self, pos: int):
+        """Give scalar position ``pos`` its map, built from the rows."""
+        pages = self.maps[pos] = {}
+        for rowid, values in self.rows.items():
+            key = encode_value(values[pos])
+            pages.setdefault(_page_of(key), {}).setdefault(key, set()).add(rowid)
+        self.owned.update(id(part) for page in pages.values() for part in (page, *page.values()))
+        self.valued += (pos,)
+
+    def bucket(self, pos: int, key) -> Iterable[int]:
+        """The rows whose entry at ``pos`` is ``key``; only to read."""
+        pages = self.maps.get(pos)
+        page = None if pages is None else pages.get(_page_of(key))
+        return () if page is None else page.get(key, ())
+
+
+def _page_of(key) -> int:
+    """The page of a position map that holds ``key``: the target's row page
+    for a reference, a hash slot for a value's encoding."""
+    if type(key) is tuple:
+        return key[1] >> ROW_BITS
+    return hash(key) & ((1 << ROW_BITS) - 1)
 
 
 def _empty_row_page() -> List[Optional[tuple]]:
@@ -361,14 +429,18 @@ class DbState:
     A state mutates only the indexes it owns: those it created and those it
     copied on a first write. A fork owns none, and forking takes ownership
     from the parent too, so a published state that a transaction forked is
-    never written again and may be read concurrently. The catalog reference
-    is the catalog version the data conforms to.
+    never written again and may be read concurrently. Forking also seals
+    the parent, and a selection builds no value map in a sealed state,
+    since a reader may hold it. The catalog reference is the catalog
+    version the data conforms to.
     """
 
     def __init__(self, catalog: Optional[Catalog] = None):
         self.catalog = catalog or Catalog()
         self.indexes: Dict[str, MultitableIndex] = {}
         self.owned: Set[str] = set()  # relations whose index this state may write
+        self.sealed = False
+        self.building = threading.Lock()  # held while a value map is built
 
     def fork(self, catalog: Optional[Catalog] = None) -> "DbState":
         """A state with the same tuples (under ``catalog``, if given) that
@@ -377,6 +449,7 @@ class DbState:
         fork = DbState(catalog or self.catalog)
         fork.indexes = dict(self.indexes)
         self.owned = set()
+        self.sealed = True
         return fork
 
     def add_relation(self, rel: RelationDef):
@@ -447,6 +520,20 @@ class DbState:
         idx.link(rowid, values)
         return rowid, True
 
+    def index_values(self, relation: str, pos: int) -> MultitableIndex:
+        """The relation's index, with a map at scalar position ``pos``: one
+        built from the rows when there is none yet, which is a write.
+        Selections on one state may run concurrently, so one build runs at
+        a time, and a map is listed in ``valued`` only once it is whole."""
+        idx = self._index(relation)
+        if pos not in idx.valued:
+            with self.building:
+                idx = self._index(relation)
+                if pos not in idx.valued:
+                    idx = self._writable(relation)
+                    idx.index_values(pos)
+        return idx
+
     def reserve_rowid(self, relation: str) -> int:
         return self._writable(relation).new_rowid()
 
@@ -488,21 +575,18 @@ class DbState:
         if rel.klass != "simple":
             raise NotEnumerable(f"{relation!r} is a {rel.klass} relation")
         idx = self.indexes[relation]
-        maxes, key_chunks, id_chunks = idx.maxes, idx.key_chunks, idx.id_chunks
+        key_chunks, id_chunks = idx.key_chunks, idx.id_chunks
         pages, bits, mask = idx.rows.pages, ROW_BITS, (1 << ROW_BITS) - 1
-        c = bisect_left(maxes, prefix)
-        if c == len(maxes):
-            return {}
-        keys, lo, end = key_chunks[c], bisect_left(key_chunks[c], prefix), _prefix_end(prefix)
-        if end is not None and end <= maxes[c]:  # the range ends in this chunk
-            ids, hi = id_chunks[c], bisect_left(keys, end, lo)
+        c, lo, d, hi = idx.span(prefix)
+        if c == d:  # the range ends in its first chunk
+            if lo == hi:
+                return {}
+            keys, ids = key_chunks[c], id_chunks[c]
             return {keys[i]: pages[ids[i] >> bits][ids[i] & mask] for i in range(lo, hi)}
-        last = len(maxes) if end is None else bisect_left(maxes, end, c + 1)
-        ranges = [(keys[lo:], id_chunks[c][lo:])]
-        ranges += zip(key_chunks[c + 1 : last], id_chunks[c + 1 : last])
-        if last < len(maxes):
-            hi = bisect_left(key_chunks[last], end)
-            ranges.append((key_chunks[last][:hi], id_chunks[last][:hi]))
+        ranges = [(key_chunks[c][lo:], id_chunks[c][lo:])]
+        ranges += zip(key_chunks[c + 1 : d], id_chunks[c + 1 : d])
+        if hi:
+            ranges.append((key_chunks[d][:hi], id_chunks[d][:hi]))
         return {k: pages[r >> bits][r & mask] for keys, ids in ranges for k, r in zip(keys, ids)}
 
     def referrers(self, relation: str, rowid: int) -> Set[Tuple[str, int]]:
@@ -511,12 +595,9 @@ class DbState:
         a reference are read."""
         found = set()
         target = (relation, rowid)
-        n = rowid >> ROW_BITS
         for q_name, pos in self.catalog.referencing(relation):
-            page = self.indexes[q_name].reverse.get(pos, {}).get(n)
-            if page is not None:
-                for referrer in page.get(target, ()):
-                    found.add((q_name, referrer))
+            for referrer in self.indexes[q_name].bucket(pos, target):
+                found.add((q_name, referrer))
         return found
 
     def erase(self, relation: str, rowid: int, *, cascade=False):

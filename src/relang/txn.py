@@ -5,11 +5,14 @@ statements read their own writes), but integrity problems do not fail the
 statement. The shadow is a fork of the published state, not a copy: it
 shares every index with it, and its first write to a relation copies that
 one index (see ``store``), so opening, reading and discarding a transaction
-copy nothing. Every row a statement inserts, removes (cascades included) or
-rekeys enters the transaction's write set with the statement's number. A
-reference to a tuple that does not exist yet reserves a row id and is kept
-once, in ``pending``: (relation, key) -> (row id, statement). Adding the
-tuple takes the reserved id and drops the record, so ``pending`` holds
+copy nothing. The one exception is a value map a selection builds (see
+``evaluator``): the shadow copies the relation's index to build it in, so a
+commit publishes it for every later transaction. Every row a statement
+inserts, removes (cascades included) or rekeys enters the transaction's
+write set with the statement's number. A reference to a tuple that does
+not exist yet reserves a row id and is kept once, in ``pending``:
+(relation, key) -> (row id, statement). Adding the tuple takes the
+reserved id and drops the record, so ``pending`` holds
 exactly the references still open, each with the statement that opened it.
 A set member that matched nothing is kept in ``obligations`` as (statement,
 message). Commit checks only what the transaction touched, since the
@@ -570,6 +573,7 @@ class Database:
         # and relations, since neither state owns the indexes they share
         published = self.published.fork(catalog)
         published.add_relation(rel)
+        published.sealed = True  # as every published state is
         self.published = published
         self.txn.shadow.catalog = catalog
         self.txn.shadow.add_relation(rel)

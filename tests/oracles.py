@@ -153,12 +153,13 @@ def index_faults(state):
     with its paged layout.
 
     The keys must list each row once, under its own key, in key order, and
-    the reverse maps must equal a rebuild from the rows. The layout: chunks
+    the position maps must equal a rebuild from the rows: the reference
+    positions, and each scalar position with a value map. The layout: chunks
     are non-empty and hold at most ``store.CHUNK_MAX`` keys, each with one id,
     and each chunk's recorded largest key is its last key; every row page has
     one slot per id of its page and holds a row, and the page table covers
-    every id handed out; every reverse page holds only targets of its own
-    page and is non-empty, as is every bucket; the row count is the number
+    every id handed out; every map page holds only keys of its own page
+    and is non-empty, as is every bucket; the row count is the number
     of stored rows. Empty on any state, published or not."""
     faults = []
     for rel_name, idx in state.indexes.items():
@@ -188,22 +189,35 @@ def index_faults(state):
             (encode_tuple(rows[rowid]), rowid) if rowid in rows else None for rowid in ids
         ] or sorted(ids) != sorted(rows):
             faults.append((rel_name, "keys differ from the rows"))
+        if len(set(idx.valued)) != len(idx.valued) or not set(idx.valued) <= set(idx.maps):
+            faults.append((rel_name, "a value map listed twice, or missing"))
         rebuilt = {}
         for rowid, values in rows.items():
             for pos, v in enumerate(values):
                 for target in iter_refs([v]):
                     rebuilt.setdefault(pos, {}).setdefault(target, set()).add(rowid)
+            for pos in idx.valued:
+                key = encode_value(values[pos])
+                rebuilt.setdefault(pos, {}).setdefault(key, set()).add(rowid)
         current = {}
-        for pos, rpages in idx.reverse.items():
-            for n, page in rpages.items():
-                misplaced = any(t_row >> store.ROW_BITS != n for _t_rel, t_row in page)
+        for pos, pages in idx.maps.items():
+            for n, page in pages.items():
+                misplaced = any(_map_page(key) != n for key in page)
                 if not page or misplaced or not all(page.values()):
-                    faults.append((rel_name, "reverse page or bucket empty or misplaced"))
-                for target, bucket in page.items():
-                    current.setdefault(pos, {})[target] = set(bucket)
+                    faults.append((rel_name, "map page or bucket empty or misplaced"))
+                for key, bucket in page.items():
+                    current.setdefault(pos, {})[key] = set(bucket)
         if current != rebuilt:
-            faults.append((rel_name, "reverse maps differ from the rows"))
+            faults.append((rel_name, "position maps differ from the rows"))
     return faults
+
+
+def _map_page(key):
+    """The page of a position map that must hold ``key``: a reference's by
+    its target row, a value's by the hash of its encoding."""
+    if isinstance(key, tuple):
+        return key[1] >> store.ROW_BITS
+    return hash(key) % (1 << store.ROW_BITS)
 
 
 SCALAR_CLASSES = {"int": IntVal, "real": RealVal, "text": TextVal, "timestamp": TimestampVal}
@@ -353,12 +367,15 @@ def export_orders(catalog, state):
 # --- random schema/database generation -------------------------------------------
 
 
-def random_tree_db(rng: random.Random, max_rows=20, texts=string.ascii_lowercase[:6]):
+def random_tree_db(
+    rng: random.Random, max_rows=20, texts=string.ascii_lowercase[:6], refs_anywhere=False
+):
     """A database over a random tree-shaped schema (unique shortest paths).
 
     Each non-root relation adopts exactly one earlier relation, plus scalar
     padding domains; rows reference random rows of the adopted relation.
-    Text values are drawn from ``texts``.
+    The reference is the first domain, or with ``refs_anywhere`` a random
+    one. Text values are drawn from ``texts``.
     """
     db = relang.Database()
     n = rng.randint(2, 5)
@@ -373,6 +390,8 @@ def random_tree_db(rng: random.Random, max_rows=20, texts=string.ascii_lowercase
         for j in range(rng.randint(1, 2)):
             scalar = rng.choice(["int", "text", "real", "timestamp"])
             domains.append(f"(s{j} {scalar})")
+        if i > 0 and refs_anywhere:
+            domains.insert(rng.randint(0, len(domains) - 1), domains.pop(0))
         script = f"relation ({name} {' '.join(domains)})"
         for stmt in parse_script(script):
             db.execute(stmt)

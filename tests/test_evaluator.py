@@ -24,7 +24,8 @@ from relang.errors import (
     UnknownRelation,
 )
 from relang.catalog import MAX_CALL_DEPTH
-from relang.evaluator import Env, TupleSet, eval_expr, relation_schema, shortest_path
+from relang.store import DbState
+from relang.evaluator import Env, SchemaCol, TupleSet, eval_expr, relation_schema, shortest_path
 from relang.values import (
     IntVal,
     RealVal,
@@ -36,7 +37,7 @@ from relang.values import (
 )
 
 from conftest import build_db, q, rows, run
-from oracles import random_tree_db
+from oracles import index_faults, random_tree_db
 
 
 class TestExpressions:
@@ -543,20 +544,40 @@ def _random_scalar(rng, type_name):
     return TimestampVal(rng.randint(-800, 2100), rng.choice([None, rng.randint(1, 12)]))
 
 
-def _leading_cases(rng, state, rel, everything):
-    """(first argument, bindings, predicate on a stored leading value) for a
-    relation: stored and unstored scalars, or sets of 0, 1 and several
-    referenced rows."""
-    lead = rel.domains[0]
-    if lead.is_scalar:
-        values = [t[0] for t in rng.sample(everything, min(3, len(everything)))]
-        values.append(_random_scalar(rng, lead.type_name))
+def _scalar_set(rng, type_name, pool, name):
+    """A case binding a scalar position to a set of 0 to 4 members, drawn
+    from ``pool`` and the random scalars of ``type_name``; at a real
+    position the members are sometimes ints."""
+    as_ints = type_name == "real" and rng.random() < 0.5
+    members = set()
+    for _ in range(rng.choice([0, 1, rng.randint(2, 4)])):
+        if as_ints:
+            members.add(IntVal(rng.randint(-5, 5)))
+        elif pool and rng.random() < 0.7:
+            members.add(rng.choice(pool))
+        else:
+            members.add(_random_scalar(rng, type_name))
+    col = SchemaCol("v", "int" if as_ints else type_name)
+    allowed = TupleSet.from_tuples((col,), [(m,) for m in members])
+    stored = {RealVal(float(m.value)) if as_ints else m for m in members}
+    return syntax.Name(name), {name: allowed}, lambda x: x in stored
+
+
+def _position_cases(rng, state, rel, pos, everything):
+    """(argument, bindings, predicate on a stored value) that bind position
+    ``pos`` of a relation: stored and unstored scalars, an int at a real
+    position, or sets of 0, 1 and several scalars or referenced rows."""
+    dom, name = rel.domains[pos], f"allowed{pos}"
+    if dom.is_scalar:
+        pool = [t[pos] for t in everything]
+        values = rng.sample(pool, min(3, len(pool))) + [_random_scalar(rng, dom.type_name)]
         cases = [(_literal(v), {}, lambda x, v=v: x == v) for v in values]
-        if lead.type_name == "real":  # an int argument reads as a real
+        if dom.type_name == "real":  # an int argument reads as a real
             n = rng.randint(-5, 5)
-            cases.append((syntax.Const(n, "int"), {}, lambda x: x == RealVal(float(n))))
+            cases.append((syntax.Const(n, "int"), {}, lambda x, n=n: x == RealVal(float(n))))
+        cases += [_scalar_set(rng, dom.type_name, pool, name) for _ in range(3)]
         return cases
-    parent = lead.type_name
+    parent = dom.type_name
     parent_rows = list(state.scan(parent).values())
     cases = [(syntax.Union_(()), {}, lambda x: False)]
     for size in (0, 1, rng.randint(2, max(2, len(parent_rows)))):
@@ -567,8 +588,8 @@ def _leading_cases(rng, state, rel, everything):
         keys = allowed.keys()
         cases.append(
             (
-                syntax.Name("allowed"),
-                {"allowed": allowed},
+                syntax.Name(name),
+                {name: allowed},
                 lambda x, keys=keys: encode_tuple(state.get_row(parent, x.row)) in keys,
             )
         )
@@ -578,32 +599,70 @@ def _leading_cases(rng, state, rel, everything):
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_every_selection_equals_a_full_scan_filter(rng):
-    db, names = random_tree_db(rng, texts=PREFIX_TEXTS)
-    state = db.txn.shadow
+    # Each position is bound in turn, alone or with a second one, and each
+    # selection runs three times: on the published state, which is sealed
+    # and so scans; on the transaction's state, which builds the value maps
+    # the selection's scalar positions need; and there again, through them.
+    db, names = random_tree_db(rng, texts=PREFIX_TEXTS, refs_anywhere=True)
+    published, shadow = db.published, db.txn.shadow
     for name in names:
         rel = db.catalog.lookup(name)
-        everything = list(state.scan(name).values())
-        for first, bindings, leading_matches in _leading_cases(rng, state, rel, everything):
-            args = [first]
-            checks = [(0, leading_matches)]
-            if rel.arity > 1 and everything and rng.random() < 0.5:
-                v = rng.choice(everything)[1]
-                args.append(_literal(v))
-                checks.append((1, lambda x, v=v: x == v))
-            last = rel.domains[-1]
-            condition = None
-            if everything and rng.random() < 0.5:
-                v = rng.choice(everything)[-1]
-                condition = syntax.OpApply("!=", (syntax.Name(last.attr), _literal(v)))
-                checks.append((rel.arity - 1, lambda x, v=v: x != v))
-            selection = syntax.Selection(name, tuple(args), condition)
-            result = eval_expr(selection, Env(db.catalog, state, bindings))
-            expected = {
-                encode_tuple(t)
-                for t in everything
-                if all(check(t[pos]) for pos, check in checks)
-            }
-            assert result.keys() == expected
+        everything = list(shadow.scan(name).values())
+        for pos in range(rel.arity):
+            for arg, bindings, matches in _position_cases(rng, shadow, rel, pos, everything):
+                args = {pos: arg}
+                checks = [(pos, matches)]
+                bindings = dict(bindings)
+                other = rng.randrange(rel.arity)
+                if other != pos and rng.random() < 0.5:
+                    cases = _position_cases(rng, shadow, rel, other, everything)
+                    args[other], more, also = rng.choice(cases)
+                    checks.append((other, also))
+                    bindings.update(more)
+                last = max(i for i, dom in enumerate(rel.domains) if dom.is_scalar)
+                condition = None
+                if everything and rng.random() < 0.3:
+                    v = rng.choice(everything)[last]
+                    attr = syntax.Name(rel.domains[last].attr)
+                    condition = syntax.OpApply("!=", (attr, _literal(v)))
+                    checks.append((last, lambda x, v=v: x != v))
+                spelled = tuple(args.get(i, syntax.Wildcard()) for i in range(max(args) + 1))
+                selection = syntax.Selection(name, spelled, condition)
+                expected = {
+                    encode_tuple(t)
+                    for t in everything
+                    if all(check(t[p]) for p, check in checks)
+                }
+                for state in (published, shadow, shadow):
+                    result = eval_expr(selection, Env(db.catalog, state, bindings))
+                    assert result.keys() == expected
+    assert index_faults(shadow) == []
+    assert all(not idx.valued for idx in published.indexes.values())
+
+
+def test_a_selection_reads_only_what_its_bound_positions_allow(library, monkeypatch):
+    # a leading scalar set reads one key range per member; a bound
+    # reference or scalar position reads its map's buckets: none of them
+    # reads the whole relation
+    scans = []
+    scan = DbState.scan
+
+    def recorded(self, relation, prefix=b""):
+        found = scan(self, relation, prefix)
+        scans.append((relation, prefix, len(found)))
+        return found
+
+    monkeypatch.setattr(DbState, "scan", recorded)
+    cases = [
+        ('(author ("Homer" "Austen") .)', "author", {("Homer", "-0799"), ("Austen", "+1775-12-16")}),
+        ('(book . "Emma" .)', "book", {(("Austen", "+1775-12-16"), "Emma", "+1815")}),
+        ('(book_genre . (genre "epic"))', "book_genre", {((("Homer", "-0799"), "Ulysses", "-0749"), ("epic",))}),
+    ]
+    for text, relation, expected in cases:
+        scans.clear()
+        assert rows(q(library, text), library.published) == expected
+        read = [(prefix, n) for rel, prefix, n in scans if rel == relation]
+        assert all(prefix for prefix, _n in read) and sum(n for _p, n in read) <= len(expected)
 
 
 def test_a_text_key_range_is_checked_again():

@@ -61,7 +61,7 @@ def author(name, date):
 
 def reverse_page(idx, pos, target):
     """The reverse page of ``idx`` that holds ``target``'s bucket at ``pos``."""
-    return idx.reverse[pos][target[1] >> store.ROW_BITS]
+    return idx.maps[pos][target[1] >> store.ROW_BITS]
 
 
 class TestInsert:
@@ -527,7 +527,7 @@ def _sharing(parent, fork):
         return [page for page in mine if id(page) not in ids]
 
     def reverse_pages(idx):
-        return [page for pages in idx.reverse.values() for page in pages.values()]
+        return [page for pages in idx.maps.values() for page in pages.values()]
 
     return {
         "key chunks": unshared(fork.key_chunks, parent.key_chunks),
@@ -562,7 +562,7 @@ class TestSharing:
         idx = parent.indexes["book"]
         assert len(idx.rows) == 5000
         assert len(idx.key_chunks) >= 10 and len(idx.rows.pages) >= 10
-        assert len(idx.reverse[0]) == 4  # 1000 authors, 256 to a page
+        assert len(idx.maps[0]) == 4  # 1000 authors, 256 to a page
 
     def test_an_insert_copies_one_chunk_one_row_page_and_one_reverse_page(self, parent):
         book = (RefVal("author", 3), TextVal("t2500x"))
@@ -572,7 +572,7 @@ class TestSharing:
         assert len(new["key chunks"]) == len(new["id chunks"]) == 1 + split
         assert len(new["row pages"]) == len(new["reverse pages"]) == 1
         # in the written page, only the written bucket was copied
-        page, base_page = idx.reverse[0][0], base.reverse[0][0]
+        page, base_page = idx.maps[0][0], base.maps[0][0]
         assert [t for t, bucket in page.items() if bucket is not base_page[t]] == [("author", 3)]
         assert parent.contains_tuple("book", book) is None
 
@@ -603,7 +603,7 @@ class TestSharing:
         base, idx = self.write(parent, lambda s: s.rekey("book", 1234, book))
         new = _sharing(base, idx)
         assert new["reverse pages"] == []
-        assert idx.reverse[0] == base.reverse[0]
+        assert idx.maps[0] == base.maps[0]
         assert parent.get_row("book", 1234) == old
 
 
@@ -665,7 +665,8 @@ class PagedIndexMachine(RuleBasedStateMachine):
     fork tree, each state checked against its own list model after every
     step: so a parent must read the same before and after its fork writes,
     and the other way round. A pair's inline tuple may hold one item twice,
-    so a row may reference a target twice at one position."""
+    so a row may reference a target twice at one position. Value maps are
+    built at scalar positions along the way, on any state of the tree."""
 
     def __init__(self):
         super().__init__()
@@ -774,6 +775,14 @@ class PagedIndexMachine(RuleBasedStateMachine):
         if rowid is not None and values is not None:
             assert state.rekey(relation, rowid, values) == models[relation].rekey(rowid, values)
 
+    @rule(w=st.integers(0, 7), position=st.sampled_from([("item", 0), ("tag", 1), ("pair", 1)]))
+    def index_values(self, w, position):
+        # a value map built partway, on a state that may share its index
+        # with others; every write after it keeps the map
+        state, _models, _ = self.world(w)
+        relation, pos = position
+        assert pos in state.index_values(relation, pos).valued
+
     @precondition(lambda self: len(self.worlds) < 4)
     @rule(w=st.integers(0, 7))
     def fork(self, w):
@@ -803,6 +812,8 @@ class PagedIndexMachine(RuleBasedStateMachine):
                 assert state.scan("tag", prefix) == {
                     k: tags.rows[r] for k, r in tags.entries if k.startswith(prefix)
                 }
+                held = [k for k, _r in tags.entries if k.startswith(prefix)]
+                assert state.indexes["tag"].count(prefix) == len(held)
 
 
 def test_the_paged_index_reads_as_a_sorted_list_model(small_pages):
