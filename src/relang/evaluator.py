@@ -35,6 +35,7 @@ are an error that names both, never a silent choice.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import re as _re
 from dataclasses import dataclass, field
@@ -107,10 +108,6 @@ class TupleSet:
             ts.add(t)
         return ts
 
-    @classmethod
-    def empty_untyped(cls) -> "TupleSet":
-        return cls(None)
-
     def add(self, values: tuple):
         self._rows[encode_tuple(values)] = tuple(values)
 
@@ -135,9 +132,6 @@ class TupleSet:
             if col.attr == attr:
                 return i
         return None
-
-    def same_tuples(self, other: "TupleSet") -> bool:
-        return self.keys() == other.keys()
 
 
 EvalValue = object  # Value | bool | TupleSet
@@ -220,15 +214,12 @@ def scalar_context(result: EvalValue, what="a value") -> Value:
 # --- regular expressions --------------------------------------------------------
 
 _ALLOWED_ESCAPES = set(".*+?[]\\^$-'\"/(){}|")
-_REGEX_CACHE: Dict[str, "_re.Pattern"] = {}
 
 
+@functools.lru_cache(maxsize=1024)
 def _compile_pattern(pattern: str):
     """Validate the minimal dialect (literals, ., *, +, ?, character classes;
     the whole string must match) and delegate to the stdlib engine."""
-    cached = _REGEX_CACHE.get(pattern)
-    if cached is not None:
-        return cached
     i, n = 0, len(pattern)
     in_class = False
     while i < n:
@@ -254,11 +245,9 @@ def _compile_pattern(pattern: str):
     if in_class:
         raise BadRegex(f"unterminated character class in pattern {pattern!r}")
     try:
-        compiled = _re.compile(pattern)
+        return _re.compile(pattern)
     except _re.error as exc:
         raise BadRegex(f"bad pattern {pattern!r}: {exc}") from exc
-    _REGEX_CACHE[pattern] = compiled
-    return compiled
 
 
 # --- built-in functions -----------------------------------------------------------
@@ -483,7 +472,7 @@ def eval_product(members, env: Env) -> TupleSet:
     contributes its full width, tuple members are inlined."""
     sets = [_as_tuple_set(eval_expr(m, env)) for m in members]
     if any(s.schema is None for s in sets):
-        return TupleSet.empty_untyped()
+        return TupleSet(None)
     schema = tuple(itertools.chain.from_iterable(s.schema for s in sets))
     result = TupleSet(schema)
     for combo in itertools.product(*[s.tuples() for s in sets]):
@@ -495,7 +484,7 @@ def eval_union(members, env: Env) -> TupleSet:
     sets = [_as_tuple_set(eval_expr(m, env), "a union member") for m in members]
     typed = [s for s in sets if s.schema is not None]
     if not typed:
-        return TupleSet.empty_untyped()
+        return TupleSet(None)
     schema = typed[0].schema
     relations = {s.relation for s in typed}
     result = TupleSet(schema, relation=relations.pop() if len(relations) == 1 else None)

@@ -65,7 +65,7 @@ from .values import (
     quote_text,
     render_scalar,
     render_timestamp,
-    unescape_char,
+    unescape_text,
 )
 
 PROMPT = "relang> "
@@ -287,7 +287,6 @@ _ROW_TOKEN = re.compile(
     r' *(?:(\{)|(\})|("(?:[^"\\]|\\["\\ntr])*")|([^ {}"][^ }]*)|("(?:[^"\\]|\\.)*)(")?)',
     re.S,
 )
-_ESCAPE = re.compile(r"\\(.)")
 
 
 def _parse_row_values(text: str, line_no: int) -> list:
@@ -299,10 +298,7 @@ def _parse_row_values(text: str, line_no: int) -> list:
     enclosing = []
     for opening, closing, quoted, atom, bad, closed in _ROW_TOKEN.findall(text):
         if quoted:
-            body = quoted[1:-1]
-            if "\\" in body:
-                body = _ESCAPE.sub(lambda m: unescape_char(m[1]), body)
-            values.append(("text", body))
+            values.append(("text", unescape_text(quoted[1:-1])))
         elif atom:
             if atom[0] == "#":
                 rel, colon, ordinal = atom[1:].partition(":")

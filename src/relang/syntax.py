@@ -1,5 +1,9 @@
 """Lexer, syntax tree, recursive-descent parser, and canonical renderer.
 
+The lexer is one compiled token pattern with a named group per token kind;
+a token's line and column come from its match offset and the newlines
+counted before it.
+
 The surface language is s-expressions with four bracket pairs of meaning:
 
     ( ... )   operator application, typecast, selection, or union
@@ -22,11 +26,12 @@ Disambiguation rules applied by the parser:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import IllegalCharacter, ParseError, UnterminatedString
-from .values import unescape_char
+from .values import quote_text, unescape_text
 
 KEYWORDS = frozenset(
     "relation domain function add remove update abolish output commit rollback".split()
@@ -49,8 +54,6 @@ NAME, OPERATOR, KEYWORD = "name", "operator", "keyword"
 INT_LIT, REAL_LIT, TEXT_LIT = "int-literal", "real-literal", "text-literal"
 EOF = "eof"
 
-_DIGITS = frozenset("0123456789")  # str.isdigit() also accepts digits int() rejects
-
 _PUNCT = {
     "(": LPAREN,
     ")": RPAREN,
@@ -64,122 +67,71 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     lexeme: str
     line: int
     column: int
 
 
+# One alternative per token kind, tried in order at each offset. The last
+# takes any one character (an illegal one, or the quote of a text literal
+# never closed), so the matches cover the source without a gap.
+# Only `skip` (whitespace and comments) and `text` can hold a newline.
+_TOKEN = re.compile(
+    r"""
+    (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
+    | (?P<punct>[(){}\[\]:.?])
+    | (?P<text>"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')
+    | (?:(?P<real>-?[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+         |(?P<int>-?[0-9]+))
+      (?P<stuck>\w)?
+    | (?P<operator>[!<>]=|[-+*/<>&|!~])
+    | (?P<equals>=)
+    | (?P<word>\w+)
+    | (?P<bad>.)
+    """,
+    re.S | re.X,
+)
+# the token kind of each group whose match is its lexeme as it stands
+_KINDS = {"real": REAL_LIT, "int": INT_LIT, "operator": OPERATOR, "equals": EQUALS}
+
+
 def tokenize(source: str):
     """Split source text into tokens. Whitespace is the only separator;
     `//` starts a comment running to end of line."""
     tokens = []
-    i, n = 0, len(source)
-    line, col = 1, 1
-
-    def advance(k=1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, start_line, start_col))
-            advance()
-            continue
-        if ch in "\"'":
-            quote = ch
-            advance()
-            chars = []
-            while True:
-                if i >= n:
-                    raise UnterminatedString(
-                        "text literal never closed", start_line, start_col
-                    )
-                c = source[i]
-                if c == "\\":
-                    advance()
-                    if i >= n:
-                        raise UnterminatedString(
-                            "text literal never closed", start_line, start_col
-                        )
-                    chars.append(unescape_char(source[i]))
-                    advance()
-                    continue
-                if c == quote:
-                    advance()
-                    break
-                chars.append(c)
-                advance()
-            tokens.append(Token(TEXT_LIT, "".join(chars), start_line, start_col))
-            continue
-        if ch in _DIGITS or (ch == "-" and i + 1 < n and source[i + 1] in _DIGITS):
-            j = i + 1 if ch == "-" else i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            is_real = False
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
-                is_real = True
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k] in _DIGITS:
-                    is_real = True
-                    j = k
-                    while j < n and source[j] in _DIGITS:
-                        j += 1
-            lexeme = source[i:j]
-            if j < n and (source[j].isalpha() or source[j] == "_"):
+    line, newline_at = 1, -1  # the current line, and the offset of the newline opening it
+    for m in _TOKEN.finditer(source):
+        kind, lexeme, start = m.lastgroup, m.group(), m.start()
+        if kind != "skip":
+            column = start - newline_at
+            if kind == "punct":
+                tokens.append(Token(_PUNCT[lexeme], lexeme, line, column))
+            elif kind == "text":
+                tokens.append(Token(TEXT_LIT, unescape_text(lexeme[1:-1]), line, column))
+            elif kind == "word":
+                # `\w` also takes digits and numerals, which start no name
+                if not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                    raise IllegalCharacter(f"illegal character {lexeme[0]!r}", line, column)
+                tokens.append(Token(KEYWORD if lexeme in KEYWORDS else NAME, lexeme, line, column))
+            elif kind in _KINDS:
+                tokens.append(Token(_KINDS[kind], lexeme, line, column))
+            elif kind == "stuck":
+                # a number run into a letter or `_` is malformed; any other
+                # word character here is a digit other than 0-9, and illegal
+                if lexeme[-1].isalpha() or lexeme[-1] == "_":
+                    raise IllegalCharacter(f"malformed number {lexeme!r}", line, column)
                 raise IllegalCharacter(
-                    f"malformed number {lexeme + source[j]!r}", start_line, start_col
+                    f"illegal character {lexeme[-1]!r}", line, column + len(lexeme) - 1
                 )
-            advance(j - i)
-            tokens.append(
-                Token(REAL_LIT if is_real else INT_LIT, lexeme, start_line, start_col)
-            )
-            continue
-        if ch == "=":
-            tokens.append(Token(EQUALS, "=", start_line, start_col))
-            advance()
-            continue
-        if ch in "!<>" and i + 1 < n and source[i + 1] == "=":
-            tokens.append(Token(OPERATOR, ch + "=", start_line, start_col))
-            advance(2)
-            continue
-        if ch in "+-*/<>&|!~":
-            tokens.append(Token(OPERATOR, ch, start_line, start_col))
-            advance()
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            lexeme = source[i:j]
-            advance(j - i)
-            kind = KEYWORD if lexeme in KEYWORDS else NAME
-            tokens.append(Token(kind, lexeme, start_line, start_col))
-            continue
-        raise IllegalCharacter(f"illegal character {ch!r}", start_line, start_col)
+            elif lexeme in "\"'":
+                raise UnterminatedString("text literal never closed", line, column)
+            else:
+                raise IllegalCharacter(f"illegal character {lexeme!r}", line, column)
+        if "\n" in lexeme:
+            line += lexeme.count("\n")
+            newline_at = start + lexeme.rindex("\n")
     return tokens
 
 
@@ -325,8 +277,8 @@ class Parser:
         self._depth = 0  # brackets open around the current token
 
     def _peek(self, ahead=0) -> Token:
-        j = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[j]
+        # in range: `_advance` stops at the EOF sentinel, and a look ahead follows a name
+        return self._tokens[self._pos + ahead]
 
     def _advance(self) -> Token:
         tok = self._tokens[self._pos]
@@ -650,16 +602,10 @@ def parse_expression(source: str) -> Expr:
 # --- canonical renderer ---------------------------------------------------------
 
 
-def _quote(text: str) -> str:
-    from .values import quote_text
-
-    return quote_text(text)
-
-
 def render_expr(expr: Expr) -> str:
     if isinstance(expr, Const):
         if expr.kind == "text":
-            return _quote(expr.value)
+            return quote_text(expr.value)
         return repr(expr.value) if expr.kind == "real" else str(expr.value)
     if isinstance(expr, Name):
         return expr.ident

@@ -159,6 +159,16 @@ def unescape_char(ch: str) -> str:
     return _UNESCAPES.get(ch, "\\" + ch)
 
 
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
+def unescape_text(body: str) -> str:
+    """Resolve every backslash escape in the body of a text literal."""
+    if "\\" not in body:
+        return body
+    return _ESCAPE.sub(lambda m: unescape_char(m[1]), body)
+
+
 def render_scalar(v: Value) -> str:
     """Canonical literal for a scalar value (refs and tuples not included)."""
     if isinstance(v, IntVal):

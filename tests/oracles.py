@@ -5,9 +5,9 @@ networkx (not the engine's search) and then enumerates the full Cartesian
 product of every relation on the path, filtering on reference equality along
 each edge. It must agree with the engine's chain-join exactly.
 
-The snapshot oracles are the slow paths the snapshot code replaced: a
-character loop for the row tokenizer, and a sort of every relation by its
-export key for the export order.
+The lexing and snapshot oracles are the slow paths the code replaced: a
+character loop for the script lexer and one for the row tokenizer, and a
+sort of every relation by its export key for the export order.
 """
 
 import itertools
@@ -18,8 +18,20 @@ import networkx as nx
 
 import relang
 from relang import parse_script, store
-from relang.errors import SnapshotFormatError
+from relang.errors import IllegalCharacter, SnapshotFormatError, UnterminatedString
 from relang.store import iter_refs
+from relang.syntax import (
+    _PUNCT,
+    EQUALS,
+    INT_LIT,
+    KEYWORD,
+    KEYWORDS,
+    NAME,
+    OPERATOR,
+    REAL_LIT,
+    TEXT_LIT,
+    Token,
+)
 from relang.txn import CommitReport
 from relang.values import (
     IntVal,
@@ -279,6 +291,123 @@ def commit_must_abort(txn) -> bool:
         or txn.pending
         or txn.obligations
     )
+
+
+# --- lexing ----------------------------------------------------------------------
+
+_DIGITS = frozenset("0123456789")  # str.isdigit() also accepts digits int() rejects
+
+
+def tokenize_chars(source: str):
+    """``syntax.tokenize`` one character at a time: split source text into
+    tokens. Whitespace is the only separator; `//` starts a comment running
+    to end of line."""
+    tokens = []
+    i, n = 0, len(source)
+    line, col = 1, 1
+
+    def advance(k=1):
+        nonlocal i, line, col
+        for _ in range(k):
+            if i < n and source[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance()
+            continue
+        if ch == "/" and i + 1 < n and source[i + 1] == "/":
+            while i < n and source[i] != "\n":
+                advance()
+            continue
+        start_line, start_col = line, col
+        if ch in _PUNCT:
+            tokens.append(Token(_PUNCT[ch], ch, start_line, start_col))
+            advance()
+            continue
+        if ch in "\"'":
+            quote = ch
+            advance()
+            chars = []
+            while True:
+                if i >= n:
+                    raise UnterminatedString(
+                        "text literal never closed", start_line, start_col
+                    )
+                c = source[i]
+                if c == "\\":
+                    advance()
+                    if i >= n:
+                        raise UnterminatedString(
+                            "text literal never closed", start_line, start_col
+                        )
+                    chars.append(unescape_char(source[i]))
+                    advance()
+                    continue
+                if c == quote:
+                    advance()
+                    break
+                chars.append(c)
+                advance()
+            tokens.append(Token(TEXT_LIT, "".join(chars), start_line, start_col))
+            continue
+        if ch in _DIGITS or (ch == "-" and i + 1 < n and source[i + 1] in _DIGITS):
+            j = i + 1 if ch == "-" else i
+            while j < n and source[j] in _DIGITS:
+                j += 1
+            is_real = False
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
+                is_real = True
+                j += 1
+                while j < n and source[j] in _DIGITS:
+                    j += 1
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k] in _DIGITS:
+                    is_real = True
+                    j = k
+                    while j < n and source[j] in _DIGITS:
+                        j += 1
+            lexeme = source[i:j]
+            if j < n and (source[j].isalpha() or source[j] == "_"):
+                raise IllegalCharacter(
+                    f"malformed number {lexeme + source[j]!r}", start_line, start_col
+                )
+            advance(j - i)
+            tokens.append(
+                Token(REAL_LIT if is_real else INT_LIT, lexeme, start_line, start_col)
+            )
+            continue
+        if ch == "=":
+            tokens.append(Token(EQUALS, "=", start_line, start_col))
+            advance()
+            continue
+        if ch in "!<>" and i + 1 < n and source[i + 1] == "=":
+            tokens.append(Token(OPERATOR, ch + "=", start_line, start_col))
+            advance(2)
+            continue
+        if ch in "+-*/<>&|!~":
+            tokens.append(Token(OPERATOR, ch, start_line, start_col))
+            advance()
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            lexeme = source[i:j]
+            advance(j - i)
+            kind = KEYWORD if lexeme in KEYWORDS else NAME
+            tokens.append(Token(kind, lexeme, start_line, start_col))
+            continue
+        raise IllegalCharacter(f"illegal character {ch!r}", start_line, start_col)
+    return tokens
 
 
 # --- snapshots -------------------------------------------------------------------

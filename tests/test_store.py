@@ -507,6 +507,23 @@ class TestPages:
         assert state.rekey("item", rids[-1], state.get_row("item", rids[holder])) is True
         assert idx.run(boundary) == [rids[holder], rids[-1]]
 
+    def test_a_prefix_range_across_chunks_ends_inside_one(self, small_pages):
+        state = make_state("relation (pair (a int) (b int))")
+        for a in range(3):
+            for b in range(5):
+                state.insert("pair", (IntVal(a), IntVal(b)))
+        idx = state.indexes["pair"]
+        c, _lo, d, hi = idx.span(encode_int(1))
+        assert c < d and hi > 0  # the range under test
+        rows = dict(idx.rows.items())
+        for prefix in [b""] + [encode_int(a) for a in range(-1, 4)]:
+            expected = [
+                (key, rows[rowid])
+                for key, rowid in zip(flat_keys(idx), flat_ids(idx))
+                if key.startswith(prefix)
+            ]
+            assert list(state.scan("pair", prefix).items()) == expected
+
     def test_sparse_pages_read_and_drop(self, small_pages):
         state, idx, rids = numbers(*range(10))
         for rid in rids[1:9]:

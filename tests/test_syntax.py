@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relang import parse_expression, parse_script, parse_statement, render, tokenize
@@ -27,6 +27,7 @@ from relang.syntax import (
 from relang.values import quote_text
 
 from corpus import CORPUS
+from oracles import tokenize_chars
 
 
 class TestTokenizer:
@@ -287,3 +288,36 @@ def test_nested_paths_count_toward_the_nesting_limit():
 def test_non_ascii_digits_are_not_numbers(text):
     with pytest.raises((IllegalCharacter, ParseError)):
         parse_expression(text)
+
+
+# Characters at the edges of the lexer's classes: the separators, `/` of a
+# comment, each punctuation mark, both quotes and the backslash, ASCII digits
+# and a number's `-`, `e`, `E` and `+`, the operators, a letter and `_`, and
+# word characters that are not ASCII letters: `é` (a letter), `٣` (a decimal
+# digit other than 0-9), `²` and `½` (digits and numerics that are not
+# decimal), then characters no token takes.
+_EDGE_CHARS = list(" \t\r\n/(){}[]:.?\"'\\0189-eE+*=!<>&|~a_xé٣²½@#\x0b\u00a0")
+_EDGE_PIECES = ["//", "\\\n", '"a\nb"', "'\\'", "-1", "1.5", "2e-3", "1e", "!=", "<=", "add", "x_1"]
+
+
+def _lexed(lexer, text):
+    try:
+        return lexer(text)
+    except (IllegalCharacter, UnterminatedString) as exc:
+        return type(exc), exc.args[0], exc.line, exc.column
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_EDGE_CHARS) | st.sampled_from(_EDGE_PIECES), max_size=24).map("".join))
+@example("²")  # not a letter, though a word character
+@example("٣")  # a decimal digit, but not 0-9
+@example("1x")  # a number run into a letter
+@example("1.5e_")
+@example("1٣")
+@example('"a\\')  # unclosed, ending in a lone backslash
+@example('x "a\\\nb\nc" y')  # newlines in a literal, one escaped
+@example("a\rb\n c")  # `\r` starts no line
+@example("- 1 -1 -x")  # `-` joins a number only before a digit
+@example("// c\n'q' /")
+def test_the_token_pattern_lexes_as_the_character_loop(text):
+    assert _lexed(tokenize, text) == _lexed(tokenize_chars, text)

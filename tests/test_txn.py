@@ -174,6 +174,35 @@ class TestPlanUpdate:
             ("HOMER",)
         }
 
+    def test_update_a_reference_attribute(self, library):
+        run(library, 'update book (book . "Emma" .) (author (author "Homer" .)) commit')
+        emma = q(library, '[(book . "Emma" .) [author name]]')
+        assert rows(emma, library.published) == {("Homer",)}
+        assert dangling_refs(library.published) == []
+
+    def test_update_an_inline_tuple_attribute(self, library):
+        run(
+            library,
+            "domain (point int int) relation (place (name text) (at point) (to point))"
+            ' add place ({"home" (point 1 2) (point 1 2)} {"work" (point 3 4) (point 1 2)})'
+            " commit",
+        )
+        run(library, 'update place (place "home" . .) (at (point 5 6)) commit')
+        run(library, 'update place (place "work" . .) (to at) commit')  # the row's own value
+        assert rows(q(library, "(place)"), library.published) == {
+            ("home", (5, 6), (1, 2)),
+            ("work", (3, 4), (3, 4)),
+        }
+
+    def test_a_tuple_attribute_takes_exactly_one_tuple(self, library):
+        before = fingerprint(library)
+        with pytest.raises(TypeMismatch, match="needs exactly one tuple, got 3"):
+            run(library, 'update book (book . "Emma" .) (author (author))')
+        with pytest.raises(TypeMismatch, match="needs a author tuple"):
+            run(library, 'update book (book . "Emma" .) (author 5)')
+        run(library, "commit")
+        assert fingerprint(library) == before
+
     def test_unknown_attr_is_immediate(self, library):
         with pytest.raises(UnknownAttr):
             run(library, 'update author (author) (ghost "x")')
@@ -419,6 +448,15 @@ class TestAtomicity:
         )
         assert dangling_refs(db.published) == []
         assert len(q(db, "(book)")) == 1
+
+    def test_one_add_naming_a_missing_target_twice_reserves_one_row(self, library_ddl):
+        db = library_ddl
+        run(db, 'add book ({{"Zed" "1900"} "A" "1990"} {{"Zed" "1900"} "B" "1991"})')
+        assert len({book[0] for book in db.txn.shadow.scan("book").values()}) == 1
+        run(db, 'add author {"Zed" "1900"} commit')
+        titles = q(db, '[(book (author "Zed" .) . .) title]')
+        assert rows(titles, db.published) == {("A",), ("B",)}
+        assert dangling_refs(db.published) == []
 
     def test_update_collision_defers_and_aborts(self, library_ddl):
         db = library_ddl
