@@ -24,9 +24,21 @@ ordinals of every relation a relation references rise with their row ids,
 as in any loaded database, value order is the relation's stored key order,
 and saving reads it off the index without sorting.
 
+Cells are separated by single spaces, and ordinals have no leading zeros.
 Loading reads back only what saving writes: canonical scalar literals and
-text escapes, rows in ordinal order, references to rows loaded above, and
-no duplicate row.
+text escapes, rows in ordinal and value order, references to rows loaded
+above, no duplicate row, and that spacing.
+
+Loading reads each row through its relation's reader, compiled on the
+relation's first row: one anchored pattern of the row's cells, built from
+the relation's domains (an inline tuple's recursively), and one loop over
+its groups that builds the tuple and its canonical key together. A
+reference's key is its ordinal, since the load makes each row's id its
+ordinal. The row goes in through ``DbState.append``, which links only the
+positions that may hold a reference. A row the reader refuses goes to
+``_diagnose_row``, whose only job is to name its error: it parses the row
+apart (``_parse_row_values``, ``_materialize``) to find the first fault, or
+else reports that the row is not in the form saving writes.
 """
 
 from __future__ import annotations
@@ -60,6 +72,7 @@ from .values import (
     TimestampVal,
     TupleVal,
     Value,
+    encode_text,
     encode_value,
     parse_timestamp,
     quote_text,
@@ -279,10 +292,11 @@ def save_snapshot(db: Database) -> str:
     return "\n".join(lines) + "\n"
 
 
-# One token of a row's value list, after any spaces: an opening brace, a
-# closing brace, a text literal with only the escapes ``quote_text`` writes,
-# an atom (a scalar literal or a reference), or a quote that opens no such
-# text, taken up to its closing quote if it has one.
+# One token of a row's value list, for a row its reader refused, after any
+# spaces: an opening brace, a closing brace, a text literal with only the
+# escapes ``quote_text`` writes, an atom (a scalar literal or a reference),
+# or a quote that opens no such text, taken up to its closing quote if it
+# has one.
 _ROW_TOKEN = re.compile(
     r' *(?:(\{)|(\})|("(?:[^"\\]|\\["\\ntr])*")|([^ {}"][^ }]*)|("(?:[^"\\]|\\.)*)(")?)',
     re.S,
@@ -325,11 +339,12 @@ def _parse_row_values(text: str, line_no: int) -> list:
 
 
 @functools.lru_cache(maxsize=4096)
-def _read_atom(token: str, expected: str) -> Optional[Value]:
-    """The scalar a canonical literal spells, or None. Only the canonical
-    literal is read (``1_0``, ``+5`` and ``1e3`` are not), so every snapshot
-    that loads is one that saving writes back byte for byte. Cached, since a
-    snapshot repeats its literals (a year, a count) many times."""
+def _read_atom(token: str, expected: str) -> Optional[Tuple[Value, bytes]]:
+    """The scalar a canonical literal spells and its key, or None. Only the
+    canonical literal is read (``1_0``, ``+5`` and ``1e3`` are not), so every
+    snapshot that loads is one that saving writes back byte for byte.
+    Cached, since a snapshot repeats its literals (a year, a count) many
+    times."""
     try:
         if expected == "int":
             value = IntVal(int(token))
@@ -341,14 +356,14 @@ def _read_atom(token: str, expected: str) -> Optional[Value]:
             return None
     except (ValueError, RelangError):
         return None
-    return value if render_scalar(value) == token else None
+    return (value, encode_value(value)) if render_scalar(value) == token else None
 
 
 def _atom_value(token: str, expected: str, line_no: int) -> Value:
-    value = _read_atom(token, expected)
-    if value is None:
+    atom = _read_atom(token, expected)
+    if atom is None:
         raise SnapshotFormatError(f"{token!r} is not a canonical {expected} literal", line_no)
-    return value
+    return atom[0]
 
 
 def _materialize(parsed, rel: RelationDef, catalog: Catalog, refs, line_no: int):
@@ -385,6 +400,103 @@ def _materialize(parsed, rel: RelationDef, catalog: Catalog, refs, line_no: int)
     return tuple(out)
 
 
+def _diagnose_row(
+    rel: RelationDef, ordinal_text: str, expected: int, rest: str, catalog: Catalog, refs, line_no: int
+):
+    """Raise the error in a row its relation's reader refused: the one
+    ``_parse_row_values`` and ``_materialize`` find, or else that the row is
+    not in the form saving writes (``01`` for ``1``, two spaces for one)."""
+    if not (ordinal_text.isascii() and ordinal_text.isdigit()):
+        raise SnapshotFormatError(f"malformed ordinal {ordinal_text!r}", line_no)
+    if int(ordinal_text) != expected:
+        raise SnapshotFormatError(
+            f"ordinal {int(ordinal_text)} out of order (expected {expected})", line_no
+        )
+    if not (rest.startswith("{") and rest.endswith("}")):
+        raise SnapshotFormatError("row values must be brace-enclosed", line_no)
+    _materialize(_parse_row_values(rest[1:-1], line_no), rel, catalog, refs, line_no)
+    raise SnapshotFormatError("row is not in the form saving writes", line_no)
+
+
+# The cells of a row as ``_SNAPSHOT_CELLS`` writes them: a text with only
+# the escapes ``quote_text`` writes (and so no raw tab or carriage return),
+# and a scalar literal, whose canonical form ``_read_atom`` checks.
+_TEXT_CELL = r'"([^"\\\t\r]*(?:\\["\\ntr][^"\\\t\r]*)*)"'
+_ATOM_CELL = r'([^ {}"]+)'
+
+
+def _cell_pattern(rel: RelationDef, catalog: Catalog, refs, leaves: list, shape: list) -> str:
+    """The pattern of a tuple's cells under ``rel``, one group per scalar or
+    reference cell: a reference ``#<target>:<ordinal>``, an inline tuple its
+    cells in braces. Appends what each group holds to ``leaves``: a scalar
+    type, or the list of references to the target's loaded rows; and to
+    ``shape`` None per such cell of this tuple and ``(domain, inner shape)``
+    per inline tuple."""
+    cells = []
+    for dom in rel.domains:
+        kind = dom.type_name
+        if kind in SCALAR_TYPES:
+            cells.append(_TEXT_CELL if kind == "text" else _ATOM_CELL)
+            leaves.append(kind)
+            shape.append(None)
+        elif catalog.lookup(kind).klass == "simple":
+            cells.append(f"#{re.escape(kind)}:([1-9][0-9]*)")
+            leaves.append(refs[kind])
+            shape.append(None)
+        else:
+            inner: list = []
+            cells.append(r"\{" + _cell_pattern(catalog.lookup(kind), catalog, refs, leaves, inner) + r"\}")
+            shape.append((kind, inner))
+    return " ".join(cells)
+
+
+def _nest(shape, values):
+    """The tuple ``shape`` makes of the flat ``values`` iterator."""
+    return tuple(next(values) if s is None else TupleVal(s[0], _nest(s[1], values)) for s in shape)
+
+
+def _row_reader(rel: RelationDef, catalog: Catalog, refs):
+    """Read the values text (``{...}``) of a row of ``rel`` in one pass:
+    ``read(text)`` is the row's tuple and canonical key, or None for a text
+    not in the form saving writes, a non-canonical literal, a lone
+    surrogate, or a reference to no loaded row. A reference's key is its
+    ordinal, which a load makes its target's row id."""
+    leaves: list = []
+    shape: list = []
+    match = re.compile(r"\{" + _cell_pattern(rel, catalog, refs, leaves, shape) + r"\}").fullmatch
+    flat = all(s is None for s in shape)
+
+    def read(text: str) -> Optional[Tuple[tuple, bytes]]:
+        m = match(text)
+        if m is None:
+            return None
+        values, keys = [], []
+        for cell, leaf in zip(m.groups(), leaves):
+            if leaf == "text":
+                if "\\" in cell:
+                    cell = unescape_text(cell)
+                try:
+                    values.append(TextVal(cell))
+                except DomainTypeMismatch:  # a lone surrogate
+                    return None
+                keys.append(encode_text(cell))
+            elif type(leaf) is list:
+                n = int(cell)
+                if n > len(leaf):
+                    return None
+                values.append(leaf[n - 1])
+                keys.append(n.to_bytes(8, "big"))
+            else:
+                atom = _read_atom(cell, leaf)
+                if atom is None:
+                    return None
+                values.append(atom[0])
+                keys.append(atom[1])
+        return (tuple(values) if flat else _nest(shape, iter(values))), b"".join(keys)
+
+    return read
+
+
 def load_snapshot(text: str) -> Database:
     """Rebuild a database from snapshot text."""
     lines = text.split("\n")
@@ -408,6 +520,12 @@ def load_snapshot(text: str) -> Database:
     relations = {name: catalog.lookup(name) for name in catalog.names()}
     # the references to each referenced relation's loaded rows, by ordinal
     refs: Dict[str, List[RefVal]] = {name: [] for name in relations if catalog.referencing(name)}
+    # per simple relation, the positions that may hold a reference
+    linked: Dict[str, set] = {}
+    for name in refs:
+        for q, pos in catalog.referencing(name):
+            linked.setdefault(q, set()).add(pos)
+    readers = {}  # per relation with a row, its reader and linked positions
     for i, line in enumerate(lines[i + 1 :], i + 2):  # after the blank separator
         if not line.strip():
             continue
@@ -415,28 +533,27 @@ def load_snapshot(text: str) -> Database:
         if len(parts) != 4 or parts[0] != "row":
             raise SnapshotFormatError(f"malformed row line: {line!r}", i)
         _row, rel_name, ordinal_text, rest = parts
-        rel = relations.get(rel_name)
-        if rel is None:
-            raise SnapshotFormatError(f"row for undefined relation {rel_name!r}", i)
-        if rel.klass != "simple":
-            raise SnapshotFormatError(f"{rel_name!r} stores no rows", i)
-        if not (ordinal_text.isascii() and ordinal_text.isdigit()):
-            raise SnapshotFormatError(f"malformed ordinal {ordinal_text!r}", i)
-        ordinal = int(ordinal_text)
+        reader = readers.get(rel_name)
+        if reader is None:
+            rel = relations.get(rel_name)
+            if rel is None:
+                raise SnapshotFormatError(f"row for undefined relation {rel_name!r}", i)
+            if rel.klass != "simple":
+                raise SnapshotFormatError(f"{rel_name!r} stores no rows", i)
+            reader = readers[rel_name] = _row_reader(rel, catalog, refs), tuple(sorted(linked.get(rel_name, ())))
+        read, positions = reader
         expected = len(state.indexes[rel_name].rows) + 1
-        if ordinal != expected:
-            raise SnapshotFormatError(
-                f"ordinal {ordinal} out of order (expected {expected})", i
-            )
-        if not (rest.startswith("{") and rest.endswith("}")):
-            raise SnapshotFormatError("row values must be brace-enclosed", i)
-        parsed = _parse_row_values(rest[1:-1], i)
+        row = read(rest) if ordinal_text == str(expected) else None
+        if row is None:
+            _diagnose_row(relations[rel_name], ordinal_text, expected, rest, catalog, refs, i)
         # every reference names a row loaded above, so no pass over the
         # loaded state is needed afterwards
-        values = _materialize(parsed, rel, catalog, refs, i)
-        rowid, fresh = state.insert(rel_name, values)
-        if not fresh or rowid != ordinal:
+        values, key = row
+        rowid, fresh = state.append(rel_name, values, key, positions)
+        if not fresh:
             raise SnapshotFormatError(f"duplicate row in {rel_name!r}", i)
+        if state.indexes[rel_name].maxes[-1] != key:  # saving writes rows in key order
+            raise SnapshotFormatError(f"row out of value order in {rel_name!r}", i)
         if rel_name in refs:
             refs[rel_name].append(RefVal(rel_name, rowid))
     db.refresh()

@@ -50,7 +50,7 @@ rule. Callers hand ``insert`` and ``rekey`` tuples that conform to the
 relation's domains: a transaction conforms every tuple it writes
 (``txn.conform_flat``) and checks references, removals and key collisions at
 commit, and a snapshot load checks each row's shape and references once
-(``shell._materialize``).
+(``shell.load_snapshot``).
 
 Row ids are allocated from a per-relation counter starting at 1 and are never
 reused within a database lifetime. They are internal: no language syntax can
@@ -320,12 +320,14 @@ class MultitableIndex:
 
     # -- position maps
 
-    def link(self, rowid: int, values):
-        """Enter a row in the position maps: each reference it holds, and
-        its value at each position in ``valued``. A position masked to None
-        (as ``DbState.rekey`` masks the ones it keeps) holds nothing."""
+    def link(self, rowid: int, values, positions: Optional[Iterable[int]] = None):
+        """Enter a row in the position maps at ``positions``, every position
+        by default: each reference it holds, and its value at each position
+        in ``valued``. A position masked to None (as ``DbState.rekey`` masks
+        the ones it keeps) holds nothing."""
         owned, maps, valued = self.owned, self.maps, self.valued
-        for pos, v in enumerate(values):
+        for pos in range(len(values)) if positions is None else positions:
+            v = values[pos]
             if isinstance(v, RefVal):
                 keys: Iterable = ((v.relation, v.row),)
             elif isinstance(v, TupleVal):
@@ -486,13 +488,32 @@ class DbState:
         key = encode_tuple(values)
         maxes = idx.maxes
         c, i = len(maxes), 0
-        # a key above the last one (every row of a snapshot load) is new
+        # a key above the last one is new
         if maxes and key <= maxes[-1]:
             c = bisect_left(maxes, key)
             keys = idx.key_chunks[c]
             i = bisect_left(keys, key)
             if keys[i] == key:
                 return idx.id_chunks[c][i], False
+        return self._store(relation, values, key, c, i, rowid, None), True
+
+    def append(self, relation: str, values, key: bytes, linked: Tuple[int, ...]):
+        """``insert`` for a tuple whose canonical key the caller made, as a
+        snapshot load reads it; ``linked`` must name every position that may
+        hold a reference. A key that sorts after the relation's last goes
+        last, and only ``linked`` is linked; any other key, or a relation
+        with a value map, goes through ``insert``, which finds a duplicate."""
+        idx = self._index(relation)
+        maxes = idx.maxes
+        if (maxes and key <= maxes[-1]) or idx.valued:
+            return self.insert(relation, values)
+        return self._store(relation, values, key, len(maxes), 0, None, linked), True
+
+    def _store(self, relation: str, values, key: bytes, c: int, i: int, rowid, linked) -> int:
+        """Store a new tuple under its key at slot ``i`` of chunk ``c`` (as
+        ``MultitableIndex.place`` takes them) and link it at ``linked``, or
+        at every position for None; returns its row id."""
+        idx = self.indexes[relation]
         if relation not in self.owned:
             idx = self._writable(relation)
         # The row id, the row page and the key's chunk are taken here when
@@ -517,8 +538,8 @@ class DbState:
             idx.maxes[c - 1] = key
         else:
             idx.place(c, i, key, rowid)
-        idx.link(rowid, values)
-        return rowid, True
+        idx.link(rowid, values, linked)
+        return rowid
 
     def index_values(self, relation: str, pos: int) -> MultitableIndex:
         """The relation's index, with a map at scalar position ``pos``: one

@@ -287,10 +287,10 @@ class Parser:
         return tok
 
     def _check(self, kind) -> bool:
-        return self._peek().kind == kind
+        return self._tokens[self._pos].kind == kind
 
     def _match(self, kind) -> Optional[Token]:
-        if self._check(kind):
+        if self._tokens[self._pos].kind == kind:
             return self._advance()
         return None
 

@@ -6,8 +6,9 @@ product of every relation on the path, filtering on reference equality along
 each edge. It must agree with the engine's chain-join exactly.
 
 The lexing and snapshot oracles are the slow paths the code replaced: a
-character loop for the script lexer and one for the row tokenizer, and a
-sort of every relation by its export key for the export order.
+character loop for the script lexer and one for the row tokenizer, a sort
+of every relation by its export key for the export order, and a snapshot
+load that parses, builds and inserts each row in separate stages.
 """
 
 import itertools
@@ -17,7 +18,7 @@ import string
 import networkx as nx
 
 import relang
-from relang import parse_script, store
+from relang import parse_script, shell, store
 from relang.errors import IllegalCharacter, SnapshotFormatError, UnterminatedString
 from relang.store import iter_refs
 from relang.syntax import (
@@ -493,6 +494,33 @@ def export_orders(catalog, state):
     return ordered
 
 
+def load_snapshot_by_insert(text: str):
+    """A snapshot load as it was before each relation had a row reader:
+    each row is read by the character loop, made a tuple by
+    ``shell._materialize`` and stored by ``DbState.insert``, which encodes
+    its key and links every position. Only for snapshots that load."""
+    lines = text.split("\n")
+    blank = lines.index("")
+    db = relang.Database()
+    for line in lines[1:blank]:
+        for stmt in parse_script(line):
+            db.execute(stmt)
+    catalog, state = db.catalog, db.published
+    refs = {name: [] for name in catalog.names() if catalog.referencing(name)}
+    for i, line in enumerate(lines[blank + 1 :], blank + 2):
+        if not line:
+            continue
+        _row, name, _ordinal, rest = line.split(" ", 3)
+        parsed = parse_row_values(rest[1:-1], i, canonical_escapes=True)
+        values = shell._materialize(parsed, catalog.lookup(name), catalog, refs, i)
+        rowid, fresh = state.insert(name, values)
+        assert fresh, f"duplicate row at line {i}"
+        if name in refs:
+            refs[name].append(RefVal(name, rowid))
+    db.refresh()
+    return db
+
+
 # --- random schema/database generation -------------------------------------------
 
 
@@ -554,6 +582,55 @@ def random_tree_db(
                 db.published.insert(name, tuple(values))
     db.refresh()
     return db, names
+
+
+# Every scalar type, a reference in a relation and in inline tuples, and an
+# inline tuple inside an inline tuple (``pair`` holds two ``pin``s).
+INLINE_SCHEMA = (
+    "relation (a (name text) (n int))"
+    " domain (pin a (x real) (at timestamp))"
+    " domain (pair pin (other pin) (label text))"
+    " relation (b (p pair) (q a) (t text))"
+    " relation (c (e pin) b (k int))"
+)
+
+
+def random_inline_db(rng: random.Random, max_rows=12, texts=string.ascii_lowercase[:6]):
+    """A database over ``INLINE_SCHEMA`` with random rows: ints from the
+    whole 64-bit range, reals, timestamps of every precision (BC years
+    included), texts drawn from ``texts``, and references to random rows
+    loaded earlier, inside inline tuples too."""
+    db = relang.Database()
+    for stmt in parse_script(INLINE_SCHEMA):
+        db.execute(stmt)
+    state = db.published
+
+    def scalar(kind):
+        if kind == "int":
+            return IntVal(rng.choice([0, -1, 7, rng.randint(-(1 << 63), (1 << 63) - 1)]))
+        if kind == "real":
+            return RealVal(rng.choice([0.5, -2.0, rng.uniform(-1e6, 1e6), 1e300]))
+        if kind == "text":
+            return TextVal(rng.choice(texts))
+        month = rng.choice([None, rng.randint(1, 12)])
+        day = None if month is None else rng.choice([None, rng.randint(1, 28)])
+        return TimestampVal(rng.randint(-3000, 2100), month, day)
+
+    def value(kind):
+        if kind in SCALAR_CLASSES:
+            return scalar(kind)
+        rel = db.catalog.lookup(kind)
+        if rel.klass == "domain":
+            return TupleVal(kind, tuple(value(d.type_name) for d in rel.domains))
+        return RefVal(kind, rng.choice(sorted(state.indexes[kind].rows)))
+
+    for name in ("a", "b", "c"):
+        rel = db.catalog.lookup(name)
+        for _ in range(rng.randint(1 if name == "a" else 0, max_rows)):
+            if all(state.indexes[d.type_name].rows for d in rel.domains if d.type_name in ("a", "b")):
+                state.insert(name, tuple(value(d.type_name) for d in rel.domains))
+    db.refresh()
+    return db
 
 
 def connectable_pair(db, names, rng: random.Random, max_edges=3):

@@ -1,4 +1,8 @@
+import importlib.util
 import io
+import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,18 @@ from relang.shell import (
 from relang.values import quote_text
 
 from conftest import LIBRARY_DDL, LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
-from oracles import dangling_refs, export_orders, flat_ids, parse_row_values
+from oracles import (
+    dangling_refs,
+    export_orders,
+    flat_ids,
+    index_faults,
+    load_snapshot_by_insert,
+    parse_row_values,
+    random_inline_db,
+    random_tree_db,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestFormats:
@@ -127,14 +142,16 @@ class TestSnapshots:
         s1 = save_snapshot(db)
         assert s1 == save_snapshot(load_snapshot(s1))
 
+    DOMAINS_AND_FUNCTIONS = (
+        "function (avg2 (a real) (b real)) (/ (+ a b) 2)"
+        " domain (point2d real real)"
+        " relation (spot (at point2d) (label text))"
+        " add spot {(point2d 1 2) \"here\"}"
+        " commit"
+    )
+
     def test_functions_and_domains_round_trip(self):
-        db = build_db(
-            "function (avg2 (a real) (b real)) (/ (+ a b) 2)"
-            " domain (point2d real real)"
-            " relation (spot (at point2d) (label text))"
-            " add spot {(point2d 1 2) \"here\"}"
-            " commit"
-        )
+        db = build_db(self.DOMAINS_AND_FUNCTIONS)
         loaded = load_snapshot(save_snapshot(db))
         assert rows(q(loaded, "(avg2 4 6)"), loaded.published) == {(5.0,)}
         assert save_snapshot(loaded) == save_snapshot(db)
@@ -299,6 +316,142 @@ class TestSnapshots:
         text = ';; relang snapshot v1\nrelation (genre text)\n\nrow genre \u00b9 {"a"}\n'
         with pytest.raises(SnapshotFormatError):
             load_snapshot(text)
+
+
+def _bench_gen():
+    """``bench/gen.py``, the benchmark's data generator, as a module (listed
+    in ``sys.modules``, which its dataclasses need)."""
+    if "bench_gen" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+        sys.modules["bench_gen"] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["bench_gen"]
+
+
+# Texts a snapshot must carry through escapes and key encoding: quotes,
+# backslashes, newlines, tabs, NUL and 0x01 (escaped in keys), non-ASCII.
+AWKWARD_TEXTS = ["", "a", '"', "\\", "\n", "\t\r", "\x00", "\x01", "x\x00y\x01z", "é", "中\U0001f600", 'a"b\\c\nd']
+
+
+class TestRowReader:
+    """``load_snapshot`` reads each row through its relation's compiled
+    reader; ``_parse_row_values`` and ``_materialize`` only name the error
+    in a row the reader refuses."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_loads_the_state_the_insert_path_loads(self, seed, inline):
+        rng = random.Random(seed)
+        if inline:
+            db = random_inline_db(rng, texts=AWKWARD_TEXTS)
+        else:
+            db, _names = random_tree_db(rng, texts=AWKWARD_TEXTS, refs_anywhere=True)
+        text = save_snapshot(db)
+        loaded, oracle = load_snapshot(text).published, load_snapshot_by_insert(text).published
+        assert loaded.indexes.keys() == oracle.indexes.keys()
+        for name, want in oracle.indexes.items():
+            got = loaded.indexes[name]
+            assert got.key_chunks == want.key_chunks
+            assert got.id_chunks == want.id_chunks
+            assert got.rows.pages == want.rows.pages
+            assert got.maps == want.maps
+        assert index_faults(loaded) == []
+        assert save_snapshot(load_snapshot(text)) == text
+
+    @pytest.fixture
+    def diagnosed(self, monkeypatch):
+        """The rows that reach the diagnosis path, as (relation, ordinal)."""
+        calls = []
+        diagnose = shell._diagnose_row
+        monkeypatch.setattr(
+            shell, "_diagnose_row", lambda rel, ordinal, *rest: calls.append((rel.name, ordinal)) or diagnose(rel, ordinal, *rest)
+        )
+        return calls
+
+    def test_library_script_rows_take_the_reader(self, diagnosed):
+        out, err = io.StringIO(), io.StringIO()
+        assert shell_run([str(ROOT / "scripts" / "library.rl"), "--dump"], stdin=io.StringIO(), stdout=out, stderr=err) == 0
+        output = out.getvalue()
+        text = output[output.index(shell.SNAPSHOT_HEADER):]  # after the script's outputs
+        assert save_snapshot(load_snapshot(text)) == text
+        assert text.count("\nrow ") > 10 and diagnosed == []
+
+    def test_domain_and_function_rows_take_the_reader(self, diagnosed):
+        text = save_snapshot(build_db(TestSnapshots.DOMAINS_AND_FUNCTIONS))
+        assert save_snapshot(load_snapshot(text)) == text
+        assert "\nrow spot 1 " in text and diagnosed == []
+
+    def test_benchmark_library_rows_take_the_reader(self, diagnosed):
+        gen = _bench_gen()
+        text = save_snapshot(load_snapshot(gen.snapshot_text(gen.make_model(random.Random(3), 300, 600, (1, 3)))))
+        assert save_snapshot(load_snapshot(text)) == text
+        assert text.count("\nrow author ") == 300 and diagnosed == []
+
+    def test_a_refused_row_is_diagnosed_once(self, diagnosed):
+        with pytest.raises(SnapshotFormatError):
+            load_snapshot(';; relang snapshot v1\nrelation (genre text)\n\nrow genre 1 {"a"}\nrow genre 2 {"b" }\n')
+        assert diagnosed == [("genre", "2")]
+
+    AUTHOR_BOOK = ";; relang snapshot v1\nrelation (author (name text))\nrelation (book author (title text))\n\n"
+    PAIR = ";; relang snapshot v1\nrelation (q text int)\ndomain (d text text)\nrelation (s d)\n\n"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (AUTHOR_BOOK + 'row author 01 {"a"}\nrow book 1 {#author:01 "t"}\n', 5),
+            (AUTHOR_BOOK + 'row author 1 {"a"}\nrow book 1 {#author:01 "t"}\n', 6),
+            (AUTHOR_BOOK + 'row author 1 {"a"}\nrow book 1 {#author:1  "t"}\n', 6),
+            (PAIR + 'row q 1 {"a"5}\n', 6),
+            (PAIR + 'row q 1 {"a"  5}\n', 6),
+            (PAIR + 'row q 1 {  "a" 5  }\n', 6),
+            (PAIR + 'row s 1 {{"a"  "b"}}\n', 6),
+            (PAIR + 'row s 1 {{ "a" "b"}}\n', 6),
+            (PAIR + 'row q 1 {"a\tb" 5}\n', 6),
+        ],
+        ids=["leading_zero_ordinals", "leading_zero_reference", "two_spaces_after_reference",
+             "no_space", "two_spaces", "spaces_inside_braces", "two_spaces_inline",
+             "space_after_inline_brace", "raw_tab_in_text"],
+    )
+    def test_a_row_not_in_the_saved_form_is_refused(self, text, line):
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_snapshot(text)
+        assert str(exc.value) == f"row is not in the form saving writes (line {line})"
+
+    def test_a_row_out_of_value_order_is_refused(self):
+        text = ';; relang snapshot v1\nrelation (genre text)\n\nrow genre 1 {"b"}\nrow genre 2 {"a"}\n'
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_snapshot(text)
+        assert str(exc.value) == "row out of value order in 'genre' (line 5)"
+
+    GENRE = ";; relang snapshot v1\nrelation (genre text)\n\n"
+    INLINE = (
+        ";; relang snapshot v1\nrelation (author (name text))\n"
+        "domain (entry author (n int))\nrelation (shelf entry (label text))\n\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (GENRE + "row genre one {}\n", SnapshotFormatError, "malformed ordinal 'one' (line 4)"),
+            (GENRE + 'row genre 2 {"a"}\n', SnapshotFormatError, "ordinal 2 out of order (expected 1) (line 4)"),
+            (GENRE + 'row genre 1 {"a"}}\n', SnapshotFormatError, "unbalanced '}' in row (line 4)"),
+            (GENRE + 'row genre 1 {"a"\n', SnapshotFormatError, "row values must be brace-enclosed (line 4)"),
+            (GENRE + 'row genre 1 {"a" #genre:²}\n', SnapshotFormatError, "malformed reference #genre:² (line 4)"),
+            (GENRE + 'row genre 1 {"a\\qb"}\n', SnapshotFormatError, 'non-canonical escape in text "a\\qb" (line 4)'),
+            (GENRE + 'row genre 1 {"a" "b"}\n', SnapshotFormatError, "'genre' takes 1 values, got 2 (line 4)"),
+            (GENRE + "row genre 1 {a}\n", SnapshotFormatError, "'a' is not a canonical text literal (line 4)"),
+            (INLINE + 'row author 1 {"A"}\nrow shelf 1 {{#author:0 3} "x"}\n', DanglingOrdinal, "#author:0 does not name a loaded row"),
+            (INLINE + 'row author 1 {"A"}\nrow shelf 1 {{#author:2 3} "x"}\n', DanglingOrdinal, "#author:2 does not name a loaded row"),
+            (INLINE + 'row author 1 {"A"}\nrow shelf 1 {{"A" 3} "x"}\n', SnapshotFormatError, "expected a #author reference (line 7)"),
+            (INLINE + 'row author 1 {"A"}\nrow shelf 1 {{#author:1 03} "x"}\n', SnapshotFormatError, "'03' is not a canonical int literal (line 7)"),
+        ],
+        ids=["ordinal", "ordinal_order", "stray_brace", "unbraced", "reference", "escape", "arity",
+             "bare_text", "zero", "absent", "inline_shape", "inline_literal"],
+    )
+    def test_a_refused_row_keeps_its_error(self, text, error, message):
+        with pytest.raises(error) as exc:
+            load_snapshot(text)
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 # Fragments of row texts: braces, quotes, canonical and other escapes, and

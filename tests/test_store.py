@@ -94,6 +94,49 @@ class TestInsert:
         assert rid2 > rid
 
 
+class TestAppend:
+    """``append`` stores a tuple under the key its caller made: last when
+    the key sorts after the relation's last, else through ``insert``."""
+
+    def appended(self, state, relation, values, linked=()):
+        return state.append(relation, values, encode_tuple(values), linked)
+
+    def test_a_key_after_the_last_goes_last(self):
+        state = library_state()
+        assert self.appended(state, "genre", (TextVal("a"),)) == (1, True)
+        assert self.appended(state, "genre", (TextVal("b"),)) == (2, True)
+        assert flat_ids(state.indexes["genre"]) == [1, 2] and index_faults(state) == []
+
+    def test_a_duplicate_goes_through_insert(self):
+        state = library_state()
+        self.appended(state, "genre", (TextVal("a"),))
+        assert self.appended(state, "genre", (TextVal("a"),)) == (1, False)
+        assert len(state.indexes["genre"].rows) == 1
+
+    def test_a_key_before_the_last_goes_through_insert(self):
+        state = library_state()
+        self.appended(state, "genre", (TextVal("b"),))
+        assert self.appended(state, "genre", (TextVal("a"),)) == (2, True)
+        assert flat_ids(state.indexes["genre"]) == [2, 1] and index_faults(state) == []
+
+    def test_only_the_named_positions_are_linked(self):
+        state = library_state()
+        homer, _ = state.insert("author", author("Homer", "800 BC"))
+        ulysses = (RefVal("author", homer), TextVal("Ulysses"), parse_timestamp("750 BC"))
+        assert self.appended(state, "book", ulysses, (0,)) == (1, True)
+        assert index_faults(state) == []
+        state.indexes["book"].maps.clear()
+        self.appended(state, "book", (RefVal("author", homer), TextVal("Z"), parse_timestamp("1")))
+        assert state.indexes["book"].maps == {}
+
+    def test_a_relation_with_a_value_map_goes_through_insert(self):
+        state = library_state()
+        self.appended(state, "genre", (TextVal("a"),))
+        state.index_values("genre", 0)
+        self.appended(state, "genre", (TextVal("b"),))
+        assert index_faults(state) == []
+
+
 class TestContains:
     def test_present_key(self):
         state = library_state()
