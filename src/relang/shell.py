@@ -25,9 +25,10 @@ as in any loaded database, value order is the relation's stored key order,
 and saving reads it off the index without sorting.
 
 Cells are separated by single spaces, and ordinals have no leading zeros.
-Loading reads back only what saving writes: canonical scalar literals and
-text escapes, rows in ordinal and value order, references to rows loaded
-above, no duplicate row, and that spacing.
+Loading reads back only what saving writes: each definition as saving
+renders it, canonical scalar literals and text escapes, rows in ordinal and
+value order, references to rows loaded above, no duplicate row, and that
+spacing.
 
 Loading reads each row through its relation's reader, compiled on the
 relation's first row: one anchored pattern of the row's cells, built from
@@ -35,10 +36,10 @@ the relation's domains (an inline tuple's recursively), and one loop over
 its groups that builds the tuple and its canonical key together. A
 reference's key is its ordinal, since the load makes each row's id its
 ordinal. The row goes in through ``DbState.append``, which links only the
-positions that may hold a reference. A row the reader refuses goes to
-``_diagnose_row``, whose only job is to name its error: it parses the row
-apart (``_parse_row_values``, ``_materialize``) to find the first fault, or
-else reports that the row is not in the form saving writes.
+positions that may hold a reference. A row the reader refuses takes no
+other path: ``_diagnose_row`` only names its fault, walking the same cells
+one token at a time by the reader's own cell patterns, and raises the first
+fault from the left, or else that the row is not in the form saving writes.
 """
 
 from __future__ import annotations
@@ -268,21 +269,20 @@ def _export_orders(
     return orders, ordered
 
 
+def _definition_line(rel: RelationDef) -> str:
+    """A catalog entry's line in a snapshot: its canonical definition."""
+    klass = {"simple": "relation", "domain": "domain", "function": "function"}[rel.klass]
+    domains = tuple(
+        syntax.DomainSpec(d.attr if d.attr != d.type_name else None, d.type_name)
+        for d in rel.domains
+    )
+    return syntax.render(syntax.Definition(klass, rel.name, domains, rel.body))
+
+
 def save_snapshot(db: Database) -> str:
     """Serialize catalog and published state; byte-deterministic."""
     catalog, state = db.catalog, db.published
-    lines = [SNAPSHOT_HEADER]
-    for name in catalog.names():
-        rel = catalog.lookup(name)
-        klass = {"simple": "relation", "domain": "domain", "function": "function"}[rel.klass]
-        domains = tuple(
-            syntax.DomainSpec(d.attr if d.attr != d.type_name else None, d.type_name)
-            for d in rel.domains
-        )
-        lines.append(
-            syntax.render(syntax.Definition(klass, rel.name, domains, rel.body))
-        )
-    lines.append("")
+    lines = [SNAPSHOT_HEADER, *[_definition_line(catalog.lookup(name)) for name in catalog.names()], ""]
     orders, ordered = _export_orders(catalog, state)
     for name, rowids in ordered.items():
         pages, bits, mask = state.indexes[name].rows.pages, store.ROW_BITS, (1 << store.ROW_BITS) - 1
@@ -290,52 +290,6 @@ def save_snapshot(db: Database) -> str:
             values = _members(pages[rowid >> bits][rowid & mask], orders, _SNAPSHOT_CELLS)
             lines.append(f"row {name} {ordinal} {values}")
     return "\n".join(lines) + "\n"
-
-
-# One token of a row's value list, for a row its reader refused, after any
-# spaces: an opening brace, a closing brace, a text literal with only the
-# escapes ``quote_text`` writes, an atom (a scalar literal or a reference),
-# or a quote that opens no such text, taken up to its closing quote if it
-# has one.
-_ROW_TOKEN = re.compile(
-    r' *(?:(\{)|(\})|("(?:[^"\\]|\\["\\ntr])*")|([^ {}"][^ }]*)|("(?:[^"\\]|\\.)*)(")?)',
-    re.S,
-)
-
-
-def _parse_row_values(text: str, line_no: int) -> list:
-    """Parse the brace-enclosed value list of one snapshot row line.
-
-    Inline tuples nest on an explicit stack, so no nesting depth exhausts
-    the interpreter's."""
-    values = []  # the innermost open value list
-    enclosing = []
-    for opening, closing, quoted, atom, bad, closed in _ROW_TOKEN.findall(text):
-        if quoted:
-            values.append(("text", unescape_text(quoted[1:-1])))
-        elif atom:
-            if atom[0] == "#":
-                rel, colon, ordinal = atom[1:].partition(":")
-                if not colon or not (ordinal.isascii() and ordinal.isdigit()):
-                    raise SnapshotFormatError(f"malformed reference {atom}", line_no)
-                values.append(("ref", rel, int(ordinal)))
-            else:
-                values.append(("atom", atom))
-        elif opening:
-            enclosing.append(values)
-            values = []
-        elif closing:
-            if not enclosing:
-                raise SnapshotFormatError("unbalanced '}' in row", line_no)
-            inner, values = values, enclosing.pop()
-            values.append(("tuple", inner))
-        elif closed:
-            raise SnapshotFormatError(f"non-canonical escape in text {bad}{closed}", line_no)
-        else:
-            raise SnapshotFormatError("unterminated text in row", line_no)
-    if enclosing:
-        raise SnapshotFormatError("unterminated inline tuple", line_no)
-    return values
 
 
 @functools.lru_cache(maxsize=4096)
@@ -359,65 +313,6 @@ def _read_atom(token: str, expected: str) -> Optional[Tuple[Value, bytes]]:
     return (value, encode_value(value)) if render_scalar(value) == token else None
 
 
-def _atom_value(token: str, expected: str, line_no: int) -> Value:
-    atom = _read_atom(token, expected)
-    if atom is None:
-        raise SnapshotFormatError(f"{token!r} is not a canonical {expected} literal", line_no)
-    return atom[0]
-
-
-def _materialize(parsed, rel: RelationDef, catalog: Catalog, refs, line_no: int):
-    """The tuple a parsed row spells under ``rel``. ``refs[t]`` lists the
-    references to the rows of ``t`` loaded so far, ordinal ``n`` at
-    ``n - 1``: a loaded row is referenced through one shared ``RefVal``."""
-    if len(parsed) != rel.arity:
-        raise SnapshotFormatError(
-            f"{rel.name!r} takes {rel.arity} values, got {len(parsed)}", line_no
-        )
-    out = []
-    for item, dom in zip(parsed, rel.domains):
-        tag, kind = item[0], dom.type_name
-        if tag == "text" and kind == "text":
-            try:
-                out.append(TextVal(item[1]))
-            except DomainTypeMismatch as exc:  # a lone surrogate
-                raise SnapshotFormatError(str(exc), line_no) from None
-        elif tag == "atom" and kind in SCALAR_TYPES:
-            out.append(_atom_value(item[1], kind, line_no))
-        elif tag == "ref" and item[1] == kind and kind in refs:
-            loaded = refs[kind]
-            if not 1 <= item[2] <= len(loaded):
-                raise DanglingOrdinal(f"#{kind}:{item[2]} does not name a loaded row")
-            out.append(loaded[item[2] - 1])
-        elif tag == "tuple" and kind not in SCALAR_TYPES and catalog.lookup(kind).klass != "simple":
-            out.append(TupleVal(kind, _materialize(item[1], catalog.lookup(kind), catalog, refs, line_no)))
-        elif kind in SCALAR_TYPES:
-            raise SnapshotFormatError(f"expected a {kind} literal", line_no)
-        elif catalog.lookup(kind).klass == "simple":
-            raise SnapshotFormatError(f"expected a #{kind} reference", line_no)
-        else:
-            raise SnapshotFormatError(f"expected an inline {kind} tuple", line_no)
-    return tuple(out)
-
-
-def _diagnose_row(
-    rel: RelationDef, ordinal_text: str, expected: int, rest: str, catalog: Catalog, refs, line_no: int
-):
-    """Raise the error in a row its relation's reader refused: the one
-    ``_parse_row_values`` and ``_materialize`` find, or else that the row is
-    not in the form saving writes (``01`` for ``1``, two spaces for one)."""
-    if not (ordinal_text.isascii() and ordinal_text.isdigit()):
-        raise SnapshotFormatError(f"malformed ordinal {ordinal_text!r}", line_no)
-    if int(ordinal_text) != expected:
-        raise SnapshotFormatError(
-            f"ordinal {int(ordinal_text)} out of order (expected {expected})", line_no
-        )
-    if not (rest.startswith("{") and rest.endswith("}")):
-        raise SnapshotFormatError("row values must be brace-enclosed", line_no)
-    _materialize(_parse_row_values(rest[1:-1], line_no), rel, catalog, refs, line_no)
-    raise SnapshotFormatError("row is not in the form saving writes", line_no)
-
-
 # The cells of a row as ``_SNAPSHOT_CELLS`` writes them: a text with only
 # the escapes ``quote_text`` writes (and so no raw tab or carriage return),
 # and a scalar literal, whose canonical form ``_read_atom`` checks.
@@ -427,11 +322,11 @@ _ATOM_CELL = r'([^ {}"]+)'
 
 def _cell_pattern(rel: RelationDef, catalog: Catalog, refs, leaves: list, shape: list) -> str:
     """The pattern of a tuple's cells under ``rel``, one group per scalar or
-    reference cell: a reference ``#<target>:<ordinal>``, an inline tuple its
-    cells in braces. Appends what each group holds to ``leaves``: a scalar
-    type, or the list of references to the target's loaded rows; and to
-    ``shape`` None per such cell of this tuple and ``(domain, inner shape)``
-    per inline tuple."""
+    reference cell: a reference ``#<target>:<ordinal>`` (of at most 19
+    digits, as no row count has more), an inline tuple its cells in braces.
+    Appends what each group holds to ``leaves``: a scalar type, or the list
+    of references to the target's loaded rows; and to ``shape`` None per
+    such cell of this tuple and ``(domain, inner shape)`` per inline tuple."""
     cells = []
     for dom in rel.domains:
         kind = dom.type_name
@@ -440,7 +335,7 @@ def _cell_pattern(rel: RelationDef, catalog: Catalog, refs, leaves: list, shape:
             leaves.append(kind)
             shape.append(None)
         elif catalog.lookup(kind).klass == "simple":
-            cells.append(f"#{re.escape(kind)}:([1-9][0-9]*)")
+            cells.append(f"#{re.escape(kind)}:([1-9][0-9]{{0,18}})")
             leaves.append(refs[kind])
             shape.append(None)
         else:
@@ -497,6 +392,105 @@ def _row_reader(rel: RelationDef, catalog: Catalog, refs):
     return read
 
 
+# One token of a row its reader refused, after any spaces: a brace, a text
+# cell, an atom cell (a scalar literal or a reference), or a quote that
+# opens no text cell, taken up to its closing quote if it has one.
+_CELL_TOKEN = re.compile(rf' *(?:([{{}}])|{_TEXT_CELL}|{_ATOM_CELL}|("(?:[^"\\]|\\.)*)(")?)', re.S)
+
+
+def _shown(digits: str) -> str:
+    """Digits as an error names them: a run too long for any ordinal by its length."""
+    return digits if len(digits) <= 19 else f"<{len(digits)} digits>"
+
+
+def _next_token(text: str, at: int, line_no: int):
+    """The token at ``at`` of a refused row's values, what it holds and the
+    offset after it: a brace, a ``text`` (its string), an ``atom``, a
+    ``ref`` ((relation, ordinal digits)), or "" at the end. A text cell but
+    for a raw tab or carriage return, which saving escapes, is a text."""
+    m = _CELL_TOKEN.match(text, at)
+    if m is None:
+        return "", None, len(text)
+    brace, quoted, atom, bad, closed = m.groups()
+    if bad is not None:
+        if not closed:
+            raise SnapshotFormatError("unterminated text in row", line_no)
+        if not re.fullmatch(_TEXT_CELL, bad.replace("\t", " ").replace("\r", " ") + closed):
+            raise SnapshotFormatError(f"non-canonical escape in text {bad}{closed}", line_no)
+        quoted = bad[1:]
+    if quoted is not None:
+        return "text", unescape_text(quoted), m.end()
+    if brace or atom[0] != "#":
+        return brace or "atom", atom, m.end()
+    rel, colon, ordinal = atom[1:].partition(":")
+    if not colon or not (ordinal.isascii() and ordinal.isdigit()):
+        raise SnapshotFormatError(f"malformed reference {atom}", line_no)
+    return "ref", (rel, ordinal), m.end()
+
+
+def _diagnose_tuple(rel: RelationDef, text: str, at: int, closer: str, catalog: Catalog, refs, line_no: int) -> int:
+    """Check the cells of a tuple of ``rel`` at ``text[at:]`` up to its
+    ``closer`` ("}", or "" for the row's end) from the left: raise the first
+    fault, or return the offset after the closer. Cells past the arity are
+    counted, an inline tuple as one, to name the arity fault."""
+    count = 0
+    kind, cell, at = _next_token(text, at, line_no)
+    for domain in [dom.type_name for dom in rel.domains]:
+        if kind in ("}", ""):
+            break
+        count += 1
+        if domain in SCALAR_TYPES:
+            if kind == "atom":
+                if _read_atom(cell, domain) is None:
+                    raise SnapshotFormatError(f"{cell!r} is not a canonical {domain} literal", line_no)
+            elif (kind, domain) != ("text", "text"):
+                raise SnapshotFormatError(f"expected a {domain} literal", line_no)
+            else:
+                try:
+                    TextVal(cell)
+                except DomainTypeMismatch as exc:  # a lone surrogate
+                    raise SnapshotFormatError(str(exc), line_no) from None
+        elif catalog.lookup(domain).klass != "simple":
+            if kind != "{":
+                raise SnapshotFormatError(f"expected an inline {domain} tuple", line_no)
+            at = _diagnose_tuple(catalog.lookup(domain), text, at, "}", catalog, refs, line_no)
+        elif kind != "ref" or cell[0] != domain:
+            raise SnapshotFormatError(f"expected a #{domain} reference", line_no)
+        else:
+            digits = cell[1].lstrip("0") or "0"
+            if digits == "0" or len(digits) > 19 or int(digits) > len(refs[domain]):
+                raise DanglingOrdinal(f"#{domain}:{_shown(digits)} does not name a loaded row")
+        kind, cell, at = _next_token(text, at, line_no)
+    depth = 0  # of the braces open in the cells past the arity
+    while depth or kind not in ("}", ""):
+        if not kind:
+            raise SnapshotFormatError("unterminated inline tuple", line_no)
+        if not depth:
+            count += 1
+        depth += (kind == "{") - (kind == "}")
+        kind, cell, at = _next_token(text, at, line_no)
+    if kind != closer:
+        raise SnapshotFormatError("unterminated inline tuple" if closer else "unbalanced '}' in row", line_no)
+    if count != rel.arity:
+        raise SnapshotFormatError(f"{rel.name!r} takes {rel.arity} values, got {count}", line_no)
+    return at
+
+
+def _diagnose_row(rel: RelationDef, ordinal_text: str, expected: int, rest: str, catalog: Catalog, refs, line_no: int):
+    """Raise the fault in a row its relation's reader refused: the first
+    from the left, or else that the row is not in the form saving writes
+    (``01`` for ``1``, two spaces for one, a raw tab in a text)."""
+    if not (ordinal_text.isascii() and ordinal_text.isdigit()):
+        raise SnapshotFormatError(f"malformed ordinal {ordinal_text!r}", line_no)
+    digits = ordinal_text.lstrip("0") or "0"
+    if digits != str(expected):
+        raise SnapshotFormatError(f"ordinal {_shown(digits)} out of order (expected {expected})", line_no)
+    if not (rest.startswith("{") and rest.endswith("}")):
+        raise SnapshotFormatError("row values must be brace-enclosed", line_no)
+    _diagnose_tuple(rel, rest[1:-1], 0, "", catalog, refs, line_no)
+    raise SnapshotFormatError("row is not in the form saving writes", line_no)
+
+
 def load_snapshot(text: str) -> Database:
     """Rebuild a database from snapshot text."""
     lines = text.split("\n")
@@ -513,6 +507,8 @@ def load_snapshot(text: str) -> Database:
             if not isinstance(stmt, syntax.Definition):
                 raise SnapshotFormatError("expected a definition", i + 1)
             db.execute(stmt)
+        if [lines[i]] != [_definition_line(db.catalog.lookup(stmt.name)) for stmt in stmts]:
+            raise SnapshotFormatError("definition is not in the form saving writes", i + 1)
         i += 1
     if i >= len(lines):
         raise SnapshotFormatError("missing data section", len(lines))
@@ -663,6 +659,7 @@ def run(argv=None, *, stdin=None, stdout=None, stderr=None) -> int:
         try:
             for stmt, line, column in syntax.iter_statements(text):
                 session.execute(stmt)
+                line = column = None  # an error parsing the next one is not this one's
         except RelangError as exc:
             print(f"{origin}: ", end="", file=stderr)
             _report_error(exc, stderr, line, column)

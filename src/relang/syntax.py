@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .errors import IllegalCharacter, ParseError, UnterminatedString
+from .errors import DomainTypeMismatch, IllegalCharacter, ParseError, UnterminatedString
 from .values import quote_text, unescape_text
 
 KEYWORDS = frozenset(
@@ -410,6 +410,8 @@ class Parser:
         tok = self._peek()
         if tok.kind == INT_LIT:
             self._advance()
+            if len(tok.lexeme.lstrip("-0")) > 19:  # past the 64-bit range, and maybe past what int() reads
+                raise DomainTypeMismatch(f"integer literal at line {tok.line}, column {tok.column} is out of 64-bit range")
             return Const(int(tok.lexeme), "int")
         if tok.kind == REAL_LIT:
             self._advance()

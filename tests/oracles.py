@@ -6,9 +6,9 @@ product of every relation on the path, filtering on reference equality along
 each edge. It must agree with the engine's chain-join exactly.
 
 The lexing and snapshot oracles are the slow paths the code replaced: a
-character loop for the script lexer and one for the row tokenizer, a sort
-of every relation by its export key for the export order, and a snapshot
-load that parses, builds and inserts each row in separate stages.
+character loop for the script lexer and one for snapshot rows, a sort of
+every relation by its export key for the export order, and a snapshot load
+that parses, builds and inserts each row in separate stages.
 """
 
 import itertools
@@ -19,7 +19,14 @@ import networkx as nx
 
 import relang
 from relang import parse_script, shell, store
-from relang.errors import IllegalCharacter, SnapshotFormatError, UnterminatedString
+from relang.catalog import SCALAR_TYPES
+from relang.errors import (
+    DanglingOrdinal,
+    DomainTypeMismatch,
+    IllegalCharacter,
+    SnapshotFormatError,
+    UnterminatedString,
+)
 from relang.store import iter_refs
 from relang.syntax import (
     _PUNCT,
@@ -494,11 +501,47 @@ def export_orders(catalog, state):
     return ordered
 
 
+def materialize(parsed, rel, catalog, refs, line_no: int):
+    """The tuple a parsed row (``parse_row_values``) spells under ``rel``.
+    ``refs[t]`` lists the references to the rows of ``t`` loaded so far,
+    ordinal ``n`` at ``n - 1``: a loaded row is referenced through one
+    shared ``RefVal``."""
+    if len(parsed) != rel.arity:
+        raise SnapshotFormatError(f"{rel.name!r} takes {rel.arity} values, got {len(parsed)}", line_no)
+    out = []
+    for item, dom in zip(parsed, rel.domains):
+        tag, kind = item[0], dom.type_name
+        if tag == "text" and kind == "text":
+            try:
+                out.append(TextVal(item[1]))
+            except DomainTypeMismatch as exc:  # a lone surrogate
+                raise SnapshotFormatError(str(exc), line_no) from None
+        elif tag == "atom" and kind in SCALAR_TYPES:
+            atom = shell._read_atom(item[1], kind)
+            if atom is None:
+                raise SnapshotFormatError(f"{item[1]!r} is not a canonical {kind} literal", line_no)
+            out.append(atom[0])
+        elif tag == "ref" and item[1] == kind and kind in refs:
+            loaded = refs[kind]
+            if not 1 <= item[2] <= len(loaded):
+                raise DanglingOrdinal(f"#{kind}:{item[2]} does not name a loaded row")
+            out.append(loaded[item[2] - 1])
+        elif tag == "tuple" and kind not in SCALAR_TYPES and catalog.lookup(kind).klass != "simple":
+            out.append(TupleVal(kind, materialize(item[1], catalog.lookup(kind), catalog, refs, line_no)))
+        elif kind in SCALAR_TYPES:
+            raise SnapshotFormatError(f"expected a {kind} literal", line_no)
+        elif catalog.lookup(kind).klass == "simple":
+            raise SnapshotFormatError(f"expected a #{kind} reference", line_no)
+        else:
+            raise SnapshotFormatError(f"expected an inline {kind} tuple", line_no)
+    return tuple(out)
+
+
 def load_snapshot_by_insert(text: str):
     """A snapshot load as it was before each relation had a row reader:
     each row is read by the character loop, made a tuple by
-    ``shell._materialize`` and stored by ``DbState.insert``, which encodes
-    its key and links every position. Only for snapshots that load."""
+    ``materialize`` and stored by ``DbState.insert``, which encodes its key
+    and links every position. Only for snapshots that load."""
     lines = text.split("\n")
     blank = lines.index("")
     db = relang.Database()
@@ -512,7 +555,7 @@ def load_snapshot_by_insert(text: str):
             continue
         _row, name, _ordinal, rest = line.split(" ", 3)
         parsed = parse_row_values(rest[1:-1], i, canonical_escapes=True)
-        values = shell._materialize(parsed, catalog.lookup(name), catalog, refs, i)
+        values = materialize(parsed, catalog.lookup(name), catalog, refs, i)
         rowid, fresh = state.insert(name, values)
         assert fresh, f"duplicate row at line {i}"
         if name in refs:

@@ -89,6 +89,18 @@ class TestExpressions:
         with pytest.raises(DomainTypeMismatch):
             q(library, "9223372036854775808")
 
+    @pytest.mark.parametrize("digits", ["1" + "0" * 19, "9" * 5000])
+    def test_a_literal_of_more_than_19_digits_is_refused_unread(self, library, digits):
+        for literal in (digits, "-00" + digits):
+            with pytest.raises(DomainTypeMismatch) as exc:
+                q(library, f"(+ 1 {literal})")
+            assert str(exc.value) == "integer literal at line 1, column 6 is out of 64-bit range"
+
+    def test_leading_zeros_do_not_count_against_the_range(self, library):
+        assert q(library, "-0009223372036854775808") == IntVal(-9223372036854775808)
+        assert q(library, "0009223372036854775807") == IntVal(9223372036854775807)
+        assert q(library, "007") == IntVal(7)
+
     def test_logic_and_negation(self, library):
         assert q(library, "(& (> 2 1) (! (> 1 2)))") is True
         with pytest.raises(TypeMismatch):

@@ -32,9 +32,11 @@ SNAPSHOT = save_snapshot(
 # few that should not
 SNAPSHOT_CHARS = list('{}{}{} #:"\\\n0123456789-.+eE_abnorwx()') + ["\u00b2", "\u0663"]
 
+LONG_DIGITS = "9" * 5000
+
 mutations = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "delete", "replace", "duplicate_line", "drop_line"]),
+        st.sampled_from(["insert", "delete", "replace", "duplicate_line", "drop_line", "digits"]),
         st.integers(min_value=0, max_value=SNAPSHOT.count("\n")),
         st.integers(min_value=0, max_value=80),
         st.text(alphabet=st.sampled_from(SNAPSHOT_CHARS), min_size=1, max_size=4),
@@ -45,7 +47,9 @@ mutations = st.lists(
 
 
 def mutate(text, edits):
-    """Apply (kind, line, column, characters) edits to the snapshot text."""
+    """Apply (kind, line, column, characters) edits to the snapshot text;
+    a ``digits`` edit inserts a run of 5000 digits, past what ``int()``
+    reads and past any ordinal or 64-bit int."""
     for kind, line, column, chars in edits:
         lines = text.split("\n")
         line %= len(lines)
@@ -57,6 +61,9 @@ def mutate(text, edits):
             lines[line] = old[:at] + old[at + len(chars) :]
         elif kind == "replace":
             lines[line] = old[:at] + chars + old[at + len(chars) :]
+        elif kind == "digits":  # before the next digit, so mostly into an ordinal or a number
+            at = next((k for k in range(at, len(old)) if old[k].isdigit()), at)
+            lines[line] = old[:at] + LONG_DIGITS + old[at:]
         elif kind == "duplicate_line":
             lines.insert(line, old)
         else:
@@ -81,7 +88,7 @@ def test_mutated_snapshots_load_or_raise_relang_errors(edits):
 
 TOKENS = (
     "( ) { } [ ] : . ? = + - * / < > <= >= != & | ! ~"
-    " 1 0 -3 2.5 1e3 99999999999999999999"
+    " 1 0 -3 2.5 1e3 99999999999999999999 " + LONG_DIGITS +
     " author book genre book_genre available department spot point2d avg2"
     " name title birthdate at label n a b text int real timestamp"
     " add remove update abolish output commit rollback relation domain function"
@@ -101,7 +108,7 @@ soup = st.recursive(
 STARTS = [
     "", "add book", "add author", "add genre", "add spot", "remove genre", "remove book",
     "abolish author", "update author", "update spot", "X =", "Y = add genre", "output",
-    "output csv order name", "commit", "rollback", "relation", "function", "domain",
+    "output csv order name", "commit", "rollback", "relation", "function", "domain", LONG_DIGITS,
 ]
 statements = st.lists(
     st.builds(

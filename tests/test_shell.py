@@ -1,7 +1,9 @@
 import importlib.util
 import io
 import random
+import re
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -10,10 +12,9 @@ from hypothesis import strategies as st
 
 import relang
 from relang import shell, values
-from relang.errors import DanglingOrdinal, SnapshotFormatError, UnknownAttr
+from relang.errors import DanglingOrdinal, RelangError, SnapshotFormatError, UnknownAttr
 from relang.shell import (
     _export_orders,
-    _parse_row_values,
     format_csv,
     format_result,
     format_sexpr,
@@ -22,7 +23,6 @@ from relang.shell import (
     run as shell_run,
     save_snapshot,
 )
-from relang.values import quote_text
 
 from conftest import LIBRARY_DDL, LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
 from oracles import (
@@ -31,7 +31,6 @@ from oracles import (
     flat_ids,
     index_faults,
     load_snapshot_by_insert,
-    parse_row_values,
     random_inline_db,
     random_tree_db,
 )
@@ -156,6 +155,23 @@ class TestSnapshots:
         assert rows(q(loaded, "(avg2 4 6)"), loaded.published) == {(5.0,)}
         assert save_snapshot(loaded) == save_snapshot(db)
 
+    @pytest.mark.parametrize(
+        "definition, saved",
+        [
+            ("domain (point2d real real)", "domain (point2d real (real_2 real))"),
+            ("relation  (genre text)", "relation (genre text)"),
+            ("relation (genre (text text))", "relation (genre text)"),
+            ("function (inc (a int)) (+ a 00)", "function (inc (a int)) (+ a 0)"),
+        ],
+        ids=["domain_attribute_names", "two_spaces", "attribute_named_as_its_type", "int_zero_padded"],
+    )
+    def test_a_definition_not_in_the_saved_form_is_refused(self, definition, saved):
+        good = f";; relang snapshot v1\n{saved}\n\n"
+        assert save_snapshot(load_snapshot(good)) == good
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_snapshot(f";; relang snapshot v1\n{definition}\n\n")
+        assert str(exc.value) == "definition is not in the form saving writes (line 2)"
+
     def test_truncated_snapshot(self):
         with pytest.raises(SnapshotFormatError):
             load_snapshot(";; relang snapshot v1\nrelation (genre text)")
@@ -240,7 +256,7 @@ class TestSnapshots:
         ";; relang snapshot v1\n"
         "relation (author (name text))\n"
         "relation (book author (title text))\n"
-        "domain (point2d real real)\n"
+        "domain (point2d real (real_2 real))\n"
         "relation (p (n int) (label text) (by author) (at point2d))\n"
         "\n"
         'row author 1 {"A"}\n'
@@ -284,7 +300,7 @@ class TestSnapshots:
     )
     def test_a_row_the_state_cannot_take_names_its_line(self, row, message):
         text = (
-            ";; relang snapshot v1\nrelation (genre text)\ndomain (point2d real real)\n\n"
+            ";; relang snapshot v1\nrelation (genre text)\ndomain (point2d real (real_2 real))\n\n"
             f'row genre 1 {{"a"}}\n{row}\n'
         )
         with pytest.raises(SnapshotFormatError) as exc:
@@ -333,10 +349,22 @@ def _bench_gen():
 AWKWARD_TEXTS = ["", "a", '"', "\\", "\n", "\t\r", "\x00", "\x01", "x\x00y\x01z", "é", "中\U0001f600", 'a"b\\c\nd']
 
 
+def _same_state(loaded, oracle) -> None:
+    """The state ``load_snapshot`` loaded is the one the insert path loads."""
+    assert loaded.indexes.keys() == oracle.indexes.keys()
+    for name, want in oracle.indexes.items():
+        got = loaded.indexes[name]
+        assert got.key_chunks == want.key_chunks
+        assert got.id_chunks == want.id_chunks
+        assert got.rows.pages == want.rows.pages
+        assert got.maps == want.maps
+    assert index_faults(loaded) == []
+
+
 class TestRowReader:
     """``load_snapshot`` reads each row through its relation's compiled
-    reader; ``_parse_row_values`` and ``_materialize`` only name the error
-    in a row the reader refuses."""
+    reader; ``_diagnose_row`` only names the fault in a row the reader
+    refuses, walking the same cells."""
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -347,15 +375,7 @@ class TestRowReader:
         else:
             db, _names = random_tree_db(rng, texts=AWKWARD_TEXTS, refs_anywhere=True)
         text = save_snapshot(db)
-        loaded, oracle = load_snapshot(text).published, load_snapshot_by_insert(text).published
-        assert loaded.indexes.keys() == oracle.indexes.keys()
-        for name, want in oracle.indexes.items():
-            got = loaded.indexes[name]
-            assert got.key_chunks == want.key_chunks
-            assert got.id_chunks == want.id_chunks
-            assert got.rows.pages == want.rows.pages
-            assert got.maps == want.maps
-        assert index_faults(loaded) == []
+        _same_state(load_snapshot(text).published, load_snapshot_by_insert(text).published)
         assert save_snapshot(load_snapshot(text)) == text
 
     @pytest.fixture
@@ -393,7 +413,7 @@ class TestRowReader:
         assert diagnosed == [("genre", "2")]
 
     AUTHOR_BOOK = ";; relang snapshot v1\nrelation (author (name text))\nrelation (book author (title text))\n\n"
-    PAIR = ";; relang snapshot v1\nrelation (q text int)\ndomain (d text text)\nrelation (s d)\n\n"
+    PAIR = ";; relang snapshot v1\nrelation (q text int)\ndomain (d text (text_2 text))\nrelation (s d)\n\n"
 
     @pytest.mark.parametrize(
         "text, line",
@@ -407,10 +427,11 @@ class TestRowReader:
             (PAIR + 'row s 1 {{"a"  "b"}}\n', 6),
             (PAIR + 'row s 1 {{ "a" "b"}}\n', 6),
             (PAIR + 'row q 1 {"a\tb" 5}\n', 6),
+            (AUTHOR_BOOK + f'row author {"0" * 5000}1 {{"a"}}\nrow book 1 {{#author:{"0" * 5000}1 "t"}}\n', 5),
         ],
         ids=["leading_zero_ordinals", "leading_zero_reference", "two_spaces_after_reference",
              "no_space", "two_spaces", "spaces_inside_braces", "two_spaces_inline",
-             "space_after_inline_brace", "raw_tab_in_text"],
+             "space_after_inline_brace", "raw_tab_in_text", "long_zero_padded_ordinals"],
     )
     def test_a_row_not_in_the_saved_form_is_refused(self, text, line):
         with pytest.raises(SnapshotFormatError) as exc:
@@ -444,9 +465,14 @@ class TestRowReader:
             (INLINE + 'row author 1 {"A"}\nrow shelf 1 {{#author:2 3} "x"}\n', DanglingOrdinal, "#author:2 does not name a loaded row"),
             (INLINE + 'row author 1 {"A"}\nrow shelf 1 {{"A" 3} "x"}\n', SnapshotFormatError, "expected a #author reference (line 7)"),
             (INLINE + 'row author 1 {"A"}\nrow shelf 1 {{#author:1 03} "x"}\n', SnapshotFormatError, "'03' is not a canonical int literal (line 7)"),
+            (GENRE + f'row genre {"9" * 5000} {{"a"}}\n', SnapshotFormatError, "ordinal <5000 digits> out of order (expected 1) (line 4)"),
+            (INLINE + f'row author 1 {{"A"}}\nrow shelf 1 {{{{#author:{"9" * 5000} 3}} "x"}}\n', DanglingOrdinal, "#author:<5000 digits> does not name a loaded row"),
+            (INLINE + 'row author 1 {"A"}\nrow shelf 1 {{#author:10000000000000000000 3} "x"}\n', DanglingOrdinal, "#author:<20 digits> does not name a loaded row"),
+            (INLINE + 'row author 1 {"A"}\nrow shelf 1 {{#author:9999999999999999999 3} "x"}\n', DanglingOrdinal, "#author:9999999999999999999 does not name a loaded row"),
         ],
         ids=["ordinal", "ordinal_order", "stray_brace", "unbraced", "reference", "escape", "arity",
-             "bare_text", "zero", "absent", "inline_shape", "inline_literal"],
+             "bare_text", "zero", "absent", "inline_shape", "inline_literal", "long_ordinal",
+             "long_reference", "twenty_digit_reference", "nineteen_digit_reference"],
     )
     def test_a_refused_row_keeps_its_error(self, text, error, message):
         with pytest.raises(error) as exc:
@@ -455,55 +481,94 @@ class TestRowReader:
 
 
 # Fragments of row texts: braces, quotes, canonical and other escapes, and
-# atoms, references among them.
+# atoms, references and digit runs among them.
 ROW_FRAGMENTS = [
     "{", "}", " ", '"', "\\", '\\"', "\\\\", "\\n", "\\t", "\\r", "\\q", "\\'",
-    "#a:1", "#b:", "#:3", "#c:x", "#a:\u00b2", "12", "-0.5", "+1941-03", "x", "\u00e9", "\t",
+    "#a:1", "#a:3", "#b:", "#:3", "#c:x", "#a:\u00b2", "12", "-0.5", "+1941-03", "x", "\u00e9", "\t",
+    "00", "9" * 25,
 ]
 
-# Parsed row values: texts, atoms, references and inline tuples of them.
-PARSED_VALUES = st.recursive(
-    st.one_of(
-        st.tuples(st.just("text"), st.text(max_size=6)),
-        st.tuples(st.just("atom"), st.sampled_from(["12", "-0.5", "+1941-03", "x{y"])),
-        st.tuples(st.just("ref"), st.sampled_from(["a", "b_c"]), st.integers(0, 300)),
-    ),
-    lambda inner: st.lists(inner, max_size=3).map(lambda items: ("tuple", items)),
-    max_leaves=8,
+# A relation with a cell of every kind: int, text, reference, inline tuple,
+# inline tuple holding a reference, and timestamp; and a row of it that loads.
+EVERY_CELL = save_snapshot(build_db(
+    "relation (a (name text)) domain (d real real) domain (e a (n int))"
+    " relation (p (n int) (s text) a (at d) (x e) (t timestamp))"
+    ' add a ({"A"} {"B"}) commit'
+))
+GOOD_ROW = '{12 "x" #a:1 {-0.5 1.5} {#a:2 -3} +1941-03}'
+
+
+def _splice(edits) -> str:
+    """``GOOD_ROW`` with each (offset, cut, fragment) edit: ``cut``
+    characters at ``offset`` replaced by ``fragment``."""
+    text = GOOD_ROW
+    for at, cut, fragment in edits:
+        at %= len(text) + 1
+        text = text[:at] + fragment + text[at + cut:]
+    return text
+
+
+# Row texts: fragments in braces, ``GOOD_ROW`` with a few edits, and
+# ``GOOD_ROW`` with fragments before one of its closing braces, which makes
+# cells past a tuple's arity.
+ROW_TEXTS = st.one_of(
+    st.lists(st.sampled_from(ROW_FRAGMENTS), max_size=14).map(lambda parts: "{" + "".join(parts) + "}"),
+    st.lists(
+        st.tuples(st.integers(0, len(GOOD_ROW)), st.integers(0, 3), st.sampled_from(ROW_FRAGMENTS)),
+        max_size=3,
+    ).map(_splice),
+    st.tuples(
+        st.sampled_from([at for at, ch in enumerate(GOOD_ROW) if ch == "}"]),
+        st.just(0),
+        st.lists(st.sampled_from(ROW_FRAGMENTS), min_size=1, max_size=6).map("".join),
+    ).map(lambda edit: _splice([edit])),
 )
 
 
-def _render_parsed(item) -> str:
-    if item[0] == "text":
-        return quote_text(item[1])
-    if item[0] == "atom":
-        return item[1]
-    if item[0] == "ref":
-        return f"#{item[1]}:{item[2]}"
-    return "{" + " ".join(_render_parsed(x) for x in item[1]) + "}"
+class TestRowDiagnosis:
+    """A refused row's fault, named by ``_diagnose_row`` from the reader's
+    own cells, against the insert path (``oracles.load_snapshot_by_insert``,
+    which reads the row by the character loop)."""
 
-
-class TestRowTokenizer:
-    """The regular-expression tokenizer against the character loop it
-    replaced, which only differs in rejecting escapes ``quote_text`` never
-    writes."""
-
-    @given(st.lists(st.sampled_from(ROW_FRAGMENTS), max_size=14).map("".join))
-    def test_agrees_with_the_character_loop(self, text):
+    @given(ROW_TEXTS)
+    @settings(max_examples=400, deadline=timedelta(seconds=2))
+    def test_a_row_loads_as_the_insert_path_loads_or_names_its_fault(self, values):
+        text = EVERY_CELL + f"row p 1 {values}\n"
         try:
-            expected = parse_row_values(text, 1, canonical_escapes=True)
-        except SnapshotFormatError:
-            with pytest.raises(SnapshotFormatError):
-                _parse_row_values(text, 1)
-        else:
-            assert _parse_row_values(text, 1) == expected
-            if "\\" not in text:
-                assert parse_row_values(text, 1) == expected
+            oracle = load_snapshot_by_insert(text).published
+        except RelangError:
+            oracle = None
+        try:
+            loaded = load_snapshot(text).published
+        except RelangError as exc:
+            assert type(exc) in (SnapshotFormatError, DanglingOrdinal)
+            assert not re.search(r"takes (\d+) values, got \1\b", str(exc))
+            return
+        assert oracle is not None, "a row the insert path refuses loaded"
+        for idx in oracle.indexes.values():
+            # ``insert`` links every position, and so leaves an empty map at
+            # an inline position that holds no reference; a load links only
+            # the positions that may hold one
+            idx.maps = {pos: pages for pos, pages in idx.maps.items() if pages}
+        _same_state(loaded, oracle)
 
-    @given(st.lists(PARSED_VALUES, max_size=4))
-    def test_reads_back_what_saving_writes(self, items):
-        text = " ".join(_render_parsed(item) for item in items)
-        assert _parse_row_values(text, 1) == parse_row_values(text, 1) == items
+    def test_the_row_the_fragments_edit_loads(self):
+        text = EVERY_CELL + f"row p 1 {GOOD_ROW}\n"
+        assert save_snapshot(load_snapshot(text)) == text
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ('{1 "x" #author:1 {1.52.5}}', "'1.52.5' is not a canonical real literal (line 9)"),
+            ('{1_0 "x" #author:1 {1.5 2.5} 2}', "'1_0' is not a canonical int literal (line 9)"),
+            ('{"1" "a\\qb" #author:1 {1.5 2.5}}', "expected a int literal (line 9)"),
+        ],
+        ids=["literal_before_inline_arity", "literal_before_arity", "shape_before_escape"],
+    )
+    def test_the_first_fault_from_the_left_is_named(self, values, message):
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_snapshot(TestSnapshots.SHAPED + f"row p 1 {values}\n")
+        assert str(exc.value) == message
 
 
 class TestExportOrder:
@@ -657,6 +722,11 @@ class TestCommandLine:
         assert code == 1
         assert "DomainTypeMismatch" in err
         assert "line 2" in err
+
+    def test_a_literal_too_long_to_read_names_its_own_position(self):
+        code, out, err = self._run(["-e", f"1\n(+ 1 {'9' * 5000})"])
+        assert (code, out) == (1, "1\n")
+        assert err == "<-e>: error: DomainTypeMismatch: integer literal at line 2, column 6 is out of 64-bit range\n"
 
     def test_multiple_files_execute_in_order(self, tmp_path):
         first = tmp_path / "a.rl"
