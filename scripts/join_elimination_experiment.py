@@ -98,12 +98,12 @@ def main():
         for source_tuples in sources:
             try:
                 t0 = time.perf_counter()
-                source = TupleSet.from_tuples(
+                source = TupleSet(
                     relation_schema(db.catalog.lookup(source_rel)),
-                    source_tuples,
-                    relation=source_rel,
+                    source_rel,
+                    {encode_tuple(t): t for t in source_tuples},
                 )
-                engine = connect(target, source, db.env()).keys()
+                engine = connect(target, source, db.env()).keyed().keys()
                 t1 = time.perf_counter()
                 oracle = brute_force(db, target, source_rel, source_tuples)
                 t2 = time.perf_counter()

@@ -9,6 +9,18 @@ class RelangError(Exception):
     """Base class for every engine error."""
 
 
+ECHO_MAX = 40  # characters of an input an error message repeats at most
+
+
+def echo(text: str, quote: bool = True) -> str:
+    """An input as an error message repeats it: quoted (``repr``) unless
+    ``quote`` is false, or named by its length when it is longer than
+    ``ECHO_MAX`` characters, so a message stays short whatever the input."""
+    if len(text) > ECHO_MAX:
+        return f"<{len(text)} characters>"
+    return repr(text) if quote else text
+
+
 class SourceError(RelangError):
     """An error tied to a position in source text."""
 

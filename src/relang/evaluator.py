@@ -21,15 +21,26 @@ Each bound position whose allowed values are known offers an access path:
 The selection reads the smallest of these by row count, and the whole
 relation when there is none. Every positional constraint and the filter are
 then checked on each row read, since a text key range can hold longer
-texts. A row read from a bucket comes without its key, so only a row that
-passes is encoded.
+texts.
+
+A selection's result is a ``RowSet``: each tuple with the id of the row it
+was read from, and with its key when the read had one (a key range does, a
+bucket does not); a missing key is encoded only when a consumer needs it.
+Every consumer that wants rows takes these ids rather than finding the rows
+again by encoding and bisecting: a reference position's allowed rows, a
+connection's start rows, a remove or update target, and, through a
+product's spans, a reference a written tuple spells out. An id is taken only
+while its row still holds the very tuple read (an ``is`` test); otherwise,
+and in a relation where an update collision may be pending, the row is found
+by key. Answers are values only: no row id reaches one.
 
 The connection operator replaces joins: it finds the shortest path between
 two relations in the schema graph and chain-joins along it, returning the
 connected (target, source) pairs. The walk starts from the source set's rows
 and goes back along the path to the target through the references rows hold
-and reverse maps, so it touches only connected rows. Two equally short paths
-are an error that names both, never a silent choice.
+and reverse maps, so it touches only connected rows, and encodes each target
+row it reaches once. Two equally short paths are an error that names both,
+never a silent choice.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ from .errors import (
     UnknownAttr,
     UnknownName,
     UnknownRelation,
+    echo,
 )
 from .store import DbState
 from .values import (
@@ -80,6 +92,11 @@ class SchemaCol:
     type_name: str  # scalar name, relation name, or 'any' for untyped
 
 
+# One part of a product tuple read from a stored row: (offset in the
+# tuple, relation, row id, the tuple the row held when it was read).
+Span = Tuple[int, str, int, tuple]
+
+
 class TupleSet:
     """A duplicate-free set of same-shaped tuples.
 
@@ -87,26 +104,23 @@ class TupleSet:
     one; constructed sets carry None. The completely empty constructor ``()``
     has no schema at all and unifies with any shape.
 
-    ``rows`` maps each tuple's canonical key to the tuple. A set taken from
-    a relation adopts the map ``DbState.scan`` returns, and sets derived from
-    it copy those keys: only constructed tuples are encoded, once, by ``add``.
+    A tuple's canonical key is its identity in the set. This class holds
+    ``_rows``, key -> tuple: a constructed tuple is encoded once, by ``add``,
+    and a product tuple's key joins its members' keys. ``spans`` maps the
+    key of a tuple that has parts read from stored rows to those parts, so a
+    consumer can take a part's row instead of finding it again by its
+    values. A set read from a stored relation is a ``RowSet``.
     Key order is storage order, not output order: a reference's key is its
     target's row id. The shell prints tuples in value order.
     """
 
-    def __init__(self, schema, relation=None, rows=None):
+    def __init__(self, schema, relation=None, rows=None, spans=None):
         self.schema: Optional[Tuple[SchemaCol, ...]] = (
             tuple(schema) if schema is not None else None
         )
         self.relation = relation
         self._rows: Dict[bytes, tuple] = rows if rows is not None else {}
-
-    @classmethod
-    def from_tuples(cls, schema, tuples, relation=None) -> "TupleSet":
-        ts = cls(schema, relation)
-        for t in tuples:
-            ts.add(t)
-        return ts
+        self.spans: Optional[Dict[bytes, Tuple[Span, ...]]] = spans
 
     def add(self, values: tuple):
         self._rows[encode_tuple(values)] = tuple(values)
@@ -114,13 +128,46 @@ class TupleSet:
     def __len__(self):
         return len(self._rows)
 
+    def keyed(self) -> Dict[bytes, tuple]:
+        """Every tuple under its canonical key; only to read."""
+        return self._rows
+
+    def members(self):
+        """The tuples, in no particular order."""
+        return self._rows.values()
+
     def tuples(self):
         """Tuples in canonical-key order, which is storage order, not
         output order."""
-        return [self._rows[k] for k in sorted(self._rows)]
+        rows = self._rows
+        return [rows[k] for k in sorted(rows)]
 
-    def keys(self):
-        return set(self._rows)
+    def entries(self, offset: int = 0):
+        """(key, tuple, spans) of each tuple, in no particular order, with
+        the spans moved by ``offset``, as a product places the tuple."""
+        if not self.spans:
+            return [(k, v, ()) for k, v in self._rows.items()]
+        spans = self.spans
+        if offset:
+            spans = {k: tuple([(offset + at, *part) for at, *part in sp]) for k, sp in spans.items()}
+        return [(k, v, spans.get(k, ())) for k, v in self._rows.items()]
+
+    def spanned(self):
+        """(tuple, spans) pairs in canonical-key order."""
+        return [(values, spans) for _key, values, spans in sorted(self.entries(), key=lambda e: e[0])]
+
+    def having(self, keep) -> "TupleSet":
+        """The subset of the tuples that pass ``keep``."""
+        rows = {k: v for k, v in self._rows.items() if keep(v)}
+        spans = self.spans and {k: self.spans[k] for k in rows if k in self.spans}
+        return TupleSet(self.schema, self.relation, rows, spans or None)
+
+    def stored(self, state: DbState, relation: str):
+        """Where this set's tuples are stored in ``relation``: the row id ->
+        (key or None, tuple) of each tuple a ``RowSet`` read from a row that
+        still holds it, and the key -> tuple of every other one, which a
+        consumer finds by key."""
+        return {}, self._rows
 
     def width(self) -> int:
         return len(self.schema) if self.schema is not None else 0
@@ -132,6 +179,69 @@ class TupleSet:
             if col.attr == attr:
                 return i
         return None
+
+
+class RowSet(TupleSet):
+    """A set read from a stored relation: each tuple with the id of the row
+    it was read from.
+
+    ``ids`` maps row id -> tuple, and ``keys`` row id -> canonical key for
+    the rows whose key the read had: a key range has every one, a bucket
+    none. ``key_of`` encodes a missing key once, when a consumer first
+    needs it. ``ordered`` says that ``ids`` runs in key order, as a key
+    range reads it. Every tuple is its own span, from offset 0.
+    """
+
+    def __init__(self, schema, relation: str, ids: Dict[int, tuple], keys: Dict[int, bytes], ordered: bool):
+        self.schema = schema
+        self.relation = relation
+        self.spans = None
+        self.ids = ids
+        self.keys = keys
+        self.ordered = ordered
+
+    def __len__(self):
+        return len(self.ids)
+
+    def key_of(self, rowid: int) -> bytes:
+        key = self.keys.get(rowid)
+        if key is None:
+            key = self.keys[rowid] = encode_tuple(self.ids[rowid])
+        return key
+
+    def keyed(self) -> Dict[bytes, tuple]:
+        return {self.key_of(r): v for r, v in self.ids.items()}
+
+    def members(self):
+        return self.ids.values()
+
+    def tuples(self):
+        ids = self.ids
+        if self.ordered:
+            return list(ids.values())
+        return [ids[r] for r in sorted(ids, key=self.key_of)]
+
+    def entries(self, offset: int = 0):
+        rel, keys = self.relation, self.keys
+        return [(keys[r] if r in keys else self.key_of(r), v, ((offset, rel, r, v),)) for r, v in self.ids.items()]
+
+    def having(self, keep) -> "RowSet":
+        ids = {r: v for r, v in self.ids.items() if keep(v)}
+        keys = {r: k for r, k in self.keys.items() if r in ids}
+        return RowSet(self.schema, self.relation, ids, keys, self.ordered)
+
+    def stored(self, state: DbState, relation: str):
+        # a key names the whole run of a deferred update collision
+        if relation != self.relation or relation in state.runs:
+            return {}, self.keyed()
+        held, rest = {}, {}
+        rows, keys = state.indexes[relation].rows, self.keys
+        for rowid, values in self.ids.items():
+            if rows.get(rowid) is values:
+                held[rowid] = (keys.get(rowid), values)
+            else:
+                rest[self.key_of(rowid)] = values
+        return held, rest
 
 
 EvalValue = object  # Value | bool | TupleSet
@@ -152,6 +262,7 @@ class Env:
         return Env(self.catalog, self.state, self.bindings, frame)
 
 
+@functools.lru_cache(maxsize=1024)
 def relation_schema(rel: RelationDef) -> Tuple[SchemaCol, ...]:
     return tuple(SchemaCol(d.attr, d.type_name) for d in rel.domains)
 
@@ -426,7 +537,7 @@ def _eval_cast(expr: syntax.Typecast, env: Env) -> Value:
             try:
                 return IntVal(int(v.value.strip()))
             except ValueError:
-                raise BadCast(f"cannot read {v.value!r} as int") from None
+                raise BadCast(f"cannot read {echo(v.value)} as int") from None
     elif t == "real":
         if isinstance(v, RealVal):
             return v
@@ -436,7 +547,7 @@ def _eval_cast(expr: syntax.Typecast, env: Env) -> Value:
             try:
                 return RealVal(float(v.value.strip()))
             except (ValueError, DomainTypeMismatch):
-                raise BadCast(f"cannot read {v.value!r} as real") from None
+                raise BadCast(f"cannot read {echo(v.value)} as real") from None
     elif t == "text":
         if isinstance(v, TextVal):
             return v
@@ -463,21 +574,49 @@ def _as_tuple_set(value: EvalValue, what="a constructor member") -> TupleSet:
         return value
     if isinstance(value, bool):
         raise TypeMismatch(f"{what} cannot be a condition")
-    col = SchemaCol(scalar_type_name(value), scalar_type_name(value))
-    return TupleSet.from_tuples((col,), [(value,)])
+    return TupleSet(_column(scalar_type_name(value)), rows={encode_value(value): (value,)})
+
+
+@functools.lru_cache(maxsize=1024)
+def _column(type_name: str) -> Tuple[SchemaCol]:
+    """The schema of a one-column set of values of a type."""
+    return (SchemaCol(type_name, type_name),)
 
 
 def eval_product(members, env: Env) -> TupleSet:
     """Cartesian product with positionwise concatenation: every member
     contributes its full width, tuple members are inlined."""
-    sets = [_as_tuple_set(eval_expr(m, env)) for m in members]
-    if any(s.schema is None for s in sets):
+    parts = []
+    for m in members:
+        value = eval_expr(m, env)
+        if isinstance(value, bool):
+            raise TypeMismatch("a constructor member cannot be a condition")
+        parts.append(value)
+    if any(isinstance(p, TupleSet) and p.schema is None for p in parts):
         return TupleSet(None)
-    schema = tuple(itertools.chain.from_iterable(s.schema for s in sets))
-    result = TupleSet(schema)
-    for combo in itertools.product(*[s.tuples() for s in sets]):
-        result.add(tuple(itertools.chain.from_iterable(combo)))
-    return result
+    return product(parts)
+
+
+def product(parts) -> TupleSet:
+    """The product of typed sets and scalars, a scalar acting as a
+    one-column set. A product tuple's key joins its members' keys, which is
+    exact: a key concatenates its values' encodings, and an inline tuple's
+    encoding is its members' without a frame. Each member's spans move to
+    the member's offset in the product tuple."""
+    entries = [(b"", (), ())]  # (key, tuple, spans) of each product tuple so far
+    schema = ()
+    for part in parts:
+        if isinstance(part, TupleSet):
+            members = part.entries(len(schema))
+            schema += part.schema
+        else:
+            members = ((encode_value(part), (part,), ()),)
+            schema += _column(scalar_type_name(part))
+        entries = [
+            (key + k, values + v, head + sp) for key, values, head in entries for k, v, sp in members
+        ]
+    spans = {key: head for key, _values, head in entries if head}
+    return TupleSet(schema, rows={key: values for key, values, _head in entries}, spans=spans or None)
 
 
 def eval_union(members, env: Env) -> TupleSet:
@@ -486,15 +625,19 @@ def eval_union(members, env: Env) -> TupleSet:
     if not typed:
         return TupleSet(None)
     schema = typed[0].schema
-    relations = {s.relation for s in typed}
-    result = TupleSet(schema, relation=relations.pop() if len(relations) == 1 else None)
     for s in typed:
         if len(s.schema) != len(schema) or any(
             a.type_name != b.type_name for a, b in zip(s.schema, schema)
         ):
             raise SchemaMismatch("union members must share one tuple shape")
-        result._rows.update(s._rows)
-    return result
+    relations = {s.relation for s in typed}
+    rows, spans = {}, {}
+    for s in typed:
+        for key, values, sp in s.entries():
+            rows[key] = values
+            if sp:
+                spans[key] = sp
+    return TupleSet(schema, relations.pop() if len(relations) == 1 else None, rows, spans or None)
 
 
 # --- selection ------------------------------------------------------------------------
@@ -517,7 +660,8 @@ def eval_selection(sel: syntax.Selection, env: Env) -> TupleSet:
         if base.schema is None:
             return base
         constraints, _bound = _constraints(base.schema, sel, env)
-        return _keep(base, base._rows.items(), constraints, sel, env)
+        keep = _keeper(base.schema, constraints, sel, env)
+        return base if keep is None else base.having(keep)
     if name in BUILTIN_FUNCTIONS or (
         name in env.catalog and env.catalog.lookup(name).klass == "function"
     ):
@@ -527,9 +671,25 @@ def eval_selection(sel: syntax.Selection, env: Env) -> TupleSet:
     rel = env.catalog.lookup(name)
     if rel.klass == "domain":
         return _construct_domain_tuples(rel, sel, env)
-    base = TupleSet(relation_schema(rel), relation=name)
-    constraints, bound = _constraints(base.schema, sel, env)
-    return _keep(base, _candidates(name, bound, env), constraints, sel, env)
+    schema = relation_schema(rel)
+    constraints, bound = _constraints(schema, sel, env)
+    ids, keys, rows = _candidates(name, bound, env)
+    keep = _keeper(schema, constraints, sel, env)
+    if name in env.state.runs:
+        # a key names a collision's whole run: one tuple per key, as a key
+        # range shows it
+        pairs = zip(map(encode_tuple, rows) if keys is None else keys, rows)
+        return TupleSet(schema, name, {k: v for k, v in pairs if keep is None or keep(v)})
+    if keep is None:
+        found = dict(zip(ids, rows))
+        return RowSet(schema, name, found, {} if keys is None else dict(zip(found, keys)), keys is not None)
+    if keys is None:
+        return RowSet(schema, name, {r: v for r, v in zip(ids, rows) if keep(v)}, {}, False)
+    found, found_keys = {}, {}
+    for rowid, key, values in zip(ids, keys, rows):
+        if keep(values):
+            found[rowid], found_keys[rowid] = values, key
+    return RowSet(schema, name, found, found_keys, True)
 
 
 def _constraints(schema, sel: syntax.Selection, env: Env):
@@ -553,8 +713,11 @@ def _constraints(schema, sel: syntax.Selection, env: Env):
 
 
 def _candidates(name: str, bound, env: Env):
-    """The rows of a stored relation that a selection reads, as (key,
-    tuple) pairs; a row read through a bucket comes with the key None.
+    """The rows of a stored relation that a selection reads: their ids,
+    keys and tuples, in key order when read from key ranges; rows read
+    through buckets come without keys (None). With a deferred update
+    collision in the relation, a key range shows each key once, and the
+    ids do not line up with the tuples.
 
     The source is the smallest that the bound positions allow: one key
     range per leading value; the buckets of a reference position; or the
@@ -577,33 +740,40 @@ def _candidates(name: str, bound, env: Env):
         idx = state.indexes[name]
         size, pos, keys = min((sum(len(idx.bucket(p, k)) for k in ks), p, ks) for p, ks in maps)
         if size < (len(idx.rows) if prefixes is None else sum(map(idx.count, prefixes))):
-            return [(None, state.get_row(name, r)) for key in keys for r in idx.bucket(pos, key)]
+            ids = [r for key in keys for r in idx.bucket(pos, key)]
+            get_row = state.get_row
+            return ids, None, [get_row(name, r) for r in ids]
+    ids = []
     if prefixes is None:
-        return state.scan(name).items()
-    if len(prefixes) == 1:
-        return state.scan(name, prefixes[0]).items()
-    # prefixes of one width never overlap, and reading them in order keeps
-    # the candidates in key order
-    candidates = {}
-    for prefix in prefixes:
-        candidates.update(state.scan(name, prefix))
-    return candidates.items()
+        rows = state.scan(name, b"", ids)
+    elif len(prefixes) == 1:
+        rows = state.scan(name, prefixes[0], ids)
+    else:
+        # prefixes of one width never overlap, and reading them in order
+        # keeps the candidates in key order
+        rows = {}
+        for prefix in prefixes:
+            rows.update(state.scan(name, prefix, ids))
+    return ids, rows.keys(), rows.values()
 
 
-def _keep(base: TupleSet, candidates, constraints, sel: syntax.Selection, env: Env) -> TupleSet:
-    """The candidate (key, tuple) pairs that meet every constraint and the
-    filter; a tuple read without its key is encoded only when kept."""
-    kept = {}
-    for key, values in candidates:
-        if all(check(values[pos]) for pos, check in constraints):
-            if sel.filter is not None and not _filter_passes(sel.filter, base, values, env):
-                continue
-            kept[encode_tuple(values) if key is None else key] = values
-    return TupleSet(base.schema, relation=base.relation, rows=kept)
+def _keeper(schema, constraints, sel: syntax.Selection, env: Env):
+    """The test of a tuple against every constraint and the filter, or None
+    when there is nothing to test."""
+    filter_expr = sel.filter
+    if not constraints and filter_expr is None:
+        return None
+
+    def keep(values) -> bool:
+        return all(check(values[pos]) for pos, check in constraints) and (
+            filter_expr is None or _filter_passes(filter_expr, schema, values, env)
+        )
+
+    return keep
 
 
-def _filter_passes(filter_expr, base: TupleSet, values, env: Env) -> bool:
-    frame = {col.attr: v for col, v in zip(base.schema, values)}
+def _filter_passes(filter_expr, schema, values, env: Env) -> bool:
+    frame = {col.attr: v for col, v in zip(schema, values)}
     outcome = eval_expr(filter_expr, env.with_locals(frame))
     if not isinstance(outcome, bool):
         raise TypeMismatch("a selection filter must yield a condition")
@@ -643,15 +813,20 @@ def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
                 f"position {col.attr!r} holds a scalar; a constraining set must"
                 " have one column"
             )
-        members = {coerce_scalar(t[0], col.type_name) for t in allowed._rows.values()}
+        members = {coerce_scalar(t[0], col.type_name) for t in allowed.members()}
         return (lambda v: v in members), members
     # relation-valued position: keep values whose target tuple is in the set
     target_rel = env.catalog.lookup(col.type_name)
     if target_rel.klass == "domain":
-        members = set(allowed._rows.values())
+        members = set(allowed.members())
         return (lambda v: isinstance(v, TupleVal) and v.values in members), None
-    # a reference matches when its row is stored under one of the set's keys
-    rowids = env.state.rowids(col.type_name, allowed._rows)
+    # a reference matches a row the set was read from, or else one stored
+    # under the key of one of the set's tuples
+    held, rest = allowed.stored(env.state, col.type_name)
+    rowids = set(held)
+    run = env.state.indexes[col.type_name].run
+    for key in rest:
+        rowids.update(run(key))
     return (
         (lambda v: isinstance(v, RefVal) and v.relation == col.type_name and v.row in rowids),
         [RefVal(col.type_name, r) for r in rowids],
@@ -683,9 +858,7 @@ def _construct_domain_tuples(rel: RelationDef, sel: syntax.Selection, env: Env) 
     result = TupleSet(relation_schema(rel), relation=rel.name)
     for combo in itertools.product(*position_sets):
         values = tuple(combo)
-        if sel.filter is None or _filter_passes(
-            sel.filter, TupleSet(relation_schema(rel)), values, env
-        ):
+        if sel.filter is None or _filter_passes(sel.filter, relation_schema(rel), values, env):
             result.add(values)
     return result
 
@@ -711,7 +884,7 @@ def _domain_position_value(tuple_values, dom, env: Env) -> Value:
                 _domain_position_value((v,), sub, env)
                 for v, sub in zip(tuple_values, target.domains)
             ))
-        rowid = env.state.contains_tuple(dom.type_name, tuple(tuple_values))
+        rowid = env.state.indexes[dom.type_name].first(encode_tuple(tuple_values))
         if rowid is not None:
             return RefVal(dom.type_name, rowid)
         raise TypeMismatch(
@@ -782,7 +955,7 @@ def eval_projection(proj: syntax.Projection, env: Env) -> TupleSet:
     routes = [route for _col, route in columns]
     get_row = env.state.get_row
     result = TupleSet(tuple(col for col, _route in columns))
-    for values in source.tuples():
+    for values in source.members():
         out = []
         for route in routes:
             v = values[route[0]]
@@ -906,32 +1079,58 @@ def _render_path(start, path) -> str:
 
 def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
     """Pairs (target tuple ++ source tuple) for every target row connected to
-    a source-set row along the unique shortest schema path.
+    a source-set row along the unique shortest schema path."""
+    pairs, starts = connected(target, source, env)
+    catalog = env.catalog
+    result = TupleSet(relation_schema(catalog.lookup(target)) + relation_schema(catalog.lookup(source.relation)))
+    # a pair's key is the target tuple's key followed by the source's, so
+    # each target row and each source tuple is encoded at most once
+    pages = env.state.indexes[target].rows.pages if pairs else None
+    bits, mask = store.ROW_BITS, (1 << store.ROW_BITS) - 1
+    target_keys: Dict[int, Tuple[bytes, tuple]] = {}
+    found = result._rows
+    for start, end in pairs:
+        got = target_keys.get(end)
+        if got is None:
+            values = pages[end >> bits][end & mask]
+            got = target_keys[end] = (encode_tuple(values), values)
+        key, values = starts[start]
+        if key is None:
+            key = encode_tuple(values)
+            starts[start] = (key, values)
+        found[got[0] + key] = got[1] + values
+    return result
 
-    The walk starts from the source set's rows and follows the path back to
-    the target, a semi-join: each step reads a reference value (the current
-    row references the next relation) or a reverse map (rows of the next
+
+def connected(target: str, source: TupleSet, env: Env):
+    """The (source row, target row) id pairs of every target row connected
+    to a source-set row along the unique shortest schema path, and the
+    (key or None, tuple) of the source set's tuple each source row holds.
+
+    The walk starts from the rows the source set was read from, or else the
+    rows stored under its keys, and follows the path back to the target, a
+    semi-join: each step reads a reference value (the current row
+    references the next relation) or a reverse map (rows of the next
     relation reference the current row), so it touches only connected rows.
     """
     if source.relation is None:
         raise TypeMismatch(
             "a connection source must be a subset of a named relation"
         )
-    target_rel = env.catalog.lookup(target)
-    source_rel = env.catalog.lookup(source.relation)
     path = shortest_path(env.catalog, target, source.relation)
-
-    pair_schema = relation_schema(target_rel) + relation_schema(source_rel)
-    result = TupleSet(pair_schema)
     nodes = [target] + [nxt for _edge, nxt in path]
     if any(env.catalog.lookup(n).klass != "simple" for n in nodes):
-        return result
+        return set(), {}
     state = env.state
     bits = store.ROW_BITS
     mask = (1 << bits) - 1
-    # (source key, current row) pairs walked edge by edge, source to target
+    starts, rest = source.stored(state, source.relation)
     run = state.indexes[source.relation].run
-    pairs = {(key, rid) for key in source._rows for rid in run(key)}
+    for key, values in rest.items():
+        for rid in run(key):
+            starts[rid] = (key, values)
+    # (source row, current row) pairs walked edge by edge, source to target
+    pairs = {(rid, rid) for rid in starts}
     for (edge, current), nxt in zip(reversed(path), reversed(nodes[:-1])):
         advanced = set()
         if edge.adopter == current:
@@ -956,11 +1155,4 @@ def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
                     for referrer in page.get((current, rid), ()):
                         advanced.add((start, referrer))
         pairs = advanced
-    # a pair's key is the target tuple's key followed by the source's, so
-    # only the target tuple is encoded
-    target_pages = state.indexes[target].rows.pages
-    found, source_rows = result._rows, source._rows
-    for key, end in pairs:
-        values = target_pages[end >> bits][end & mask]
-        found[encode_tuple(values) + key] = values + source_rows[key]
-    return result
+    return pairs, starts

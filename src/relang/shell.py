@@ -61,6 +61,7 @@ from .errors import (
     SnapshotFormatError,
     SourceError,
     UnknownAttr,
+    echo,
 )
 from .evaluator import TupleSet
 from .store import DbState
@@ -154,14 +155,49 @@ def _target_keys(state: DbState):
     return ref_key
 
 
+def _referenced(catalog: Catalog, type_name: str) -> set:
+    """The simple relations a value of the type may reference, those of
+    the references an inline tuple holds included."""
+    if type_name in SCALAR_TYPES:
+        return set()
+    rel = catalog.lookup(type_name)
+    if rel.klass == "simple":
+        return {type_name}
+    return set().union(*[_referenced(catalog, dom.type_name) for dom in rel.domains])
+
+
+def _rising(state: DbState, name: str, memo: Dict[str, bool]) -> bool:
+    """Whether the relation's row ids rise with its value order, as far as
+    its key order shows: every relation it references rises, so it is in
+    value order as stored (see ``_export_orders``), and its row ids rise
+    in key order. ``memo`` holds the relations judged already."""
+    got = memo.get(name)
+    if got is None:
+        idx = state.indexes.get(name)
+        ids = None if idx is None else [rowid for chunk in idx.id_chunks for rowid in chunk]
+        got = memo[name] = ids is not None and _stored_in_value_order(state, name, memo) and ids == sorted(ids)
+    return got
+
+
+def _stored_in_value_order(state: DbState, type_name: str, memo: Dict[str, bool]) -> bool:
+    """Whether tuples of the type are in value order when in key order:
+    every relation they may reference rises."""
+    catalog = state.catalog
+    refs = set().union(*[_referenced(catalog, dom.type_name) for dom in catalog.lookup(type_name).domains])
+    return all(_rising(state, t, memo) for t in refs)
+
+
 def _ordered_tuples(result: TupleSet, state: DbState, order_attrs) -> List[tuple]:
-    """The result's tuples in value order (as stored when every column is
-    scalar), then sorted stably by its ``order`` attributes."""
+    """The result's tuples in value order (as stored when every relation
+    its columns reference rises), then sorted stably by its ``order``
+    attributes."""
     positions = [result.attr_index(attr) for attr in order_attrs]
     if None in positions:
         raise UnknownAttr(f"no attribute {order_attrs[positions.index(None)]!r} to order by")
     tuples, ref_key = result.tuples(), _target_keys(state)
-    if any(col.type_name not in SCALAR_TYPES for col in result.schema):
+    memo: Dict[str, bool] = {}
+    refs = set().union(*[_referenced(state.catalog, col.type_name) for col in result.schema])
+    if not all(_rising(state, t, memo) for t in refs):
         tuples.sort(key=lambda t: order_key(t, ref_key))
     if positions:
         tuples.sort(key=lambda t: order_key([t[p] for p in positions], ref_key))
@@ -239,19 +275,16 @@ def _export_orders(
     orders: Dict[str, Dict[int, int]] = {}
     ordered: Dict[str, List[int]] = {}
     rising: Dict[str, bool] = {}  # whether a relation's ordinals rise with its row ids
-    targets: Dict[str, set] = {}  # relation -> the relations it references
-    for name in catalog.names():
-        for q, _pos in catalog.referencing(name):
-            targets.setdefault(q, set()).add(name)
     ref_key = lambda v: orders[v.relation][v.row].to_bytes(8, "big")
 
+    # definition order puts every relation after those it references
     for name in catalog.names():
         if catalog.lookup(name).klass != "simple":
             continue
         idx = state.indexes.get(name)
         if idx is None:
             continue
-        if all(rising.get(t, False) for t in targets.get(name, ())):
+        if _stored_in_value_order(state, name, rising):
             rowids = [rowid for ids in idx.id_chunks for rowid in ids]
         else:
             pages, bits = idx.rows.pages, store.ROW_BITS
@@ -416,7 +449,7 @@ def _next_token(text: str, at: int, line_no: int):
         if not closed:
             raise SnapshotFormatError("unterminated text in row", line_no)
         if not re.fullmatch(_TEXT_CELL, bad.replace("\t", " ").replace("\r", " ") + closed):
-            raise SnapshotFormatError(f"non-canonical escape in text {bad}{closed}", line_no)
+            raise SnapshotFormatError(f"non-canonical escape in text {echo(bad + closed, quote=False)}", line_no)
         quoted = bad[1:]
     if quoted is not None:
         return "text", unescape_text(quoted), m.end()
@@ -424,7 +457,7 @@ def _next_token(text: str, at: int, line_no: int):
         return brace or "atom", atom, m.end()
     rel, colon, ordinal = atom[1:].partition(":")
     if not colon or not (ordinal.isascii() and ordinal.isdigit()):
-        raise SnapshotFormatError(f"malformed reference {atom}", line_no)
+        raise SnapshotFormatError(f"malformed reference {echo(atom, quote=False)}", line_no)
     return "ref", (rel, ordinal), m.end()
 
 
@@ -442,7 +475,7 @@ def _diagnose_tuple(rel: RelationDef, text: str, at: int, closer: str, catalog: 
         if domain in SCALAR_TYPES:
             if kind == "atom":
                 if _read_atom(cell, domain) is None:
-                    raise SnapshotFormatError(f"{cell!r} is not a canonical {domain} literal", line_no)
+                    raise SnapshotFormatError(f"{echo(cell)} is not a canonical {domain} literal", line_no)
             elif (kind, domain) != ("text", "text"):
                 raise SnapshotFormatError(f"expected a {domain} literal", line_no)
             else:
@@ -481,7 +514,7 @@ def _diagnose_row(rel: RelationDef, ordinal_text: str, expected: int, rest: str,
     from the left, or else that the row is not in the form saving writes
     (``01`` for ``1``, two spaces for one, a raw tab in a text)."""
     if not (ordinal_text.isascii() and ordinal_text.isdigit()):
-        raise SnapshotFormatError(f"malformed ordinal {ordinal_text!r}", line_no)
+        raise SnapshotFormatError(f"malformed ordinal {echo(ordinal_text)}", line_no)
     digits = ordinal_text.lstrip("0") or "0"
     if digits != str(expected):
         raise SnapshotFormatError(f"ordinal {_shown(digits)} out of order (expected {expected})", line_no)
@@ -527,7 +560,7 @@ def load_snapshot(text: str) -> Database:
             continue
         parts = line.split(" ", 3)
         if len(parts) != 4 or parts[0] != "row":
-            raise SnapshotFormatError(f"malformed row line: {line!r}", i)
+            raise SnapshotFormatError(f"malformed row line: {echo(line)}", i)
         _row, rel_name, ordinal_text, rest = parts
         reader = readers.get(rel_name)
         if reader is None:

@@ -35,15 +35,17 @@ prefix-free, that range is a superset of the rows whose leading values
 equal the prefix's value, so a caller must check its constraints on each
 row it gets back.
 
-Invariant: a tuple's canonical key is computed when the tuple is stored
-(insert or rekey) and kept only in the key chunks. Readers never re-encode
-a stored tuple they read through a key range: they take keys from
-``scan``, and they match a reference by the row id it holds. The exception
-is a row read through a position map's bucket, which holds row ids only: a
-selection encodes each such row it returns, and no other. Only removal and
-rekey encode a stored tuple again, to find the entry it leaves, since no
-row id -> key map is kept; so does a commit, for each row whose rekey
-collided.
+Invariant: a tuple's canonical key is computed once when the tuple is
+stored (a transaction's ``plan_add`` hands ``insert`` the key it made; a
+rekey makes its own) and kept only in the key chunks. A reader keeps the
+row ids it reads (``scan`` hands them out beside the keys) and the keys a
+key range gives, so a stored tuple is found again by its row id, not by
+encoding it and bisecting. A row read through a position map's bucket comes
+without its key, which is encoded only if a consumer needs it. Only removal
+and rekey encode a stored tuple again, to find the entry it leaves, since
+no row id -> key map is kept; so does a commit, for each row whose rekey
+collided. ``runs`` names the relations where a rekey collided, whose rows a
+reader then finds by key, since a key names a collision's whole run.
 
 The store is a plain holder of conforming tuples and checks no integrity
 rule. Callers hand ``insert`` and ``rekey`` tuples that conform to the
@@ -337,9 +339,9 @@ class MultitableIndex:
             else:
                 continue
             pages = maps.get(pos)
-            if pages is None:
-                pages = maps[pos] = {}
             for key in keys:
+                if pages is None:  # a map is made for its first key, never empty
+                    pages = maps[pos] = {}
                 # ``_own`` is called only for a page or bucket this index
                 # does not own yet: a snapshot load links every row it loads
                 n = _page_of(key)
@@ -366,7 +368,7 @@ class MultitableIndex:
                 keys = (encode_value(v),)
             else:
                 continue
-            pages = self.maps[pos]
+            pages = self.maps.get(pos)  # None only where there is no key
             for key in keys:
                 n = _page_of(key)
                 page = self._own(pages, n, pages[n], dict)
@@ -375,6 +377,8 @@ class MultitableIndex:
                     self._drop(page, key)
                     if not page:
                         self._drop(pages, n)
+                        if not pages and pos not in valued:  # a reference map, left empty
+                            del self.maps[pos]
                 else:
                     self._own(page, key, bucket, set).discard(rowid)
 
@@ -443,6 +447,8 @@ class DbState:
         self.owned: Set[str] = set()  # relations whose index this state may write
         self.sealed = False
         self.building = threading.Lock()  # held while a value map is built
+        # relations whose index may hold a deferred update collision's run
+        self.runs: Set[str] = set()
 
     def fork(self, catalog: Optional[Catalog] = None) -> "DbState":
         """A state with the same tuples (under ``catalog``, if given) that
@@ -450,6 +456,7 @@ class DbState:
         each state copies an index on its first write to it."""
         fork = DbState(catalog or self.catalog)
         fork.indexes = dict(self.indexes)
+        fork.runs = set(self.runs)
         self.owned = set()
         self.sealed = True
         return fork
@@ -476,16 +483,18 @@ class DbState:
 
     # -- operations
 
-    def insert(self, relation: str, values, *, rowid=None):
+    def insert(self, relation: str, values, *, rowid=None, key: Optional[bytes] = None):
         """Insert a tuple; returns (row id, freshly-inserted flag).
 
         Duplicate insertion is an idempotent no-op returning the existing id.
         ``rowid`` pins the id of a fresh row (used when a deferred reference
         is being satisfied); it must have been reserved via reserve_rowid.
+        ``key`` is the tuple's canonical key when the caller has made it.
         The tuple is stored as given, so it must conform to the relation.
         """
         idx = self._index(relation)
-        key = encode_tuple(values)
+        if key is None:
+            key = encode_tuple(values)
         maxes = idx.maxes
         c, i = len(maxes), 0
         # a key above the last one is new
@@ -506,7 +515,7 @@ class DbState:
         idx = self._index(relation)
         maxes = idx.maxes
         if (maxes and key <= maxes[-1]) or idx.valued:
-            return self.insert(relation, values)
+            return self.insert(relation, values, key=key)
         return self._store(relation, values, key, len(maxes), 0, None, linked), True
 
     def _store(self, relation: str, values, key: bytes, c: int, i: int, rowid, linked) -> int:
@@ -558,28 +567,16 @@ class DbState:
     def reserve_rowid(self, relation: str) -> int:
         return self._writable(relation).new_rowid()
 
-    def contains_tuple(self, relation: str, values) -> Optional[int]:
-        """Row id stored first under the tuple's canonical key, or None."""
-        return self._index(relation).first(encode_tuple(values))
-
-    def rowids(self, relation: str, keys) -> Set[int]:
-        """Every live row id stored under one of the keys, the extra rows of
-        a deferred update collision included."""
-        idx = self._index(relation)
-        found = set()
-        for key in keys:
-            found.update(idx.run(key))
-        return found
-
     def get_row(self, relation: str, rowid: int) -> tuple:
         row = self._index(relation).rows.get(rowid)
         if row is None:
             raise RowNotFound(f"no such tuple in relation {relation!r}")
         return row
 
-    def scan(self, relation: str, prefix: bytes = b"") -> Dict[bytes, tuple]:
+    def scan(self, relation: str, prefix: bytes = b"", ids: Optional[List[int]] = None) -> Dict[bytes, tuple]:
         """The rows whose canonical key starts with ``prefix``, as a fresh
         key -> tuple map in key order; the empty prefix gives the relation.
+        When ``ids`` is given, each row's id is appended to it, in key order.
 
         The range is found by bisection over the chunks' largest keys and
         then inside a chunk, so it costs the rows it returns, not the
@@ -590,7 +587,8 @@ class DbState:
 
         The keys are the stored ones, so a caller that needs a tuple's key
         takes it from here instead of encoding the tuple again. A deferred
-        update collision shows once, under its key.
+        update collision shows once, under its key, and all of its rows in
+        ``ids``.
         """
         rel = self.catalog.lookup(relation)
         if rel.klass != "simple":
@@ -602,13 +600,16 @@ class DbState:
         if c == d:  # the range ends in its first chunk
             if lo == hi:
                 return {}
-            keys, ids = key_chunks[c], id_chunks[c]
-            return {keys[i]: pages[ids[i] >> bits][ids[i] & mask] for i in range(lo, hi)}
-        ranges = [(key_chunks[c][lo:], id_chunks[c][lo:])]
-        ranges += zip(key_chunks[c + 1 : d], id_chunks[c + 1 : d])
-        if hi:
-            ranges.append((key_chunks[d][:hi], id_chunks[d][:hi]))
-        return {k: pages[r >> bits][r & mask] for keys, ids in ranges for k, r in zip(keys, ids)}
+            ranges = [(key_chunks[c][lo:hi], id_chunks[c][lo:hi])]
+        else:
+            ranges = [(key_chunks[c][lo:], id_chunks[c][lo:])]
+            ranges += zip(key_chunks[c + 1 : d], id_chunks[c + 1 : d])
+            if hi:
+                ranges.append((key_chunks[d][:hi], id_chunks[d][:hi]))
+        if ids is not None:
+            for _keys, chunk in ranges:
+                ids += chunk
+        return {k: pages[r >> bits][r & mask] for keys, chunk in ranges for k, r in zip(keys, chunk)}
 
     def referrers(self, relation: str, rowid: int) -> Set[Tuple[str, int]]:
         """Every (relation, row) whose tuple references the given row, which
@@ -672,6 +673,8 @@ class DbState:
             i == 0 and c > 0 and maxes[c - 1] == new_key
         )
         idx.place(c, i, new_key, rowid)
+        if collided:
+            self.runs.add(relation)
         # relink only the positions whose value changed: a position masked
         # to None holds no reference
         pairs = list(zip(old_values, new_values))

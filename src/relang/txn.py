@@ -30,7 +30,6 @@ of tuples.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -49,15 +48,15 @@ from .errors import (
 )
 from .evaluator import (
     Env,
-    SchemaCol,
+    RowSet,
     TupleSet,
     _as_tuple_set,
-    connect,
+    connected,
     eval_expr,
+    product,
     coerce_scalar,
     relation_schema,
     scalar_context,
-    scalar_type_name,
 )
 from .store import DbState, iter_refs
 from .values import RefVal, TupleVal, Value, encode_tuple
@@ -65,12 +64,6 @@ from .values import RefVal, TupleVal, Value, encode_tuple
 
 class _Miss(Exception):
     """Internal: a referenced tuple does not exist (strict resolution)."""
-
-
-def _cartesian(sets):
-    """Flattened Cartesian product of tuple sets (product semantics)."""
-    for combo in itertools.product(*[s.tuples() for s in sets]):
-        yield tuple(itertools.chain.from_iterable(combo))
 
 
 class _RefResolver:
@@ -88,11 +81,27 @@ class _RefResolver:
         self.pending = pending  # the plan's, read only
         self.buffer: Dict[Tuple[str, bytes], int] = {}
 
+    def held(self, spans, at: int, relation: str) -> Optional[RefVal]:
+        """A reference to the row of ``relation`` that the span of a flat
+        value list at offset ``at`` was read from, while that row still
+        holds the very tuple read; None when there is none.
+
+        Such a row is the first holder of its key, the row ``resolve``
+        names. It was the key's only holder when read (a selection reads no
+        row ids while a collision is pending) or added, and has not been
+        rekeyed since; a rekey stores its row after the key's holders."""
+        for start, rel, rowid, read in spans:
+            if start == at and rel == relation and self.state.indexes[relation].rows.get(rowid) is read:
+                return RefVal(relation, rowid)
+        return None
+
     def resolve(self, relation: str, values: tuple) -> RefVal:
-        rowid = self.state.contains_tuple(relation, values)
+        """A reference to the row stored first under the tuple's key, or to
+        the row reserved for it."""
+        key = encode_tuple(values)
+        rowid = self.state.indexes[relation].first(key)
         if rowid is not None:
             return RefVal(relation, rowid)
-        key = encode_tuple(values)
         waiting = self.pending.get((relation, key))
         if waiting is not None:
             return RefVal(relation, waiting[0])
@@ -106,14 +115,16 @@ class _RefResolver:
         return RefVal(relation, rowid)
 
 
-def conform_flat(rel: RelationDef, flat, catalog: Catalog, resolver: _RefResolver):
+def conform_flat(rel: RelationDef, flat, catalog: Catalog, resolver: _RefResolver, spans=()):
     """Match a flat value list against a relation's domains.
 
     A relation-valued domain accepts either a ready reference/inline tuple or
     the referenced relation's values spelled out in place (the form products
-    over selections produce); spelled-out tuples resolve through ``resolver``.
+    over selections produce). Spelled-out values that ``spans`` record as
+    read from a row that still holds them take that row; any others
+    resolve through ``resolver``.
     """
-    values, end = _conform_from(rel, flat, 0, catalog, resolver)
+    values, end = _conform_from(rel, flat, 0, catalog, resolver, spans)
     if end != len(flat):
         raise ArityMismatch(
             f"{rel.name!r} takes {rel.arity} domains; {len(flat) - end} values left over"
@@ -121,7 +132,7 @@ def conform_flat(rel: RelationDef, flat, catalog: Catalog, resolver: _RefResolve
     return values
 
 
-def _conform_from(rel: RelationDef, flat, i: int, catalog, resolver):
+def _conform_from(rel: RelationDef, flat, i: int, catalog, resolver, spans):
     out = []
     for dom in rel.domains:
         if i >= len(flat):
@@ -139,15 +150,20 @@ def _conform_from(rel: RelationDef, flat, i: int, catalog, resolver):
             if isinstance(v, RefVal) and v.relation == dom.type_name:
                 out.append(v)
                 i += 1
+                continue
+            ref = resolver.held(spans, i, dom.type_name)
+            if ref is not None:
+                out.append(ref)
+                i += target.arity
             else:
-                sub, i = _conform_from(target, flat, i, catalog, resolver)
+                sub, i = _conform_from(target, flat, i, catalog, resolver, spans)
                 out.append(resolver.resolve(dom.type_name, sub))
         else:  # domain-class value, stored inline
             if isinstance(v, TupleVal) and v.relation == dom.type_name:
                 out.append(v)
                 i += 1
             else:
-                sub, i = _conform_from(target, flat, i, catalog, resolver)
+                sub, i = _conform_from(target, flat, i, catalog, resolver, spans)
                 out.append(TupleVal(dom.type_name, sub))
     return tuple(out), i
 
@@ -248,10 +264,10 @@ class TxnPlan:
         resolver = _RefResolver(self.shadow, deferred, self.pending)
         tuples = []
         try:
-            for combo in _cartesian(sets):
+            for flat, spans in product(sets).spanned():
                 try:
                     tuples.append(
-                        conform_flat(rel, combo, self.shadow.catalog, resolver)
+                        conform_flat(rel, flat, self.shadow.catalog, resolver, spans)
                     )
                 except _Miss:
                     continue  # strict mode: tuple not present, nothing to name
@@ -279,14 +295,14 @@ class TxnPlan:
                 return []
             if value.relation == rel.name:
                 return list(value.tuples())
-            flats = value.tuples()
+            flats = value.spanned()
         else:
-            flats = [(value,)]
+            flats = [((value,), ())]
         resolver = _RefResolver(self.shadow, deferred, self.pending)
         out = []
-        for flat in flats:
+        for flat, spans in flats:
             try:
-                out.append(conform_flat(rel, flat, self.shadow.catalog, resolver))
+                out.append(conform_flat(rel, flat, self.shadow.catalog, resolver, spans))
             except _Miss:
                 # strict mode only: a tuple referencing nothing cannot be
                 # stored, so it is not a member of the relation
@@ -304,23 +320,34 @@ class TxnPlan:
         relation resolves through the connection operator (keep target rows
         connected to the given set).
 
-        Each key names the row holding its slot, as ``contains_tuple`` does:
-        the extra rows of a deferred update collision are not named.
+        A row the set was read from, or a connected row, is taken as it is;
+        any other tuple names the row stored first under its key. With a
+        deferred update collision in ``rel`` every tuple is found by key, so
+        the extra rows of its run are not named.
         """
         env = self.env()
+        idx = self.shadow.indexes[rel.name]
+        runs = rel.name in self.shadow.runs
         value = None
         if not (isinstance(expr, syntax.Union_) and expr.members and len(expr.members) == rel.arity):
             value = eval_expr(expr, env)
+        found: Dict[bytes, Optional[int]] = {}
         if isinstance(value, TupleSet) and value.relation == rel.name:
-            keys = value.keys()
+            held, rest = value.stored(self.shadow, rel.name)
+            for rowid, (key, values) in held.items():
+                found[encode_tuple(values) if key is None else key] = rowid
+            keys = rest
         elif isinstance(value, TupleSet) and value.relation is not None:
-            pairs = connect(rel.name, value, env)
-            keys = {encode_tuple(p[: rel.arity]) for p in pairs.tuples()}
+            pairs, _starts = connected(rel.name, value, env)
+            rows = idx.rows
+            keys = {encode_tuple(rows[end]): end for end in {end for _start, end in pairs}}
+            if not runs:
+                found, keys = keys, {}
         else:
-            keys = {encode_tuple(t) for t in self._resolve_write_tuples(rel, expr, deferred=False)}
-        idx = self.shadow.indexes[rel.name]
-        found = ((key, idx.first(key)) for key in sorted(keys))
-        return [(key, rowid) for key, rowid in found if rowid is not None]
+            keys = {encode_tuple(t): t for t in self._resolve_write_tuples(rel, expr, deferred=False)}
+        for key in keys:
+            found[key] = idx.first(key)
+        return [(key, found[key]) for key in sorted(found) if found[key] is not None]
 
     # -- planned commands
 
@@ -329,19 +356,20 @@ class TxnPlan:
         self._stmt += 1
         rel = self._simple_relation(relation)
         tuples = self._resolve_write_tuples(rel, set_expr, deferred=True)
-        fresh = TupleSet(relation_schema(rel), relation=relation)
+        ids: Dict[int, tuple] = {}
+        keys: Dict[int, bytes] = {}
         for values in tuples:
             key = encode_tuple(values)
             waiting = self.pending.get((relation, key))
             pinned = None if waiting is None else waiting[0]
-            rowid, inserted = self.shadow.insert(relation, values, rowid=pinned)
+            rowid, inserted = self.shadow.insert(relation, values, rowid=pinned, key=key)
             if inserted:
                 self.written[(relation, rowid)] = self._stmt
                 # a fresh row satisfies any reference that was waiting for it
                 self.pending.pop((relation, key), None)
-                fresh.add(values)
+                ids[rowid], keys[rowid] = values, key
         self.steps += 1
-        return fresh
+        return RowSet(relation_schema(rel), relation, ids, keys, ordered=False)
 
     def plan_remove(self, relation: str, set_expr, cascade: bool) -> TupleSet:
         self._require_open()
@@ -406,15 +434,15 @@ class TxnPlan:
                     f"assignment to {dom.attr!r} needs exactly one tuple,"
                     f" got {len(outcome)}"
                 )
-            flat = outcome.tuples()[0]
+            flat, spans = outcome.spanned()[0]
         elif isinstance(outcome, (RefVal, TupleVal)):
-            flat = (outcome,)
+            flat, spans = (outcome,), ()
         else:
             raise TypeMismatch(f"assignment to {dom.attr!r} needs a {dom.type_name} tuple")
         target = self.shadow.catalog.lookup(dom.type_name)
         values, end = _conform_from(
             RelationDef(dom.type_name, target.klass, (dom,)), flat, 0,
-            self.shadow.catalog, resolver,
+            self.shadow.catalog, resolver, spans,
         )
         if end != len(flat):
             raise ArityMismatch(f"too many values for {dom.attr!r}")
@@ -438,10 +466,7 @@ class TxnPlan:
             raise NameCollision(f"{name!r} is a relation name")
         if isinstance(value, bool):
             raise TypeMismatch("a variable holds a set of tuples, not a condition")
-        if not isinstance(value, TupleSet):
-            t = scalar_type_name(value)
-            value = TupleSet.from_tuples((SchemaCol(t, t),), [(value,)])
-        self.bindings[name] = value
+        self.bindings[name] = _as_tuple_set(value)
 
     # -- commit / rollback
 
@@ -451,6 +476,7 @@ class TxnPlan:
         if problem is not None:
             self.status = "aborted"
             raise IntegrityError(f"statement {problem[0]}: {problem[1]}")
+        self.shadow.runs.clear()  # every collision was resolved
         self.status = "committed"
         return self._report()
 

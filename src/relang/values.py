@@ -29,7 +29,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .errors import BadCast, DomainTypeMismatch
+from .errors import BadCast, DomainTypeMismatch, echo
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -43,7 +43,7 @@ class IntVal:
 
     def __post_init__(self):
         if not INT64_MIN <= self.value <= INT64_MAX:
-            raise DomainTypeMismatch(f"integer out of 64-bit range: {self.value}")
+            raise DomainTypeMismatch(f"integer out of 64-bit range: {echo(str(self.value), quote=False)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +119,7 @@ def parse_timestamp(text: str) -> TimestampVal:
         return TimestampVal(year=1 - int(m.group(1)))
     m = _YMD.fullmatch(s)
     if m is None:
-        raise BadCast(f"not a timestamp literal: {text!r}")
+        raise BadCast(f"not a timestamp literal: {echo(text)}")
     sign, year_digits, month, day = m.groups()
     year = int(year_digits)
     if sign == "-":
@@ -127,9 +127,9 @@ def parse_timestamp(text: str) -> TimestampVal:
     month_n = int(month) if month is not None else None
     day_n = int(day) if day is not None else None
     if month_n is not None and not 1 <= month_n <= 12:
-        raise BadCast(f"month out of range in timestamp: {text!r}")
+        raise BadCast(f"month out of range in timestamp: {echo(text)}")
     if day_n is not None and not 1 <= day_n <= 31:
-        raise BadCast(f"day out of range in timestamp: {text!r}")
+        raise BadCast(f"day out of range in timestamp: {echo(text)}")
     return TimestampVal(year, month_n, day_n)
 
 
@@ -187,7 +187,7 @@ def render_scalar(v: Value) -> str:
 
 def encode_int(v: int) -> bytes:
     if not INT64_MIN <= v <= INT64_MAX:
-        raise DomainTypeMismatch(f"integer out of 64-bit range: {v}")
+        raise DomainTypeMismatch(f"integer out of 64-bit range: {echo(str(v), quote=False)}")
     return (((v & _MASK) ^ _SIGN)).to_bytes(8, "big")
 
 

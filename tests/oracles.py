@@ -8,7 +8,9 @@ each edge. It must agree with the engine's chain-join exactly.
 The lexing and snapshot oracles are the slow paths the code replaced: a
 character loop for the script lexer and one for snapshot rows, a sort of
 every relation by its export key for the export order, and a snapshot load
-that parses, builds and inserts each row in separate stages.
+that parses, builds and inserts each row in separate stages. ``by_values``
+switches the engine back to finding every row by its values, and
+``contains_tuple`` is that lookup.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import string
 import networkx as nx
 
 import relang
-from relang import parse_script, shell, store
+from relang import evaluator, parse_script, shell, store, txn
 from relang.catalog import SCALAR_TYPES
 from relang.errors import (
     DanglingOrdinal,
@@ -27,6 +29,7 @@ from relang.errors import (
     SnapshotFormatError,
     UnterminatedString,
 )
+from relang.evaluator import TupleSet
 from relang.store import iter_refs
 from relang.syntax import (
     _PUNCT,
@@ -112,15 +115,19 @@ def brute_force_connection(db, target, source_tuples, source_relation):
     return results
 
 
+def tuple_set(schema, tuples, relation=None):
+    """A set built from the tuples' values: it holds no row ids, so every
+    consumer finds its tuples' rows by key."""
+    return TupleSet(schema, relation, {encode_tuple(t): tuple(t) for t in tuples})
+
+
 def engine_connection_keys(db, target, source_relation):
-    from relang.evaluator import connect, relation_schema, TupleSet
+    from relang.evaluator import connect, relation_schema
 
     env = db.env()
     rel = db.catalog.lookup(source_relation)
-    source = TupleSet.from_tuples(
-        relation_schema(rel), db.txn.shadow.scan(source_relation).values(), relation=source_relation
-    )
-    return connect(target, source, env).keys(), source.tuples()
+    source = tuple_set(relation_schema(rel), db.txn.shadow.scan(source_relation).values(), source_relation)
+    return connect(target, source, env).keyed().keys(), source.tuples()
 
 
 def reference_report(base, shadow):
@@ -158,6 +165,38 @@ def dangling_refs(state):
     return bad
 
 
+def contains_tuple(state, relation, values):
+    """The row stored first under the tuple's canonical key, or None: how
+    the engine found a spelled-out tuple's row before sets kept row ids."""
+    return state.indexes[relation].first(encode_tuple(values))
+
+
+def by_values(mp) -> None:
+    """Make the engine find every row by its values again, as it did before
+    sets kept the row ids they read, through ``mp`` (a
+    ``pytest.MonkeyPatch``): no set names a row it was read from, so a
+    reference position's allowed rows and a connection's start rows are
+    the rows stored under the set's keys (``run`` per key), a remove or
+    update target is ``contains_tuple`` of each key, and a write resolves
+    every spelled-out reference by key; a product keys each tuple by
+    encoding it whole; and every output with a reference column sorts."""
+
+    def every_tuple_by_key(ts, state, relation):
+        return {}, ts.keyed()
+
+    def encoded(parts):
+        result = product(parts)
+        return TupleSet(result.schema, result.relation, {encode_tuple(v): v for v in result.members()})
+
+    product = evaluator.product
+    mp.setattr(evaluator.TupleSet, "stored", every_tuple_by_key)
+    mp.setattr(evaluator.RowSet, "stored", every_tuple_by_key)
+    mp.setattr(evaluator, "product", encoded)
+    mp.setattr(txn, "product", encoded)
+    mp.setattr(txn._RefResolver, "held", lambda resolver, spans, at, relation: None)
+    mp.setattr(shell, "_rising", lambda state, name, memo: False)
+
+
 def flat_keys(idx):
     """An index's keys in order, read across its chunks."""
     return [key for chunk in idx.key_chunks for key in chunk]
@@ -179,8 +218,9 @@ def index_faults(state):
     and each chunk's recorded largest key is its last key; every row page has
     one slot per id of its page and holds a row, and the page table covers
     every id handed out; every map page holds only keys of its own page
-    and is non-empty, as is every bucket; the row count is the number
-    of stored rows. Empty on any state, published or not."""
+    and is non-empty, as is every bucket, and every map but a value map;
+    the row count is the number of stored rows. Empty on any state,
+    published or not."""
     faults = []
     for rel_name, idx in state.indexes.items():
         chunks = list(zip(idx.key_chunks, idx.id_chunks))
@@ -219,6 +259,8 @@ def index_faults(state):
             for pos in idx.valued:
                 key = encode_value(values[pos])
                 rebuilt.setdefault(pos, {}).setdefault(key, set()).add(rowid)
+        if any(not pages and pos not in idx.valued for pos, pages in idx.maps.items()):
+            faults.append((rel_name, "an empty map at a position without a value map"))
         current = {}
         for pos, pages in idx.maps.items():
             for n, page in pages.items():

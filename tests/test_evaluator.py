@@ -25,7 +25,7 @@ from relang.errors import (
 )
 from relang.catalog import MAX_CALL_DEPTH
 from relang.store import DbState
-from relang.evaluator import Env, SchemaCol, TupleSet, eval_expr, relation_schema, shortest_path
+from relang.evaluator import Env, SchemaCol, eval_expr, relation_schema, shortest_path
 from relang.values import (
     IntVal,
     RealVal,
@@ -37,7 +37,7 @@ from relang.values import (
 )
 
 from conftest import build_db, q, rows, run
-from oracles import index_faults, random_tree_db
+from oracles import index_faults, random_tree_db, tuple_set
 
 
 class TestExpressions:
@@ -95,6 +95,22 @@ class TestExpressions:
             with pytest.raises(DomainTypeMismatch) as exc:
                 q(library, f"(+ 1 {literal})")
             assert str(exc.value) == "integer literal at line 1, column 6 is out of 64-bit range"
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ('(int "{}")'.format("9" * 5000), BadCast, "cannot read <5000 characters> as int"),
+            ('(int "{}")'.format("9" * 4000), DomainTypeMismatch, "integer out of 64-bit range: <4000 characters>"),
+            ('(real "{}")'.format("9" * 5000), BadCast, "cannot read <5000 characters> as real"),
+            ('(timestamp "{}")'.format("9" * 5000), BadCast, "not a timestamp literal: <5000 characters>"),
+            ('(int "1_0x")', BadCast, "cannot read '1_0x' as int"),
+        ],
+        ids=["int", "int_in_range_of_int", "real", "timestamp", "short"],
+    )
+    def test_a_long_input_is_named_by_its_length(self, library, text, error, message):
+        with pytest.raises(error) as exc:
+            q(library, text)
+        assert str(exc.value) == message
 
     def test_leading_zeros_do_not_count_against_the_range(self, library):
         assert q(library, "-0009223372036854775808") == IntVal(-9223372036854775808)
@@ -155,7 +171,7 @@ class TestSelection:
     def test_type_markers_are_free_positions(self, library):
         a = q(library, '(book (author :(name ~ "A.*")) (text) (timestamp))')
         b = q(library, '(book (author :(name ~ "A.*")) . .)')
-        assert a.keys() == b.keys()
+        assert a.keyed().keys() == b.keyed().keys()
 
     def test_selection_from_empty_relation(self, library):
         run(library, 'relation (empty text)')
@@ -170,7 +186,7 @@ class TestSelection:
     def test_positional_equals_filter_form(self, library):
         positional = q(library, '(genre "epic")')
         filtered = q(library, '(genre :(text = "epic"))')
-        assert positional.keys() == filtered.keys()
+        assert positional.keyed().keys() == filtered.keyed().keys()
 
     def test_too_many_args(self, library):
         with pytest.raises(ArityMismatch):
@@ -269,8 +285,8 @@ class TestFunctions:
             whole = q(library, f"(avg2 {_union_text(a_vals)} {_union_text(b_vals)})")
             pieces = set()
             for va, vb in itertools.product(a_vals, b_vals):
-                pieces |= q(library, f"(avg2 {va} {vb})").keys()
-            assert whole.keys() == pieces
+                pieces |= q(library, f"(avg2 {va} {vb})").keyed().keys()
+            assert whole.keyed().keys() == pieces
 
 
 class TestProjection:
@@ -289,7 +305,7 @@ class TestProjection:
     def test_projecting_every_attr_is_identity(self, library):
         whole = q(library, "(book)")
         projected = q(library, "[(book) author title timestamp]")
-        assert projected.keys() == whole.keys()
+        assert projected.keyed().keys() == whole.keyed().keys()
 
     def test_duplicates_collapse(self, library):
         run(library, 'add author {"Another" "1941-03-26"} commit')
@@ -501,9 +517,9 @@ def test_union_is_commutative_and_idempotent(a, b):
     body_b = " ".join(str(v) for v in b)
     ab = q(db, f"({body_a} {body_b})")
     ba = q(db, f"({body_b} {body_a})")
-    assert ab.keys() == ba.keys()
+    assert ab.keyed().keys() == ba.keyed().keys()
     twice = q(db, f"({body_a} {body_a})")
-    assert twice.keys() == q(db, f"({body_a})").keys()
+    assert twice.keyed().keys() == q(db, f"({body_a})").keyed().keys()
 
 
 def test_selection_const_equals_filter_for_every_fixture_relation(library):
@@ -520,7 +536,7 @@ def test_selection_const_equals_filter_for_every_fixture_relation(library):
         }[relation]
         positional = q(library, positional_args)
         filtered = q(library, f"({relation} :({attr} = {const}))")
-        assert positional.keys() == filtered.keys()
+        assert positional.keyed().keys() == filtered.keyed().keys()
 
 
 @given(st.randoms(use_true_random=False))
@@ -532,18 +548,18 @@ def test_reference_selection_equals_a_dereferencing_filter(rng):
     for child in names[1:]:
         parent = db.catalog.lookup(child).domains[0].type_name
         chosen = [t for t in state.scan(parent).values() if rng.random() < 0.5]
-        allowed = TupleSet.from_tuples(
+        allowed = tuple_set(
             relation_schema(db.catalog.lookup(parent)), chosen, relation=parent
         )
         env = Env(db.catalog, state, {"allowed": allowed})
         result = eval_expr(parse_expression(f"({child} allowed)"), env)
-        allowed_keys = allowed.keys()
+        allowed_keys = allowed.keyed().keys()
         expected = {
             encode_tuple(t)
             for t in state.scan(child).values()
             if encode_tuple(state.get_row(parent, t[0].row)) in allowed_keys
         }
-        assert result.keys() == expected
+        assert result.keyed().keys() == expected
 
 
 # "a" is a prefix of the other texts starting with "a", and NUL and 0x01 are
@@ -587,7 +603,7 @@ def _scalar_set(rng, type_name, pool, name):
         else:
             members.add(_random_scalar(rng, type_name))
     col = SchemaCol("v", "int" if as_ints else type_name)
-    allowed = TupleSet.from_tuples((col,), [(m,) for m in members])
+    allowed = tuple_set((col,), [(m,) for m in members])
     stored = {RealVal(float(m.value)) if as_ints else m for m in members}
     return syntax.Name(name), {name: allowed}, lambda x: x in stored
 
@@ -611,10 +627,10 @@ def _position_cases(rng, state, rel, pos, everything):
     cases = [(syntax.Union_(()), {}, lambda x: False)]
     for size in (0, 1, rng.randint(2, max(2, len(parent_rows)))):
         chosen = rng.sample(parent_rows, min(size, len(parent_rows)))
-        allowed = TupleSet.from_tuples(
+        allowed = tuple_set(
             relation_schema(state.catalog.lookup(parent)), chosen, relation=parent
         )
-        keys = allowed.keys()
+        keys = allowed.keyed().keys()
         cases.append(
             (
                 syntax.Name(name),
@@ -664,7 +680,7 @@ def test_every_selection_equals_a_full_scan_filter(rng):
                 }
                 for state in (published, shadow, shadow):
                     result = eval_expr(selection, Env(db.catalog, state, bindings))
-                    assert result.keys() == expected
+                    assert result.keyed().keys() == expected
     assert index_faults(shadow) == []
     assert all(not idx.valued for idx in published.indexes.values())
 
@@ -676,8 +692,8 @@ def test_a_selection_reads_only_what_its_bound_positions_allow(library, monkeypa
     scans = []
     scan = DbState.scan
 
-    def recorded(self, relation, prefix=b""):
-        found = scan(self, relation, prefix)
+    def recorded(self, relation, prefix=b"", ids=None):
+        found = scan(self, relation, prefix, ids)
         scans.append((relation, prefix, len(found)))
         return found
 
