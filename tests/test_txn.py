@@ -761,6 +761,21 @@ def test_taking_the_rows_a_set_read_equals_finding_them_by_values(statements):
         assert _played(statements) == played
 
 
+def test_a_product_takes_each_row_it_read_at_its_offset():
+    db = build_db(
+        'relation (author (name text) (birthdate timestamp)) relation (pair (p author) (q author))'
+        ' add author ({"Amy" "1900"} {"Bo" "1950"}) commit A = (author "Bo" .)'
+    )
+    # an inner product's row moves to the inner product's offset
+    run(db, 'add pair {{"Amy" "1900"} {(author "Bo" .)}} add pair {{"Bo" "1950"} (author "Amy" .)}')
+    run(db, 'add pair {{(A)} {"Bo" "1950"}}')
+    assert rows(q(db, "(pair)"), db.txn.shadow) == {
+        (("Amy", "+1900"), ("Bo", "+1950")),
+        (("Bo", "+1950"), ("Amy", "+1900")),
+        (("Bo", "+1950"), ("Bo", "+1950")),
+    }
+
+
 def test_a_bulk_add_encodes_each_stored_tuple_once(library_ddl, monkeypatch):
     db = library_ddl
     authors = [f"A{i:02d}" for i in range(50)]
