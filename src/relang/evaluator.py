@@ -34,6 +34,21 @@ while its row still holds the very tuple read (an ``is`` test); otherwise,
 and in a relation where an update collision may be pending, the row is found
 by key. Answers are values only: no row id reaches one.
 
+A tuple may name another by spelling out its values, and one function,
+``conform``, reads such a spelling against a sequence of domains wherever
+it appears: in a tuple a write adds, an update assignment, a remove or
+update target, a domain constructor's position, and a selection's reference
+or inline-tuple position bound to a set not read from the referenced
+relation. Each value is coerced to its domain (an int reads as a real, a
+text as a timestamp), an inline tuple is built from its spelled-out values,
+and a referenced row is the one a product recorded the values as read from,
+or else the one stored under their key. A read sees only the state it reads:
+a tuple naming a missing row matches nothing in a selection and is an error
+in a constructor, where a write may reserve the row for a tuple added later.
+A fault found conforming a written tuple raises ``DomainTypeMismatch`` or
+``ArityMismatch``; the same fault found evaluating an expression raises
+``TypeMismatch``.
+
 The connection operator replaces joins: it finds the shortest path between
 two relations in the schema graph and chain-joins along it, returning the
 connected (target, source) pairs. The walk starts from the source set's rows
@@ -53,7 +68,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from . import store, syntax
-from .catalog import BUILTIN_FUNCTIONS, SCALAR_TYPES, Catalog, RelationDef, SchemaGraph
+from .catalog import BUILTIN_FUNCTIONS, SCALAR_TYPES, Catalog, Domain, RelationDef, SchemaGraph
 from .errors import (
     AmbiguousPath,
     ArityMismatch,
@@ -86,10 +101,9 @@ from .values import (
 )
 
 
-@dataclass(frozen=True)
-class SchemaCol:
-    attr: str
-    type_name: str  # scalar name, relation name, or 'any' for untyped
+# A column of a set's schema is a domain: an attribute and its type, a
+# scalar type or a relation.
+SchemaCol = Domain
 
 
 # One part of a product tuple read from a stored row: (offset in the
@@ -262,9 +276,8 @@ class Env:
         return Env(self.catalog, self.state, self.bindings, frame)
 
 
-@functools.lru_cache(maxsize=1024)
 def relation_schema(rel: RelationDef) -> Tuple[SchemaCol, ...]:
-    return tuple(SchemaCol(d.attr, d.type_name) for d in rel.domains)
+    return rel.domains
 
 
 # --- scalar machinery ---------------------------------------------------------
@@ -620,7 +633,11 @@ def product(parts) -> TupleSet:
 
 
 def eval_union(members, env: Env) -> TupleSet:
-    sets = [_as_tuple_set(eval_expr(m, env), "a union member") for m in members]
+    return union([_as_tuple_set(eval_expr(m, env), "a union member") for m in members])
+
+
+def union(sets) -> TupleSet:
+    """The union of sets of one tuple shape, with their spans."""
     typed = [s for s in sets if s.schema is not None]
     if not typed:
         return TupleSet(None)
@@ -638,6 +655,135 @@ def eval_union(members, env: Env) -> TupleSet:
             if sp:
                 spans[key] = sp
     return TupleSet(schema, relations.pop() if len(relations) == 1 else None, rows, spans or None)
+
+
+# --- conforming values to domains ----------------------------------------------------
+
+
+class _Miss(Exception):
+    """Internal: a referenced tuple does not exist (strict resolution)."""
+
+
+class _RefResolver:
+    """Resolves a referenced tuple to a row id.
+
+    A read resolves strictly against the state it reads: a missing target
+    raises _Miss. A write also sees the transaction's ``pending`` references
+    to tuples not added yet; in deferred mode a missing target gets a
+    reserved row id recorded in ``buffer``, which the transaction adds to
+    its pending references once the statement succeeds.
+    """
+
+    def __init__(self, state: DbState, deferred: bool = False, pending: Optional[Dict] = None):
+        self.state = state
+        self.catalog = state.catalog
+        self.deferred = deferred
+        self.pending = {} if pending is None else pending  # the plan's, read only
+        self.buffer: Dict[Tuple[str, bytes], int] = {}
+
+    def held(self, spans, at: int, relation: str) -> Optional[RefVal]:
+        """A reference to the row of ``relation`` that the span of a flat
+        value list at offset ``at`` was read from, while that row still
+        holds the very tuple read; None when there is none.
+
+        Such a row is the first holder of its key, the row ``resolve``
+        names. It was the key's only holder when read (a selection reads no
+        row ids while a collision is pending) or added, and has not been
+        rekeyed since; a rekey stores its row after the key's holders."""
+        for start, rel, rowid, read in spans:
+            if start == at and rel == relation and self.state.indexes[relation].rows.get(rowid) is read:
+                return RefVal(relation, rowid)
+        return None
+
+    def resolve(self, relation: str, values: tuple) -> RefVal:
+        """A reference to the row stored first under the tuple's key, or to
+        the row reserved for it."""
+        key = encode_tuple(values)
+        rowid = self.state.indexes[relation].first(key)
+        if rowid is not None:
+            return RefVal(relation, rowid)
+        waiting = self.pending.get((relation, key))
+        if waiting is not None:
+            return RefVal(relation, waiting[0])
+        existing = self.buffer.get((relation, key))
+        if existing is not None:
+            return RefVal(relation, existing)
+        if not self.deferred:
+            raise _Miss(relation, values)
+        rowid = self.state.reserve_rowid(relation)
+        self.buffer[(relation, key)] = rowid
+        return RefVal(relation, rowid)
+
+
+def conform(domains: Tuple[Domain, ...], flat, resolver: _RefResolver, spans=()) -> tuple:
+    """The values a flat value list gives a sequence of domains: the one
+    place a spelled-out tuple is read, by writes and reads alike.
+
+    A scalar domain coerces its value (an int reads as a real, a text as a
+    timestamp). A relation-valued domain takes a ready reference or inline
+    tuple of its relation, or else that relation's values spelled out in
+    place, as products over selections produce them, which are conformed in
+    turn: to an inline tuple, or to the row ``spans`` record them as read
+    from while that row still holds them, or else the row ``resolver`` finds
+    by key. A value its domain cannot take raises DomainTypeMismatch, and
+    too few or too many values ArityMismatch."""
+    values, end = _conform_from(domains, flat, 0, resolver, spans)
+    if end != len(flat):
+        raise ArityMismatch(f"too many values: the domains take {end}, got {len(flat)}")
+    return values
+
+
+def _conform_from(domains, flat, i: int, resolver: _RefResolver, spans):
+    out = []
+    for dom in domains:
+        if i >= len(flat):
+            raise ArityMismatch(f"no value for {dom.attr!r}")
+        v = flat[i]
+        if dom.is_scalar:
+            try:
+                out.append(coerce_scalar(v, dom.type_name))
+            except TypeMismatch as exc:
+                raise DomainTypeMismatch(str(exc)) from exc
+            i += 1
+            continue
+        target = resolver.catalog.lookup(dom.type_name)
+        if target.klass == "simple":
+            if isinstance(v, RefVal) and v.relation == dom.type_name:
+                out.append(v)
+                i += 1
+                continue
+            ref = resolver.held(spans, i, dom.type_name)
+            if ref is not None:
+                out.append(ref)
+                i += target.arity
+            else:
+                sub, i = _conform_from(target.domains, flat, i, resolver, spans)
+                out.append(resolver.resolve(dom.type_name, sub))
+        else:  # domain-class value, stored inline
+            if isinstance(v, TupleVal) and v.relation == dom.type_name:
+                out.append(v)
+                i += 1
+            else:
+                sub, i = _conform_from(target.domains, flat, i, resolver, spans)
+                out.append(TupleVal(dom.type_name, sub))
+    return tuple(out), i
+
+
+def _conformed(dom: Domain, spelled: TupleSet, state: DbState) -> list:
+    """The value each tuple of a set gives one domain, as a read takes it:
+    against the state read, seeing no pending reference and reserving no
+    row; None for a tuple naming a missing row. A fault is a TypeMismatch."""
+    resolver = _RefResolver(state)
+    out = []
+    try:
+        for _key, flat, spans in spelled.entries():
+            try:
+                out.append(conform((dom,), flat, resolver, spans)[0])
+            except _Miss:
+                out.append(None)
+    except (ArityMismatch, DomainTypeMismatch) as exc:
+        raise TypeMismatch(str(exc)) from exc
+    return out
 
 
 # --- selection ------------------------------------------------------------------------
@@ -787,55 +933,55 @@ def _positional_constraint(arg, col: SchemaCol, env: Env):
     value = eval_expr(arg, env)
     if isinstance(value, bool):
         raise TypeMismatch("a positional argument cannot be a condition")
+    if col.type_name not in SCALAR_TYPES:
+        return _membership_constraint(_as_tuple_set(value), col, env)
     if isinstance(value, TupleSet):
-        return _membership_constraint(value, col, env)
-    return _equality_constraint(value, col)
-
-
-def _equality_constraint(value: Value, col: SchemaCol):
-    if col.type_name in SCALAR_TYPES:
-        value = coerce_scalar(value, col.type_name)
-    elif not (
-        isinstance(value, (RefVal, TupleVal)) and scalar_type_name(value) == col.type_name
-    ):
-        raise TypeMismatch(
-            f"position {col.attr!r} holds {col.type_name}, got {scalar_type_name(value)}"
-        )
-    return (lambda v: v == value), (value,)
-
-
-def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
-    if allowed.schema is None:
-        return (lambda v: False), ()
-    if col.type_name in SCALAR_TYPES:
-        if allowed.width() != 1:
+        if value.schema is None:
+            return (lambda v: False), ()
+        if value.width() != 1:
             raise TypeMismatch(
                 f"position {col.attr!r} holds a scalar; a constraining set must"
                 " have one column"
             )
-        members = {coerce_scalar(t[0], col.type_name) for t in allowed.members()}
+        members = {coerce_scalar(t[0], col.type_name) for t in value.members()}
         return (lambda v: v in members), members
-    # relation-valued position: keep values whose target tuple is in the set
-    target_rel = env.catalog.lookup(col.type_name)
-    if target_rel.klass == "domain":
-        members = set(allowed.members())
-        return (lambda v: isinstance(v, TupleVal) and v.values in members), None
-    # a reference matches a row the set was read from, or else one stored
-    # under the key of one of the set's tuples
-    held, rest = allowed.stored(env.state, col.type_name)
-    rowids = set(held)
-    run = env.state.indexes[col.type_name].run
-    for key in rest:
-        rowids.update(run(key))
+    value = coerce_scalar(value, col.type_name)
+    return (lambda v: v == value), (value,)
+
+
+def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
+    """The predicate and allowed values of a relation-valued position bound
+    to a set: a value matches when the set holds its tuple."""
+    if allowed.schema is None:
+        return (lambda v: False), ()
+    relation = col.type_name
+    if allowed.relation == relation and env.catalog.lookup(relation).klass == "simple":
+        # a set read from the referenced relation names its rows: those it
+        # was read from, or else those stored under its keys
+        held, rest = allowed.stored(env.state, relation)
+        rowids = set(held)
+        run = env.state.indexes[relation].run
+        for key in rest:
+            rowids.update(run(key))
+    else:
+        # any other set spells its values out, read as a write reads them;
+        # a tuple naming a missing row matches nothing
+        members = set(_conformed(col, allowed, env.state))
+        members.discard(None)
+        if env.catalog.lookup(relation).klass == "domain":
+            return (lambda v: v in members), members
+        rowids = {v.row for v in members}
     return (
-        (lambda v: isinstance(v, RefVal) and v.relation == col.type_name and v.row in rowids),
-        [RefVal(col.type_name, r) for r in rowids],
+        (lambda v: isinstance(v, RefVal) and v.relation == relation and v.row in rowids),
+        [RefVal(relation, r) for r in rowids],
     )
 
 
 def _construct_domain_tuples(rel: RelationDef, sel: syntax.Selection, env: Env) -> TupleSet:
     """Selecting from a domain-class relation is a typed tuple constructor:
-    legal only when every position is bound to a constant or a finite set."""
+    legal only when every position is bound to a constant or a finite set,
+    each of whose tuples is read as the position's value, as a write reads
+    it."""
     if len(sel.args) != rel.arity:
         raise NotEnumerable(
             f"domain {rel.name!r} is not enumerable; bind all {rel.arity} positions"
@@ -850,47 +996,17 @@ def _construct_domain_tuples(rel: RelationDef, sel: syntax.Selection, env: Env) 
         value = eval_expr(arg, env)
         if isinstance(value, bool):
             raise TypeMismatch("a position cannot be bound to a condition")
-        if isinstance(value, TupleSet):
-            candidates = [_domain_position_value(t, dom, env) for t in value.tuples()]
-        else:
-            candidates = [_domain_position_value((value,), dom, env)]
+        candidates = _conformed(dom, _as_tuple_set(value), env.state)
+        if any(v is None for v in candidates):
+            raise TypeMismatch(
+                f"no such {dom.type_name!r} tuple to bind at position {dom.attr!r}"
+            )
         position_sets.append(candidates)
-    result = TupleSet(relation_schema(rel), relation=rel.name)
+    result = TupleSet(rel.domains, relation=rel.name)
     for combo in itertools.product(*position_sets):
-        values = tuple(combo)
-        if sel.filter is None or _filter_passes(sel.filter, relation_schema(rel), values, env):
-            result.add(values)
+        if sel.filter is None or _filter_passes(sel.filter, rel.domains, combo, env):
+            result.add(combo)
     return result
-
-
-def _domain_position_value(tuple_values, dom, env: Env) -> Value:
-    if dom.is_scalar:
-        if len(tuple_values) != 1:
-            raise TypeMismatch(
-                f"position {dom.attr!r} holds one {dom.type_name} value"
-            )
-        return coerce_scalar(tuple_values[0], dom.type_name)
-    target = env.catalog.lookup(dom.type_name)
-    if len(tuple_values) == 1 and isinstance(tuple_values[0], (RefVal, TupleVal)):
-        v = tuple_values[0]
-        if scalar_type_name(v) != dom.type_name:
-            raise TypeMismatch(
-                f"position {dom.attr!r} holds {dom.type_name}, got {scalar_type_name(v)}"
-            )
-        return v
-    if len(tuple_values) == target.arity:
-        if target.klass == "domain":
-            return TupleVal(target.name, tuple(
-                _domain_position_value((v,), sub, env)
-                for v, sub in zip(tuple_values, target.domains)
-            ))
-        rowid = env.state.indexes[dom.type_name].first(encode_tuple(tuple_values))
-        if rowid is not None:
-            return RefVal(dom.type_name, rowid)
-        raise TypeMismatch(
-            f"no such {dom.type_name!r} tuple to bind at position {dom.attr!r}"
-        )
-    raise TypeMismatch(f"cannot bind position {dom.attr!r} of {dom.type_name!r}")
 
 
 # --- function application -----------------------------------------------------------

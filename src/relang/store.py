@@ -50,7 +50,7 @@ reader then finds by key, since a key names a collision's whole run.
 The store is a plain holder of conforming tuples and checks no integrity
 rule. Callers hand ``insert`` and ``rekey`` tuples that conform to the
 relation's domains: a transaction conforms every tuple it writes
-(``txn.conform_flat``) and checks references, removals and key collisions at
+(``evaluator.conform``) and checks references, removals and key collisions at
 commit, and a snapshot load checks each row's shape and references once
 (``shell.load_snapshot``).
 

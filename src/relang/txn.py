@@ -51,121 +51,17 @@ from .evaluator import (
     RowSet,
     TupleSet,
     _as_tuple_set,
+    _Miss,
+    _RefResolver,
+    conform,
     connected,
     eval_expr,
     product,
-    coerce_scalar,
     relation_schema,
-    scalar_context,
+    union,
 )
 from .store import DbState, iter_refs
 from .values import RefVal, TupleVal, Value, encode_tuple
-
-
-class _Miss(Exception):
-    """Internal: a referenced tuple does not exist (strict resolution)."""
-
-
-class _RefResolver:
-    """Resolves a referenced tuple to a row id against the shadow state.
-
-    In strict mode a missing target raises _Miss (the surrounding tuple
-    simply is not resolvable). In deferred mode a missing target gets a
-    reserved phantom row id recorded in a buffer; the transaction adds the
-    buffer to its pending references once the statement succeeds.
-    """
-
-    def __init__(self, state: DbState, deferred: bool, pending: Dict):
-        self.state = state
-        self.deferred = deferred
-        self.pending = pending  # the plan's, read only
-        self.buffer: Dict[Tuple[str, bytes], int] = {}
-
-    def held(self, spans, at: int, relation: str) -> Optional[RefVal]:
-        """A reference to the row of ``relation`` that the span of a flat
-        value list at offset ``at`` was read from, while that row still
-        holds the very tuple read; None when there is none.
-
-        Such a row is the first holder of its key, the row ``resolve``
-        names. It was the key's only holder when read (a selection reads no
-        row ids while a collision is pending) or added, and has not been
-        rekeyed since; a rekey stores its row after the key's holders."""
-        for start, rel, rowid, read in spans:
-            if start == at and rel == relation and self.state.indexes[relation].rows.get(rowid) is read:
-                return RefVal(relation, rowid)
-        return None
-
-    def resolve(self, relation: str, values: tuple) -> RefVal:
-        """A reference to the row stored first under the tuple's key, or to
-        the row reserved for it."""
-        key = encode_tuple(values)
-        rowid = self.state.indexes[relation].first(key)
-        if rowid is not None:
-            return RefVal(relation, rowid)
-        waiting = self.pending.get((relation, key))
-        if waiting is not None:
-            return RefVal(relation, waiting[0])
-        existing = self.buffer.get((relation, key))
-        if existing is not None:
-            return RefVal(relation, existing)
-        if not self.deferred:
-            raise _Miss(relation, values)
-        rowid = self.state.reserve_rowid(relation)
-        self.buffer[(relation, key)] = rowid
-        return RefVal(relation, rowid)
-
-
-def conform_flat(rel: RelationDef, flat, catalog: Catalog, resolver: _RefResolver, spans=()):
-    """Match a flat value list against a relation's domains.
-
-    A relation-valued domain accepts either a ready reference/inline tuple or
-    the referenced relation's values spelled out in place (the form products
-    over selections produce). Spelled-out values that ``spans`` record as
-    read from a row that still holds them take that row; any others
-    resolve through ``resolver``.
-    """
-    values, end = _conform_from(rel, flat, 0, catalog, resolver, spans)
-    if end != len(flat):
-        raise ArityMismatch(
-            f"{rel.name!r} takes {rel.arity} domains; {len(flat) - end} values left over"
-        )
-    return values
-
-
-def _conform_from(rel: RelationDef, flat, i: int, catalog, resolver, spans):
-    out = []
-    for dom in rel.domains:
-        if i >= len(flat):
-            raise ArityMismatch(f"too few values for {rel.name!r}")
-        v = flat[i]
-        if dom.is_scalar:
-            try:
-                out.append(coerce_scalar(v, dom.type_name))
-            except TypeMismatch as exc:
-                raise DomainTypeMismatch(str(exc)) from exc
-            i += 1
-            continue
-        target = catalog.lookup(dom.type_name)
-        if target.klass == "simple":
-            if isinstance(v, RefVal) and v.relation == dom.type_name:
-                out.append(v)
-                i += 1
-                continue
-            ref = resolver.held(spans, i, dom.type_name)
-            if ref is not None:
-                out.append(ref)
-                i += target.arity
-            else:
-                sub, i = _conform_from(target, flat, i, catalog, resolver, spans)
-                out.append(resolver.resolve(dom.type_name, sub))
-        else:  # domain-class value, stored inline
-            if isinstance(v, TupleVal) and v.relation == dom.type_name:
-                out.append(v)
-                i += 1
-            else:
-                sub, i = _conform_from(target, flat, i, catalog, resolver, spans)
-                out.append(TupleVal(dom.type_name, sub))
-    return tuple(out), i
 
 
 @dataclass
@@ -214,42 +110,31 @@ class TxnPlan:
 
     # -- set-argument resolution
 
-    def _resolve_write_tuples(self, rel: RelationDef, expr, deferred: bool):
-        """Evaluate a DML set argument into storage tuples of ``rel``.
+    def _set_argument(self, rel: RelationDef, expr, env: Env, deferred: bool):
+        """Evaluate a DML set argument once: (storage tuples of ``rel``,
+        None) when it reads as a tuple constructor, else (None, the set).
 
-        A parenthesized set whose member count equals the relation's arity is
-        first tried as a single tuple (products and unions are otherwise
-        easily confused in handwritten scripts); when that fails structurally
-        it is evaluated as the union it reads as.
+        A parenthesized set whose member count equals the relation's arity
+        is first tried as a single tuple (products and unions are otherwise
+        easily confused in handwritten scripts); when that fails
+        structurally its members form the union it reads as.
         """
-        env = self.env()
-        if isinstance(expr, syntax.Product):
-            out = self._tuples_from_members(rel, expr.members, env, deferred, False)
-            assert out is not None
-            return out
-        if isinstance(expr, syntax.Union_) and expr.members and len(expr.members) == rel.arity:
-            out = self._tuples_from_members(rel, expr.members, env, deferred, True)
-            if out is not None:
-                return out
-        value = eval_expr(expr, env)
-        return self._tuples_from_value(rel, value, deferred)
+        union_fallback = isinstance(expr, syntax.Union_) and 0 < len(expr.members) == rel.arity
+        if not (union_fallback or isinstance(expr, syntax.Product)):
+            return None, eval_expr(expr, env)
+        sets = [_as_tuple_set(eval_expr(m, env), "a set member") for m in expr.members]
+        tuples = self._tuples_from_members(rel, sets, deferred, union_fallback)
+        return (None, union(sets)) if tuples is None else (tuples, None)
 
-    def _tuples_from_members(self, rel, members, env, deferred, union_fallback):
-        """Resolve a tuple constructor member by member.
+    def _tuples_from_members(self, rel, sets, deferred, union_fallback):
+        """Resolve a tuple constructor from its members' sets.
 
         A member that matches no tuples leaves a relation-valued position
         unresolvable; in a deferred command that is an integrity obligation
         (the referenced tuple was never added), not an empty no-op. Returns
         None when the members read better as the union they also form.
         """
-        sets = []
-        any_empty = False
-        for m in members:
-            ts = _as_tuple_set(eval_expr(m, env), "a set member")
-            sets.append(ts)
-            if ts.schema is None or len(ts) == 0:
-                any_empty = True
-        if any_empty:
+        if any(ts.schema is None or len(ts) == 0 for ts in sets):
             if union_fallback and self._union_compatible(sets):
                 return None
             if deferred:
@@ -261,22 +146,12 @@ class TxnPlan:
                     )
                 )
             return []
-        resolver = _RefResolver(self.shadow, deferred, self.pending)
-        tuples = []
         try:
-            for flat, spans in product(sets).spanned():
-                try:
-                    tuples.append(
-                        conform_flat(rel, flat, self.shadow.catalog, resolver, spans)
-                    )
-                except _Miss:
-                    continue  # strict mode: tuple not present, nothing to name
+            return self._conform_all(rel, product(sets).spanned(), deferred)
         except (ArityMismatch, DomainTypeMismatch, TypeMismatch, SchemaMismatch):
             if union_fallback:
                 return None
             raise
-        self._adopt_buffer(resolver)
-        return tuples
 
     @staticmethod
     def _union_compatible(sets) -> bool:
@@ -290,22 +165,24 @@ class TxnPlan:
     def _tuples_from_value(self, rel: RelationDef, value, deferred: bool):
         if isinstance(value, bool):
             raise TypeMismatch("a condition is not a set of tuples")
-        if isinstance(value, TupleSet):
-            if value.schema is None:
-                return []
-            if value.relation == rel.name:
-                return list(value.tuples())
-            flats = value.spanned()
-        else:
-            flats = [((value,), ())]
+        if not isinstance(value, TupleSet):
+            return self._conform_all(rel, [((value,), ())], deferred)
+        if value.schema is None:
+            return []
+        if value.relation == rel.name:
+            return list(value.tuples())
+        return self._conform_all(rel, value.spanned(), deferred)
+
+    def _conform_all(self, rel: RelationDef, flats, deferred: bool):
+        """Each (flat values, spans) conformed to ``rel``'s domains. In
+        strict mode a tuple referencing nothing cannot be stored, so it is
+        not a member of the relation, and is left out."""
         resolver = _RefResolver(self.shadow, deferred, self.pending)
         out = []
         for flat, spans in flats:
             try:
-                out.append(conform_flat(rel, flat, self.shadow.catalog, resolver, spans))
+                out.append(conform(rel.domains, flat, resolver, spans))
             except _Miss:
-                # strict mode only: a tuple referencing nothing cannot be
-                # stored, so it is not a member of the relation
                 continue
         self._adopt_buffer(resolver)
         return out
@@ -327,12 +204,11 @@ class TxnPlan:
         """
         env = self.env()
         idx = self.shadow.indexes[rel.name]
-        runs = rel.name in self.shadow.runs
-        value = None
-        if not (isinstance(expr, syntax.Union_) and expr.members and len(expr.members) == rel.arity):
-            value = eval_expr(expr, env)
+        tuples, value = self._set_argument(rel, expr, env, deferred=False)
         found: Dict[bytes, Optional[int]] = {}
-        if isinstance(value, TupleSet) and value.relation == rel.name:
+        if tuples is not None:
+            keys = {encode_tuple(t): t for t in tuples}
+        elif isinstance(value, TupleSet) and value.relation == rel.name:
             held, rest = value.stored(self.shadow, rel.name)
             for rowid, (key, values) in held.items():
                 found[encode_tuple(values) if key is None else key] = rowid
@@ -341,10 +217,10 @@ class TxnPlan:
             pairs, _starts = connected(rel.name, value, env)
             rows = idx.rows
             keys = {encode_tuple(rows[end]): end for end in {end for _start, end in pairs}}
-            if not runs:
+            if rel.name not in self.shadow.runs:
                 found, keys = keys, {}
         else:
-            keys = {encode_tuple(t): t for t in self._resolve_write_tuples(rel, expr, deferred=False)}
+            keys = {encode_tuple(t): t for t in self._tuples_from_value(rel, value, deferred=False)}
         for key in keys:
             found[key] = idx.first(key)
         return [(key, found[key]) for key in sorted(found) if found[key] is not None]
@@ -355,7 +231,9 @@ class TxnPlan:
         self._require_open()
         self._stmt += 1
         rel = self._simple_relation(relation)
-        tuples = self._resolve_write_tuples(rel, set_expr, deferred=True)
+        tuples, value = self._set_argument(rel, set_expr, self.env(), deferred=True)
+        if tuples is None:
+            tuples = self._tuples_from_value(rel, value, deferred=True)
         ids: Dict[int, tuple] = {}
         keys: Dict[int, bytes] = {}
         for values in tuples:
@@ -422,31 +300,22 @@ class TxnPlan:
         return updated
 
     def _conform_position(self, dom: Domain, outcome, resolver: _RefResolver) -> Value:
-        if dom.is_scalar:
-            v = scalar_context(outcome, f"a {dom.type_name} value")
-            try:
-                return coerce_scalar(v, dom.type_name)
-            except TypeMismatch as exc:
-                raise DomainTypeMismatch(str(exc)) from exc
+        """The value an update assignment gives one attribute: its one tuple
+        conformed to the attribute's domain, as an added tuple is."""
+        if isinstance(outcome, bool):
+            raise TypeMismatch(f"assignment to {dom.attr!r} cannot be a condition")
         if isinstance(outcome, TupleSet):
             if len(outcome) != 1:
                 raise TypeMismatch(
                     f"assignment to {dom.attr!r} needs exactly one tuple,"
                     f" got {len(outcome)}"
                 )
-            flat, spans = outcome.spanned()[0]
-        elif isinstance(outcome, (RefVal, TupleVal)):
+            ((_key, flat, spans),) = outcome.entries()
+        elif dom.is_scalar or isinstance(outcome, (RefVal, TupleVal)):
             flat, spans = (outcome,), ()
         else:
             raise TypeMismatch(f"assignment to {dom.attr!r} needs a {dom.type_name} tuple")
-        target = self.shadow.catalog.lookup(dom.type_name)
-        values, end = _conform_from(
-            RelationDef(dom.type_name, target.klass, (dom,)), flat, 0,
-            self.shadow.catalog, resolver, spans,
-        )
-        if end != len(flat):
-            raise ArityMismatch(f"too many values for {dom.attr!r}")
-        return values[0]
+        return conform((dom,), flat, resolver, spans)[0]
 
     def _simple_relation(self, relation: str) -> RelationDef:
         rel = self.shadow.catalog.lookup(relation)

@@ -177,9 +177,10 @@ def by_values(mp) -> None:
     ``pytest.MonkeyPatch``): no set names a row it was read from, so a
     reference position's allowed rows and a connection's start rows are
     the rows stored under the set's keys (``run`` per key), a remove or
-    update target is ``contains_tuple`` of each key, and a write resolves
-    every spelled-out reference by key; a product keys each tuple by
-    encoding it whole; and every output with a reference column sorts."""
+    update target is ``contains_tuple`` of each key, and every spelled-out
+    reference, written or read, is resolved by key; a product keys each
+    tuple by encoding it whole; and every output with a reference column
+    sorts."""
 
     def every_tuple_by_key(ts, state, relation):
         return {}, ts.keyed()
@@ -193,7 +194,7 @@ def by_values(mp) -> None:
     mp.setattr(evaluator.RowSet, "stored", every_tuple_by_key)
     mp.setattr(evaluator, "product", encoded)
     mp.setattr(txn, "product", encoded)
-    mp.setattr(txn._RefResolver, "held", lambda resolver, spans, at, relation: None)
+    mp.setattr(evaluator._RefResolver, "held", lambda resolver, spans, at, relation: None)
     mp.setattr(shell, "_rising", lambda state, name, memo: False)
 
 
@@ -610,16 +611,20 @@ def load_snapshot_by_insert(text: str):
 
 
 def random_tree_db(
-    rng: random.Random, max_rows=20, texts=string.ascii_lowercase[:6], refs_anywhere=False
+    rng: random.Random, max_rows=20, texts=string.ascii_lowercase[:6], refs_anywhere=False, inline=False
 ):
     """A database over a random tree-shaped schema (unique shortest paths).
 
     Each non-root relation adopts exactly one earlier relation, plus scalar
     padding domains; rows reference random rows of the adopted relation.
     The reference is the first domain, or with ``refs_anywhere`` a random
-    one. Text values are drawn from ``texts``.
+    one. Text values are drawn from ``texts``. With ``inline`` a second
+    padding domain may be the domain ``pt`` of two reals, stored inline,
+    and half the reals are whole, so an int can spell them.
     """
     db = relang.Database()
+    if inline:
+        db.execute(next(iter(parse_script("domain (pt (x real) (y real))"))))
     n = rng.randint(2, 5)
     names = [f"r{i}" for i in range(n)]
     parents = {}
@@ -630,7 +635,7 @@ def random_tree_db(
             parents[name] = parent
             domains.append(f"(p_{parent} {parent})")
         for j in range(rng.randint(1, 2)):
-            scalar = rng.choice(["int", "text", "real", "timestamp"])
+            scalar = rng.choice(["int", "text", "real", "timestamp"] + (["pt"] if inline and j else []))
             domains.append(f"(s{j} {scalar})")
         if i > 0 and refs_anywhere:
             domains.insert(rng.randint(0, len(domains) - 1), domains.pop(0))
@@ -649,7 +654,10 @@ def random_tree_db(
                 elif dom.type_name == "text":
                     values.append(TextVal(rng.choice(texts)))
                 elif dom.type_name == "real":
-                    values.append(RealVal(rng.uniform(-5.0, 5.0)))
+                    values.append(RealVal(_random_real(rng, inline)))
+                elif dom.type_name == "pt":
+                    x, y = _random_real(rng, True), _random_real(rng, True)
+                    values.append(TupleVal("pt", (RealVal(x), RealVal(y))))
                 elif dom.type_name == "timestamp":
                     values.append(
                         TimestampVal(
@@ -667,6 +675,12 @@ def random_tree_db(
                 db.published.insert(name, tuple(values))
     db.refresh()
     return db, names
+
+
+def _random_real(rng: random.Random, whole: bool) -> float:
+    if whole and rng.random() < 0.5:
+        return float(rng.randint(-2, 2))
+    return rng.uniform(-5.0, 5.0)
 
 
 # Every scalar type, a reference in a relation and in inline tuples, and an

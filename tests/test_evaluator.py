@@ -13,6 +13,7 @@ from relang.errors import (
     BadRegex,
     CallTooDeep,
     DomainTypeMismatch,
+    IntegrityError,
     NoConnection,
     ParseError,
     NotARelation,
@@ -29,6 +30,7 @@ from relang.evaluator import Env, SchemaCol, eval_expr, relation_schema, shortes
 from relang.values import (
     IntVal,
     RealVal,
+    RefVal,
     TextVal,
     TimestampVal,
     TupleVal,
@@ -489,6 +491,78 @@ class TestDomainClassEvaluation:
             q(library, '(seg {"x" "y"} {1 2})')
 
 
+class TestSpelledOutTuples:
+    """A tuple spelled out by its values means in a selection and in a domain
+    constructor what it means in a write: its values are conformed to the
+    position's domain first."""
+
+    ENTRY = "domain (entry author (n int)) relation (shelf entry (label text))"
+
+    def test_a_reference_position_reads_a_timestamp_spelled_as_text(self, library):
+        spelled = q(library, '(book {"Dawkins" "1941-03-26"} . .)')
+        assert rows(spelled, library.published) == {
+            (("Dawkins", "+1941-03-26"), "The Selfish Gene", "+1976")
+        }
+        assert spelled.keyed().keys() == q(library, '(book (author "Dawkins" .) . .)').keyed().keys()
+        removed = run(library, 'remove book {{"Dawkins" "1941-03-26"} "The Selfish Gene" "1976"}')
+        assert removed.keyed().keys() == spelled.keyed().keys()
+
+    def test_a_reference_position_reads_a_nested_reference_spelled_out(self, library):
+        spelled = q(library, '(book_genre {(author "Austen" .) "Emma" "1815"} .)')
+        assert len(spelled) == 1
+        assert spelled.keyed().keys() == q(library, '(book_genre (book . "Emma" .) .)').keyed().keys()
+
+    def test_an_inline_position_reads_ints_as_its_reals(self, library):
+        run(
+            library,
+            "domain (pt (x real) (y real)) relation (place (name text) (at pt))"
+            ' add place {"home" (pt 1 2)} commit',
+        )
+        home = {("home", (1.0, 2.0))}
+        assert rows(q(library, "(place . {1 2})"), library.published) == home
+        assert rows(q(library, "(place . {1.0 2.0})"), library.published) == home
+        assert rows(run(library, 'remove place {"home" {1 2}}'), library.published) == home
+
+    def test_a_domain_constructor_reads_a_spelled_out_row(self, library):
+        run(library, self.ENTRY)
+        built = q(library, '(entry {"Homer" "800 BC"} 3)')
+        assert rows(built, library.published) == {(("Homer", "-0799"), 3)}
+        run(library, 'add shelf {{"Homer" "800 BC"} 3 "x"} commit')
+        assert rows(q(library, '(shelf (entry {"Homer" "800 BC"} 3) .)'), library.published) == {
+            ((("Homer", "-0799"), 3), "x")
+        }
+
+    def test_a_domain_constructor_reads_a_row_added_in_its_transaction(self, library):
+        run(library, self.ENTRY + ' add author {"Nobody" "1900"}')
+        assert rows(q(library, '(entry {"Nobody" "1900"} 3)'), library.txn.shadow) == {
+            (("Nobody", "+1900"), 3)
+        }
+
+    def test_a_domain_constructor_names_a_value_it_cannot_coerce(self, library):
+        run(library, self.ENTRY)
+        with pytest.raises(TypeMismatch, match="cannot treat int as text"):
+            q(library, "(entry {1 2} 3)")
+
+    def test_a_read_reserves_no_row_for_a_missing_reference(self, library):
+        run(library, self.ENTRY)
+        with pytest.raises(TypeMismatch, match="no such 'author' tuple"):
+            q(library, '(entry {"Nobody" "1900"} 3)')
+        assert len(q(library, '(shelf {{"Nobody" "1900"} 3} .)')) == 0
+        with pytest.raises(IntegrityError):
+            run(library, 'add shelf {{"Nobody" "1900"} 3 "x"} commit')
+
+    def test_a_write_and_an_expression_name_one_fault_by_where_it_is_found(self, library):
+        # conforming a written tuple raises DomainTypeMismatch; evaluating
+        # a domain constructor, as any expression, raises TypeMismatch
+        run(library, "domain (pt (x int) (y int)) relation (place (name text) (at pt))")
+        with pytest.raises(DomainTypeMismatch):
+            run(library, 'add place {"home" 1 2.0}')
+        with pytest.raises(TypeMismatch):
+            run(library, 'add place {"home" (pt 1 2.0)}')
+        with pytest.raises(TypeMismatch):
+            q(library, "(pt {1 2} 3)")
+
+
 # --- algebraic properties ---------------------------------------------------------
 
 ints = st.lists(st.integers(-5, 5), min_size=1, max_size=4)
@@ -608,10 +682,28 @@ def _scalar_set(rng, type_name, pool, name):
     return syntax.Name(name), {name: allowed}, lambda x: x in stored
 
 
+def _spelled(state, values):
+    """A brace tuple spelling stored values out as literals: a timestamp as
+    a text, a whole real as an int, and a referenced row or an inline tuple
+    spelled out in turn."""
+    members = []
+    for v in values:
+        if isinstance(v, RefVal):
+            members.append(_spelled(state, state.get_row(v.relation, v.row)))
+        elif isinstance(v, TupleVal):
+            members.append(_spelled(state, v.values))
+        elif isinstance(v, RealVal) and v.value.is_integer():
+            members.append(syntax.Const(int(v.value), "int"))
+        else:
+            members.append(_literal(v))
+    return syntax.Product(tuple(members))
+
+
 def _position_cases(rng, state, rel, pos, everything):
     """(argument, bindings, predicate on a stored value) that bind position
     ``pos`` of a relation: stored and unstored scalars, an int at a real
-    position, or sets of 0, 1 and several scalars or referenced rows."""
+    position, or sets of 0, 1 and several scalars or referenced rows; a
+    referenced row or an inline tuple spelled out by its values."""
     dom, name = rel.domains[pos], f"allowed{pos}"
     if dom.is_scalar:
         pool = [t[pos] for t in everything]
@@ -622,6 +714,11 @@ def _position_cases(rng, state, rel, pos, everything):
             cases.append((syntax.Const(n, "int"), {}, lambda x, n=n: x == RealVal(float(n))))
         cases += [_scalar_set(rng, dom.type_name, pool, name) for _ in range(3)]
         return cases
+    if state.catalog.lookup(dom.type_name).klass == "domain":
+        pool = [t[pos] for t in everything] + [TupleVal("pt", (RealVal(1.0), RealVal(-0.5)))]
+        chosen = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+        cases = [(syntax.Union_(()), {}, lambda x: False)]
+        return cases + [(_spelled(state, (v,)), {}, lambda x, v=v: x == v) for v in chosen]
     parent = dom.type_name
     parent_rows = list(state.scan(parent).values())
     cases = [(syntax.Union_(()), {}, lambda x: False)]
@@ -638,6 +735,12 @@ def _position_cases(rng, state, rel, pos, everything):
                 lambda x, keys=keys: encode_tuple(state.get_row(parent, x.row)) in keys,
             )
         )
+    if parent_rows:
+        row = rng.choice(parent_rows)
+        key = encode_tuple(row)
+        cases.append(
+            (_spelled(state, row), {}, lambda x: encode_tuple(state.get_row(parent, x.row)) == key)
+        )
     return cases
 
 
@@ -648,7 +751,7 @@ def test_every_selection_equals_a_full_scan_filter(rng):
     # selection runs three times: on the published state, which is sealed
     # and so scans; on the transaction's state, which builds the value maps
     # the selection's scalar positions need; and there again, through them.
-    db, names = random_tree_db(rng, texts=PREFIX_TEXTS, refs_anywhere=True)
+    db, names = random_tree_db(rng, texts=PREFIX_TEXTS, refs_anywhere=True, inline=True)
     published, shadow = db.published, db.txn.shadow
     for name in names:
         rel = db.catalog.lookup(name)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relang
-from relang import shell, values
+from relang import evaluator, shell, values
 from relang.errors import (
     DomainTypeMismatch,
     IntegrityError,
@@ -803,3 +803,24 @@ def test_a_bulk_add_encodes_each_stored_tuple_once(library_ddl, monkeypatch):
     # built on first use
     assert per_cell == [2.0, 4.0]
     assert found_by_key == []  # every referenced row was taken as read
+
+
+@pytest.mark.parametrize("verb", ["add", "remove"])
+@pytest.mark.parametrize("braces", [2, 3])
+def test_a_set_argument_is_evaluated_once(library, monkeypatch, verb, braces):
+    # as many braces as book_genre has positions are first tried as one
+    # tuple; read instead as the union they form, their members are not
+    # evaluated again
+    # the links added are new; those removed are stored
+    pairs = [("Emma", "epic"), ("Ulysses", "bore"), ("The Selfish Gene", "epic")]
+    if verb == "remove":
+        pairs = [("Emma", "bore"), ("Ulysses", "epic"), ("The Selfish Gene", "sci-fi")]
+    links = [f'{{(book . "{title}" .) (genre "{genre}")}}' for title, genre in pairs[:braces]]
+    selections = []
+    select = evaluator.eval_selection
+    monkeypatch.setattr(
+        evaluator, "eval_selection", lambda sel, env: selections.append(sel.target) or select(sel, env)
+    )
+    result = run(library, f"{verb} book_genre ({' '.join(links)})")
+    assert len(selections) == 2 * braces
+    assert len(result) == braces
