@@ -34,20 +34,16 @@ while its row still holds the very tuple read (an ``is`` test); otherwise,
 and in a relation where an update collision may be pending, the row is found
 by key. Answers are values only: no row id reaches one.
 
-A tuple may name another by spelling out its values, and one function,
-``conform``, reads such a spelling against a sequence of domains wherever
-it appears: in a tuple a write adds, an update assignment, a remove or
-update target, a domain constructor's position, and a selection's reference
-or inline-tuple position bound to a set not read from the referenced
-relation. Each value is coerced to its domain (an int reads as a real, a
-text as a timestamp), an inline tuple is built from its spelled-out values,
-and a referenced row is the one a product recorded the values as read from,
-or else the one stored under their key. A read sees only the state it reads:
-a tuple naming a missing row matches nothing in a selection and is an error
-in a constructor, where a write may reserve the row for a tuple added later.
-A fault found conforming a written tuple raises ``DomainTypeMismatch`` or
-``ArityMismatch``; the same fault found evaluating an expression raises
-``TypeMismatch``.
+A tuple may name another by spelling out its values. One function,
+``conform``, reads such a spelling against a sequence of domains wherever it
+appears: a written tuple, an update assignment, a remove or update target, a
+domain constructor's position, and a selection's reference or inline-tuple
+position. It coerces each value to its domain, builds an inline tuple from
+spelled-out values, and takes a referenced row from a product's spans or
+else by key. A read reserves no row: a tuple naming a missing row matches
+nothing in a selection and is an error in a constructor. A fault found
+conforming a written tuple raises ``DomainTypeMismatch`` or
+``ArityMismatch``; found evaluating an expression, it raises ``TypeMismatch``.
 
 The connection operator replaces joins: it finds the shortest path between
 two relations in the schema graph and chain-joins along it, returning the
@@ -971,6 +967,12 @@ def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
         if env.catalog.lookup(relation).klass == "domain":
             return (lambda v: v in members), members
         rowids = {v.row for v in members}
+        if relation in env.state.runs:
+            # a key names a collision's whole run, as for a set read above
+            idx = env.state.indexes[relation]
+            for rowid in list(rowids):
+                if rowid in idx.rows:
+                    rowids.update(idx.run(encode_tuple(idx.rows[rowid])))
     return (
         (lambda v: isinstance(v, RefVal) and v.relation == relation and v.row in rowids),
         [RefVal(relation, r) for r in rowids],
