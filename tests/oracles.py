@@ -624,7 +624,8 @@ def random_tree_db(
     """
     db = relang.Database()
     if inline:
-        db.execute(next(iter(parse_script("domain (pt (x real) (y real))"))))
+        for stmt in parse_script("domain (pt (x real) (y real))"):
+            db.execute(stmt)
     n = rng.randint(2, 5)
     names = [f"r{i}" for i in range(n)]
     parents = {}
