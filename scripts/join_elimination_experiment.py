@@ -20,7 +20,7 @@ sys.path.insert(0, "src")
 
 import relang
 from relang.evaluator import TupleSet, connect, relation_schema
-from relang.values import RefVal, TextVal, encode_tuple
+from relang.values import RefVal, TextVal
 
 
 def make_random_db(rng, n_relations, max_rows):
@@ -63,7 +63,7 @@ def brute_force(db, target, source_rel, source_tuples):
         names.append(other)
     state = db.published
     row_lists = [sorted(state.indexes[n].rows.items()) for n in names]
-    source_keys = {encode_tuple(t) for t in source_tuples}
+    source_set = set(source_tuples)
     out = set()
     for combo in itertools.product(*row_lists):
         ok = True
@@ -76,8 +76,8 @@ def brute_force(db, target, source_rel, source_tuples):
                 ok = b_tup[edge.position] == RefVal(a_rel, a_rid)
             if not ok:
                 break
-        if ok and encode_tuple(combo[-1][1]) in source_keys:
-            out.add(encode_tuple(tuple(combo[0][1]) + tuple(combo[-1][1])))
+        if ok and combo[-1][1] in source_set:
+            out.add(combo[0][1] + combo[-1][1])
     return out
 
 
@@ -101,9 +101,9 @@ def main():
                 source = TupleSet(
                     relation_schema(db.catalog.lookup(source_rel)),
                     source_rel,
-                    {encode_tuple(t): t for t in source_tuples},
+                    dict.fromkeys(source_tuples, ()),
                 )
-                engine = connect(target, source, db.env()).keyed().keys()
+                engine = set(connect(target, source, db.env()).members())
                 t1 = time.perf_counter()
                 oracle = brute_force(db, target, source_rel, source_tuples)
                 t2 = time.perf_counter()

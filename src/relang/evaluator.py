@@ -24,15 +24,16 @@ then checked on each row read, since a text key range can hold longer
 texts.
 
 A selection's result is a ``RowSet``: each tuple with the id of the row it
-was read from, and with its key when the read had one (a key range does, a
-bucket does not); a missing key is encoded only when a consumer needs it.
-Every consumer that wants rows takes these ids rather than finding the rows
-again by encoding and bisecting: a reference position's allowed rows, a
-connection's start rows, a remove or update target, and, through a
-product's spans, a reference a written tuple spells out. An id is taken only
-while its row still holds the very tuple read (an ``is`` test); otherwise,
-and in a relation where an update collision may be pending, the row is found
-by key. Answers are values only: no row id reaches one.
+was read from. Every consumer that wants rows takes these ids rather than
+finding the rows again by encoding and bisecting: a reference position's
+allowed rows, a connection's start rows, a remove or update target, and,
+through a product's spans, a reference a written tuple spells out. An id is
+taken only while its row still holds the very tuple read (an ``is`` test);
+otherwise, and in a relation where an update collision may be pending, the
+row is found by key. Every set, read or constructed, is keyed by its tuples
+themselves, whose equality, hash and order run in C (``values``), so a
+tuple is encoded only to find its row by key. Answers are values only: no
+row id reaches one.
 
 A tuple may name another by spelling out its values. One function,
 ``conform``, reads such a spelling against a sequence of domains wherever it
@@ -41,7 +42,9 @@ domain constructor's position, and a selection's reference or inline-tuple
 position. It coerces each value to its domain, builds an inline tuple from
 spelled-out values, and takes a referenced row from a product's spans or
 else by key. A read reserves no row: a tuple naming a missing row matches
-nothing in a selection and is an error in a constructor. A fault found
+nothing in a selection and is an error in a constructor, and while an
+update collision is pending a selection reads a spelled-out reference as
+naming its key's whole run. A fault found
 conforming a written tuple raises ``DomainTypeMismatch`` or
 ``ArityMismatch``; found evaluating an expression, it raises ``TypeMismatch``.
 
@@ -49,9 +52,8 @@ The connection operator replaces joins: it finds the shortest path between
 two relations in the schema graph and chain-joins along it, returning the
 connected (target, source) pairs. The walk starts from the source set's rows
 and goes back along the path to the target through the references rows hold
-and reverse maps, so it touches only connected rows, and encodes each target
-row it reaches once. Two equally short paths are an error that names both,
-never a silent choice.
+and reverse maps, so it touches only connected rows. Two equally short
+paths are an error that names both, never a silent choice.
 """
 
 from __future__ import annotations
@@ -114,70 +116,52 @@ class TupleSet:
     one; constructed sets carry None. The completely empty constructor ``()``
     has no schema at all and unifies with any shape.
 
-    A tuple's canonical key is its identity in the set. This class holds
-    ``_rows``, key -> tuple: a constructed tuple is encoded once, by ``add``,
-    and a product tuple's key joins its members' keys. ``spans`` maps the
-    key of a tuple that has parts read from stored rows to those parts, so a
-    consumer can take a part's row instead of finding it again by its
-    values. A set read from a stored relation is a ``RowSet``.
-    Key order is storage order, not output order: a reference's key is its
-    target's row id. The shell prints tuples in value order.
+    A tuple is its own identity in the set: ``_rows`` maps each tuple to its
+    spans, the parts of it read from stored rows (none for a constructed
+    tuple), so a consumer can take a part's row instead of finding it again
+    by its values. A set read from a stored relation is a ``RowSet``.
+    Value order is key order: a reference orders by its target's row id.
+    The shell prints tuples with each reference ordered by its target's
+    values instead.
     """
 
-    def __init__(self, schema, relation=None, rows=None, spans=None):
+    def __init__(self, schema, relation=None, rows=None):
         self.schema: Optional[Tuple[SchemaCol, ...]] = (
             tuple(schema) if schema is not None else None
         )
         self.relation = relation
-        self._rows: Dict[bytes, tuple] = rows if rows is not None else {}
-        self.spans: Optional[Dict[bytes, Tuple[Span, ...]]] = spans
+        self._rows: Dict[tuple, Tuple[Span, ...]] = rows if rows is not None else {}
 
     def add(self, values: tuple):
-        self._rows[encode_tuple(values)] = tuple(values)
+        self._rows[tuple(values)] = ()
 
     def __len__(self):
-        return len(self._rows)
-
-    def keyed(self) -> Dict[bytes, tuple]:
-        """Every tuple under its canonical key; only to read."""
-        return self._rows
+        return len(self.members())
 
     def members(self):
         """The tuples, in no particular order."""
-        return self._rows.values()
+        return self._rows.keys()
 
     def tuples(self):
-        """Tuples in canonical-key order, which is storage order, not
-        output order."""
-        rows = self._rows
-        return [rows[k] for k in sorted(rows)]
+        """The tuples in value order, which is key order."""
+        return sorted(self._rows)
 
     def entries(self, offset: int = 0):
-        """(key, tuple, spans) of each tuple, in no particular order, with
-        the spans moved by ``offset``, as a product places the tuple."""
-        if not self.spans:
-            return [(k, v, ()) for k, v in self._rows.items()]
-        spans = self.spans
-        if offset:
-            spans = {k: tuple([(offset + at, *part) for at, *part in sp]) for k, sp in spans.items()}
-        return [(k, v, spans.get(k, ())) for k, v in self._rows.items()]
-
-    def spanned(self):
-        """(tuple, spans) pairs in canonical-key order."""
-        return [(values, spans) for _key, values, spans in sorted(self.entries(), key=lambda e: e[0])]
+        """(tuple, spans) of each tuple, in no particular order, with the
+        spans moved by ``offset``, as a product places the tuple."""
+        if not offset:
+            return self._rows.items()
+        return [(v, tuple([(offset + at, *part) for at, *part in sp])) for v, sp in self._rows.items()]
 
     def having(self, keep) -> "TupleSet":
         """The subset of the tuples that pass ``keep``."""
-        rows = {k: v for k, v in self._rows.items() if keep(v)}
-        spans = self.spans and {k: self.spans[k] for k in rows if k in self.spans}
-        return TupleSet(self.schema, self.relation, rows, spans or None)
+        return TupleSet(self.schema, self.relation, {v: sp for v, sp in self._rows.items() if keep(v)})
 
     def stored(self, state: DbState, relation: str):
         """Where this set's tuples are stored in ``relation``: the row id ->
-        (key or None, tuple) of each tuple a ``RowSet`` read from a row that
-        still holds it, and the key -> tuple of every other one, which a
-        consumer finds by key."""
-        return {}, self._rows
+        tuple of each tuple a ``RowSet`` read from a row that still holds
+        it, and every other tuple, which a consumer finds by key."""
+        return {}, self._rows.keys()
 
     def width(self) -> int:
         return len(self.schema) if self.schema is not None else 0
@@ -195,62 +179,41 @@ class RowSet(TupleSet):
     """A set read from a stored relation: each tuple with the id of the row
     it was read from.
 
-    ``ids`` maps row id -> tuple, and ``keys`` row id -> canonical key for
-    the rows whose key the read had: a key range has every one, a bucket
-    none. ``key_of`` encodes a missing key once, when a consumer first
-    needs it. ``ordered`` says that ``ids`` runs in key order, as a key
-    range reads it. Every tuple is its own span, from offset 0.
+    ``ids`` maps row id -> tuple, and ``ordered`` says that it runs in key
+    order, as a key range reads it. Every tuple is its own span, from
+    offset 0.
     """
 
-    def __init__(self, schema, relation: str, ids: Dict[int, tuple], keys: Dict[int, bytes], ordered: bool):
+    def __init__(self, schema, relation: str, ids: Dict[int, tuple], ordered: bool):
         self.schema = schema
         self.relation = relation
-        self.spans = None
         self.ids = ids
-        self.keys = keys
         self.ordered = ordered
-
-    def __len__(self):
-        return len(self.ids)
-
-    def key_of(self, rowid: int) -> bytes:
-        key = self.keys.get(rowid)
-        if key is None:
-            key = self.keys[rowid] = encode_tuple(self.ids[rowid])
-        return key
-
-    def keyed(self) -> Dict[bytes, tuple]:
-        return {self.key_of(r): v for r, v in self.ids.items()}
 
     def members(self):
         return self.ids.values()
 
     def tuples(self):
-        ids = self.ids
-        if self.ordered:
-            return list(ids.values())
-        return [ids[r] for r in sorted(ids, key=self.key_of)]
+        return list(self.ids.values()) if self.ordered else sorted(self.ids.values())
 
     def entries(self, offset: int = 0):
-        rel, keys = self.relation, self.keys
-        return [(keys[r] if r in keys else self.key_of(r), v, ((offset, rel, r, v),)) for r, v in self.ids.items()]
+        rel = self.relation
+        return [(v, ((offset, rel, r, v),)) for r, v in self.ids.items()]
 
     def having(self, keep) -> "RowSet":
-        ids = {r: v for r, v in self.ids.items() if keep(v)}
-        keys = {r: k for r, k in self.keys.items() if r in ids}
-        return RowSet(self.schema, self.relation, ids, keys, self.ordered)
+        return RowSet(self.schema, self.relation, {r: v for r, v in self.ids.items() if keep(v)}, self.ordered)
 
     def stored(self, state: DbState, relation: str):
         # a key names the whole run of a deferred update collision
         if relation != self.relation or relation in state.runs:
-            return {}, self.keyed()
-        held, rest = {}, {}
-        rows, keys = state.indexes[relation].rows, self.keys
+            return {}, self.ids.values()
+        held, rest = {}, []
+        rows = state.indexes[relation].rows
         for rowid, values in self.ids.items():
             if rows.get(rowid) is values:
-                held[rowid] = (keys.get(rowid), values)
+                held[rowid] = values
             else:
-                rest[self.key_of(rowid)] = values
+                rest.append(values)
         return held, rest
 
 
@@ -290,9 +253,7 @@ def scalar_type_name(v: Value) -> str:
     t = _TYPE_OF.get(type(v))
     if t is not None:
         return t
-    if isinstance(v, RefVal):
-        return v.relation
-    if isinstance(v, TupleVal):
+    if isinstance(v, (RefVal, TupleVal)):
         return v.relation
     raise TypeMismatch(f"not a value: {v!r}")
 
@@ -507,10 +468,7 @@ def _compare(op: str, a: Value, b: Value) -> bool:
             raise TypeMismatch(f"cannot compare text with {scalar_type_name(b)}")
         ka, kb = a.value, b.value
     elif isinstance(a, TimestampVal):
-        b = coerce_scalar(b, "timestamp")
-        if op in ("=", "!="):
-            return (a == b) if op == "=" else (a != b)
-        ka, kb = a.sort_key(), b.sort_key()
+        ka, kb = a, coerce_scalar(b, "timestamp")
     elif isinstance(a, (RefVal, TupleVal)):
         if op not in ("=", "!="):
             raise TypeMismatch("relation-valued operands support only = and !=")
@@ -583,7 +541,7 @@ def _as_tuple_set(value: EvalValue, what="a constructor member") -> TupleSet:
         return value
     if isinstance(value, bool):
         raise TypeMismatch(f"{what} cannot be a condition")
-    return TupleSet(_column(scalar_type_name(value)), rows={encode_value(value): (value,)})
+    return TupleSet(_column(scalar_type_name(value)), rows={(value,): ()})
 
 
 @functools.lru_cache(maxsize=1024)
@@ -608,24 +566,19 @@ def eval_product(members, env: Env) -> TupleSet:
 
 def product(parts) -> TupleSet:
     """The product of typed sets and scalars, a scalar acting as a
-    one-column set. A product tuple's key joins its members' keys, which is
-    exact: a key concatenates its values' encodings, and an inline tuple's
-    encoding is its members' without a frame. Each member's spans move to
-    the member's offset in the product tuple."""
-    entries = [(b"", (), ())]  # (key, tuple, spans) of each product tuple so far
+    one-column set. Each member's spans move to the member's offset in the
+    product tuple."""
+    entries = [((), ())]  # (tuple, spans) of each product tuple so far
     schema = ()
     for part in parts:
         if isinstance(part, TupleSet):
             members = part.entries(len(schema))
             schema += part.schema
         else:
-            members = ((encode_value(part), (part,), ()),)
+            members = (((part,), ()),)
             schema += _column(scalar_type_name(part))
-        entries = [
-            (key + k, values + v, head + sp) for key, values, head in entries for k, v, sp in members
-        ]
-    spans = {key: head for key, _values, head in entries if head}
-    return TupleSet(schema, rows={key: values for key, values, _head in entries}, spans=spans or None)
+        entries = [(values + v, head + sp) for values, head in entries for v, sp in members]
+    return TupleSet(schema, rows=dict(entries))
 
 
 def eval_union(members, env: Env) -> TupleSet:
@@ -633,24 +586,41 @@ def eval_union(members, env: Env) -> TupleSet:
 
 
 def union(sets) -> TupleSet:
-    """The union of sets of one tuple shape, with their spans."""
+    """The union of sets of one tuple shape, with their spans. A member's
+    int column where another has a real one reads as real, as ``conform``
+    reads an int at a real domain, and that member's tuples are no longer
+    its relation's."""
     typed = [s for s in sets if s.schema is not None]
     if not typed:
         return TupleSet(None)
-    schema = typed[0].schema
+    schema = union_schema([s.schema for s in typed])
+    relations, rows = set(), {}
     for s in typed:
-        if len(s.schema) != len(schema) or any(
-            a.type_name != b.type_name for a, b in zip(s.schema, schema)
-        ):
+        widened = [a.type_name != b.type_name for a, b in zip(s.schema, schema)]
+        widen = any(widened)
+        relations.add(None if widen else s.relation)
+        for values, sp in s.entries():
+            if widen:
+                values = tuple([RealVal(float(v.value)) if w else v for v, w in zip(values, widened)])
+            if sp or values not in rows:
+                rows[values] = sp
+    return TupleSet(schema, relations.pop() if len(relations) == 1 else None, rows)
+
+
+def union_schema(schemas) -> Tuple[SchemaCol, ...]:
+    """The one tuple shape of a union's members: their shared column types,
+    real where one has int and another real; raises SchemaMismatch when
+    they differ otherwise."""
+    schema = list(schemas[0])
+    for other in schemas[1:]:
+        if len(other) != len(schema):
             raise SchemaMismatch("union members must share one tuple shape")
-    relations = {s.relation for s in typed}
-    rows, spans = {}, {}
-    for s in typed:
-        for key, values, sp in s.entries():
-            rows[key] = values
-            if sp:
-                spans[key] = sp
-    return TupleSet(schema, relations.pop() if len(relations) == 1 else None, rows, spans or None)
+        for i, (a, b) in enumerate(zip(other, schema)):
+            if a.type_name != b.type_name:
+                if {a.type_name, b.type_name} != {"int", "real"}:
+                    raise SchemaMismatch("union members must share one tuple shape")
+                schema[i] = a if a.type_name == "real" else b
+    return tuple(schema)
 
 
 # --- conforming values to domains ----------------------------------------------------
@@ -772,7 +742,7 @@ def _conformed(dom: Domain, spelled: TupleSet, state: DbState) -> list:
     resolver = _RefResolver(state)
     out = []
     try:
-        for _key, flat, spans in spelled.entries():
+        for flat, spans in spelled.entries():
             try:
                 out.append(conform((dom,), flat, resolver, spans)[0])
             except _Miss:
@@ -815,23 +785,16 @@ def eval_selection(sel: syntax.Selection, env: Env) -> TupleSet:
         return _construct_domain_tuples(rel, sel, env)
     schema = relation_schema(rel)
     constraints, bound = _constraints(schema, sel, env)
-    ids, keys, rows = _candidates(name, bound, env)
+    ids, rows, ordered = _candidates(name, bound, env)
     keep = _keeper(schema, constraints, sel, env)
     if name in env.state.runs:
         # a key names a collision's whole run: one tuple per key, as a key
         # range shows it
-        pairs = zip(map(encode_tuple, rows) if keys is None else keys, rows)
-        return TupleSet(schema, name, {k: v for k, v in pairs if keep is None or keep(v)})
-    if keep is None:
-        found = dict(zip(ids, rows))
-        return RowSet(schema, name, found, {} if keys is None else dict(zip(found, keys)), keys is not None)
-    if keys is None:
-        return RowSet(schema, name, {r: v for r, v in zip(ids, rows) if keep(v)}, {}, False)
-    found, found_keys = {}, {}
-    for rowid, key, values in zip(ids, keys, rows):
-        if keep(values):
-            found[rowid], found_keys[rowid] = values, key
-    return RowSet(schema, name, found, found_keys, True)
+        return TupleSet(schema, name, dict.fromkeys(rows if keep is None else filter(keep, rows), ()))
+    found = zip(ids, rows)
+    if keep is not None:
+        found = [(rowid, values) for rowid, values in found if keep(values)]
+    return RowSet(schema, name, dict(found), ordered)
 
 
 def _constraints(schema, sel: syntax.Selection, env: Env):
@@ -855,11 +818,10 @@ def _constraints(schema, sel: syntax.Selection, env: Env):
 
 
 def _candidates(name: str, bound, env: Env):
-    """The rows of a stored relation that a selection reads: their ids,
-    keys and tuples, in key order when read from key ranges; rows read
-    through buckets come without keys (None). With a deferred update
-    collision in the relation, a key range shows each key once, and the
-    ids do not line up with the tuples.
+    """The rows of a stored relation that a selection reads: their ids, their
+    tuples, and whether both run in key order, as read from key ranges.
+    With a deferred update collision in the relation, a key range shows
+    each key once, and the ids do not line up with the tuples.
 
     The source is the smallest that the bound positions allow: one key
     range per leading value; the buckets of a reference position; or the
@@ -873,7 +835,7 @@ def _candidates(name: str, bound, env: Env):
         elif col.type_name in SCALAR_TYPES:
             if not state.sealed or pos in state.indexes[name].valued:
                 state.index_values(name, pos)
-                maps.append((pos, [encode_value(v) for v in values]))
+                maps.append((pos, values))
         elif env.catalog.lookup(col.type_name).klass == "simple":
             maps.append((pos, [(v.relation, v.row) for v in values]))
     # the values are distinct, and so are their encodings
@@ -884,7 +846,7 @@ def _candidates(name: str, bound, env: Env):
         if size < (len(idx.rows) if prefixes is None else sum(map(idx.count, prefixes))):
             ids = [r for key in keys for r in idx.bucket(pos, key)]
             get_row = state.get_row
-            return ids, None, [get_row(name, r) for r in ids]
+            return ids, [get_row(name, r) for r in ids], False
     ids = []
     if prefixes is None:
         rows = state.scan(name, b"", ids)
@@ -896,7 +858,7 @@ def _candidates(name: str, bound, env: Env):
         rows = {}
         for prefix in prefixes:
             rows.update(state.scan(name, prefix, ids))
-    return ids, rows.keys(), rows.values()
+    return ids, rows.values(), True
 
 
 def _keeper(schema, constraints, sel: syntax.Selection, env: Env):
@@ -950,33 +912,42 @@ def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
     to a set: a value matches when the set holds its tuple."""
     if allowed.schema is None:
         return (lambda v: False), ()
-    relation = col.type_name
+    relation, state = col.type_name, env.state
     if allowed.relation == relation and env.catalog.lookup(relation).klass == "simple":
         # a set read from the referenced relation names its rows: those it
         # was read from, or else those stored under its keys
-        held, rest = allowed.stored(env.state, relation)
+        held, rest = allowed.stored(state, relation)
         rowids = set(held)
-        run = env.state.indexes[relation].run
-        for key in rest:
-            rowids.update(run(key))
+        run = state.indexes[relation].run
+        for values in rest:
+            rowids.update(run(encode_tuple(values)))
     else:
         # any other set spells its values out, read as a write reads them;
         # a tuple naming a missing row matches nothing
-        members = set(_conformed(col, allowed, env.state))
+        members = set(_conformed(col, allowed, state))
         members.discard(None)
+        if state.runs:
+            members = {mate for v in members for mate in _run_mates(v, state)}
         if env.catalog.lookup(relation).klass == "domain":
             return (lambda v: v in members), members
         rowids = {v.row for v in members}
-        if relation in env.state.runs:
-            # a key names a collision's whole run, as for a set read above
-            idx = env.state.indexes[relation]
-            for rowid in list(rowids):
-                if rowid in idx.rows:
-                    rowids.update(idx.run(encode_tuple(idx.rows[rowid])))
     return (
         (lambda v: isinstance(v, RefVal) and v.relation == relation and v.row in rowids),
         [RefVal(relation, r) for r in rowids],
     )
+
+
+def _run_mates(v: Value, state: DbState) -> list:
+    """``v`` with each reference it holds, inline tuples included, naming in
+    turn every row of its target's key run: as for a set read from the
+    target, a key names a deferred update collision's whole run."""
+    if isinstance(v, RefVal) and v.relation in state.runs:
+        idx = state.indexes[v.relation]
+        if v.row in idx.rows:
+            return [RefVal(v.relation, r) for r in idx.run(encode_tuple(idx.rows[v.row]))]
+    elif isinstance(v, TupleVal):
+        return [TupleVal(v.relation, mates) for mates in itertools.product(*[_run_mates(x, state) for x in v.values])]
+    return [v]
 
 
 def _construct_domain_tuples(rel: RelationDef, sel: syntax.Selection, env: Env) -> TupleSet:
@@ -1072,7 +1043,7 @@ def eval_projection(proj: syntax.Projection, env: Env) -> TupleSet:
     columns = [c for path in proj.paths for c in _resolve_path(path, source.schema, env)]
     routes = [route for _col, route in columns]
     get_row = env.state.get_row
-    result = TupleSet(tuple(col for col, _route in columns))
+    rows = []
     for values in source.members():
         out = []
         for route in routes:
@@ -1081,8 +1052,8 @@ def eval_projection(proj: syntax.Projection, env: Env) -> TupleSet:
                 inner = get_row(v.relation, v.row) if isinstance(v, RefVal) else v.values
                 v = inner[pos]
             out.append(v)
-        result.add(tuple(out))
-    return result
+        rows.append(tuple(out))
+    return TupleSet(tuple(col for col, _route in columns), rows=dict.fromkeys(rows, ()))
 
 
 def _schema_position(schema, name: str):
@@ -1200,30 +1171,16 @@ def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
     a source-set row along the unique shortest schema path."""
     pairs, starts = connected(target, source, env)
     catalog = env.catalog
-    result = TupleSet(relation_schema(catalog.lookup(target)) + relation_schema(catalog.lookup(source.relation)))
-    # a pair's key is the target tuple's key followed by the source's, so
-    # each target row and each source tuple is encoded at most once
+    schema = relation_schema(catalog.lookup(target)) + relation_schema(catalog.lookup(source.relation))
     pages = env.state.indexes[target].rows.pages if pairs else None
     bits, mask = store.ROW_BITS, (1 << store.ROW_BITS) - 1
-    target_keys: Dict[int, Tuple[bytes, tuple]] = {}
-    found = result._rows
-    for start, end in pairs:
-        got = target_keys.get(end)
-        if got is None:
-            values = pages[end >> bits][end & mask]
-            got = target_keys[end] = (encode_tuple(values), values)
-        key, values = starts[start]
-        if key is None:
-            key = encode_tuple(values)
-            starts[start] = (key, values)
-        found[got[0] + key] = got[1] + values
-    return result
+    return TupleSet(schema, rows=dict.fromkeys([pages[end >> bits][end & mask] + starts[start] for start, end in pairs], ()))
 
 
 def connected(target: str, source: TupleSet, env: Env):
     """The (source row, target row) id pairs of every target row connected
     to a source-set row along the unique shortest schema path, and the
-    (key or None, tuple) of the source set's tuple each source row holds.
+    source set's tuple each source row holds.
 
     The walk starts from the rows the source set was read from, or else the
     rows stored under its keys, and follows the path back to the target, a
@@ -1244,9 +1201,9 @@ def connected(target: str, source: TupleSet, env: Env):
     mask = (1 << bits) - 1
     starts, rest = source.stored(state, source.relation)
     run = state.indexes[source.relation].run
-    for key, values in rest.items():
-        for rid in run(key):
-            starts[rid] = (key, values)
+    for values in rest:
+        for rid in run(encode_tuple(values)):
+            starts[rid] = values
     # (source row, current row) pairs walked edge by edge, source to target
     pairs = {(rid, rid) for rid in starts}
     for (edge, current), nxt in zip(reversed(path), reversed(nodes[:-1])):

@@ -4,11 +4,12 @@ Formatting lives here and only here; it never alters the tuple set it
 renders, and ordering requested at the output level is a formatting concern,
 not a relational one.
 
-Value order: every output lists its tuples, and every snapshot its rows, by
-the canonical key of their values (``values.py``) with each reference
-replaced by the key of the tuple it references. So it depends on values
+Value order: every output lists its tuples, and every snapshot its rows, in
+the order of their values (``values.py``, the order of their keys) with
+each reference replaced by the tuple it references. So it depends on values
 only, never on row ids or on the history of inserts. ``order_key`` builds
-every such key; ``order`` attributes sort on top of value order, stably.
+every such sort key; ``order`` attributes sort on top of value order,
+stably.
 
 Snapshot format (text, deterministic byte for byte):
 
@@ -97,29 +98,30 @@ def _members(values, state: DbState, writers) -> str:
 
 
 def _ref_cell(v: RefVal, state: DbState, writers) -> str:
-    return _members(state.get_row(v.relation, v.row), state, writers)
+    return _members(state.get_row(v[1], v[2]), state, writers)
 
 
 def _tuple_cell(v: TupleVal, state: DbState, writers) -> str:
-    return _members(v.values, state, writers)
+    return _members(v[2], state, writers)
 
 
 # Cell writers by value type, each called as ``writer(value, state,
 # writers)``. Human-facing cells show text bare and every other scalar as
 # its canonical literal (``render_scalar``); s-expression cells are
 # literals that read back, timestamps included. Referenced and inline
-# tuples are their members in braces.
+# tuples are their members in braces. Writers read a value's fields by
+# their place in its tuple (``values``), since they run once per cell.
 _PLAIN_CELLS = {
-    TextVal: lambda v, _state, _writers: v.value,
-    IntVal: lambda v, _state, _writers: str(v.value),
-    RealVal: lambda v, _state, _writers: repr(v.value),
+    TextVal: lambda v, _state, _writers: v[1],
+    IntVal: lambda v, _state, _writers: str(v[1]),
+    RealVal: lambda v, _state, _writers: repr(v[1]),
     TimestampVal: lambda v, _state, _writers: render_timestamp(v),
     RefVal: _ref_cell,
     TupleVal: _tuple_cell,
 }
 _SEXPR_CELLS = {
     **_PLAIN_CELLS,
-    TextVal: lambda v, _state, _writers: quote_text(v.value),
+    TextVal: lambda v, _state, _writers: quote_text(v[1]),
     TimestampVal: lambda v, _state, _writers: f'(timestamp "{render_timestamp(v)}")',
 }
 
@@ -128,7 +130,7 @@ _SEXPR_CELLS = {
 _SNAPSHOT_CELLS = {
     **_SEXPR_CELLS,
     TimestampVal: lambda v, _orders, _writers: render_timestamp(v),
-    RefVal: lambda v, orders, _writers: f"#{v.relation}:{orders[v.relation][v.row]}",
+    RefVal: lambda v, orders, _writers: f"#{v[1]}:{orders[v[1]][v[2]]}",
 }
 
 
@@ -136,13 +138,14 @@ def _plain_cells(t, state: DbState) -> List[str]:
     return [_PLAIN_CELLS[type(v)](v, state, _PLAIN_CELLS) for v in t]
 
 
-def order_key(values, ref_key) -> bytes:
-    """The value-order key of a tuple: its canonical key with each
-    reference, inline tuples included, replaced by ``ref_key(reference)``."""
-    return b"".join([
+def order_key(values, ref_key) -> tuple:
+    """The value-order key of a tuple: its values, with each reference
+    replaced by ``ref_key(reference)`` and each inline tuple by its
+    members' order key."""
+    return tuple([
         ref_key(v) if type(v) is RefVal
         else order_key(v.values, ref_key) if type(v) is TupleVal
-        else encode_value(v)
+        else v
         for v in values
     ])
 
@@ -265,17 +268,17 @@ def _export_orders(
     export ordinal (1-based).
 
     A reference's order key is its target's ordinal, which ranks targets in
-    their own value order. A reference's stored key is its target's row id;
-    both are 8 bytes wide. So a relation is in value order as stored when
-    every relation it references has ordinals that rise with their row ids,
-    and so is a relation that holds no reference; only the others are
-    sorted by order key. Ordinals rise with row ids in any loaded database
-    (there they are equal) and after appends in key order.
+    their own value order, and its stored key is its target's row id. So a
+    relation is in value order as stored when every relation it references
+    has ordinals that rise with their row ids, and so is a relation that
+    holds no reference; only the others are sorted by order key. Ordinals
+    rise with row ids in any loaded database (there they are equal) and
+    after appends in key order.
     """
     orders: Dict[str, Dict[int, int]] = {}
     ordered: Dict[str, List[int]] = {}
     rising: Dict[str, bool] = {}  # whether a relation's ordinals rise with its row ids
-    ref_key = lambda v: orders[v.relation][v.row].to_bytes(8, "big")
+    ref_key = lambda v: orders[v.relation][v.row]
 
     # definition order puts every relation after those it references
     for name in catalog.names():

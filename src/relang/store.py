@@ -21,8 +21,9 @@ The index is paged, and every page is a plain list, dict or set:
   may hold several), on page ``t_row >> ROW_BITS``; every reference
   position has one, so referential traversal and cascades never scan. A
   scalar position's map, a value map (``valued`` lists them), is keyed by
-  the value's encoding, on page ``hash(key) & (2 ** ROW_BITS - 1)``, so a
-  copy costs a fixed page table. A scalar position has a map only once
+  the stored value itself, since a hash map needs no order, on page
+  ``hash(value) & (2 ** ROW_BITS - 1)``, so a copy costs a fixed page
+  table. A scalar position has a map only once
   something asked for one (``DbState.index_values``: the evaluator, the
   first time a selection binds the position); from then on every write
   keeps it, and until then it costs ``link`` one truthiness test.
@@ -37,15 +38,15 @@ row it gets back.
 
 Invariant: a tuple's canonical key is computed once when the tuple is
 stored (a transaction's ``plan_add`` hands ``insert`` the key it made; a
-rekey makes its own) and kept only in the key chunks. A reader keeps the
-row ids it reads (``scan`` hands them out beside the keys) and the keys a
-key range gives, so a stored tuple is found again by its row id, not by
-encoding it and bisecting. A row read through a position map's bucket comes
-without its key, which is encoded only if a consumer needs it. Only removal
-and rekey encode a stored tuple again, to find the entry it leaves, since
-no row id -> key map is kept; so does a commit, for each row whose rekey
-collided. ``runs`` names the relations where a rekey collided, whose rows a
-reader then finds by key, since a key names a collision's whole run.
+rekey makes its own) and kept only in the key chunks. Keys exist to store a
+row, to seek a key range and to find a tuple's row; nothing else encodes a
+value. A reader keeps the row ids it reads (``scan`` hands them out beside
+the keys), so a stored tuple is found again by its row id, not by encoding
+it and bisecting. Only removal and rekey encode a stored tuple again, to
+find the entry it leaves, since no row id -> key map is kept; so does a
+commit, for each row whose rekey collided. ``runs`` names the relations
+where a rekey collided, whose rows a reader then finds by key, since a key
+names a collision's whole run.
 
 The store is a plain holder of conforming tuples and checks no integrity
 rule. Callers hand ``insert`` and ``rekey`` tuples that conform to the
@@ -84,7 +85,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .catalog import Catalog, RelationDef
 from .errors import NotEnumerable, RowNotFound
-from .values import RefVal, TupleVal, encode_tuple, encode_value
+from .values import RefVal, TupleVal, encode_tuple
 
 # Page sizes, picked by measurement: a larger page makes a relation's first
 # copy cheaper and each further page copy dearer.
@@ -335,7 +336,7 @@ class MultitableIndex:
             elif isinstance(v, TupleVal):
                 keys = iter_refs(v.values)
             elif valued and v is not None and pos in valued:
-                keys = (encode_value(v),)
+                keys = (v,)
             else:
                 continue
             pages = maps.get(pos)
@@ -365,7 +366,7 @@ class MultitableIndex:
                 # holds the row once
                 keys = set(iter_refs(v.values))
             elif valued and v is not None and pos in valued:
-                keys = (encode_value(v),)
+                keys = (v,)
             else:
                 continue
             pages = self.maps.get(pos)  # None only where there is no key
@@ -386,7 +387,7 @@ class MultitableIndex:
         """Give scalar position ``pos`` its map, built from the rows."""
         pages = self.maps[pos] = {}
         for rowid, values in self.rows.items():
-            key = encode_value(values[pos])
+            key = values[pos]
             pages.setdefault(_page_of(key), {}).setdefault(key, set()).add(rowid)
         self.owned.update(id(part) for page in pages.values() for part in (page, *page.values()))
         self.valued += (pos,)
@@ -400,7 +401,8 @@ class MultitableIndex:
 
 def _page_of(key) -> int:
     """The page of a position map that holds ``key``: the target's row page
-    for a reference, a hash slot for a value's encoding."""
+    for a reference, whose key is a plain (relation, row) pair, and a hash
+    slot for a value, whose class is a subclass of ``tuple``."""
     if type(key) is tuple:
         return key[1] >> ROW_BITS
     return hash(key) & ((1 << ROW_BITS) - 1)

@@ -59,6 +59,7 @@ from .evaluator import (
     product,
     relation_schema,
     union,
+    union_schema,
 )
 from .store import DbState, iter_refs
 from .values import RefVal, TupleVal, Value, encode_tuple
@@ -147,7 +148,7 @@ class TxnPlan:
                 )
             return []
         try:
-            return self._conform_all(rel, product(sets).spanned(), deferred)
+            return self._conform_all(rel, sorted(product(sets).entries()), deferred)
         except (ArityMismatch, DomainTypeMismatch, TypeMismatch, SchemaMismatch):
             if union_fallback:
                 return None
@@ -155,12 +156,13 @@ class TxnPlan:
 
     @staticmethod
     def _union_compatible(sets) -> bool:
-        shapes = [
-            tuple(col.type_name for col in s.schema)
-            for s in sets
-            if s.schema is not None
-        ]
-        return len(set(shapes)) <= 1
+        shapes = [s.schema for s in sets if s.schema is not None]
+        try:
+            if shapes:
+                union_schema(shapes)
+        except SchemaMismatch:
+            return False
+        return True
 
     def _tuples_from_value(self, rel: RelationDef, value, deferred: bool):
         if isinstance(value, bool):
@@ -171,7 +173,7 @@ class TxnPlan:
             return []
         if value.relation == rel.name:
             return list(value.tuples())
-        return self._conform_all(rel, value.spanned(), deferred)
+        return self._conform_all(rel, sorted(value.entries()), deferred)
 
     def _conform_all(self, rel: RelationDef, flats, deferred: bool):
         """Each (flat values, spans) conformed to ``rel``'s domains. In
@@ -192,9 +194,9 @@ class TxnPlan:
             self.pending[ref] = (rowid, self._stmt)
 
     def _resolve_target_rows(self, rel: RelationDef, expr):
-        """(key, row id) of each row of ``rel`` named by a remove/update set
-        argument, in canonical order. A set argument from a different
-        relation resolves through the connection operator (keep target rows
+        """The ids of the rows of ``rel`` named by a remove/update set
+        argument, in value order. A set argument from a different relation
+        resolves through the connection operator (keep target rows
         connected to the given set).
 
         A row the set was read from, or a connected row, is taken as it is;
@@ -205,25 +207,22 @@ class TxnPlan:
         env = self.env()
         idx = self.shadow.indexes[rel.name]
         tuples, value = self._set_argument(rel, expr, env, deferred=False)
-        found: Dict[bytes, Optional[int]] = {}
+        found: Dict[tuple, Optional[int]] = {}
         if tuples is not None:
-            keys = {encode_tuple(t): t for t in tuples}
+            rest = tuples
         elif isinstance(value, TupleSet) and value.relation == rel.name:
             held, rest = value.stored(self.shadow, rel.name)
-            for rowid, (key, values) in held.items():
-                found[encode_tuple(values) if key is None else key] = rowid
-            keys = rest
+            found = {values: rowid for rowid, values in held.items()}
         elif isinstance(value, TupleSet) and value.relation is not None:
             pairs, _starts = connected(rel.name, value, env)
-            rows = idx.rows
-            keys = {encode_tuple(rows[end]): end for end in {end for _start, end in pairs}}
-            if rel.name not in self.shadow.runs:
-                found, keys = keys, {}
+            found, rest = {idx.rows[end]: end for _start, end in pairs}, ()
+            if rel.name in self.shadow.runs:
+                found, rest = {}, list(found)
         else:
-            keys = {encode_tuple(t): t for t in self._tuples_from_value(rel, value, deferred=False)}
-        for key in keys:
-            found[key] = idx.first(key)
-        return [(key, found[key]) for key in sorted(found) if found[key] is not None]
+            rest = self._tuples_from_value(rel, value, deferred=False)
+        for values in rest:
+            found[values] = idx.first(encode_tuple(values))
+        return [found[values] for values in sorted(found) if found[values] is not None]
 
     # -- planned commands
 
@@ -235,7 +234,6 @@ class TxnPlan:
         if tuples is None:
             tuples = self._tuples_from_value(rel, value, deferred=True)
         ids: Dict[int, tuple] = {}
-        keys: Dict[int, bytes] = {}
         for values in tuples:
             key = encode_tuple(values)
             waiting = self.pending.get((relation, key))
@@ -245,20 +243,20 @@ class TxnPlan:
                 self.written[(relation, rowid)] = self._stmt
                 # a fresh row satisfies any reference that was waiting for it
                 self.pending.pop((relation, key), None)
-                ids[rowid], keys[rowid] = values, key
+                ids[rowid] = values
         self.steps += 1
-        return RowSet(relation_schema(rel), relation, ids, keys, ordered=False)
+        return RowSet(relation_schema(rel), relation, ids, ordered=False)
 
     def plan_remove(self, relation: str, set_expr, cascade: bool) -> TupleSet:
         self._require_open()
         self._stmt += 1
         rel = self._simple_relation(relation)
         removed = {}
-        for key, rowid in self._resolve_target_rows(rel, set_expr):
+        for rowid in self._resolve_target_rows(rel, set_expr):
             values = self.shadow.indexes[relation].rows.get(rowid)
             if values is None:
                 continue  # already gone via an earlier cascade
-            removed[key] = values
+            removed[values] = ()
             # a referrer left behind is caught at commit
             for pair in self.shadow.erase(relation, rowid, cascade=cascade):
                 self.written[pair] = self._stmt
@@ -281,7 +279,7 @@ class TxnPlan:
         # compute every new tuple against the pre-statement state first, so a
         # type error in any row leaves the shadow untouched
         planned = []
-        for _key, rowid in self._resolve_target_rows(rel, set_expr):
+        for rowid in self._resolve_target_rows(rel, set_expr):
             old = self.shadow.get_row(relation, rowid)
             frame = {d.attr: v for d, v in zip(rel.domains, old)}
             new = list(old)
@@ -310,7 +308,7 @@ class TxnPlan:
                     f"assignment to {dom.attr!r} needs exactly one tuple,"
                     f" got {len(outcome)}"
                 )
-            ((_key, flat, spans),) = outcome.entries()
+            ((flat, spans),) = outcome.entries()
         elif dom.is_scalar or isinstance(outcome, (RefVal, TupleVal)):
             flat, spans = (outcome,), ()
         else:

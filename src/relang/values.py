@@ -1,24 +1,35 @@
 """Runtime values and the order-preserving byte encoding used for index keys.
 
-Every value that can appear in a stored tuple has exactly one class here.
-The byte encoding is a bit-exact contract: keys define set identity, tuple
-ordering, and scan order, so the encoding of each value kind must be stable
-across runs and across machines.
+Every value that can appear in a stored tuple has exactly one class here, a
+``tuple`` subclass whose first item tags its kind, and one key encoding,
+concatenated in domain order:
 
-Encoding per kind, concatenated in domain order:
-  int        8 bytes, two's complement with the sign bit flipped (big-endian)
-  real       8 bytes, IEEE-754 bits; positive values flip the sign bit,
-             negative values flip all bits (total order, NaN unrepresentable)
-  text       UTF-8 bytes, NUL escaped as 0x01 0x01 and 0x01 as 0x01 0x02,
-             terminated by 0x00 (so no text key is a prefix of another)
-  timestamp  year, month, day as three int encodings (absent parts encode 0)
-  ref        8 bytes, the target row id (big-endian)
-  tuple      the concatenation of its member encodings (inline complex value)
+  int        ('i', n)              8 bytes, two's complement, sign bit
+                                   flipped (big-endian)
+  real       ('r', x)              8 bytes, IEEE-754 bits; positive values
+                                   flip the sign bit, negative ones all
+                                   bits (-0.0 is held as 0.0; NaN and
+                                   infinities are refused)
+  text       ('t', s)              UTF-8, NUL escaped as 0x01 0x01 and 0x01
+                                   as 0x01 0x02, ended by 0x00 (so no text
+                                   key is a prefix of another)
+  timestamp  ('d', y, m, d)        three int encodings; an absent month or
+                                   day is 0
+  ref        ('#', rel, row)       8 bytes, the target's row id
+  tuple      ('{', rel, values)    its members' encodings (inline value)
 
-``encode_value`` and ``encode_tuple`` find each value's encoder in one
-table keyed by its exact class (``_ENCODERS``); a value of any other type
-has no key and raises ``TypeError``. The value classes are slotted frozen
-dataclasses: an instance carries no ``__dict__``.
+Each class checks its value when built, carries no ``__dict__``, copies and
+pickles by its fields, and reads them through properties (an absent month
+or day reads None). So a value's equality, hash and order are tuple
+operations that run in C, and ``IntVal(1)`` and ``RealVal(1.0)`` differ by
+their tags. Each encoding keeps its kind's order, and none is a prefix of
+another of its kind, so tuples of one shape order as their keys do: a set
+is keyed by its tuples, and a tuple is encoded only where its key is stored
+or sought. The encoding is a bit-exact contract, since keys give each
+relation's storage and scan order.
+``encode_value`` and ``encode_tuple`` find each value's encoder in one table
+keyed by its exact class (``_ENCODERS``); a value of any other type has no
+key and raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Tuple, Union
 
 from .errors import BadCast, DomainTypeMismatch, echo
@@ -37,65 +48,88 @@ _SIGN = 1 << 63
 _MASK = (1 << 64) - 1
 
 
-@dataclass(frozen=True, slots=True)
-class IntVal:
-    value: int
+class _Value(tuple):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not INT64_MIN <= self.value <= INT64_MAX:
-            raise DomainTypeMismatch(f"integer out of 64-bit range: {echo(str(self.value), quote=False)}")
+    def __getnewargs__(self):
+        # copy and pickle rebuild a value from its fields, after the tag
+        return self[1:]
 
 
-@dataclass(frozen=True, slots=True)
-class RealVal:
-    value: float
+class IntVal(_Value):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+    def __new__(cls, value: int):
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise DomainTypeMismatch(f"integer out of 64-bit range: {echo(str(value), quote=False)}")
+        return tuple.__new__(cls, ("i", value))
+
+    value = property(itemgetter(1))
+
+
+class RealVal(_Value):
+    __slots__ = ()
+
+    def __new__(cls, value: float):
+        if not math.isfinite(value):
             raise DomainTypeMismatch("non-finite real is not representable")
-        if self.value == 0.0:
-            object.__setattr__(self, "value", 0.0)  # collapse -0.0
+        if value == 0.0:
+            value = 0.0  # collapse -0.0
+        return tuple.__new__(cls, ("r", value))
+
+    value = property(itemgetter(1))
 
 
-@dataclass(frozen=True, slots=True)
-class TextVal:
-    value: str
+class TextVal(_Value):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, value: str):
         # a lone surrogate has no UTF-8 encoding, so no key
-        if not self.value.isascii():
+        if not value.isascii():
             try:
-                self.value.encode("utf-8")
+                value.encode("utf-8")
             except UnicodeEncodeError:
                 raise DomainTypeMismatch("text holds a lone surrogate") from None
+        return tuple.__new__(cls, ("t", value))
+
+    value = property(itemgetter(1))
 
 
-@dataclass(frozen=True, slots=True)
-class TimestampVal:
+class TimestampVal(_Value):
     """A calendar instant ordered by (astronomical year, month, day)."""
 
-    year: int
-    month: Optional[int] = None
-    day: Optional[int] = None
+    __slots__ = ()
 
-    def sort_key(self) -> Tuple[int, int, int]:
-        return (self.year, self.month or 0, self.day or 0)
+    def __new__(cls, year: int, month: Optional[int] = None, day: Optional[int] = None):
+        return tuple.__new__(cls, ("d", year, month or 0, day or 0))
+
+    year = property(itemgetter(1))
+    month = property(lambda self: self[2] or None)
+    day = property(lambda self: self[3] or None)
 
 
-@dataclass(frozen=True, slots=True)
-class RefVal:
+class RefVal(_Value):
     """Reference to a row of a simple relation. Never visible in output."""
 
-    relation: str
-    row: int
+    __slots__ = ()
+
+    def __new__(cls, relation: str, row: int):
+        return tuple.__new__(cls, ("#", relation, row))
+
+    relation = property(itemgetter(1))
+    row = property(itemgetter(2))
 
 
-@dataclass(frozen=True, slots=True)
-class TupleVal:
+class TupleVal(_Value):
     """Inline complex value: a tuple conforming to a domain-class relation."""
 
-    relation: str
-    values: Tuple["Value", ...]
+    __slots__ = ()
+
+    def __new__(cls, relation: str, values: Tuple["Value", ...]):
+        return tuple.__new__(cls, ("{", relation, tuple(values)))
+
+    relation = property(itemgetter(1))
+    values = property(itemgetter(2))
 
 
 Value = Union[IntVal, RealVal, TextVal, TimestampVal, RefVal, TupleVal]
@@ -135,12 +169,10 @@ def parse_timestamp(text: str) -> TimestampVal:
 
 def render_timestamp(ts: TimestampVal) -> str:
     """Canonical literal: signed, zero-padded to at least four year digits."""
-    sign = "-" if ts.year < 0 else "+"
-    out = f"{sign}{abs(ts.year):04d}"
-    if ts.month is not None:
-        out += f"-{ts.month:02d}"
-        if ts.day is not None:
-            out += f"-{ts.day:02d}"
+    _tag, year, month, day = ts  # an absent part is 0
+    out = f"{'-' if year < 0 else '+'}{abs(year):04d}"
+    if month:
+        out += f"-{month:02d}-{day:02d}" if day else f"-{month:02d}"
     return out
 
 
@@ -209,7 +241,7 @@ def encode_text(s: str) -> bytes:
 
 
 def encode_timestamp(ts: TimestampVal) -> bytes:
-    year, month, day = ts.year, ts.month or 0, ts.day or 0
+    _tag, year, month, day = ts
     if not (-_SIGN <= year < _SIGN and -_SIGN <= month < _SIGN and -_SIGN <= day < _SIGN):
         raise DomainTypeMismatch(f"timestamp part out of 64-bit range: {ts!r}")
     # three int encodings at once: v + 2**63 is v's flipped two's complement
@@ -220,15 +252,16 @@ def _unencodable(v) -> bytes:
     raise TypeError(f"unencodable value: {v!r}")
 
 
-# Key encoders by value class. An IntVal's range was checked when it was
-# built, so its encoder is ``encode_int`` without the check.
+# Key encoders by value class, reading each field by its place in the
+# value's tuple. An IntVal's range was checked when it was built, so its
+# encoder is ``encode_int`` without the check.
 _ENCODERS = {
-    IntVal: lambda v: (v.value + _SIGN).to_bytes(8, "big"),
-    RealVal: lambda v: encode_real(v.value),
-    TextVal: lambda v: encode_text(v.value),
+    IntVal: lambda v: (v[1] + _SIGN).to_bytes(8, "big"),
+    RealVal: lambda v: encode_real(v[1]),
+    TextVal: lambda v: encode_text(v[1]),
     TimestampVal: encode_timestamp,
-    RefVal: lambda v: v.row.to_bytes(8, "big"),
-    TupleVal: lambda v: encode_tuple(v.values),
+    RefVal: lambda v: v[2].to_bytes(8, "big"),
+    TupleVal: lambda v: encode_tuple(v[2]),
 }
 
 

@@ -97,7 +97,7 @@ def brute_force_connection(db, target, source_tuples, source_relation):
     for edge in path:
         names.append(edge.target if names[-1] == edge.adopter else edge.adopter)
     row_lists = [sorted(state.indexes[n].rows.items()) for n in names]
-    source_keys = {encode_tuple(t) for t in source_tuples}
+    source_set = set(map(tuple, source_tuples))
     results = set()
     for combo in itertools.product(*row_lists):
         ok = True
@@ -110,15 +110,15 @@ def brute_force_connection(db, target, source_tuples, source_relation):
                 ok = b_tup[edge.position] == RefVal(a_rel, a_rid)
             if not ok:
                 break
-        if ok and encode_tuple(combo[-1][1]) in source_keys:
-            results.add(encode_tuple(tuple(combo[0][1]) + tuple(combo[-1][1])))
+        if ok and tuple(combo[-1][1]) in source_set:
+            results.add(tuple(combo[0][1]) + tuple(combo[-1][1]))
     return results
 
 
 def tuple_set(schema, tuples, relation=None):
     """A set built from the tuples' values: it holds no row ids, so every
     consumer finds its tuples' rows by key."""
-    return TupleSet(schema, relation, {encode_tuple(t): tuple(t) for t in tuples})
+    return TupleSet(schema, relation, {tuple(t): () for t in tuples})
 
 
 def engine_connection_keys(db, target, source_relation):
@@ -127,7 +127,7 @@ def engine_connection_keys(db, target, source_relation):
     env = db.env()
     rel = db.catalog.lookup(source_relation)
     source = tuple_set(relation_schema(rel), db.txn.shadow.scan(source_relation).values(), source_relation)
-    return connect(target, source, env).keyed().keys(), source.tuples()
+    return set(connect(target, source, env).members()), source.tuples()
 
 
 def reference_report(base, shadow):
@@ -178,22 +178,21 @@ def by_values(mp) -> None:
     reference position's allowed rows and a connection's start rows are
     the rows stored under the set's keys (``run`` per key), a remove or
     update target is ``contains_tuple`` of each key, and every spelled-out
-    reference, written or read, is resolved by key; a product keys each
-    tuple by encoding it whole; and every output with a reference column
-    sorts."""
+    reference, written or read, is resolved by key; a product keeps no
+    spans; and every output with a reference column sorts."""
 
     def every_tuple_by_key(ts, state, relation):
-        return {}, ts.keyed()
+        return {}, ts.members()
 
-    def encoded(parts):
+    def spanless(parts):
         result = product(parts)
-        return TupleSet(result.schema, result.relation, {encode_tuple(v): v for v in result.members()})
+        return TupleSet(result.schema, result.relation, dict.fromkeys(result.members(), ()))
 
     product = evaluator.product
     mp.setattr(evaluator.TupleSet, "stored", every_tuple_by_key)
     mp.setattr(evaluator.RowSet, "stored", every_tuple_by_key)
-    mp.setattr(evaluator, "product", encoded)
-    mp.setattr(txn, "product", encoded)
+    mp.setattr(evaluator, "product", spanless)
+    mp.setattr(txn, "product", spanless)
     mp.setattr(evaluator._RefResolver, "held", lambda resolver, spans, at, relation: None)
     mp.setattr(shell, "_rising", lambda state, name, memo: False)
 
@@ -258,7 +257,7 @@ def index_faults(state):
                 for target in iter_refs([v]):
                     rebuilt.setdefault(pos, {}).setdefault(target, set()).add(rowid)
             for pos in idx.valued:
-                key = encode_value(values[pos])
+                key = values[pos]
                 rebuilt.setdefault(pos, {}).setdefault(key, set()).add(rowid)
         if any(not pages and pos not in idx.valued for pos, pages in idx.maps.items()):
             faults.append((rel_name, "an empty map at a position without a value map"))
@@ -276,9 +275,10 @@ def index_faults(state):
 
 
 def _map_page(key):
-    """The page of a position map that must hold ``key``: a reference's by
-    its target row, a value's by the hash of its encoding."""
-    if isinstance(key, tuple):
+    """The page of a position map that must hold ``key``: a reference's
+    (a plain (relation, row) pair) by its target row, a value's by its
+    hash."""
+    if type(key) is tuple:
         return key[1] >> store.ROW_BITS
     return hash(key) % (1 << store.ROW_BITS)
 

@@ -6,10 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from relang.shell import run as shell_run
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+# what scripts/library.rl prints in each format, and its snapshot, as
+# committed text: an order change that hit a first run and a reload alike
+# shows here
+EXPECTED = Path(__file__).resolve().parent / "expected"
 
 
 def _run(argv):
@@ -32,6 +38,16 @@ def test_library_script_survives_a_save_and_load(tmp_path):
     assert len(outputs) == len(out.splitlines()) == 5
     reloaded = _run(["--db", str(snap), "--format", "sexpr", "-e", " ".join(outputs)])
     assert reloaded == out
+
+
+@pytest.mark.parametrize("fmt", ["sexpr", "csv", "tabular"])
+def test_library_script_prints_its_committed_text(fmt):
+    assert _run([str(SCRIPTS / "library.rl"), "--format", fmt]) == (EXPECTED / f"library.{fmt}").read_text(encoding="utf-8")
+
+
+def test_library_script_dumps_its_committed_snapshot():
+    printed = (EXPECTED / "library.sexpr").read_text(encoding="utf-8")
+    assert _run([str(SCRIPTS / "library.rl"), "--format", "sexpr", "--dump"]) == printed + (EXPECTED / "library.snapshot").read_text(encoding="utf-8")
 
 
 def test_join_elimination_experiment_agrees_with_brute_force():

@@ -796,12 +796,12 @@ def test_a_bulk_add_encodes_each_stored_tuple_once(library_ddl, monkeypatch):
         encoded.clear()
         run(db, f"add {relation} ({text}) commit")
         per_cell.append(len(encoded) / (50 * db.catalog.lookup(relation).arity))
-    # a book: its author's name (the key range), title and year (the
-    # constants) and its three stored values; a link: the title (the value
-    # map key), the genre (the key range), the book read from a bucket (for
-    # the product's key) and the two stored references, and the title map
-    # built on first use
-    assert per_cell == [2.0, 4.0]
+    # a book: its author's name (the key range) and its three stored
+    # values; a link: the genre (the key range) and its two stored
+    # references. A product is keyed by its tuples and a value map by its
+    # values, so the constants, the books read through the title map and
+    # the map itself are not encoded
+    assert per_cell == [4 / 3, 3 / 2]
     assert found_by_key == []  # every referenced row was taken as read
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import typing
 
 import pytest
@@ -11,8 +13,10 @@ from relang.values import (
     INT64_MIN,
     IntVal,
     RealVal,
+    RefVal,
     TextVal,
     TimestampVal,
+    TupleVal,
     Value,
     encode_int,
     encode_real,
@@ -149,10 +153,9 @@ class TestTimestampEncoding:
         ),
     )
     def test_order_matches_sort_key(self, a, b):
+        # a timestamp is its own sort key: (tag, year, month or 0, day or 0)
         ta, tb = TimestampVal(*a), TimestampVal(*b)
-        assert (ta.sort_key() < tb.sort_key()) == (
-            encode_timestamp(ta) < encode_timestamp(tb)
-        )
+        assert (ta < tb) == (encode_timestamp(ta) < encode_timestamp(tb))
 
     def test_width(self):
         assert len(encode_timestamp(TimestampVal(1941, 3, 26))) == 24
@@ -177,13 +180,14 @@ def _timestamp_literal(year, month, day) -> str:
 
 
 # The values a stored position of each scalar type can hold: reals include
-# -0.0, texts NUL and 0x01 (the bytes a text key escapes), and timestamps
-# come from literals.
+# -0.0, texts NUL and 0x01 (the bytes a text key escapes) and characters
+# whose UTF-16 order differs from their code point order, and timestamps
+# come from literals or have a month or day of 0.
 STORED_SCALARS = {
     "int": st.integers(INT64_MIN, INT64_MAX).map(IntVal),
     "real": st.floats(allow_nan=False, allow_infinity=False).map(RealVal),
     "text": st.text(
-        st.one_of(st.sampled_from("\x00\x01a\xff"), st.characters(blacklist_categories=("Cs",))),
+        st.one_of(st.sampled_from("\x00\x01a\xff\uffff\U0001f600"), st.characters(blacklist_categories=("Cs",))),
         max_size=6,
     ).map(TextVal),
     "timestamp": st.builds(
@@ -191,7 +195,21 @@ STORED_SCALARS = {
         st.integers(-999_999_999, 999_999_999),
         st.none() | st.integers(1, 12),
         st.none() | st.integers(1, 31),
-    ).map(parse_timestamp),
+    ).map(parse_timestamp)
+    | st.builds(
+        TimestampVal,
+        st.integers(-3, 3),
+        st.none() | st.integers(0, 2),
+        st.none() | st.integers(0, 2),
+    ),
+}
+
+# Stored values of the other kinds: references to rows of one relation, and
+# inline tuples of one shape.
+STORED_VALUES = {
+    **STORED_SCALARS,
+    "ref": st.integers(1, (1 << 64) - 1).map(lambda row: RefVal("item", row)),
+    "inline": st.tuples(STORED_SCALARS["text"], STORED_SCALARS["int"]).map(lambda t: TupleVal("pair", t)),
 }
 
 
@@ -199,9 +217,9 @@ STORED_SCALARS = {
 def tuple_pairs(draw):
     """Two tuples of one typed shape; the second keeps some of the first's
     positions."""
-    shape = draw(st.lists(st.sampled_from(sorted(STORED_SCALARS)), min_size=1, max_size=4))
-    a = draw(st.tuples(*(STORED_SCALARS[kind] for kind in shape)))
-    b = draw(st.tuples(*(STORED_SCALARS[kind] for kind in shape)))
+    shape = draw(st.lists(st.sampled_from(sorted(STORED_VALUES)), min_size=1, max_size=4))
+    a = draw(st.tuples(*(STORED_VALUES[kind] for kind in shape)))
+    b = draw(st.tuples(*(STORED_VALUES[kind] for kind in shape)))
     keep = draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
     return a, tuple(x if k else y for x, y, k in zip(a, b, keep))
 
@@ -216,11 +234,18 @@ def tuple_pairs(draw):
     )
 )
 @example(((RealVal(-0.0), parse_timestamp("1941")), (RealVal(0.0), parse_timestamp("+1941"))))
+@example(((TimestampVal(1941, 0, 0),), (TimestampVal(1941),)))
+@example(((TextVal("\uffff"),), (TextVal("\U0001f600"),)))
+@example(((TupleVal("pair", (TextVal("a"), IntVal(2))),), (TupleVal("pair", (TextVal("a\x00"), IntVal(1))),)))
 def test_tuples_of_one_shape_are_equal_exactly_when_their_keys_are(pair):
-    # TupleSet deduplicates by key, while membership in a set of inline
-    # tuples tests value equality: the two must agree
+    # a set is keyed by its tuples and the index by their keys, and outputs
+    # list a set in value order as a key range lists its rows: equality,
+    # hashing and order must each agree with the keys
     a, b = pair
-    assert (a == b) == (encode_tuple(a) == encode_tuple(b))
+    ka, kb = encode_tuple(a), encode_tuple(b)
+    assert (a == b) == (ka == kb)
+    assert ka != kb or hash(a) == hash(b)
+    assert (a < b) == (ka < kb)
 
 
 class TestValueLayer:
@@ -231,6 +256,24 @@ class TestValueLayer:
     def test_slotted_with_an_encoder(self, cls):
         assert "__slots__" in vars(cls) and "__dict__" not in dir(cls)
         assert cls in values._ENCODERS
+
+    def test_fields_read_by_name(self):
+        # an absent month or day reads None, and is held as 0
+        ts = TimestampVal(1941)
+        assert (ts.year, ts.month, ts.day) == (1941, None, None)
+        assert TimestampVal(1941, 0, 0) == ts and TimestampVal(1941, 3, 0).month == 3
+        assert RefVal("author", 3).relation == "author" and RefVal("author", 3).row == 3
+        assert TupleVal("p", [IntVal(1)]).values == (IntVal(1),)
+        assert IntVal(1).value == 1 and IntVal(1) != RealVal(1.0)
+
+    @pytest.mark.parametrize(
+        "value",
+        [IntVal(-1), RealVal(1.5), TextVal("a"), TimestampVal(1941, 3), RefVal("author", 3), TupleVal("p", (IntVal(1), TextVal("b")))],
+        ids=lambda v: type(v).__name__,
+    )
+    def test_a_value_copies_and_pickles_as_itself(self, value):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
 
     def test_an_unknown_type_has_no_key(self):
         with pytest.raises(TypeError):
