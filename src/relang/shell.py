@@ -244,17 +244,17 @@ def format_tabular(result: TupleSet, state: DbState, order_attrs=()) -> str:
     if result.schema is None:
         return "(empty set)"
     headers = [col.attr for col in result.schema]
-    rows = [_plain_cells(t, state) for t in _ordered_tuples(result, state, order_attrs)]
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    tuples = _ordered_tuples(result, state, order_attrs)
+    # cells are held by column, not in one list per row: a scan of
+    # thousands of rows then allocates no container per row
+    columns = [[_PLAIN_CELLS[type(t[i])](t[i], state, _PLAIN_CELLS) for t in tuples] for i in range(len(headers))]
+    widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, columns)]
     lines = [
         "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
         "  ".join("-" * w for w in widths),
     ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    for k in range(len(tuples)):
+        lines.append("  ".join([col[k].ljust(w) for col, w in zip(columns, widths)]).rstrip())
     return "\n".join(lines)
 
 
