@@ -20,20 +20,19 @@ Each bound position whose allowed values are known offers an access path:
 
 The selection reads the smallest of these by row count, and the whole
 relation when there is none. Every positional constraint and the filter are
-then checked on each row read, since a text key range can hold longer
-texts.
+then checked on each row read, since a path honours one position only.
 
 A selection's result is a ``RowSet``: each tuple with the id of the row it
 was read from. Every consumer that wants rows takes these ids rather than
-finding the rows again by encoding and bisecting: a reference position's
+finding the rows again by bisecting: a reference position's
 allowed rows, a connection's start rows, a remove or update target, and,
 through a product's spans, a reference a written tuple spells out. An id is
 taken only while its row still holds the very tuple read (an ``is`` test);
 otherwise, and in a relation where an update collision may be pending, the
 row is found by key. Every set, read or constructed, is keyed by its tuples
-themselves, whose equality, hash and order run in C (``values``), so a
-tuple is encoded only to find its row by key. Answers are values only: no
-row id reaches one.
+themselves, whose equality, hash and order run in C (``values``), as is
+every index: a tuple is its own key, and nothing is encoded. Answers are
+values only: no row id reaches one.
 
 A tuple may name another by spelling out its values. One function,
 ``conform``, reads such a spelling against a sequence of domains wherever it
@@ -92,8 +91,6 @@ from .values import (
     TimestampVal,
     TupleVal,
     Value,
-    encode_tuple,
-    encode_value,
     parse_timestamp,
     render_timestamp,
 )
@@ -645,7 +642,7 @@ class _RefResolver:
         self.catalog = state.catalog
         self.deferred = deferred
         self.pending = {} if pending is None else pending  # the plan's, read only
-        self.buffer: Dict[Tuple[str, bytes], int] = {}
+        self.buffer: Dict[Tuple[str, tuple], int] = {}
 
     def held(self, spans, at: int, relation: str) -> Optional[RefVal]:
         """A reference to the row of ``relation`` that the span of a flat
@@ -664,20 +661,19 @@ class _RefResolver:
     def resolve(self, relation: str, values: tuple) -> RefVal:
         """A reference to the row stored first under the tuple's key, or to
         the row reserved for it."""
-        key = encode_tuple(values)
-        rowid = self.state.indexes[relation].first(key)
+        rowid = self.state.indexes[relation].first(values)
         if rowid is not None:
             return RefVal(relation, rowid)
-        waiting = self.pending.get((relation, key))
+        waiting = self.pending.get((relation, values))
         if waiting is not None:
             return RefVal(relation, waiting[0])
-        existing = self.buffer.get((relation, key))
+        existing = self.buffer.get((relation, values))
         if existing is not None:
             return RefVal(relation, existing)
         if not self.deferred:
             raise _Miss(relation, values)
         rowid = self.state.reserve_rowid(relation)
-        self.buffer[(relation, key)] = rowid
+        self.buffer[(relation, values)] = rowid
         return RefVal(relation, rowid)
 
 
@@ -785,16 +781,15 @@ def eval_selection(sel: syntax.Selection, env: Env) -> TupleSet:
         return _construct_domain_tuples(rel, sel, env)
     schema = relation_schema(rel)
     constraints, bound = _constraints(schema, sel, env)
-    ids, rows, ordered = _candidates(name, bound, env)
+    rows, ordered = _candidates(name, bound, env)
     keep = _keeper(schema, constraints, sel, env)
     if name in env.state.runs:
-        # a key names a collision's whole run: one tuple per key, as a key
-        # range shows it
-        return TupleSet(schema, name, dict.fromkeys(rows if keep is None else filter(keep, rows), ()))
-    found = zip(ids, rows)
+        # a key names a collision's whole run: one tuple per key, and no row
+        tuples = rows.values() if keep is None else filter(keep, rows.values())
+        return TupleSet(schema, name, dict.fromkeys(tuples, ()))
     if keep is not None:
-        found = [(rowid, values) for rowid, values in found if keep(values)]
-    return RowSet(schema, name, dict(found), ordered)
+        rows = {rowid: values for rowid, values in rows.items() if keep(values)}
+    return RowSet(schema, name, rows, ordered)
 
 
 def _constraints(schema, sel: syntax.Selection, env: Env):
@@ -818,10 +813,9 @@ def _constraints(schema, sel: syntax.Selection, env: Env):
 
 
 def _candidates(name: str, bound, env: Env):
-    """The rows of a stored relation that a selection reads: their ids, their
-    tuples, and whether both run in key order, as read from key ranges.
-    With a deferred update collision in the relation, a key range shows
-    each key once, and the ids do not line up with the tuples.
+    """The rows of a stored relation that a selection reads, as a fresh row
+    id -> tuple map, and whether it runs in key order, as read from key
+    ranges.
 
     The source is the smallest that the bound positions allow: one key
     range per leading value; the buckets of a reference position; or the
@@ -838,27 +832,20 @@ def _candidates(name: str, bound, env: Env):
                 maps.append((pos, values))
         elif env.catalog.lookup(col.type_name).klass == "simple":
             maps.append((pos, [(v.relation, v.row) for v in values]))
-    # the values are distinct, and so are their encodings
-    prefixes = None if leading is None else sorted(map(encode_value, leading))
+    # the values are distinct, and in key order when sorted
+    leads = None if leading is None else sorted(leading)
     if maps:
         idx = state.indexes[name]
         size, pos, keys = min((sum(len(idx.bucket(p, k)) for k in ks), p, ks) for p, ks in maps)
-        if size < (len(idx.rows) if prefixes is None else sum(map(idx.count, prefixes))):
-            ids = [r for key in keys for r in idx.bucket(pos, key)]
+        if size < (len(idx.rows) if leads is None else sum(map(idx.count, leads))):
             get_row = state.get_row
-            return ids, [get_row(name, r) for r in ids], False
-    ids = []
-    if prefixes is None:
-        rows = state.scan(name, b"", ids)
-    elif len(prefixes) == 1:
-        rows = state.scan(name, prefixes[0], ids)
-    else:
-        # prefixes of one width never overlap, and reading them in order
-        # keeps the candidates in key order
-        rows = {}
-        for prefix in prefixes:
-            rows.update(state.scan(name, prefix, ids))
-    return ids, rows.values(), True
+            return {r: get_row(name, r) for key in keys for r in idx.bucket(pos, key)}, False
+    if leads is None:
+        return state.scan(name), True
+    rows = {}
+    for lead in leads:  # reading the ranges in order keeps key order
+        rows.update(state.scan(name, lead))
+    return rows, True
 
 
 def _keeper(schema, constraints, sel: syntax.Selection, env: Env):
@@ -920,7 +907,7 @@ def _membership_constraint(allowed: TupleSet, col: SchemaCol, env: Env):
         rowids = set(held)
         run = state.indexes[relation].run
         for values in rest:
-            rowids.update(run(encode_tuple(values)))
+            rowids.update(run(values))
     else:
         # any other set spells its values out, read as a write reads them;
         # a tuple naming a missing row matches nothing
@@ -944,7 +931,7 @@ def _run_mates(v: Value, state: DbState) -> list:
     if isinstance(v, RefVal) and v.relation in state.runs:
         idx = state.indexes[v.relation]
         if v.row in idx.rows:
-            return [RefVal(v.relation, r) for r in idx.run(encode_tuple(idx.rows[v.row]))]
+            return [RefVal(v.relation, r) for r in idx.run(idx.rows[v.row])]
     elif isinstance(v, TupleVal):
         return [TupleVal(v.relation, mates) for mates in itertools.product(*[_run_mates(x, state) for x in v.values])]
     return [v]
@@ -1202,7 +1189,7 @@ def connected(target: str, source: TupleSet, env: Env):
     starts, rest = source.stored(state, source.relation)
     run = state.indexes[source.relation].run
     for values in rest:
-        for rid in run(encode_tuple(values)):
+        for rid in run(values):
             starts[rid] = values
     # (source row, current row) pairs walked edge by edge, source to target
     pairs = {(rid, rid) for rid in starts}

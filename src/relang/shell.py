@@ -34,8 +34,8 @@ spacing.
 Loading reads each row through its relation's reader, compiled on the
 relation's first row: one anchored pattern of the row's cells, built from
 the relation's domains (an inline tuple's recursively), and one loop over
-its groups that builds the tuple and its canonical key together. A
-reference's key is its ordinal, since the load makes each row's id its
+its groups that builds the tuple, which is its own key. A reference names
+its target's row by ordinal, since the load makes each row's id its
 ordinal. The row goes in through ``DbState.append``, which links only the
 positions that may hold a reference. A row the reader refuses takes no
 other path: ``_diagnose_row`` only names its fault, walking the same cells
@@ -75,8 +75,6 @@ from .values import (
     TimestampVal,
     TupleVal,
     Value,
-    encode_text,
-    encode_value,
     parse_timestamp,
     quote_text,
     render_scalar,
@@ -125,12 +123,13 @@ _SEXPR_CELLS = {
     TimestampVal: lambda v, _state, _writers: f'(timestamp "{render_timestamp(v)}")',
 }
 
-# Snapshot cells take the export ordinals (``orders``) in place of a state:
-# each scalar is its canonical literal, a reference ``#<relation>:<ordinal>``.
+# Snapshot cells take each referenced relation's reference cells, row id ->
+# ``#<relation>:<ordinal>`` (``refs``), in place of a state: each scalar is
+# its canonical literal.
 _SNAPSHOT_CELLS = {
     **_SEXPR_CELLS,
-    TimestampVal: lambda v, _orders, _writers: render_timestamp(v),
-    RefVal: lambda v, orders, _writers: f"#{v[1]}:{orders[v[1]][v[2]]}",
+    TimestampVal: lambda v, _refs, _writers: render_timestamp(v),
+    RefVal: lambda v, refs, _writers: refs[v[1]][v[2]],
 }
 
 
@@ -268,12 +267,12 @@ def _export_orders(
     export ordinal (1-based).
 
     A reference's order key is its target's ordinal, which ranks targets in
-    their own value order, and its stored key is its target's row id. So a
-    relation is in value order as stored when every relation it references
-    has ordinals that rise with their row ids, and so is a relation that
-    holds no reference; only the others are sorted by order key. Ordinals
-    rise with row ids in any loaded database (there they are equal) and
-    after appends in key order.
+    their own value order, and in key order it ranks by its target's row
+    id. So a relation is in value order as stored when every relation it
+    references has ordinals that rise with their row ids, and so is a
+    relation that holds no reference; only the others are sorted by order
+    key. Ordinals rise with row ids in any loaded database (there they are
+    equal) and after appends in key order.
     """
     orders: Dict[str, Dict[int, int]] = {}
     ordered: Dict[str, List[int]] = {}
@@ -320,17 +319,23 @@ def save_snapshot(db: Database) -> str:
     catalog, state = db.catalog, db.published
     lines = [SNAPSHOT_HEADER, *[_definition_line(catalog.lookup(name)) for name in catalog.names()], ""]
     orders, ordered = _export_orders(catalog, state)
+    # each referenced row's cell, formatted once
+    refs = {
+        name: {rowid: f"#{name}:{n}" for rowid, n in orders[name].items()}
+        for name in ordered
+        if catalog.referencing(name)
+    }
     for name, rowids in ordered.items():
         pages, bits, mask = state.indexes[name].rows.pages, store.ROW_BITS, (1 << store.ROW_BITS) - 1
         for ordinal, rowid in enumerate(rowids, 1):
-            values = _members(pages[rowid >> bits][rowid & mask], orders, _SNAPSHOT_CELLS)
+            values = _members(pages[rowid >> bits][rowid & mask], refs, _SNAPSHOT_CELLS)
             lines.append(f"row {name} {ordinal} {values}")
     return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=4096)
-def _read_atom(token: str, expected: str) -> Optional[Tuple[Value, bytes]]:
-    """The scalar a canonical literal spells and its key, or None. Only the
+def _read_atom(token: str, expected: str) -> Optional[Value]:
+    """The scalar a canonical literal spells, or None. Only the
     canonical literal is read (``1_0``, ``+5`` and ``1e3`` are not), so every
     snapshot that loads is one that saving writes back byte for byte.
     Cached, since a snapshot repeats its literals (a year, a count) many
@@ -346,7 +351,7 @@ def _read_atom(token: str, expected: str) -> Optional[Tuple[Value, bytes]]:
             return None
     except (ValueError, RelangError):
         return None
-    return (value, encode_value(value)) if render_scalar(value) == token else None
+    return value if render_scalar(value) == token else None
 
 
 # The cells of a row as ``_SNAPSHOT_CELLS`` writes them: a text with only
@@ -388,20 +393,19 @@ def _nest(shape, values):
 
 def _row_reader(rel: RelationDef, catalog: Catalog, refs):
     """Read the values text (``{...}``) of a row of ``rel`` in one pass:
-    ``read(text)`` is the row's tuple and canonical key, or None for a text
-    not in the form saving writes, a non-canonical literal, a lone
-    surrogate, or a reference to no loaded row. A reference's key is its
-    ordinal, which a load makes its target's row id."""
+    ``read(text)`` is the row's tuple, or None for a text not in the form
+    saving writes, a non-canonical literal, a lone surrogate, or a
+    reference to no loaded row."""
     leaves: list = []
     shape: list = []
     match = re.compile(r"\{" + _cell_pattern(rel, catalog, refs, leaves, shape) + r"\}").fullmatch
     flat = all(s is None for s in shape)
 
-    def read(text: str) -> Optional[Tuple[tuple, bytes]]:
+    def read(text: str) -> Optional[tuple]:
         m = match(text)
         if m is None:
             return None
-        values, keys = [], []
+        values = []
         for cell, leaf in zip(m.groups(), leaves):
             if leaf == "text":
                 if "\\" in cell:
@@ -410,20 +414,17 @@ def _row_reader(rel: RelationDef, catalog: Catalog, refs):
                     values.append(TextVal(cell))
                 except DomainTypeMismatch:  # a lone surrogate
                     return None
-                keys.append(encode_text(cell))
             elif type(leaf) is list:
                 n = int(cell)
                 if n > len(leaf):
                     return None
                 values.append(leaf[n - 1])
-                keys.append(n.to_bytes(8, "big"))
             else:
                 atom = _read_atom(cell, leaf)
                 if atom is None:
                     return None
-                values.append(atom[0])
-                keys.append(atom[1])
-        return (tuple(values) if flat else _nest(shape, iter(values))), b"".join(keys)
+                values.append(atom)
+        return tuple(values) if flat else _nest(shape, iter(values))
 
     return read
 
@@ -575,16 +576,15 @@ def load_snapshot(text: str) -> Database:
             reader = readers[rel_name] = _row_reader(rel, catalog, refs), tuple(sorted(linked.get(rel_name, ())))
         read, positions = reader
         expected = len(state.indexes[rel_name].rows) + 1
-        row = read(rest) if ordinal_text == str(expected) else None
-        if row is None:
+        values = read(rest) if ordinal_text == str(expected) else None
+        if values is None:
             _diagnose_row(relations[rel_name], ordinal_text, expected, rest, catalog, refs, i)
         # every reference names a row loaded above, so no pass over the
         # loaded state is needed afterwards
-        values, key = row
-        rowid, fresh = state.append(rel_name, values, key, positions)
+        rowid, fresh = state.append(rel_name, values, positions)
         if not fresh:
             raise SnapshotFormatError(f"duplicate row in {rel_name!r}", i)
-        if state.indexes[rel_name].maxes[-1] != key:  # saving writes rows in key order
+        if state.indexes[rel_name].maxes[-1] is not values:  # saving writes rows in key order
             raise SnapshotFormatError(f"row out of value order in {rel_name!r}", i)
         if rel_name in refs:
             refs[rel_name].append(RefVal(rel_name, rowid))

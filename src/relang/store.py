@@ -2,13 +2,14 @@
 
 The index is paged, and every page is a plain list, dict or set:
 
-- **Keys.** Every stored tuple's canonical key, in ascending byte order, cut
-  into sorted chunks of at most ``CHUNK_MAX`` keys: ``key_chunks[c]`` holds
-  the keys, ``id_chunks[c][i]`` the row stored under ``key_chunks[c][i]``,
-  and ``maxes[c]`` the chunk's largest key. The chunks ARE the relation.
-  A lookup bisects ``maxes`` for the chunk, then the chunk for the slot; a
-  chunk that outgrows ``CHUNK_MAX`` splits in half, and an emptied one is
-  dropped. This is the layout of ``sortedcontainers.SortedList``.
+- **Keys.** Every stored tuple, which is its own key, in ascending value
+  order, cut into sorted chunks of at most ``CHUNK_MAX`` tuples:
+  ``key_chunks[c]`` holds the tuples, ``id_chunks[c][i]`` the row that
+  holds ``key_chunks[c][i]``, and ``maxes[c]`` the chunk's largest tuple.
+  The chunks ARE the relation. A lookup bisects ``maxes`` for the chunk,
+  then the chunk for the slot; a chunk that outgrows ``CHUNK_MAX`` splits
+  in half, and an emptied one is dropped. This is the layout of
+  ``sortedcontainers.SortedList``.
 - **Rows.** The inverse view, row id -> tuple, in pages of
   ``2 ** ROW_BITS`` consecutive row ids: slot ``rowid & mask`` of page
   ``rows.pages[rowid >> ROW_BITS]`` holds the row's tuple. A page whose
@@ -30,23 +31,17 @@ The index is paged, and every page is a plain list, dict or set:
 
 ``scan`` reads a key range from the chunks and never sorts.
 
-Contract of ``scan(relation, prefix)``: it returns every row whose key
-starts with the prefix bytes, in key order. Because text encodings are not
-prefix-free, that range is a superset of the rows whose leading values
-equal the prefix's value, so a caller must check its constraints on each
-row it gets back.
+Contract of ``scan(relation, lead)``: it returns, in key order, the rows
+whose leading value equals ``lead``, a collision run's every row included;
+a caller checks its other constraints on each row it gets back.
 
-Invariant: a tuple's canonical key is computed once when the tuple is
-stored (a transaction's ``plan_add`` hands ``insert`` the key it made; a
-rekey makes its own) and kept only in the key chunks. Keys exist to store a
-row, to seek a key range and to find a tuple's row; nothing else encodes a
-value. A reader keeps the row ids it reads (``scan`` hands them out beside
-the keys), so a stored tuple is found again by its row id, not by encoding
-it and bisecting. Only removal and rekey encode a stored tuple again, to
-find the entry it leaves, since no row id -> key map is kept; so does a
-commit, for each row whose rekey collided. ``runs`` names the relations
-where a rekey collided, whose rows a reader then finds by key, since a key
-names a collision's whole run.
+Invariant: a key is the very tuple object its row page holds, so the key
+order is the values' own order (``values``), compared in C, and no key is
+ever built: a store, a seek and a removal each bisect by the tuple itself.
+A reader keeps the row ids it reads (``scan`` hands out row id -> tuple),
+so a stored tuple is found again by its row id rather than by bisecting.
+``runs`` names the relations where a rekey collided, whose rows a reader
+then finds by key, since a key names a collision's whole run.
 
 The store is a plain holder of conforming tuples and checks no integrity
 rule. Callers hand ``insert`` and ``rekey`` tuples that conform to the
@@ -59,10 +54,10 @@ Row ids are allocated from a per-relation counter starting at 1 and are never
 reused within a database lifetime. They are internal: no language syntax can
 mention one and no output ever shows one.
 
-A transaction's shadow state may temporarily hold two live rows under one
-canonical key (an update collision whose resolution is deferred to commit).
-Such rows form a run of equal keys, the earliest holder first, which may
-span chunks; a published state has no run.
+A transaction's shadow state may temporarily hold two live rows of equal
+tuples (an update collision whose resolution is deferred to commit). Such
+rows form a run of equal keys, the earliest holder first, which may span
+chunks; a published state has no run.
 
 Ownership has one rule, applied at every level: a copy shares every part
 of the original, and after it neither side owns a shared part, so each
@@ -81,11 +76,12 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .catalog import Catalog, RelationDef
 from .errors import NotEnumerable, RowNotFound
-from .values import RefVal, TupleVal, encode_tuple
+from .values import RefVal, TupleVal
 
 # Page sizes, picked by measurement: a larger page makes a relation's first
 # copy cheaper and each further page copy dearer.
@@ -142,9 +138,9 @@ class MultitableIndex:
     """Ordered index holding every tuple of one simple relation."""
 
     def __init__(self):
-        self.key_chunks: List[List[bytes]] = []  # ascending; equal keys only in a collision
-        self.id_chunks: List[List[int]] = []  # id_chunks[c][i] is stored under key_chunks[c][i]
-        self.maxes: List[bytes] = []  # maxes[c] is key_chunks[c][-1]
+        self.key_chunks: List[List[tuple]] = []  # ascending; equal keys only in a collision
+        self.id_chunks: List[List[int]] = []  # id_chunks[c][i] holds key_chunks[c][i]
+        self.maxes: List[tuple] = []  # maxes[c] is key_chunks[c][-1]
         self.rows = Rows()
         # position -> page -> key -> row ids: see the module docstring
         self.maps: Dict[int, Dict[int, Dict[object, Set[int]]]] = {}
@@ -185,7 +181,7 @@ class MultitableIndex:
         self.owned.add(id(page))
         return page
 
-    def _own_chunk(self, c: int) -> Tuple[List[bytes], List[int]]:
+    def _own_chunk(self, c: int) -> Tuple[List[tuple], List[int]]:
         """Chunk ``c``'s keys and ids as lists this index may write."""
         keys, ids = self.key_chunks[c], self.id_chunks[c]
         if id(keys) not in self.owned:
@@ -200,7 +196,7 @@ class MultitableIndex:
 
     # -- keys
 
-    def first(self, key: bytes) -> Optional[int]:
+    def first(self, key: tuple) -> Optional[int]:
         """The row stored first under a key (its earliest holder), or None."""
         c = bisect_left(self.maxes, key)
         if c < len(self.maxes):
@@ -210,7 +206,7 @@ class MultitableIndex:
                 return self.id_chunks[c][i]
         return None
 
-    def run(self, key: bytes) -> List[int]:
+    def run(self, key: tuple) -> List[int]:
         """Every row stored under a key, the earliest holder first."""
         maxes = self.maxes
         c = bisect_left(maxes, key)
@@ -227,28 +223,26 @@ class MultitableIndex:
             found += self.id_chunks[c][:j]
         return found
 
-    def span(self, prefix: bytes) -> Tuple[int, int, int, int]:
-        """``(c, lo, d, hi)``: the keys that start with ``prefix`` run from
-        slot ``lo`` of chunk ``c`` up to slot ``hi`` of chunk ``d``, not
+    def span(self, lead) -> Tuple[int, int, int, int]:
+        """``(c, lo, d, hi)``: the keys whose leading value is ``lead`` run
+        from slot ``lo`` of chunk ``c`` up to slot ``hi`` of chunk ``d``, not
         included; ``d`` is ``len(maxes)``, and ``hi`` 0, when they run to
         the end."""
         maxes, key_chunks = self.maxes, self.key_chunks
-        c = bisect_left(maxes, prefix)
+        c = bisect_left(maxes, lead, key=_lead)
         if c == len(maxes):
             return c, 0, c, 0
-        keys, end = key_chunks[c], _prefix_end(prefix)
-        lo = bisect_left(keys, prefix)
-        if end is not None and end <= maxes[c]:  # the range ends in this chunk
-            return c, lo, c, bisect_left(keys, end, lo)
-        d = len(maxes) if end is None else bisect_left(maxes, end, c + 1)
-        return c, lo, d, 0 if d == len(maxes) else bisect_left(key_chunks[d], end)
+        lo = bisect_left(key_chunks[c], lead, key=_lead)
+        d = bisect_right(maxes, lead, c, key=_lead)
+        return c, lo, d, 0 if d == len(maxes) else bisect_right(key_chunks[d], lead, key=_lead)
 
-    def count(self, prefix: bytes) -> int:
-        """How many keys start with ``prefix``, a collision run's included."""
-        c, lo, d, hi = self.span(prefix)
+    def count(self, lead) -> int:
+        """How many keys have the leading value ``lead``, a collision run's
+        included."""
+        c, lo, d, hi = self.span(lead)
         return sum(map(len, self.key_chunks[c:d])) - lo + hi
 
-    def place(self, c: int, i: int, key: bytes, rowid: int):
+    def place(self, c: int, i: int, key: tuple, rowid: int):
         """Store ``key`` -> ``rowid`` at slot ``i`` of chunk ``c``; chunk
         ``len(maxes)`` means after every key, where a full last chunk is
         followed by a new one, so keys stored in order fill their chunks."""
@@ -268,13 +262,13 @@ class MultitableIndex:
             del keys[half:], ids[half:]
         maxes[c] = keys[-1]
 
-    def _new_chunk(self, c: int, keys: List[bytes], ids: List[int]):
+    def _new_chunk(self, c: int, keys: List[tuple], ids: List[int]):
         self.key_chunks.insert(c, keys)
         self.id_chunks.insert(c, ids)
         self.maxes.insert(c, keys[-1])
         self.owned.add(id(keys))
 
-    def release(self, key: bytes, rowid: int):
+    def release(self, key: tuple, rowid: int):
         """Drop a row's entry under a key; the next row of a collision run
         becomes the key's first holder."""
         c = bisect_left(self.maxes, key)
@@ -412,13 +406,7 @@ def _empty_row_page() -> List[Optional[tuple]]:
     return [None] * (1 << ROW_BITS)
 
 
-def _prefix_end(prefix: bytes) -> Optional[bytes]:
-    """The least byte string above every string that starts with
-    ``prefix``; None when there is none (the prefix is empty or all 0xFF)."""
-    stem = prefix.rstrip(b"\xff")
-    if not stem:
-        return None
-    return stem[:-1] + bytes((stem[-1] + 1,))
+_lead = itemgetter(0)  # a key's leading value, which ``span`` bisects by
 
 
 def iter_refs(values) -> Iterable[Tuple[str, int]]:
@@ -485,43 +473,41 @@ class DbState:
 
     # -- operations
 
-    def insert(self, relation: str, values, *, rowid=None, key: Optional[bytes] = None):
+    def insert(self, relation: str, values: tuple, *, rowid=None):
         """Insert a tuple; returns (row id, freshly-inserted flag).
 
         Duplicate insertion is an idempotent no-op returning the existing id.
         ``rowid`` pins the id of a fresh row (used when a deferred reference
         is being satisfied); it must have been reserved via reserve_rowid.
-        ``key`` is the tuple's canonical key when the caller has made it.
-        The tuple is stored as given, so it must conform to the relation.
+        The tuple is stored as given, and is its own key, so it must conform
+        to the relation.
         """
         idx = self._index(relation)
-        if key is None:
-            key = encode_tuple(values)
         maxes = idx.maxes
         c, i = len(maxes), 0
         # a key above the last one is new
-        if maxes and key <= maxes[-1]:
-            c = bisect_left(maxes, key)
+        if maxes and values <= maxes[-1]:
+            c = bisect_left(maxes, values)
             keys = idx.key_chunks[c]
-            i = bisect_left(keys, key)
-            if keys[i] == key:
+            i = bisect_left(keys, values)
+            if keys[i] == values:
                 return idx.id_chunks[c][i], False
-        return self._store(relation, values, key, c, i, rowid, None), True
+        return self._store(relation, values, c, i, rowid, None), True
 
-    def append(self, relation: str, values, key: bytes, linked: Tuple[int, ...]):
-        """``insert`` for a tuple whose canonical key the caller made, as a
-        snapshot load reads it; ``linked`` must name every position that may
-        hold a reference. A key that sorts after the relation's last goes
-        last, and only ``linked`` is linked; any other key, or a relation
-        with a value map, goes through ``insert``, which finds a duplicate."""
+    def append(self, relation: str, values: tuple, linked: Tuple[int, ...]):
+        """``insert`` for a tuple as a snapshot load reads it; ``linked``
+        must name every position that may hold a reference. A tuple that
+        sorts after the relation's last goes last, and only ``linked`` is
+        linked; any other tuple, or a relation with a value map, goes
+        through ``insert``, which finds a duplicate."""
         idx = self._index(relation)
         maxes = idx.maxes
-        if (maxes and key <= maxes[-1]) or idx.valued:
-            return self.insert(relation, values, key=key)
-        return self._store(relation, values, key, len(maxes), 0, None, linked), True
+        if (maxes and values <= maxes[-1]) or idx.valued:
+            return self.insert(relation, values)
+        return self._store(relation, values, len(maxes), 0, None, linked), True
 
-    def _store(self, relation: str, values, key: bytes, c: int, i: int, rowid, linked) -> int:
-        """Store a new tuple under its key at slot ``i`` of chunk ``c`` (as
+    def _store(self, relation: str, values: tuple, c: int, i: int, rowid, linked) -> int:
+        """Store a new tuple at slot ``i`` of chunk ``c`` (as
         ``MultitableIndex.place`` takes them) and link it at ``linked``, or
         at every position for None; returns its row id."""
         idx = self.indexes[relation]
@@ -544,11 +530,11 @@ class DbState:
         idx.rows.count += 1
         keys = idx.key_chunks[c - 1] if c and c == len(idx.maxes) else None
         if keys is not None and id(keys) in owned and len(keys) < CHUNK_MAX:
-            keys.append(key)
+            keys.append(values)
             idx.id_chunks[c - 1].append(rowid)
-            idx.maxes[c - 1] = key
+            idx.maxes[c - 1] = values
         else:
-            idx.place(c, i, key, rowid)
+            idx.place(c, i, values, rowid)
         idx.link(rowid, values, linked)
         return rowid
 
@@ -575,43 +561,29 @@ class DbState:
             raise RowNotFound(f"no such tuple in relation {relation!r}")
         return row
 
-    def scan(self, relation: str, prefix: bytes = b"", ids: Optional[List[int]] = None) -> Dict[bytes, tuple]:
-        """The rows whose canonical key starts with ``prefix``, as a fresh
-        key -> tuple map in key order; the empty prefix gives the relation.
-        When ``ids`` is given, each row's id is appended to it, in key order.
+    def scan(self, relation: str, lead=None) -> Dict[int, tuple]:
+        """The rows whose leading value is ``lead``, as a fresh row id ->
+        tuple map in key order, each row of a deferred update collision's
+        run included; no ``lead`` gives the relation.
 
         The range is found by bisection over the chunks' largest keys and
         then inside a chunk, so it costs the rows it returns, not the
-        relation. The prefix is a byte prefix, not a value: text keys are not
-        prefix-free (the key of "a" starts the key of "a\\0b"), so the range
-        is a superset and a caller must check its constraints on every row
-        again.
-
-        The keys are the stored ones, so a caller that needs a tuple's key
-        takes it from here instead of encoding the tuple again. A deferred
-        update collision shows once, under its key, and all of its rows in
-        ``ids``.
+        relation. A caller checks its other constraints on every row.
         """
         rel = self.catalog.lookup(relation)
         if rel.klass != "simple":
             raise NotEnumerable(f"{relation!r} is a {rel.klass} relation")
         idx = self.indexes[relation]
         key_chunks, id_chunks = idx.key_chunks, idx.id_chunks
-        pages, bits, mask = idx.rows.pages, ROW_BITS, (1 << ROW_BITS) - 1
-        c, lo, d, hi = idx.span(prefix)
+        c, lo, d, hi = (0, 0, len(key_chunks), 0) if lead is None else idx.span(lead)
         if c == d:  # the range ends in its first chunk
-            if lo == hi:
-                return {}
-            ranges = [(key_chunks[c][lo:hi], id_chunks[c][lo:hi])]
-        else:
-            ranges = [(key_chunks[c][lo:], id_chunks[c][lo:])]
-            ranges += zip(key_chunks[c + 1 : d], id_chunks[c + 1 : d])
-            if hi:
-                ranges.append((key_chunks[d][:hi], id_chunks[d][:hi]))
-        if ids is not None:
-            for _keys, chunk in ranges:
-                ids += chunk
-        return {k: pages[r >> bits][r & mask] for keys, chunk in ranges for k, r in zip(keys, chunk)}
+            return dict(zip(id_chunks[c][lo:hi], key_chunks[c][lo:hi])) if lo < hi else {}
+        found = dict(zip(id_chunks[c][lo:], key_chunks[c][lo:]))
+        for ids, keys in zip(id_chunks[c + 1 : d], key_chunks[c + 1 : d]):
+            found.update(zip(ids, keys))
+        if hi:
+            found.update(zip(id_chunks[d][:hi], key_chunks[d][:hi]))
+        return found
 
     def referrers(self, relation: str, rowid: int) -> Set[Tuple[str, int]]:
         """Every (relation, row) whose tuple references the given row, which
@@ -647,34 +619,32 @@ class DbState:
     def _remove_row(self, relation: str, rowid: int):
         idx = self._writable(relation)
         values = idx.pop_row(rowid)
-        idx.release(encode_tuple(values), rowid)
+        idx.release(values, rowid)
         idx.unlink(rowid, values)
 
     def rekey(self, relation: str, rowid: int, new_values) -> bool:
         """Replace a row's tuple in place, preserving its row id; the new
-        tuple is stored as given.
+        tuple is stored as given, unless it equals the old one.
 
         Returns True when the new key collided with a different live row. The
         row is then stored after the key's earlier holders, and the caller
         must resolve the collision (a transaction aborts at commit).
         """
         old_values = self.get_row(relation, rowid)
-        old_key = encode_tuple(old_values)
-        new_key = encode_tuple(new_values)
+        if new_values == old_values:
+            return False
         idx = self._writable(relation)
         idx.replace_row(rowid, new_values)
-        if new_key == old_key:
-            return False
-        idx.release(old_key, rowid)
+        idx.release(old_values, rowid)
         maxes = idx.maxes
-        c = bisect_right(maxes, new_key)
-        i = bisect_right(idx.key_chunks[c], new_key) if c < len(maxes) else 0
+        c = bisect_right(maxes, new_values)
+        i = bisect_right(idx.key_chunks[c], new_values) if c < len(maxes) else 0
         # the entry before the new one: the previous slot, or the end of the
         # previous chunk
-        collided = (i > 0 and idx.key_chunks[c][i - 1] == new_key) or (
-            i == 0 and c > 0 and maxes[c - 1] == new_key
+        collided = (i > 0 and idx.key_chunks[c][i - 1] == new_values) or (
+            i == 0 and c > 0 and maxes[c - 1] == new_values
         )
-        idx.place(c, i, new_key, rowid)
+        idx.place(c, i, new_values, rowid)
         if collided:
             self.runs.add(relation)
         # relink only the positions whose value changed: a position masked

@@ -11,7 +11,7 @@ commit publishes it for every later transaction. Every row a statement
 inserts, removes (cascades included) or rekeys enters the transaction's
 write set with the statement's number. A reference to a tuple that does
 not exist yet reserves a row id and is kept once, in ``pending``:
-(relation, key) -> (row id, statement). Adding the tuple takes the
+(relation, tuple) -> (row id, statement). Adding the tuple takes the
 reserved id and drops the record, so ``pending`` holds
 exactly the references still open, each with the statement that opened it.
 A set member that matched nothing is kept in ``obligations`` as (statement,
@@ -62,7 +62,7 @@ from .evaluator import (
     union_schema,
 )
 from .store import DbState, iter_refs
-from .values import RefVal, TupleVal, Value, encode_tuple
+from .values import RefVal, TupleVal, Value
 
 
 @dataclass
@@ -94,9 +94,9 @@ class TxnPlan:
         self.written: Dict[Tuple[str, int], int] = {}
         # (statement, message) of each set member that matched nothing
         self.obligations: List[Tuple[int, str]] = []
-        # (relation, key) of each referenced tuple not yet added
+        # (relation, tuple) of each referenced tuple not yet added
         #   -> (reserved row id, statement that referenced it)
-        self.pending: Dict[Tuple[str, bytes], Tuple[int, int]] = {}
+        self.pending: Dict[Tuple[str, tuple], Tuple[int, int]] = {}
         # (relation, row id) of each rekey that collided with another row
         self.collided: List[Tuple[str, int]] = []
         self.status = "open"
@@ -221,7 +221,7 @@ class TxnPlan:
         else:
             rest = self._tuples_from_value(rel, value, deferred=False)
         for values in rest:
-            found[values] = idx.first(encode_tuple(values))
+            found[values] = idx.first(values)
         return [found[values] for values in sorted(found) if found[values] is not None]
 
     # -- planned commands
@@ -235,14 +235,13 @@ class TxnPlan:
             tuples = self._tuples_from_value(rel, value, deferred=True)
         ids: Dict[int, tuple] = {}
         for values in tuples:
-            key = encode_tuple(values)
-            waiting = self.pending.get((relation, key))
+            waiting = self.pending.get((relation, values))
             pinned = None if waiting is None else waiting[0]
-            rowid, inserted = self.shadow.insert(relation, values, rowid=pinned, key=key)
+            rowid, inserted = self.shadow.insert(relation, values, rowid=pinned)
             if inserted:
                 self.written[(relation, rowid)] = self._stmt
                 # a fresh row satisfies any reference that was waiting for it
-                self.pending.pop((relation, key), None)
+                self.pending.pop((relation, values), None)
                 ids[rowid] = values
         self.steps += 1
         return RowSet(relation_schema(rel), relation, ids, ordered=False)
@@ -353,7 +352,7 @@ class TxnPlan:
         only where its row was written or its target removed, and the target's
         reverse maps find the rows that still hold it."""
         yield from self.obligations
-        for (relation, _key), (_rowid, stmt) in self.pending.items():
+        for (relation, _values), (_rowid, stmt) in self.pending.items():
             yield stmt, (
                 f"a tuple of {relation!r} referenced in this transaction was never added"
             )
@@ -371,7 +370,7 @@ class TxnPlan:
         for relation, rowid in self.collided:
             idx = indexes[relation]
             values = idx.rows.get(rowid)
-            rowids = [] if values is None else idx.run(encode_tuple(values))
+            rowids = [] if values is None else idx.run(values)
             if len(rowids) > 1:
                 stmt = max(self.written.get((relation, r), 0) for r in rowids)
                 yield stmt, f"update left two equal tuples in {relation!r}"

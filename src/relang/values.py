@@ -1,4 +1,5 @@
-"""Runtime values and the order-preserving byte encoding used for index keys.
+"""Runtime values, and the order-preserving byte encoding that defines
+their order.
 
 Every value that can appear in a stored tuple has exactly one class here, a
 ``tuple`` subclass whose first item tags its kind, and one key encoding,
@@ -23,13 +24,13 @@ pickles by its fields, and reads them through properties (an absent month
 or day reads None). So a value's equality, hash and order are tuple
 operations that run in C, and ``IntVal(1)`` and ``RealVal(1.0)`` differ by
 their tags. Each encoding keeps its kind's order, and none is a prefix of
-another of its kind, so tuples of one shape order as their keys do: a set
-is keyed by its tuples, and a tuple is encoded only where its key is stored
-or sought. The encoding is a bit-exact contract, since keys give each
-relation's storage and scan order.
-``encode_value`` and ``encode_tuple`` find each value's encoder in one table
-keyed by its exact class (``_ENCODERS``); a value of any other type has no
-key and raises ``TypeError``.
+another of its kind, so tuples of one shape order as their keys do. That is
+why the engine never encodes: every set and every index is keyed by the
+tuples themselves, and a relation's storage and scan order is their order.
+The encoding stays as the written contract of that order, which the tests
+check the tuples against. ``encode_value`` and ``encode_tuple`` find each
+value's encoder in one table keyed by its exact class (``_ENCODERS``); a
+value of any other type has no key and raises ``TypeError``.
 """
 
 from __future__ import annotations

@@ -166,9 +166,9 @@ def dangling_refs(state):
 
 
 def contains_tuple(state, relation, values):
-    """The row stored first under the tuple's canonical key, or None: how
-    the engine found a spelled-out tuple's row before sets kept row ids."""
-    return state.indexes[relation].first(encode_tuple(values))
+    """The row stored first under the tuple, its own key, or None: how the
+    engine found a spelled-out tuple's row before sets kept row ids."""
+    return state.indexes[relation].first(values)
 
 
 def by_values(mp) -> None:
@@ -211,8 +211,10 @@ def index_faults(state):
     """Every (relation, what) whose index disagrees with its own rows or
     with its paged layout.
 
-    The keys must list each row once, under its own key, in key order, and
-    the position maps must equal a rebuild from the rows: the reference
+    The keys must list each row once, each key the very tuple object its
+    row page holds, in the order of their canonical byte keys (the order
+    contract of ``values``), and the position maps must equal a rebuild
+    from the rows: the reference
     positions, and each scalar position with a value map. The layout: chunks
     are non-empty and hold at most ``store.CHUNK_MAX`` keys, each with one id,
     and each chunk's recorded largest key is its last key; every row page has
@@ -232,7 +234,7 @@ def index_faults(state):
             faults.append((rel_name, "empty chunk"))
         if any(len(keys) > store.CHUNK_MAX for keys, _ids in chunks):
             faults.append((rel_name, "chunk over the size limit"))
-        if [keys[-1:] for keys in idx.key_chunks] != [[m] for m in idx.maxes]:
+        if any(keys[-1] is not m for keys, m in zip(idx.key_chunks, idx.maxes) if keys):
             faults.append((rel_name, "recorded largest key differs from the chunk's last"))
         pages = [page for page in idx.rows.pages if page is not None]
         if any(len(page) != 1 << store.ROW_BITS or page.count(None) == len(page) for page in pages):
@@ -243,11 +245,10 @@ def index_faults(state):
         if len(idx.rows) != sum(len(page) - page.count(None) for page in pages):
             faults.append((rel_name, "row count differs from the stored rows"))
         keys, ids = flat_keys(idx), flat_ids(idx)
-        if any(k > after for k, after in zip(keys, keys[1:])):
+        encoded = [encode_tuple(k) for k in keys]
+        if any(k > after for k, after in zip(encoded, encoded[1:])):
             faults.append((rel_name, "keys out of order"))
-        if list(zip(keys, ids)) != [
-            (encode_tuple(rows[rowid]), rowid) if rowid in rows else None for rowid in ids
-        ] or sorted(ids) != sorted(rows):
+        if any(rows.get(rowid) is not k for k, rowid in zip(keys, ids)) or sorted(ids) != sorted(rows):
             faults.append((rel_name, "keys differ from the rows"))
         if len(set(idx.valued)) != len(idx.valued) or not set(idx.valued) <= set(idx.maps):
             faults.append((rel_name, "a value map listed twice, or missing"))
@@ -563,7 +564,7 @@ def materialize(parsed, rel, catalog, refs, line_no: int):
             atom = shell._read_atom(item[1], kind)
             if atom is None:
                 raise SnapshotFormatError(f"{item[1]!r} is not a canonical {kind} literal", line_no)
-            out.append(atom[0])
+            out.append(atom)
         elif tag == "ref" and item[1] == kind and kind in refs:
             loaded = refs[kind]
             if not 1 <= item[2] <= len(loaded):
@@ -583,8 +584,8 @@ def materialize(parsed, rel, catalog, refs, line_no: int):
 def load_snapshot_by_insert(text: str):
     """A snapshot load as it was before each relation had a row reader:
     each row is read by the character loop, made a tuple by
-    ``materialize`` and stored by ``DbState.insert``, which encodes its key
-    and links every position. Only for snapshots that load."""
+    ``materialize`` and stored by ``DbState.insert``, which seeks its place
+    by the tuple and links every position. Only for snapshots that load."""
     lines = text.split("\n")
     blank = lines.index("")
     db = relang.Database()

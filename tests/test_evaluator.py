@@ -837,9 +837,9 @@ def test_a_selection_reads_only_what_its_bound_positions_allow(library, monkeypa
     scans = []
     scan = DbState.scan
 
-    def recorded(self, relation, prefix=b"", ids=None):
-        found = scan(self, relation, prefix, ids)
-        scans.append((relation, prefix, len(found)))
+    def recorded(self, relation, lead=None):
+        found = scan(self, relation, lead)
+        scans.append((relation, lead, len(found)))
         return found
 
     monkeypatch.setattr(DbState, "scan", recorded)
@@ -851,8 +851,8 @@ def test_a_selection_reads_only_what_its_bound_positions_allow(library, monkeypa
     for text, relation, expected in cases:
         scans.clear()
         assert rows(q(library, text), library.published) == expected
-        read = [(prefix, n) for rel, prefix, n in scans if rel == relation]
-        assert all(prefix for prefix, _n in read) and sum(n for _p, n in read) <= len(expected)
+        read = [(lead, n) for rel, lead, n in scans if rel == relation]
+        assert all(lead is not None for lead, _n in read) and sum(n for _l, n in read) <= len(expected)
 
 
 def test_a_text_key_range_is_checked_again():

@@ -23,8 +23,6 @@ from relang.values import (
     TextVal,
     TimestampVal,
     TupleVal,
-    encode_int,
-    encode_text,
     encode_tuple,
     encode_value,
     parse_timestamp,
@@ -95,11 +93,11 @@ class TestInsert:
 
 
 class TestAppend:
-    """``append`` stores a tuple under the key its caller made: last when
-    the key sorts after the relation's last, else through ``insert``."""
+    """``append`` stores a tuple as a snapshot load reads it: last when it
+    sorts after the relation's last, else through ``insert``."""
 
     def appended(self, state, relation, values, linked=()):
-        return state.append(relation, values, encode_tuple(values), linked)
+        return state.append(relation, values, linked)
 
     def test_a_key_after_the_last_goes_last(self):
         state = library_state()
@@ -222,7 +220,7 @@ class TestRekey:
         first, _ = state.insert("author", author("Dawkins", "1941-03-26"))
         rid, _ = state.insert("author", author("Homer", "800 BC"))
         assert state.rekey("author", rid, author("Dawkins", "1941-03-26")) is True
-        key = encode_tuple(author("Dawkins", "1941-03-26"))
+        key = author("Dawkins", "1941-03-26")
         idx = state.indexes["author"]
         assert flat_keys(idx) == [key, key] and flat_ids(idx) == [first, rid]
         assert contains_tuple(state, "author", author("Dawkins", "1941-03-26")) == first
@@ -244,24 +242,28 @@ class TestScan:
         assert [t[0].value for t in state.scan("genre").values()] == ["bore", "epic", "sci-fi"]
 
     def test_prefix_scan_returns_the_keys_starting_with_the_prefix(self):
-        state = make_state("relation (name text)")
-        for name in ["ab", "a\x00b", "", "b", "a"]:
-            state.insert("name", (TextVal(name),))
+        # the prefix is a leading value: a key range holds the tuples that
+        # start with it, and no other text, however many bytes it shares
+        state = make_state("relation (name (s text) (n int))")
+        for n, name in enumerate(["ab", "a\x00b", "", "b", "a"]):
+            state.insert("name", (TextVal(name), IntVal(n)))
         names = lambda rows: [t[0].value for t in rows.values()]
         assert names(state.scan("name")) == ["", "a", "a\x00b", "ab", "b"]
-        # no text key is a byte prefix of another, "a\0b"'s of "a"'s included
-        assert names(state.scan("name", encode_text("a"))) == ["a"]
-        assert names(state.scan("name", b"a")) == ["a", "a\x00b", "ab"]
-        assert names(state.scan("name", encode_text("c"))) == []
+        assert names(state.scan("name", TextVal("a"))) == ["a"]
+        assert names(state.scan("name", TextVal("a\x00"))) == []
+        assert names(state.scan("name", TextVal("c"))) == []
+        assert list(state.scan("name", TextVal("b"))) == [4]
 
-    def test_prefix_scan_of_high_bytes_reaches_the_last_key(self):
-        state = make_state("relation (n int)")
+    def test_a_scan_of_the_largest_lead_reaches_the_last_key(self):
+        state = make_state("relation (n (v int) (m int))")
         for n in [INT64_MAX, 0, INT64_MAX - 1, -1]:
-            state.insert("n", (IntVal(n),))
-        values = lambda rows: [t[0].value for t in rows.values()]
-        assert values(state.scan("n", encode_int(INT64_MAX))) == [INT64_MAX]
-        assert values(state.scan("n", b"\xff")) == [INT64_MAX - 1, INT64_MAX]
-        assert values(state.scan("n", b"\x7f")) == [-1]
+            state.insert("n", (IntVal(n), IntVal(1)))
+            state.insert("n", (IntVal(n), IntVal(2)))
+        values = lambda rows: [(t[0].value, t[1].value) for t in rows.values()]
+        assert values(state.scan("n", IntVal(INT64_MAX))) == [(INT64_MAX, 1), (INT64_MAX, 2)]
+        assert values(state.scan("n", IntVal(INT64_MAX - 1))) == [(INT64_MAX - 1, 1), (INT64_MAX - 1, 2)]
+        assert values(state.scan("n", IntVal(-1))) == [(-1, 1), (-1, 2)]
+        assert state.scan("n", IntVal(1)) == {} and state.indexes["n"].count(IntVal(INT64_MAX)) == 2
 
     def test_sorted_keys_follow_inserts_rekeys_and_erasures(self):
         state = make_state("relation (name text)")
@@ -269,7 +271,7 @@ class TestScan:
         state.rekey("name", rids["x"], (TextVal("b"),))
         state.erase("name", rids["c"])
         idx = state.indexes["name"]
-        assert flat_keys(idx) == [encode_text(n) for n in "abm"]
+        assert flat_keys(idx) == [(TextVal(n),) for n in "abm"]
         assert flat_ids(idx) == [rids["a"], rids["x"], rids["m"]]
 
     def test_scan_empty_relation(self):
@@ -518,7 +520,7 @@ class TestPages:
         assert len(idx.key_chunks) == 1
         state.insert("item", (IntVal(25),))
         assert [len(keys) for keys in idx.key_chunks] == [2, 3]
-        assert flat_keys(idx) == [encode_int(n) for n in (10, 20, 25, 30, 40)]
+        assert flat_keys(idx) == [(IntVal(n),) for n in (10, 20, 25, 30, 40)]
         assert index_faults(state) == []
 
     def test_an_emptied_chunk_is_dropped(self, small_pages):
@@ -533,7 +535,7 @@ class TestPages:
         state, idx, rids = numbers(*range(7))
         for rid in rids[1:6]:
             assert state.rekey("item", rid, (IntVal(0),)) is True
-        key = encode_int(0)
+        key = (IntVal(0),)
         assert len(idx.key_chunks) > 1 and idx.maxes[0] == key == idx.key_chunks[1][0]
         assert idx.run(key) == rids[:6] and idx.first(key) == rids[0]
         # the run's holders leave from inside it, across the chunk boundary
@@ -556,16 +558,17 @@ class TestPages:
             for b in range(5):
                 state.insert("pair", (IntVal(a), IntVal(b)))
         idx = state.indexes["pair"]
-        c, _lo, d, hi = idx.span(encode_int(1))
+        c, _lo, d, hi = idx.span(IntVal(1))
         assert c < d and hi > 0  # the range under test
         rows = dict(idx.rows.items())
-        for prefix in [b""] + [encode_int(a) for a in range(-1, 4)]:
-            expected = [
-                (key, rows[rowid])
-                for key, rowid in zip(flat_keys(idx), flat_ids(idx))
-                if key.startswith(prefix)
-            ]
-            assert list(state.scan("pair", prefix).items()) == expected
+        # the reference: the rows whose canonical byte key starts with the
+        # lead's, in byte key order
+        for lead in [None] + [IntVal(a) for a in range(-1, 4)]:
+            prefix = b"" if lead is None else encode_value(lead)
+            expected = sorted(
+                (encode_tuple(values), rowid) for rowid, values in rows.items() if encode_tuple(values).startswith(prefix)
+            )
+            assert list(state.scan("pair", lead).items()) == [(rowid, rows[rowid]) for _key, rowid in expected]
 
     def test_sparse_pages_read_and_drop(self, small_pages):
         state, idx, rids = numbers(*range(10))
@@ -576,8 +579,46 @@ class TestPages:
         assert len(idx.rows) == 2
         assert dict(idx.rows.items()) == {rids[0]: (IntVal(0),), rids[9]: (IntVal(9),)}
         assert rids[5] not in idx.rows and idx.rows.get(rids[5]) is None
-        assert list(state.scan("item")) == [encode_int(0), encode_int(9)]
+        assert list(state.scan("item").items()) == [(rids[0], (IntVal(0),)), (rids[9], (IntVal(9),))]
         assert index_faults(state) == []
+
+
+def test_a_lead_scan_reads_the_rows_a_filter_of_every_row_keeps(small_pages):
+    # texts that share their first bytes, a leading reference and a leading
+    # inline tuple, over ranges that cross chunks; a collision run shows
+    # every one of its rows
+    state = make_state(
+        "relation (word (s text) (n int))",
+        "relation (tag word (n int))",
+        "domain (duo word (k int))",
+        "relation (shelf duo (n int))",
+    )
+    texts = ["a", "a\x00", "a\x00b", "a\x01", "ab", ""]
+    words = [state.insert("word", (TextVal(t), IntVal(n)))[0] for t in texts for n in (1, 2)]
+    tags, shelves = [], []
+    for rid in words:
+        for n in (1, 2):
+            tags.append(state.insert("tag", (RefVal("word", rid), IntVal(n)))[0])
+            duo = TupleVal("duo", (RefVal("word", rid), IntVal(n)))
+            shelves.append(state.insert("shelf", (duo, IntVal(n)))[0])
+    for relation, rids in (("word", words), ("tag", tags), ("shelf", shelves)):
+        assert state.rekey(relation, rids[1], state.get_row(relation, rids[0])) is True
+    leads = {
+        "word": [TextVal(t) for t in texts + ["a\x02", "b"]],
+        "tag": [RefVal("word", rid) for rid in words + [99]],
+        "shelf": [TupleVal("duo", (RefVal("word", rid), IntVal(n))) for rid in words + [99] for n in (1, 2, 3)],
+    }
+    for relation, lead_values in leads.items():
+        idx = state.indexes[relation]
+        rows = dict(idx.rows.items())
+        for lead in lead_values:
+            got = state.scan(relation, lead)
+            assert got == {rowid: values for rowid, values in rows.items() if values[0] == lead}
+            assert list(got.values()) == sorted(got.values(), key=encode_tuple)
+            assert idx.count(lead) == len(got)
+    run = state.scan("tag", RefVal("word", words[0]))
+    assert tags[0] in run and tags[1] in run and len(run) == 2
+    assert len(state.scan("word", TextVal("a"))) == 2 and index_faults(state) == []
 
 
 def _sharing(parent, fork):
@@ -671,8 +712,9 @@ class TestSharing:
 
 
 class ListModel:
-    """One relation as a plain sorted list of (key, row id) pairs, the
-    earliest holder of a key first, plus a row id -> tuple dict."""
+    """One relation as a plain sorted list of (canonical byte key, row id)
+    pairs, the earliest holder of a key first, plus a row id -> tuple
+    dict: the byte keys are the order contract the index's tuples keep."""
 
     def __init__(self):
         self.entries = []
@@ -857,23 +899,21 @@ class PagedIndexMachine(RuleBasedStateMachine):
             assert index_faults(state) == []
             for relation, model in models.items():
                 idx = state.indexes[relation]
-                assert list(zip(flat_keys(idx), flat_ids(idx))) == model.entries
+                assert [(encode_tuple(k), r) for k, r in zip(flat_keys(idx), flat_ids(idx))] == model.entries
                 assert dict(idx.rows.items()) == model.rows and len(idx.rows) == len(model.rows)
                 assert idx.next_rowid == model.next_rowid
-                assert state.scan(relation) == {k: model.rows[r] for k, r in model.entries}
-                for key in set(model.keys()) | {encode_int(-1)}:
-                    held = [r for k, r in model.entries if k == key]
-                    assert idx.run(key) == held and idx.first(key) == (held[0] if held else None)
+                assert list(state.scan(relation).items()) == [(r, model.rows[r]) for _k, r in model.entries]
+                for values in set(model.rows.values()) | {(IntVal(-1),)}:
+                    held = [r for k, r in model.entries if k == encode_tuple(values)]
+                    assert idx.run(values) == held and idx.first(values) == (held[0] if held else None)
             tags = models["tag"]
             for rowid in range(1, models["item"].next_rowid):
                 assert state.referrers("item", rowid) == referrers_of(models, rowid)
                 # the tags of one item: a key range that may span chunks
-                prefix = encode_value(RefVal("item", rowid))
-                assert state.scan("tag", prefix) == {
-                    k: tags.rows[r] for k, r in tags.entries if k.startswith(prefix)
-                }
-                held = [k for k, _r in tags.entries if k.startswith(prefix)]
-                assert state.indexes["tag"].count(prefix) == len(held)
+                lead = RefVal("item", rowid)
+                held = [r for k, r in tags.entries if k.startswith(encode_value(lead))]
+                assert list(state.scan("tag", lead).items()) == [(r, tags.rows[r]) for r in held]
+                assert state.indexes["tag"].count(lead) == len(held)
 
 
 def test_the_paged_index_reads_as_a_sorted_list_model(small_pages):
