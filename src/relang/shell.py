@@ -4,12 +4,21 @@ Formatting lives here and only here; it never alters the tuple set it
 renders, and ordering requested at the output level is a formatting concern,
 not a relational one.
 
+Formatting is by column: each column of an output's tuples, or of a
+relation's rows in a snapshot, is written in one pass by the writer for its
+value type (``_Cells``), and each row is assembled from its columns' cells
+once. An inline tuple's members are written as sub-columns. An output
+formats each distinct row a reference column names once, those rows in
+turn column by column; a snapshot writes a reference as its target's
+``#<relation>:<ordinal>``, formatted once per target row.
+
 Value order: every output lists its tuples, and every snapshot its rows, in
 the order of their values (``values.py``, the order of their keys) with
 each reference replaced by the tuple it references. So it depends on values
 only, never on row ids or on the history of inserts. ``order_key`` builds
 every such sort key; ``order`` attributes sort on top of value order,
-stably.
+stably, and by the values themselves where no ordered column holds a
+reference or an inline tuple.
 
 Snapshot format (text, deterministic byte for byte):
 
@@ -51,6 +60,8 @@ import functools
 import io
 import re
 import sys
+from itertools import chain, count
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from . import store, syntax
@@ -89,52 +100,88 @@ SNAPSHOT_HEADER = ";; relang snapshot v1"
 # --- formatting ---------------------------------------------------------------
 
 
-def _members(values, state: DbState, writers) -> str:
-    """Cell text of a tuple's values, each written by its type's writer,
-    in braces."""
-    return "{" + " ".join([writers[type(v)](v, state, writers) for v in values]) + "}"
+def _distinct(render):
+    """A column writer that renders each distinct value of its column once."""
+
+    def write(col) -> List[str]:
+        texts = {v: render(v) for v in set(col)}
+        return list(map(texts.__getitem__, col))
+
+    return write
 
 
-def _ref_cell(v: RefVal, state: DbState, writers) -> str:
-    return _members(state.get_row(v[1], v[2]), state, writers)
+def _quoted(col) -> List[str]:
+    """Each text of a column as ``quote_text`` writes it, the whole column
+    escaped in one pass: NUL, which no escape writes, separates the texts,
+    unless one holds it."""
+    texts = list(map(_value, col))
+    joined = "\x00".join(texts)
+    if joined.count("\x00") != len(texts) - 1:
+        return list(map(quote_text, texts))
+    return quote_text(joined).replace("\x00", '"\x00"').split("\x00")
 
 
-def _tuple_cell(v: TupleVal, state: DbState, writers) -> str:
-    return _members(v[2], state, writers)
-
-
-# Cell writers by value type, each called as ``writer(value, state,
-# writers)``. Human-facing cells show text bare and every other scalar as
-# its canonical literal (``render_scalar``); s-expression cells are
-# literals that read back, timestamps included. Referenced and inline
-# tuples are their members in braces. Writers read a value's fields by
-# their place in its tuple (``values``), since they run once per cell.
-_PLAIN_CELLS = {
-    TextVal: lambda v, _state, _writers: v[1],
-    IntVal: lambda v, _state, _writers: str(v[1]),
-    RealVal: lambda v, _state, _writers: repr(v[1]),
-    TimestampVal: lambda v, _state, _writers: render_timestamp(v),
-    RefVal: _ref_cell,
-    TupleVal: _tuple_cell,
+# Scalar column writers by value type, one set per format, each writing a
+# column of its type in one pass. Human-facing cells show text bare and
+# every other scalar as its canonical literal (``render_scalar``);
+# s-expression cells are literals that read back, timestamps included;
+# snapshot cells are canonical literals. Writers read a value's fields by
+# their place in its tuple (``values``).
+_value = itemgetter(1)
+_PLAIN = {
+    TextVal: lambda col: list(map(_value, col)),
+    IntVal: lambda col: list(map(str, map(_value, col))),
+    RealVal: lambda col: list(map(repr, map(_value, col))),
+    TimestampVal: _distinct(render_timestamp),
 }
-_SEXPR_CELLS = {
-    **_PLAIN_CELLS,
-    TextVal: lambda v, _state, _writers: quote_text(v[1]),
-    TimestampVal: lambda v, _state, _writers: f'(timestamp "{render_timestamp(v)}")',
-}
-
-# Snapshot cells take each referenced relation's reference cells, row id ->
-# ``#<relation>:<ordinal>`` (``refs``), in place of a state: each scalar is
-# its canonical literal.
-_SNAPSHOT_CELLS = {
-    **_SEXPR_CELLS,
-    TimestampVal: lambda v, _refs, _writers: render_timestamp(v),
-    RefVal: lambda v, refs, _writers: refs[v[1]][v[2]],
-}
+_SNAPSHOT = {**_PLAIN, TextVal: _quoted}
+_SEXPR = {**_SNAPSHOT, TimestampVal: _distinct(lambda v: f'(timestamp "{render_timestamp(v)}")')}
 
 
-def _plain_cells(t, state: DbState) -> List[str]:
-    return [_PLAIN_CELLS[type(v)](v, state, _PLAIN_CELLS) for v in t]
+class _Cells:
+    """The cells of one output or one snapshot, written column by column.
+
+    A column of one value type is written in one pass: a scalar column by
+    its type's writer in ``scalars``, an inline tuple column as its
+    members' columns, and a reference column as its targets' cells,
+    ``targets[relation][row id]``. A snapshot is given those cells, each
+    ``#<relation>:<ordinal>``. An output formats each target row the first
+    time a column names it, through ``get_row``, those rows in turn column
+    by column, and keeps its cell for the whole output. A column of several
+    value types would be written cell by cell through the same writers; no
+    expression makes one, as a union converts the ints it widens."""
+
+    def __init__(self, scalars, get_row=None, targets=None):
+        self.scalars = scalars
+        self.get_row = get_row
+        self.targets: Dict[str, Dict[int, str]] = {} if targets is None else targets
+
+    def column(self, col) -> List[str]:
+        kinds = set(map(type, col))
+        if len(kinds) > 1:
+            return [self.column((v,))[0] for v in col]
+        kind = kinds.pop()
+        if kind is TupleVal:
+            return self.braced(list(map(itemgetter(2), col)))
+        if kind is not RefVal:
+            return self.scalars[kind](col)
+        rel = col[0][1]  # a column's references all name its type's relation
+        cells, rows = self.targets.setdefault(rel, {}), list(map(itemgetter(2), col))
+        if self.get_row is not None:
+            missing = [row for row in dict.fromkeys(rows) if row not in cells]
+            if missing:
+                cells.update(zip(missing, self.braced([self.get_row(rel, row) for row in missing])))
+        return list(map(cells.__getitem__, rows))
+
+    def columns(self, rows) -> List[List[str]]:
+        """The cells of tuples of one shape, by column. Each column is read
+        off the rows by one ``map``: ``zip(*rows)`` would hold an iterator
+        per row, enough to set off the cyclic collector on a large output."""
+        return [self.column(list(map(itemgetter(i), rows))) for i in range(len(rows[0]) if rows else 0)]
+
+    def braced(self, rows) -> List[str]:
+        """Each tuple's cells, in braces."""
+        return ["{" + cells + "}" for cells in map(" ".join, zip(*self.columns(rows)))]
 
 
 def order_key(values, ref_key) -> tuple:
@@ -149,10 +196,10 @@ def order_key(values, ref_key) -> tuple:
     ])
 
 
-def _target_keys(state: DbState):
+def _target_keys(get_row):
     """A ``ref_key`` giving each reference its target's order key, memoised
     for one output."""
-    target_key = functools.cache(lambda rel, row: order_key(state.get_row(rel, row), ref_key))
+    target_key = functools.cache(lambda rel, row: order_key(get_row(rel, row), ref_key))
     ref_key = lambda v: target_key(v.relation, v.row)
     return ref_key
 
@@ -172,12 +219,13 @@ def _rising(state: DbState, name: str, memo: Dict[str, bool]) -> bool:
     """Whether the relation's row ids rise with its value order, as far as
     its key order shows: every relation it references rises, so it is in
     value order as stored (see ``_export_orders``), and its row ids rise
-    in key order. ``memo`` holds the relations judged already."""
+    in key order, as its index records, or else as they read. ``memo``
+    holds the relations judged already."""
     got = memo.get(name)
     if got is None:
         idx = state.indexes.get(name)
-        ids = None if idx is None else [rowid for chunk in idx.id_chunks for rowid in chunk]
-        got = memo[name] = ids is not None and _stored_in_value_order(state, name, memo) and ids == sorted(ids)
+        ids = [] if idx is None or idx.rising else list(chain.from_iterable(idx.id_chunks))
+        got = memo[name] = idx is not None and _stored_in_value_order(state, name, memo) and ids == sorted(ids)
     return got
 
 
@@ -189,21 +237,29 @@ def _stored_in_value_order(state: DbState, type_name: str, memo: Dict[str, bool]
     return all(_rising(state, t, memo) for t in refs)
 
 
-def _ordered_tuples(result: TupleSet, state: DbState, order_attrs) -> List[tuple]:
+def _output(result: TupleSet, state: DbState, order_attrs, scalars) -> Tuple[List[tuple], _Cells]:
     """The result's tuples in value order (as stored when every relation
     its columns reference rises), then sorted stably by its ``order``
-    attributes."""
+    attributes, and the cells that write them; the sort and the cells read
+    each target row once."""
     positions = [result.attr_index(attr) for attr in order_attrs]
     if None in positions:
         raise UnknownAttr(f"no attribute {order_attrs[positions.index(None)]!r} to order by")
-    tuples, ref_key = result.tuples(), _target_keys(state)
+    tuples, get_row = result.tuples(), state.get_row
     memo: Dict[str, bool] = {}
     refs = set().union(*[_referenced(state.catalog, col.type_name) for col in result.schema])
-    if not all(_rising(state, t, memo) for t in refs):
+    stored = all(_rising(state, t, memo) for t in refs)
+    scalar = all(result.schema[p].type_name in SCALAR_TYPES for p in positions)
+    if not (stored and scalar):  # a sort by target rows, which the cells then share
+        get_row = functools.cache(get_row)
+        ref_key = _target_keys(get_row)
+    if not stored:
         tuples.sort(key=lambda t: order_key(t, ref_key))
-    if positions:
+    if not scalar:
         tuples.sort(key=lambda t: order_key([t[p] for p in positions], ref_key))
-    return tuples
+    elif positions:
+        tuples.sort(key=itemgetter(*positions))  # ``order_key`` keeps a scalar as it is
+    return tuples, _Cells(scalars, get_row)
 
 
 def format_result(result, fmt: str, state: DbState, order_attrs=()) -> str:
@@ -224,18 +280,18 @@ def format_result(result, fmt: str, state: DbState, order_attrs=()) -> str:
 def format_sexpr(result: TupleSet, state: DbState, order_attrs=()) -> str:
     if result.schema is None or len(result) == 0:
         return "()"
-    rows = [_members(t, state, _SEXPR_CELLS) for t in _ordered_tuples(result, state, order_attrs)]
-    return "(" + " ".join(rows) + ")"
+    tuples, cells = _output(result, state, order_attrs, _SEXPR)
+    return "(" + " ".join(cells.braced(tuples)) + ")"
 
 
 def format_csv(result: TupleSet, state: DbState, order_attrs=()) -> str:
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
     if result.schema is None:
         return ""
+    buf = io.StringIO()
+    writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow([col.attr for col in result.schema])
-    for t in _ordered_tuples(result, state, order_attrs):
-        writer.writerow(_plain_cells(t, state))
+    tuples, cells = _output(result, state, order_attrs, _PLAIN)
+    writer.writerows(zip(*cells.columns(tuples)))
     return buf.getvalue().rstrip("\n")
 
 
@@ -243,28 +299,25 @@ def format_tabular(result: TupleSet, state: DbState, order_attrs=()) -> str:
     if result.schema is None:
         return "(empty set)"
     headers = [col.attr for col in result.schema]
-    tuples = _ordered_tuples(result, state, order_attrs)
-    # cells are held by column, not in one list per row: a scan of
-    # thousands of rows then allocates no container per row
-    columns = [[_PLAIN_CELLS[type(t[i])](t[i], state, _PLAIN_CELLS) for t in tuples] for i in range(len(headers))]
+    tuples, cells = _output(result, state, order_attrs, _PLAIN)
+    columns = cells.columns(tuples) or [[] for _h in headers]
     widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, columns)]
     lines = [
         "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
         "  ".join("-" * w for w in widths),
     ]
-    for k in range(len(tuples)):
-        lines.append("  ".join([col[k].ljust(w) for col, w in zip(columns, widths)]).rstrip())
+    # each line is stripped on the right, so the last column needs no padding
+    padded = [[cell.ljust(w) for cell in col] for col, w in zip(columns[:-1], widths)] + columns[-1:]
+    lines += map(str.rstrip, map("  ".join, zip(*padded)))
     return "\n".join(lines)
 
 
 # --- snapshots ----------------------------------------------------------------
 
 
-def _export_orders(
-    catalog: Catalog, state: DbState
-) -> Tuple[Dict[str, Dict[int, int]], Dict[str, List[int]]]:
-    """Per relation, its row ids in value order, and the map row id ->
-    export ordinal (1-based).
+def _export_orders(catalog: Catalog, state: DbState) -> Tuple[Dict[str, List[tuple]], Dict[str, List[int]]]:
+    """Per relation, its tuples in value order, and their row ids in that
+    order; a row's export ordinal is its place there, from 1.
 
     A reference's order key is its target's ordinal, which ranks targets in
     their own value order, and in key order it ranks by its target's row
@@ -274,7 +327,8 @@ def _export_orders(
     key. Ordinals rise with row ids in any loaded database (there they are
     equal) and after appends in key order.
     """
-    orders: Dict[str, Dict[int, int]] = {}
+    orders: Dict[str, Dict[int, int]] = {}  # row id -> export ordinal
+    rows: Dict[str, List[tuple]] = {}
     ordered: Dict[str, List[int]] = {}
     rising: Dict[str, bool] = {}  # whether a relation's ordinals rise with its row ids
     ref_key = lambda v: orders[v.relation][v.row]
@@ -287,21 +341,23 @@ def _export_orders(
         if idx is None:
             continue
         if _stored_in_value_order(state, name, rising):
-            rowids = [rowid for ids in idx.id_chunks for rowid in ids]
+            rowids = list(chain.from_iterable(idx.id_chunks))
+            rows[name] = list(chain.from_iterable(idx.key_chunks))
         else:
             pages, bits = idx.rows.pages, store.ROW_BITS
             keyed = sorted(
-                (order_key(values, ref_key), (n << bits) + i)
+                (order_key(values, ref_key), (n << bits) + i, values)
                 for n, page in enumerate(pages)
                 if page is not None
                 for i, values in enumerate(page)
                 if values is not None
             )
-            rowids = [rowid for _k, rowid in keyed]
+            rowids = [rowid for _k, rowid, _v in keyed]
+            rows[name] = [values for _k, _r, values in keyed]
         ordered[name] = rowids
-        orders[name] = {rowid: i for i, rowid in enumerate(rowids, 1)}
+        orders[name] = dict(zip(rowids, count(1)))
         rising[name] = rowids == sorted(rowids)
-    return orders, ordered
+    return rows, ordered
 
 
 def _definition_line(rel: RelationDef) -> str:
@@ -318,18 +374,16 @@ def save_snapshot(db: Database) -> str:
     """Serialize catalog and published state; byte-deterministic."""
     catalog, state = db.catalog, db.published
     lines = [SNAPSHOT_HEADER, *[_definition_line(catalog.lookup(name)) for name in catalog.names()], ""]
-    orders, ordered = _export_orders(catalog, state)
-    # each referenced row's cell, formatted once
-    refs = {
-        name: {rowid: f"#{name}:{n}" for rowid, n in orders[name].items()}
-        for name in ordered
-        if catalog.referencing(name)
-    }
+    rows, ordered = _export_orders(catalog, state)
+    refs: Dict[str, Dict[int, str]] = {}  # each referenced row's cell, formatted once
+    cells = _Cells(_SNAPSHOT, targets=refs)
     for name, rowids in ordered.items():
-        pages, bits, mask = state.indexes[name].rows.pages, store.ROW_BITS, (1 << store.ROW_BITS) - 1
-        for ordinal, rowid in enumerate(rowids, 1):
-            values = _members(pages[rowid >> bits][rowid & mask], refs, _SNAPSHOT_CELLS)
-            lines.append(f"row {name} {ordinal} {values}")
+        ordinals = list(map(str, range(1, len(rowids) + 1)))
+        if catalog.referencing(name):  # before its referrers, which come later in definition order
+            refs[name] = dict(zip(rowids, map(f"#{name}:".__add__, ordinals)))
+        prefix = f"row {name} "
+        values = map(" ".join, zip(*cells.columns(rows[name])))
+        lines += [f"{prefix}{ordinal} {{{text}}}" for ordinal, text in zip(ordinals, values)]
     return "\n".join(lines) + "\n"
 
 
@@ -354,7 +408,7 @@ def _read_atom(token: str, expected: str) -> Optional[Value]:
     return value if render_scalar(value) == token else None
 
 
-# The cells of a row as ``_SNAPSHOT_CELLS`` writes them: a text with only
+# The cells of a row as ``save_snapshot`` writes them: a text with only
 # the escapes ``quote_text`` writes (and so no raw tab or carriage return),
 # and a scalar literal, whose canonical form ``_read_atom`` checks.
 _TEXT_CELL = r'"([^"\\\t\r]*(?:\\["\\ntr][^"\\\t\r]*)*)"'

@@ -10,9 +10,13 @@ character loop for the script lexer and one for snapshot rows, a sort of
 every relation by its export key for the export order, and a snapshot load
 that parses, builds and inserts each row in separate stages. ``by_values``
 switches the engine back to finding every row by its values, and
-``contains_tuple`` is that lookup.
+``contains_tuple`` is that lookup. The formatting oracles write every cell
+through its value type's writer, formatting a referenced row again for each
+cell that references it, and sort every output by order key.
 """
 
+import csv
+import io
 import itertools
 import random
 import string
@@ -53,6 +57,8 @@ from relang.values import (
     TupleVal,
     encode_tuple,
     encode_value,
+    quote_text,
+    render_timestamp,
     unescape_char,
 )
 
@@ -221,7 +227,8 @@ def index_faults(state):
     one slot per id of its page and holds a row, and the page table covers
     every id handed out; every map page holds only keys of its own page
     and is non-empty, as is every bucket, and every map but a value map;
-    the row count is the number of stored rows. Empty on any state,
+    the row count is the number of stored rows; an index recorded as
+    rising has row ids that rise in key order. Empty on any state,
     published or not."""
     faults = []
     for rel_name, idx in state.indexes.items():
@@ -272,6 +279,8 @@ def index_faults(state):
                     current.setdefault(pos, {})[key] = set(bucket)
         if current != rebuilt:
             faults.append((rel_name, "position maps differ from the rows"))
+        if idx.rising and ids != sorted(ids):
+            faults.append((rel_name, "recorded as rising, but its row ids fall in key order"))
     return faults
 
 
@@ -606,6 +615,109 @@ def load_snapshot_by_insert(text: str):
             refs[name].append(RefVal(name, rowid))
     db.refresh()
     return db
+
+
+# --- formatting cell by cell ------------------------------------------------------
+
+
+def _members(values, state, writers) -> str:
+    """Cell text of a tuple's values, each written by its type's writer,
+    in braces."""
+    return "{" + " ".join([writers[type(v)](v, state, writers) for v in values]) + "}"
+
+
+def _ref_cell(v, state, writers) -> str:
+    return _members(state.get_row(v[1], v[2]), state, writers)
+
+
+def _tuple_cell(v, state, writers) -> str:
+    return _members(v[2], state, writers)
+
+
+# Cell writers by value type, each called as ``writer(value, state,
+# writers)``. Human-facing cells show text bare and every other scalar as
+# its canonical literal; s-expression cells are literals that read back,
+# timestamps included. Referenced and inline tuples are their members in
+# braces.
+_PLAIN_CELLS = {
+    TextVal: lambda v, _state, _writers: v[1],
+    IntVal: lambda v, _state, _writers: str(v[1]),
+    RealVal: lambda v, _state, _writers: repr(v[1]),
+    TimestampVal: lambda v, _state, _writers: render_timestamp(v),
+    RefVal: _ref_cell,
+    TupleVal: _tuple_cell,
+}
+_SEXPR_CELLS = {
+    **_PLAIN_CELLS,
+    TextVal: lambda v, _state, _writers: quote_text(v[1]),
+    TimestampVal: lambda v, _state, _writers: f'(timestamp "{render_timestamp(v)}")',
+}
+
+# Snapshot cells take each referenced relation's reference cells, row id ->
+# ``#<relation>:<ordinal>`` (``refs``), in place of a state: each scalar is
+# its canonical literal.
+_SNAPSHOT_CELLS = {
+    **_SEXPR_CELLS,
+    TimestampVal: lambda v, _refs, _writers: render_timestamp(v),
+    RefVal: lambda v, refs, _writers: refs[v[1]][v[2]],
+}
+
+
+def _plain_cells(t, state):
+    return [_PLAIN_CELLS[type(v)](v, state, _PLAIN_CELLS) for v in t]
+
+
+def ordered_by_key(result, state, order_attrs=()):
+    """A result's tuples as an output lists them, every sort by order key:
+    sorted into value order, then stably by the ``order`` attributes."""
+    target_key = lambda v: shell.order_key(state.get_row(v[1], v[2]), target_key)
+    tuples = sorted(result.tuples(), key=lambda t: shell.order_key(t, target_key))
+    positions = [result.attr_index(attr) for attr in order_attrs]
+    if positions:
+        tuples.sort(key=lambda t: shell.order_key([t[p] for p in positions], target_key))
+    return tuples
+
+
+def format_by_cell(result, fmt, state, order_attrs=()) -> str:
+    """A result in one of the three formats, every cell written on its own:
+    ``shell.format_result`` before it wrote by column."""
+    if fmt == "sexpr":
+        if result.schema is None or len(result) == 0:
+            return "()"
+        return "(" + " ".join(_members(t, state, _SEXPR_CELLS) for t in ordered_by_key(result, state, order_attrs)) + ")"
+    if fmt == "csv":
+        if result.schema is None:
+            return ""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([col.attr for col in result.schema])
+        for t in ordered_by_key(result, state, order_attrs):
+            writer.writerow(_plain_cells(t, state))
+        return buf.getvalue().rstrip("\n")
+    if result.schema is None:
+        return "(empty set)"
+    headers = [col.attr for col in result.schema]
+    cells = [_plain_cells(t, state) for t in ordered_by_key(result, state, order_attrs)]
+    widths = [max([len(h)] + [len(row[i]) for row in cells]) for i, h in enumerate(headers)]
+    lines = [
+        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+        "  ".join("-" * w for w in widths),
+    ]
+    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells]
+    return "\n".join(lines)
+
+
+def save_snapshot_by_cell(db) -> str:
+    """``shell.save_snapshot`` written row by row and cell by cell, in the
+    export order of ``export_orders``."""
+    catalog, state = db.catalog, db.published
+    lines = [shell.SNAPSHOT_HEADER, *[shell._definition_line(catalog.lookup(name)) for name in catalog.names()], ""]
+    ordered = export_orders(catalog, state)
+    refs = {name: {rowid: f"#{name}:{n}" for n, rowid in enumerate(rowids, 1)} for name, rowids in ordered.items()}
+    for name, rowids in ordered.items():
+        for n, rowid in enumerate(rowids, 1):
+            lines.append(f"row {name} {n} {_members(state.get_row(name, rowid), refs, _SNAPSHOT_CELLS)}")
+    return "\n".join(lines) + "\n"
 
 
 # --- random schema/database generation -------------------------------------------

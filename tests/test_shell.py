@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import relang
 from relang import shell
-from relang.errors import DanglingOrdinal, RelangError, SnapshotFormatError, UnknownAttr
+from relang.errors import DanglingOrdinal, RelangError, RowNotFound, SnapshotFormatError, UnknownAttr
 from relang.shell import (
     _export_orders,
     format_csv,
@@ -23,16 +23,21 @@ from relang.shell import (
     run as shell_run,
     save_snapshot,
 )
+from relang.store import DbState, iter_refs
+from relang.values import IntVal, RealVal, TextVal, TimestampVal
 
 from conftest import LIBRARY_DDL, LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
 from oracles import (
     dangling_refs,
     export_orders,
     flat_ids,
+    format_by_cell,
     index_faults,
     load_snapshot_by_insert,
+    ordered_by_key,
     random_inline_db,
     random_tree_db,
+    save_snapshot_by_cell,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -587,7 +592,7 @@ class TestExportOrder:
         keyed = []
         order_key = shell.order_key
         monkeypatch.setattr(shell, "order_key", lambda t, ref_key: keyed.append(t) or order_key(t, ref_key))
-        _orders, ordered = _export_orders(db.catalog, db.published)
+        _rows, ordered = _export_orders(db.catalog, db.published)
         monkeypatch.undo()
         assert ordered == export_orders(db.catalog, db.published)
         text = save_snapshot(db)
@@ -697,6 +702,108 @@ class TestValueOrder:
         loaded = load_snapshot(save_snapshot(two))
         assert _printed(loaded, self.OUTPUTS) == printed
         assert save_snapshot(loaded) == save_snapshot(one)
+
+
+FORMATS = ("sexpr", "csv", "tabular")
+
+
+class TestFormatByColumn:
+    """Outputs and snapshots written column by column equal the per-cell
+    writer (``oracles.format_by_cell``, ``oracles.save_snapshot_by_cell``)
+    byte for byte, and read each referenced row once."""
+
+    @staticmethod
+    def results(db):
+        """Each relation, each projection of one attribute, its empty
+        subset, and the union of each int or real column with a constant
+        of the other type, which widens the column to real."""
+        for name in db.published.indexes:
+            whole = q(db, f"({name})")
+            yield whole
+            yield whole.having(lambda t: False)
+            for col in whole.schema:
+                yield q(db, f"[({name}) {col.attr}]")
+                if col.type_name in ("int", "real"):
+                    yield q(db, f"([({name}) {col.attr}] {'2.5' if col.type_name == 'int' else '7'})")
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_format_and_the_snapshot_equal_the_per_cell_writer(self, rng, tree):
+        texts = AWKWARD_TEXTS + ["trailing  "]
+        db = random_tree_db(rng, texts=texts, inline=True)[0] if tree else random_inline_db(rng, texts=texts)
+        state = db.published
+        assert save_snapshot(db) == save_snapshot_by_cell(db)
+        for result in self.results(db):
+            attrs = [col.attr for col in result.schema]
+            for order in [(), *[(a,) for a in attrs], attrs[::-1]]:
+                for fmt in FORMATS:
+                    assert format_result(result, fmt, state, order) == format_by_cell(result, fmt, state, order)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("text, order", [("(book)", ()), ("(book)", ("title",)), ("(book_genre)", ("book",))])
+    def test_a_pending_reference_raises_as_the_per_cell_writer_does(self, library_ddl, fmt, text, order):
+        run(
+            library_ddl,
+            "add book {{'Homer' '800 BC'} 'Ulysses' '750 BC'} add genre {'epic'}"
+            " add book_genre {(book . 'Ulysses' .) (genre 'epic')}",
+        )
+        state, result = library_ddl.txn.shadow, q(library_ddl, text)
+        with pytest.raises(RowNotFound) as by_column:
+            format_result(result, fmt, state, order)
+        with pytest.raises(RowNotFound) as by_cell:
+            format_by_cell(result, fmt, state, order)
+        assert str(by_column.value) == str(by_cell.value)
+
+    @pytest.mark.parametrize(
+        "script, text, attr",
+        [
+            (LIBRARY_SCRIPT, "(book)", "author"),
+            (TestExportOrder.INLINE, "(shelf)", "entry"),
+            ("", '({1 "b"} {2.5 "a"} {-3 "c"} {2.5 "d"})', "real"),
+        ],
+        ids=["reference", "inline", "widened"],
+    )
+    def test_ordering_equals_the_order_key_sort(self, script, text, attr):
+        db = build_db(script)
+        result = q(db, text)
+        tuples, _cells = shell._output(result, db.published, [attr], shell._PLAIN)
+        assert tuples == ordered_by_key(result, db.published, [attr])
+
+    @pytest.mark.parametrize("order", [(), ("book",)])
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_each_referenced_row_is_read_once(self, library, monkeypatch, loaded, order):
+        # a book in two links, a genre in two, and an author of two books
+        run(
+            library,
+            "add book {(author 'Homer' .) 'Iliad' '760 BC'}"
+            " add book_genre ({(book . 'Iliad' .) (genre 'epic')} {(book . 'Ulysses' .) (genre 'sci-fi')}) commit",
+        )
+        db = load_snapshot(save_snapshot(library)) if loaded else library
+        state, result = db.published, q(db, "(book_genre)")
+        targets = {ref for t in result.tuples() for ref in iter_refs(t)}
+        targets |= {ref for rel, row in targets for ref in iter_refs(state.get_row(rel, row))}
+        reads = []
+        get_row = DbState.get_row
+        monkeypatch.setattr(DbState, "get_row", lambda st, rel, row: reads.append((rel, row)) or get_row(st, rel, row))
+        for fmt in FORMATS:
+            reads.clear()
+            by_cell = format_by_cell(result, fmt, state, order)
+            assert len(reads) > len(targets)  # once per cell
+            reads.clear()
+            assert format_result(result, fmt, state, order) == by_cell
+            assert sorted(reads) == sorted(targets)
+
+    def test_a_column_of_several_types_is_written_cell_by_cell(self):
+        col = [IntVal(1), RealVal(2.5), TimestampVal(-799), TextVal('a"b')]
+        assert shell._Cells(shell._SEXPR).column(col) == ["1", "2.5", '(timestamp "-0799")', '"a\\"b"']
+
+    def test_a_false_rising_flag_falls_back_to_reading_the_ids(self, library):
+        db = load_snapshot(save_snapshot(library))
+        run(db, 'add author {"Aardvark" "2000"} commit remove author (author "Aardvark" .) commit')
+        idx = db.published.indexes["author"]
+        assert not idx.rising and flat_ids(idx) == sorted(flat_ids(idx))
+        assert shell._rising(db.published, "author", {})
+        assert format_result(q(db, "(book)"), "sexpr", db.published) == format_result(q(library, "(book)"), "sexpr", library.published)
 
 
 class TestCommandLine:
