@@ -147,9 +147,9 @@ class _Cells:
     ``targets[relation][row id]``. A snapshot is given those cells, each
     ``#<relation>:<ordinal>``. An output formats each target row the first
     time a column names it, through ``get_row``, those rows in turn column
-    by column, and keeps its cell for the whole output. A column of several
-    value types would be written cell by cell through the same writers; no
-    expression makes one, as a union converts the ints it widens."""
+    by column, and keeps its cell for the whole output. A column holds one
+    value type, as a column's domain is one type and a union converts the
+    ints it widens to reals."""
 
     def __init__(self, scalars, get_row=None, targets=None):
         self.scalars = scalars
@@ -157,10 +157,7 @@ class _Cells:
         self.targets: Dict[str, Dict[int, str]] = {} if targets is None else targets
 
     def column(self, col) -> List[str]:
-        kinds = set(map(type, col))
-        if len(kinds) > 1:
-            return [self.column((v,))[0] for v in col]
-        kind = kinds.pop()
+        kind = type(col[0])
         if kind is TupleVal:
             return self.braced(list(map(itemgetter(2), col)))
         if kind is not RefVal:
@@ -219,13 +216,12 @@ def _rising(state: DbState, name: str, memo: Dict[str, bool]) -> bool:
     """Whether the relation's row ids rise with its value order, as far as
     its key order shows: every relation it references rises, so it is in
     value order as stored (see ``_export_orders``), and its row ids rise
-    in key order, as its index records, or else as they read. ``memo``
-    holds the relations judged already."""
+    in key order. ``memo`` holds the relations judged already."""
     got = memo.get(name)
     if got is None:
         idx = state.indexes.get(name)
-        ids = [] if idx is None or idx.rising else list(chain.from_iterable(idx.id_chunks))
-        got = memo[name] = idx is not None and _stored_in_value_order(state, name, memo) and ids == sorted(ids)
+        ids = None if idx is None else [rowid for chunk in idx.id_chunks for rowid in chunk]
+        got = memo[name] = ids is not None and _stored_in_value_order(state, name, memo) and ids == sorted(ids)
     return got
 
 

@@ -29,9 +29,7 @@ The index is paged, and every page is a plain list, dict or set:
   first time a selection binds the position); from then on every write
   keeps it, and until then it costs ``link`` one truthiness test.
 
-``scan`` reads a key range from the chunks and never sorts. ``rising``
-records that the row ids rise in key order, as they do in a loaded index,
-so that an output need not read them to skip its sort.
+``scan`` reads a key range from the chunks and never sorts.
 
 Contract of ``scan(relation, lead)``: it returns, in key order, the rows
 whose leading value equals ``lead``, a collision run's every row included;
@@ -151,10 +149,6 @@ class MultitableIndex:
         # made or copied, and so may write
         self.owned: Set[int] = set()
         self.next_rowid = 1
-        # whether the row ids rise in key order: kept only while each new
-        # key's id falls between its neighbours' ids, and once false, false
-        # until a load builds the index again
-        self.rising = True
 
     def copy(self) -> "MultitableIndex":
         """A copy for a new owner: it shares every page and bucket with this
@@ -168,7 +162,6 @@ class MultitableIndex:
         copy.maps = {pos: pages.copy() for pos, pages in self.maps.items()}
         copy.valued = self.valued
         copy.next_rowid = self.next_rowid
-        copy.rising = self.rising
         self.owned = set()  # the pages are shared now: neither index may write them
         return copy
 
@@ -254,8 +247,6 @@ class MultitableIndex:
         ``len(maxes)`` means after every key, where a full last chunk is
         followed by a new one, so keys stored in order fill their chunks."""
         maxes = self.maxes
-        if self.rising:
-            self.rising = self._between(c, i, rowid)
         if c == len(maxes):
             if not maxes or len(self.key_chunks[-1]) >= CHUNK_MAX:
                 self._new_chunk(c, [key], [rowid])
@@ -270,13 +261,6 @@ class MultitableIndex:
             self._new_chunk(c + 1, keys[half:], ids[half:])
             del keys[half:], ids[half:]
         maxes[c] = keys[-1]
-
-    def _between(self, c: int, i: int, rowid: int) -> bool:
-        """Whether ``rowid`` lies between the ids of the keys around slot
-        ``i`` of chunk ``c``, as ``place`` takes them (row ids start at 1)."""
-        ids = self.id_chunks
-        before = ids[c][i - 1] if i else ids[c - 1][-1] if c else 0
-        return before < rowid and (c == len(ids) or rowid < ids[c][i])
 
     def _new_chunk(self, c: int, keys: List[tuple], ids: List[int]):
         self.key_chunks.insert(c, keys)
@@ -546,11 +530,8 @@ class DbState:
         idx.rows.count += 1
         keys = idx.key_chunks[c - 1] if c and c == len(idx.maxes) else None
         if keys is not None and id(keys) in owned and len(keys) < CHUNK_MAX:
-            ids = idx.id_chunks[c - 1]
-            if idx.rising and ids[-1] > rowid:
-                idx.rising = False
             keys.append(values)
-            ids.append(rowid)
+            idx.id_chunks[c - 1].append(rowid)
             idx.maxes[c - 1] = values
         else:
             idx.place(c, i, values, rowid)

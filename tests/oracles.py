@@ -227,8 +227,7 @@ def index_faults(state):
     one slot per id of its page and holds a row, and the page table covers
     every id handed out; every map page holds only keys of its own page
     and is non-empty, as is every bucket, and every map but a value map;
-    the row count is the number of stored rows; an index recorded as
-    rising has row ids that rise in key order. Empty on any state,
+    the row count is the number of stored rows. Empty on any state,
     published or not."""
     faults = []
     for rel_name, idx in state.indexes.items():
@@ -279,8 +278,6 @@ def index_faults(state):
                     current.setdefault(pos, {})[key] = set(bucket)
         if current != rebuilt:
             faults.append((rel_name, "position maps differ from the rows"))
-        if idx.rising and ids != sorted(ids):
-            faults.append((rel_name, "recorded as rising, but its row ids fall in key order"))
     return faults
 
 

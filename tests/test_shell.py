@@ -24,7 +24,6 @@ from relang.shell import (
     save_snapshot,
 )
 from relang.store import DbState, iter_refs
-from relang.values import IntVal, RealVal, TextVal, TimestampVal
 
 from conftest import LIBRARY_DDL, LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
 from oracles import (
@@ -792,18 +791,6 @@ class TestFormatByColumn:
             reads.clear()
             assert format_result(result, fmt, state, order) == by_cell
             assert sorted(reads) == sorted(targets)
-
-    def test_a_column_of_several_types_is_written_cell_by_cell(self):
-        col = [IntVal(1), RealVal(2.5), TimestampVal(-799), TextVal('a"b')]
-        assert shell._Cells(shell._SEXPR).column(col) == ["1", "2.5", '(timestamp "-0799")', '"a\\"b"']
-
-    def test_a_false_rising_flag_falls_back_to_reading_the_ids(self, library):
-        db = load_snapshot(save_snapshot(library))
-        run(db, 'add author {"Aardvark" "2000"} commit remove author (author "Aardvark" .) commit')
-        idx = db.published.indexes["author"]
-        assert not idx.rising and flat_ids(idx) == sorted(flat_ids(idx))
-        assert shell._rising(db.published, "author", {})
-        assert format_result(q(db, "(book)"), "sexpr", db.published) == format_result(q(library, "(book)"), "sexpr", library.published)
 
 
 class TestCommandLine:

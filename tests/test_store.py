@@ -545,22 +545,6 @@ class TestPages:
         assert contains_tuple(state, "item", (IntVal(0),)) == rids[1]
         assert index_faults(state) == []
 
-    def test_rising_holds_while_each_new_id_falls_between_its_neighbours(self, small_pages):
-        state, idx, rids = numbers(10, 20, 30, 40, 50)
-        assert idx.rising and len(idx.key_chunks) > 1
-        state.rekey("item", rids[1], (IntVal(25),))  # between 10 and 30, as its id is
-        state.erase("item", rids[3])
-        assert idx.rising
-        fork = state.fork()
-        state.insert("item", (IntVal(60),))
-        assert fork.indexes["item"].rising and state.indexes["item"].rising
-        rowid, _fresh = fork.insert("item", (IntVal(15),))  # a new id before older ones
-        assert not fork.indexes["item"].rising and state.indexes["item"].rising
-        # once false, it stays false, though the ids rise again
-        fork.erase("item", rowid)
-        assert not fork.indexes["item"].rising and flat_ids(fork.indexes["item"]) == sorted(flat_ids(fork.indexes["item"]))
-        assert index_faults(fork) == [] and index_faults(state) == []
-
     def test_a_rekey_onto_the_last_key_of_a_chunk_collides(self, small_pages):
         state, idx, rids = numbers(*range(6))
         boundary = idx.maxes[0]
