@@ -40,16 +40,15 @@ renders it, canonical scalar literals and text escapes, rows in ordinal and
 value order, references to rows loaded above, no duplicate row, and that
 spacing.
 
-Loading reads each row through its relation's reader, compiled on the
-relation's first row: one anchored pattern of the row's cells, built from
-the relation's domains (an inline tuple's recursively), and one loop over
-its groups that builds the tuple, which is its own key. A reference names
-its target's row by ordinal, since the load makes each row's id its
-ordinal. The row goes in through ``DbState.append``, which links only the
-positions that may hold a reference. A row the reader refuses takes no
-other path: ``_diagnose_row`` only names its fault, walking the same cells
-one token at a time by the reader's own cell patterns, and raises the first
-fault from the left, or else that the row is not in the form saving writes.
+Loading reads a relation's rows in blocks (``load_snapshot``). One
+anchored pattern per relation, compiled on its first row from its domains
+(an inline tuple's recursively), matches a row line, and a block's cells
+are read column by column into tuples, which are their own keys. A
+reference names its target's row by ordinal, since the load makes each
+row's id its ordinal. A row the pattern refuses takes no other path:
+``_diagnose_row`` only names its fault, walking the same cells one token
+at a time by the pattern's own cell patterns, and raises the first fault
+from the left, or else that the row is not in the form saving writes.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ import functools
 import io
 import re
 import sys
-from itertools import chain, count
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -89,7 +88,10 @@ from .values import (
     parse_timestamp,
     quote_text,
     render_scalar,
+    ref_column,
     render_timestamp,
+    text_column,
+    tuple_column,
     unescape_text,
 )
 
@@ -220,9 +222,20 @@ def _rising(state: DbState, name: str, memo: Dict[str, bool]) -> bool:
     got = memo.get(name)
     if got is None:
         idx = state.indexes.get(name)
-        ids = None if idx is None else [rowid for chunk in idx.id_chunks for rowid in chunk]
-        got = memo[name] = ids is not None and _stored_in_value_order(state, name, memo) and ids == sorted(ids)
+        got = memo[name] = idx is not None and _stored_in_value_order(state, name, memo) and _ids_rise(idx.id_chunks)
     return got
+
+
+def _ids_rise(id_chunks) -> bool:
+    """Whether the row ids rise across the chunks: each chunk's first above
+    the previous chunk's last, and each chunk sorted (compared in C), up to
+    the first chunk that drops."""
+    last = 0
+    for ids in id_chunks:
+        if ids[0] < last or ids != sorted(ids):
+            return False
+        last = ids[-1]
+    return True
 
 
 def _stored_in_value_order(state: DbState, type_name: str, memo: Dict[str, bool]) -> bool:
@@ -416,8 +429,9 @@ def _cell_pattern(rel: RelationDef, catalog: Catalog, refs, leaves: list, shape:
     reference cell: a reference ``#<target>:<ordinal>`` (of at most 19
     digits, as no row count has more), an inline tuple its cells in braces.
     Appends what each group holds to ``leaves``: a scalar type, or the list
-    of references to the target's loaded rows; and to ``shape`` None per
-    such cell of this tuple and ``(domain, inner shape)`` per inline tuple."""
+    of references to the target's loaded rows, by ordinal; and to ``shape``
+    None per such cell of this tuple and ``(domain, inner shape)`` per
+    inline tuple."""
     cells = []
     for dom in rel.domains:
         kind = dom.type_name
@@ -436,47 +450,101 @@ def _cell_pattern(rel: RelationDef, catalog: Catalog, refs, leaves: list, shape:
     return " ".join(cells)
 
 
-def _nest(shape, values):
-    """The tuple ``shape`` makes of the flat ``values`` iterator."""
-    return tuple(next(values) if s is None else TupleVal(s[0], _nest(s[1], values)) for s in shape)
+def _nest_columns(shape, cols) -> list:
+    """The columns of tuples of ``shape`` made of the flat ``cols``
+    iterator, one column per ``_cell_pattern`` group."""
+    return [next(cols) if s is None else tuple_column(s[0], zip(*_nest_columns(s[1], cols))) for s in shape]
 
 
-def _row_reader(rel: RelationDef, catalog: Catalog, refs):
-    """Read the values text (``{...}``) of a row of ``rel`` in one pass:
-    ``read(text)`` is the row's tuple, or None for a text not in the form
-    saving writes, a non-canonical literal, a lone surrogate, or a
-    reference to no loaded row."""
-    leaves: list = []
-    shape: list = []
-    match = re.compile(r"\{" + _cell_pattern(rel, catalog, refs, leaves, shape) + r"\}").fullmatch
-    flat = all(s is None for s in shape)
+class _RowBlocks:
+    """The rows of one relation, read and stored a block at a time (see
+    ``load_snapshot``). One anchored pattern matches a row line: its
+    ordinal is the first group, then come one group per scalar or
+    reference cell (``_cell_pattern``). A block's cells are read column by
+    column into the relation's tuples."""
 
-    def read(text: str) -> Optional[tuple]:
-        m = match(text)
-        if m is None:
-            return None
-        values = []
-        for cell, leaf in zip(m.groups(), leaves):
+    def __init__(self, rel: RelationDef, catalog: Catalog, state: DbState, refs):
+        self.rel, self.catalog, self.state, self.refs = rel, catalog, state, refs
+        # the positions that may hold a reference
+        self.linked = sorted({pos for target in refs for q, pos in catalog.referencing(target) if q == rel.name})
+        self.leaves: list = []
+        self.shape: list = []
+        cells = _cell_pattern(rel, catalog, refs, self.leaves, self.shape)
+        self.match = re.compile(rf"row {re.escape(rel.name)} ([1-9][0-9]{{0,18}}) \{{{cells}\}}").fullmatch
+
+    def load(self, lines: List[str], at: int) -> int:
+        """Load the relation's rows from ``lines[at]`` on, at most
+        ``CHUNK_MAX`` of them, up to the first line the pattern refuses;
+        returns the index after them."""
+        end, rows = self.read(lines, at, min(at + store.CHUNK_MAX, len(lines)))
+        if end == at:  # the pattern refuses the first row
+            self.refuse(lines[at], at + 1)
+        if rows is None or not self.store(rows):
+            # a fault in the block: read it again row by row, up to the fault
+            for k in range(at, end):
+                rows = self.read(lines, k, k + 1)[1]
+                if rows is None:
+                    self.refuse(lines[k], k + 1)
+                if not self.store(rows):
+                    if self.state.indexes[self.rel.name].first(rows[0]) is not None:
+                        raise SnapshotFormatError(f"duplicate row in {self.rel.name!r}", k + 1)
+                    raise SnapshotFormatError(f"row out of value order in {self.rel.name!r}", k + 1)
+        return end
+
+    def read(self, lines: List[str], at: int, stop: int) -> Tuple[int, Optional[List[tuple]]]:
+        """The index after the lines from ``at`` (up to ``stop``) that the
+        pattern matches, and the tuples of those rows; None for the tuples
+        where a row holds an ordinal out of turn, a non-canonical literal,
+        a lone surrogate or a reference to no loaded row."""
+        width = len(self.leaves) + 1
+        cells: list = []
+        for m in map(self.match, islice(lines, at, stop)):  # no match outlives its line
+            if m is None:
+                break
+            cells += m.groups()
+        n = len(cells) // width
+        first = len(self.state.indexes[self.rel.name].rows) + 1
+        if not n or cells[::width] != list(map(str, range(first, first + n))):
+            return at + n, None
+        cols = []
+        for g, leaf in enumerate(self.leaves, 1):
+            col = cells[g::width]
             if leaf == "text":
-                if "\\" in cell:
-                    cell = unescape_text(cell)
+                if any(map(str.__contains__, col, repeat("\\"))):
+                    col = list(map(unescape_text, col))
                 try:
-                    values.append(TextVal(cell))
+                    col = text_column(col)
                 except DomainTypeMismatch:  # a lone surrogate
-                    return None
-            elif type(leaf) is list:
-                n = int(cell)
-                if n > len(leaf):
-                    return None
-                values.append(leaf[n - 1])
+                    return at + n, None
+            elif type(leaf) is list:  # the references to the target's rows, by ordinal
+                col = list(map(int, col))
+                if max(col) >= len(leaf):
+                    return at + n, None
+                col = list(map(leaf.__getitem__, col))
             else:
-                atom = _read_atom(cell, leaf)
-                if atom is None:
-                    return None
-                values.append(atom)
-        return tuple(values) if flat else _nest(shape, iter(values))
+                col = list(map(_read_atom, col, repeat(leaf)))
+                if not all(col):  # a value is a non-empty tuple
+                    return at + n, None
+            cols.append(col)
+        return at + n, list(zip(*_nest_columns(self.shape, iter(cols))))
 
-    return read
+    def store(self, rows: List[tuple]) -> bool:
+        """Store rows that rise above the relation's last, each under its
+        ordinal as its row id; False, storing nothing, for rows that do
+        not."""
+        name = self.rel.name
+        ids = self.state.extend(name, rows, self.linked)
+        if ids is None:
+            return False
+        if name in self.refs:
+            self.refs[name] += ref_column(name, ids)
+        return True
+
+    def refuse(self, line: str, line_no: int):
+        """Raise the fault in a row line the block reader refuses."""
+        _row, _name, ordinal_text, rest = line.split(" ", 3)
+        expected = len(self.state.indexes[self.rel.name].rows) + 1
+        _diagnose_row(self.rel, ordinal_text, expected, rest, self.catalog, self.refs, line_no)
 
 
 # One token of a row its reader refused, after any spaces: a brace, a text
@@ -545,7 +613,7 @@ def _diagnose_tuple(rel: RelationDef, text: str, at: int, closer: str, catalog: 
             raise SnapshotFormatError(f"expected a #{domain} reference", line_no)
         else:
             digits = cell[1].lstrip("0") or "0"
-            if digits == "0" or len(digits) > 19 or int(digits) > len(refs[domain]):
+            if digits == "0" or len(digits) > 19 or int(digits) >= len(refs[domain]):
                 raise DanglingOrdinal(f"#{domain}:{_shown(digits)} does not name a loaded row")
         kind, cell, at = _next_token(text, at, line_no)
     depth = 0  # of the braces open in the cells past the arity
@@ -579,7 +647,19 @@ def _diagnose_row(rel: RelationDef, ordinal_text: str, expected: int, rest: str,
 
 
 def load_snapshot(text: str) -> Database:
-    """Rebuild a database from snapshot text."""
+    """Rebuild a database from snapshot text.
+
+    The rows are read in blocks: a run of consecutive lines of one
+    relation, at most ``store.CHUNK_MAX`` of them, up to the first line the
+    relation's pattern refuses. A block's ordinals must count on from the
+    relation's last, its literals be canonical, its texts hold no lone
+    surrogate, its references name loaded rows, and its tuples rise, the
+    first above the relation's last stored; it is then stored by one
+    ``DbState.extend``. A block that fails any of these is read again row
+    by row up to its first faulty row, and that row's fault is raised;
+    then a line the pattern refused is diagnosed. So every error keeps its
+    class, message and line, and the first fault from the top wins; no
+    row of a snapshot that loads goes through ``_diagnose_row``."""
     lines = text.split("\n")
     if not lines or lines[0] != SNAPSHOT_HEADER:
         raise SnapshotFormatError("missing snapshot header", 1)
@@ -602,42 +682,30 @@ def load_snapshot(text: str) -> Database:
     catalog, state = db.catalog, db.published
     relations = {name: catalog.lookup(name) for name in catalog.names()}
     # the references to each referenced relation's loaded rows, by ordinal
-    refs: Dict[str, List[RefVal]] = {name: [] for name in relations if catalog.referencing(name)}
-    # per simple relation, the positions that may hold a reference
-    linked: Dict[str, set] = {}
-    for name in refs:
-        for q, pos in catalog.referencing(name):
-            linked.setdefault(q, set()).add(pos)
-    readers = {}  # per relation with a row, its reader and linked positions
-    for i, line in enumerate(lines[i + 1 :], i + 2):  # after the blank separator
+    # (no row has ordinal 0)
+    refs: Dict[str, list] = {name: [None] for name in relations if catalog.referencing(name)}
+    blocks: Dict[str, _RowBlocks] = {}  # per relation with a row, its reader
+    i += 1  # after the blank separator
+    while i < len(lines):
+        line = lines[i]
         if not line.strip():
+            i += 1
             continue
         parts = line.split(" ", 3)
         if len(parts) != 4 or parts[0] != "row":
-            raise SnapshotFormatError(f"malformed row line: {echo(line)}", i)
-        _row, rel_name, ordinal_text, rest = parts
-        reader = readers.get(rel_name)
+            raise SnapshotFormatError(f"malformed row line: {echo(line)}", i + 1)
+        rel_name = parts[1]
+        reader = blocks.get(rel_name)
         if reader is None:
             rel = relations.get(rel_name)
             if rel is None:
-                raise SnapshotFormatError(f"row for undefined relation {rel_name!r}", i)
+                raise SnapshotFormatError(f"row for undefined relation {rel_name!r}", i + 1)
             if rel.klass != "simple":
-                raise SnapshotFormatError(f"{rel_name!r} stores no rows", i)
-            reader = readers[rel_name] = _row_reader(rel, catalog, refs), tuple(sorted(linked.get(rel_name, ())))
-        read, positions = reader
-        expected = len(state.indexes[rel_name].rows) + 1
-        values = read(rest) if ordinal_text == str(expected) else None
-        if values is None:
-            _diagnose_row(relations[rel_name], ordinal_text, expected, rest, catalog, refs, i)
+                raise SnapshotFormatError(f"{rel_name!r} stores no rows", i + 1)
+            reader = blocks[rel_name] = _RowBlocks(rel, catalog, state, refs)
         # every reference names a row loaded above, so no pass over the
         # loaded state is needed afterwards
-        rowid, fresh = state.append(rel_name, values, positions)
-        if not fresh:
-            raise SnapshotFormatError(f"duplicate row in {rel_name!r}", i)
-        if state.indexes[rel_name].maxes[-1] is not values:  # saving writes rows in key order
-            raise SnapshotFormatError(f"row out of value order in {rel_name!r}", i)
-        if rel_name in refs:
-            refs[rel_name].append(RefVal(rel_name, rowid))
+        i = reader.load(lines, i)
     db.refresh()
     return db
 

@@ -31,6 +31,12 @@ The index is paged, and every page is a plain list, dict or set:
 
 ``scan`` reads a key range from the chunks and never sorts.
 
+Two writers store new rows, with one layout: ``insert`` places one tuple
+by bisection and links it, and ``DbState.extend`` stores tuples that rise
+above the last key, as a snapshot load reads them, filling row pages and
+key chunks by slices and making each position's buckets from its rows
+grouped by key. Keys stored in order fill each chunk up to ``CHUNK_MAX``.
+
 Contract of ``scan(relation, lead)``: it returns, in key order, the rows
 whose leading value equals ``lead``, a collision run's every row included;
 a caller checks its other constraints on each row it gets back.
@@ -76,7 +82,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, lt
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .catalog import Catalog, RelationDef
@@ -317,14 +324,12 @@ class MultitableIndex:
 
     # -- position maps
 
-    def link(self, rowid: int, values, positions: Optional[Iterable[int]] = None):
-        """Enter a row in the position maps at ``positions``, every position
-        by default: each reference it holds, and its value at each position
-        in ``valued``. A position masked to None (as ``DbState.rekey`` masks
-        the ones it keeps) holds nothing."""
+    def link(self, rowid: int, values):
+        """Enter a row in the position maps: each reference it holds, and
+        its value at each position in ``valued``. A position masked to None
+        (as ``DbState.rekey`` masks the ones it keeps) holds nothing."""
         owned, maps, valued = self.owned, self.maps, self.valued
-        for pos in range(len(values)) if positions is None else positions:
-            v = values[pos]
+        for pos, v in enumerate(values):
             if isinstance(v, RefVal):
                 keys: Iterable = ((v.relation, v.row),)
             elif isinstance(v, TupleVal):
@@ -338,7 +343,7 @@ class MultitableIndex:
                 if pages is None:  # a map is made for its first key, never empty
                     pages = maps[pos] = {}
                 # ``_own`` is called only for a page or bucket this index
-                # does not own yet: a snapshot load links every row it loads
+                # does not own yet: a bulk add links every row it inserts
                 n = _page_of(key)
                 page = pages.get(n)
                 if page is None or id(page) not in owned:
@@ -377,6 +382,72 @@ class MultitableIndex:
                 else:
                     self._own(page, key, bucket, set).discard(rowid)
 
+    def extend(self, tuples: List[tuple], positions: Iterable[int]) -> List[int]:
+        """Store tuples that rise, the first above every key, as new rows
+        linked at ``positions`` and at each position in ``valued``; returns
+        their row ids. The layout is the one ``insert`` makes of them one
+        by one: the row pages and key chunks are filled by slices, the last
+        chunk up to ``CHUNK_MAX`` first, and each position's buckets are
+        made from its rows grouped by key."""
+        n, bits = len(tuples), ROW_BITS
+        first = self.next_rowid
+        self.next_rowid = end = first + n
+        ids = list(range(first, end))  # each id one int, shared by chunks and buckets
+        pages = self.rows.pages
+        pages += [None] * (((end - 1) >> bits) + 1 - len(pages))
+        at = 0
+        while at < n:
+            slot = (first + at) & ((1 << bits) - 1)
+            size = min((1 << bits) - slot, n - at)
+            self._row_page((first + at) >> bits)[slot : slot + size] = tuples[at : at + size]
+            at += size
+        self.rows.count += n
+        at = 0
+        if self.maxes and len(self.key_chunks[-1]) < CHUNK_MAX:
+            keys, chunk_ids = self._own_chunk(len(self.maxes) - 1)
+            at = CHUNK_MAX - len(keys)
+            keys += tuples[:at]
+            chunk_ids += ids[:at]
+            self.maxes[-1] = keys[-1]
+        for at in range(at, n, CHUNK_MAX):
+            self._new_chunk(len(self.maxes), tuples[at : at + CHUNK_MAX], ids[at : at + CHUNK_MAX])
+        for pos in sorted({*positions, *self.valued}):
+            self._link_column(pos, list(map(itemgetter(pos), tuples)), ids)
+        return ids
+
+    def _link_column(self, pos: int, col: list, ids: List[int]):
+        """Enter the rows ``ids``, holding ``col`` at ``pos``, in its map,
+        each bucket a set made or extended once."""
+        kind = type(col[0])
+        if kind is RefVal:
+            pairs: Iterable = zip(map(_target, col), ids)
+        elif kind is TupleVal:
+            pairs = ((key, rowid) for v, rowid in zip(col, ids) for key in iter_refs(v[2]))
+        else:
+            pairs = zip(col, ids)
+        groups: Dict[object, Set[int]] = {}
+        for key, rowid in pairs:
+            rows = groups.get(key)
+            if rows is None:
+                groups[key] = {rowid}
+            else:
+                rows.add(rowid)
+        if not groups:  # a map is never empty
+            return
+        owned = self.owned
+        pages = self.maps.setdefault(pos, {})
+        for key, rows in groups.items():
+            n = _page_of(key)
+            page = pages.get(n)
+            if page is None or id(page) not in owned:
+                page = self._own(pages, n, page, dict)
+            bucket = page.get(key)
+            if bucket is None:
+                page[key] = rows
+                owned.add(id(rows))
+            else:
+                self._own(page, key, bucket, set).update(rows)
+
     def index_values(self, pos: int):
         """Give scalar position ``pos`` its map, built from the rows."""
         pages = self.maps[pos] = {}
@@ -407,6 +478,7 @@ def _empty_row_page() -> List[Optional[tuple]]:
 
 
 _lead = itemgetter(0)  # a key's leading value, which ``span`` bisects by
+_target = itemgetter(1, 2)  # a reference's (relation, row), its reverse map's key
 
 
 def iter_refs(values) -> Iterable[Tuple[str, int]]:
@@ -492,30 +564,34 @@ class DbState:
             i = bisect_left(keys, values)
             if keys[i] == values:
                 return idx.id_chunks[c][i], False
-        return self._store(relation, values, c, i, rowid, None), True
+        return self._store(relation, values, c, i, rowid), True
 
-    def append(self, relation: str, values: tuple, linked: Tuple[int, ...]):
-        """``insert`` for a tuple as a snapshot load reads it; ``linked``
-        must name every position that may hold a reference. A tuple that
-        sorts after the relation's last goes last, and only ``linked`` is
-        linked; any other tuple, or a relation with a value map, goes
-        through ``insert``, which finds a duplicate."""
+    def extend(self, relation: str, tuples: List[tuple], linked: Iterable[int]) -> Optional[List[int]]:
+        """Store tuples that rise, the first above the relation's last, as
+        new rows, as a snapshot load reads them; returns their row ids, in
+        order. ``linked`` must name every position that may hold a
+        reference; a value map is kept too. Tuples that do not rise, or do
+        not start above the last, are refused: nothing is stored, and the
+        result is None. The index is laid out as ``insert`` lays out the
+        same tuples."""
         idx = self._index(relation)
-        maxes = idx.maxes
-        if (maxes and values <= maxes[-1]) or idx.valued:
-            return self.insert(relation, values)
-        return self._store(relation, values, len(maxes), 0, None, linked), True
+        if not tuples:
+            return []
+        if (idx.maxes and not idx.maxes[-1] < tuples[0]) or not all(map(lt, tuples, islice(tuples, 1, None))):
+            return None
+        return self._writable(relation).extend(tuples, linked)
 
-    def _store(self, relation: str, values: tuple, c: int, i: int, rowid, linked) -> int:
+    def _store(self, relation: str, values: tuple, c: int, i: int, rowid) -> int:
         """Store a new tuple at slot ``i`` of chunk ``c`` (as
-        ``MultitableIndex.place`` takes them) and link it at ``linked``, or
-        at every position for None; returns its row id."""
+        ``MultitableIndex.place`` takes them) and link it; returns its row
+        id."""
         idx = self.indexes[relation]
         if relation not in self.owned:
             idx = self._writable(relation)
         # The row id, the row page and the key's chunk are taken here when
-        # this index owns them and the key goes last, as on a snapshot load;
-        # ``new_rowid``, ``_row_page`` and ``place`` do the same in general.
+        # this index owns them and the key goes last, as keys inserted in
+        # order do; ``new_rowid``, ``_row_page`` and ``place`` do the same in
+        # general.
         pages = idx.rows.pages
         if rowid is None:
             rowid = idx.next_rowid
@@ -535,7 +611,7 @@ class DbState:
             idx.maxes[c - 1] = values
         else:
             idx.place(c, i, values, rowid)
-        idx.link(rowid, values, linked)
+        idx.link(rowid, values)
         return rowid
 
     def index_values(self, relation: str, pos: int) -> MultitableIndex:

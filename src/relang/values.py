@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+from itertools import repeat
 from operator import itemgetter
 from typing import Optional, Tuple, Union
 
@@ -134,6 +135,32 @@ class TupleVal(_Value):
 
 
 Value = Union[IntVal, RealVal, TextVal, TimestampVal, RefVal, TupleVal]
+
+
+# --- columns -------------------------------------------------------------------
+# Values of one class built a column at a time, in C: each is the very value
+# its class builds, and a column is checked once where the class checks
+# each value.
+
+
+def text_column(texts) -> list:
+    """``TextVal`` of each text; a lone surrogate in any raises as
+    ``TextVal`` raises."""
+    joined = "".join(texts)
+    if not joined.isascii():
+        TextVal(joined)
+    return list(map(tuple.__new__, repeat(TextVal), zip(repeat("t"), texts)))
+
+
+def ref_column(relation: str, rows) -> list:
+    """``RefVal`` of each row of the relation."""
+    return list(map(tuple.__new__, repeat(RefVal), zip(repeat("#"), repeat(relation), rows)))
+
+
+def tuple_column(relation: str, members) -> list:
+    """``TupleVal`` of each tuple of members, an inline value of the
+    relation."""
+    return list(map(tuple.__new__, repeat(TupleVal), zip(repeat("{"), repeat(relation), members)))
 
 
 # --- timestamp literals -----------------------------------------------------

@@ -1,17 +1,20 @@
+import copy
 import importlib.util
 import io
 import random
 import re
 import sys
 from datetime import timedelta
+from itertools import chain
 from pathlib import Path
+from typing import List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relang
-from relang import shell
+from relang import shell, store
 from relang.errors import DanglingOrdinal, RelangError, RowNotFound, SnapshotFormatError, UnknownAttr
 from relang.shell import (
     _export_orders,
@@ -571,6 +574,140 @@ class TestRowDiagnosis:
         with pytest.raises(SnapshotFormatError) as exc:
             load_snapshot(TestSnapshots.SHAPED + f"row p 1 {values}\n")
         assert str(exc.value) == message
+
+
+class TestBlockLoad:
+    """``load_snapshot`` reads and stores a relation's rows a block of at
+    most ``CHUNK_MAX`` lines at a time through ``DbState.extend``, which
+    must lay out what the insert path lays out, at every chunk and row
+    page seam, and keep every error the row reader names."""
+
+    DDL = (
+        "relation (a (name text)) relation (c text) domain (entry a (n int))"
+        " relation (b a (n int)) relation (shelf entry (label text))"
+    )
+    SEAMS = [
+        store.CHUNK_MAX - 1, store.CHUNK_MAX, store.CHUNK_MAX + 1,
+        2**store.ROW_BITS - 1, 2**store.ROW_BITS, 2**store.ROW_BITS + 1,
+    ]
+
+    @staticmethod
+    def snapshot(n: int) -> str:
+        """``n`` rows in each of ``a``, ``b`` (several to an ``a`` row) and
+        ``shelf`` (an inline tuple holding a reference), and three in ``c``."""
+        names = [f"n{k:05d}" for k in range(1, n + 1)]
+        adds = [
+            "add a (" + " ".join(f'{{"{name}"}}' for name in names) + ")",
+            'add c ({"x"} {"y"} {"z"})',
+            "add b (" + " ".join(f'{{(a "{names[k * 7 % (n // 3 + 1)]}") {k}}}' for k in range(n)) + ")",
+            "add shelf (" + " ".join(f'{{{{(a "{names[k * 5 % n]}") {k % 4}}} "s{k}"}}' for k in range(n)) + ")",
+        ]
+        return save_snapshot(build_db(" ".join([TestBlockLoad.DDL, *adds, "commit"])))
+
+    @staticmethod
+    def layout(state):
+        """Every part of every index, copied."""
+        return copy.deepcopy({
+            name: (idx.key_chunks, idx.id_chunks, idx.maxes, idx.rows.pages, idx.rows.count, idx.maps)
+            for name, idx in state.indexes.items()
+        })
+
+    def check(self, text: str, saved: str):
+        db = load_snapshot(text)
+        _same_state(db.published, load_snapshot_by_insert(text).published)
+        assert save_snapshot(db) == saved
+        for idx in db.published.indexes.values():  # the load made every part, so owns it
+            pages = [page for pages in idx.maps.values() for page in pages.values()]
+            parts = [*idx.key_chunks, *filter(None, idx.rows.pages), *pages, *chain(*map(dict.values, pages))]
+            assert all(id(part) in idx.owned for part in parts)
+        published, before = db.published, self.layout(db.published)
+        run(db, 'add a ({"a0"} {"zz"}) add c {"w"} add b {(a "zz") 1} add shelf {{(a "a0") 1} "t"}')
+        run(db, 'abolish a (a "n00002") update a (a "n00003") (name "n99999") commit')
+        assert self.layout(published) == before
+        assert index_faults(db.published) == [] and index_faults(published) == []
+
+    @pytest.mark.parametrize("n", SEAMS)
+    def test_a_load_lays_out_what_the_insert_path_does(self, n):
+        text = self.snapshot(n)
+        self.check(text, text)
+
+    @pytest.mark.parametrize("n", SEAMS)
+    def test_a_relation_in_two_runs_loads_as_in_one(self, n):
+        text = self.snapshot(n)
+        lines = text.split("\n")
+        a_rows = [k for k, line in enumerate(lines) if line.startswith("row a ")]
+        c_rows = [k for k, line in enumerate(lines) if line.startswith("row c ")]
+        cut = a_rows[len(a_rows) // 2]
+        split = lines[:cut] + lines[c_rows[0] : c_rows[-1] + 1] + lines[cut : c_rows[0]] + lines[c_rows[-1] + 1 :]
+        self.check("\n".join(split), text)
+
+    def test_no_row_of_a_valid_snapshot_is_diagnosed(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(shell, "_diagnose_row", lambda *args: calls.append(args))
+        text = self.snapshot(2 * store.CHUNK_MAX + 1)
+        assert save_snapshot(load_snapshot(text)) == text and calls == []
+
+    PAIRS = ";; relang snapshot v1\nrelation (a (name text))\nrelation (q (name text) (n int))\nrelation (b a (n int))\n\n"
+
+    @staticmethod
+    def q_rows(n: int) -> List[str]:
+        return [f'row q {k} {{"q{k:05d}" {k}}}' for k in range(1, n + 1)]
+
+    @staticmethod
+    def text(lines: List[str]) -> str:
+        return TestBlockLoad.PAIRS + "\n".join(lines) + "\n"
+
+    def refused(self, lines: List[str]):
+        with pytest.raises(RelangError) as exc:
+            load_snapshot(self.text(lines))
+        return type(exc.value), str(exc.value)
+
+    def test_a_refused_row_past_the_first_block_names_its_line(self):
+        rows = self.q_rows(1000)
+        line = 5 + 700  # the header, three definitions and a blank line come first
+        assert self.refused([*rows[:699], 'row q 700 {"q00700"  700}', *rows[700:]]) == (
+            SnapshotFormatError, f"row is not in the form saving writes (line {line})"
+        )
+        assert self.refused([*rows[:699], 'row q 700 {"q00700" 0700}', *rows[700:]]) == (
+            SnapshotFormatError, f"'0700' is not a canonical int literal (line {line})"
+        )
+        assert self.refused([*rows[:699], 'row q 701 {"q00700" 700}', *rows[700:]]) == (
+            SnapshotFormatError, f"ordinal 701 out of order (expected 700) (line {line})"
+        )
+        assert self.refused([*rows[:699], 'row q 700 {"q\ud800" 700}', *rows[700:]]) == (
+            SnapshotFormatError, f"text holds a lone surrogate (line {line})"
+        )
+        # the two halves of a surrogate pair, one to a row: each is lone
+        assert self.refused([*rows[:2], 'row q 3 {"\ud83d" 3}', 'row q 4 {"\ude00" 4}']) == (
+            SnapshotFormatError, "text holds a lone surrogate (line 8)"
+        )
+
+    def test_an_order_fault_above_a_refused_row_is_named_first(self):
+        rows = self.q_rows(600)
+        rows[599] = 'row q 600 {"q00001" 600}'  # below every row above it
+        order = (SnapshotFormatError, f"row out of value order in 'q' (line {5 + 600})")
+        assert self.refused([*rows, 'row q 601 {"zz"  1}']) == order
+        assert self.refused([*rows, 'row q 601 {"zz" 01}']) == order
+        authors = ['row a 1 {"A"}', 'row a 2 {"B"}']
+        links = ['row b 1 {#a:1 1}', 'row b 2 {#a:2 1}', 'row b 3 {#a:1 2}']  # b 3 sorts below b 2
+        assert self.refused([*authors, *links, 'row b 4 {#a:3 1}']) == (
+            SnapshotFormatError, f"row out of value order in 'b' (line {5 + 5})"
+        )
+        assert self.refused([*authors, *links[:2], 'row b 3 {#a:3 1}']) == (
+            DanglingOrdinal, "#a:3 does not name a loaded row"
+        )
+
+    def test_a_row_equal_to_an_earlier_one_is_a_duplicate(self):
+        rows = self.q_rows(600)
+        copies = {  # the lines, the copy of row q 5 at index -1 or 519
+            "an_earlier_block": [*rows, 'row q 601 {"q00005" 5}'],
+            "an_earlier_block_mid_block": [*rows[:519], 'row q 520 {"q00005" 5}', *rows[520:]],
+            "the_same_block": [*rows[:9], 'row q 10 {"q00005" 5}'],
+            "an_earlier_run": [*rows[:9], 'row a 1 {"A"}', 'row q 10 {"q00005" 5}'],
+        }
+        for where, lines in copies.items():
+            at = 519 if where == "an_earlier_block_mid_block" else len(lines) - 1
+            assert self.refused(lines) == (SnapshotFormatError, f"duplicate row in 'q' (line {6 + at})"), where
 
 
 class TestExportOrder:

@@ -92,46 +92,48 @@ class TestInsert:
         assert rid2 > rid
 
 
-class TestAppend:
-    """``append`` stores a tuple as a snapshot load reads it: last when it
-    sorts after the relation's last, else through ``insert``."""
+class TestExtend:
+    """``extend`` stores tuples as a snapshot load reads them: tuples that
+    rise above the relation's last go last, and any others are refused."""
 
-    def appended(self, state, relation, values, linked=()):
-        return state.append(relation, values, linked)
+    def extended(self, state, relation, values, linked=()):
+        return state.extend(relation, [values], linked)
 
     def test_a_key_after_the_last_goes_last(self):
         state = library_state()
-        assert self.appended(state, "genre", (TextVal("a"),)) == (1, True)
-        assert self.appended(state, "genre", (TextVal("b"),)) == (2, True)
+        assert self.extended(state, "genre", (TextVal("a"),)) == [1]
+        assert self.extended(state, "genre", (TextVal("b"),)) == [2]
         assert flat_ids(state.indexes["genre"]) == [1, 2] and index_faults(state) == []
 
-    def test_a_duplicate_goes_through_insert(self):
+    def test_a_duplicate_is_refused(self):
         state = library_state()
-        self.appended(state, "genre", (TextVal("a"),))
-        assert self.appended(state, "genre", (TextVal("a"),)) == (1, False)
-        assert len(state.indexes["genre"].rows) == 1
+        self.extended(state, "genre", (TextVal("a"),))
+        assert self.extended(state, "genre", (TextVal("a"),)) is None
+        assert state.extend("genre", [(TextVal("b"),), (TextVal("b"),)], ()) is None
+        assert len(state.indexes["genre"].rows) == 1 and index_faults(state) == []
 
-    def test_a_key_before_the_last_goes_through_insert(self):
+    def test_a_key_before_the_last_is_refused(self):
         state = library_state()
-        self.appended(state, "genre", (TextVal("b"),))
-        assert self.appended(state, "genre", (TextVal("a"),)) == (2, True)
-        assert flat_ids(state.indexes["genre"]) == [2, 1] and index_faults(state) == []
+        self.extended(state, "genre", (TextVal("b"),))
+        assert self.extended(state, "genre", (TextVal("a"),)) is None
+        assert state.extend("genre", [(TextVal("d"),), (TextVal("c"),)], ()) is None
+        assert flat_ids(state.indexes["genre"]) == [1] and index_faults(state) == []
 
     def test_only_the_named_positions_are_linked(self):
         state = library_state()
         homer, _ = state.insert("author", author("Homer", "800 BC"))
         ulysses = (RefVal("author", homer), TextVal("Ulysses"), parse_timestamp("750 BC"))
-        assert self.appended(state, "book", ulysses, (0,)) == (1, True)
+        assert self.extended(state, "book", ulysses, (0,)) == [1]
         assert index_faults(state) == []
         state.indexes["book"].maps.clear()
-        self.appended(state, "book", (RefVal("author", homer), TextVal("Z"), parse_timestamp("1")))
+        self.extended(state, "book", (RefVal("author", homer), TextVal("Z"), parse_timestamp("1")))
         assert state.indexes["book"].maps == {}
 
-    def test_a_relation_with_a_value_map_goes_through_insert(self):
+    def test_a_relation_with_a_value_map_keeps_it(self):
         state = library_state()
-        self.appended(state, "genre", (TextVal("a"),))
+        self.extended(state, "genre", (TextVal("a"),))
         state.index_values("genre", 0)
-        self.appended(state, "genre", (TextVal("b"),))
+        self.extended(state, "genre", (TextVal("b"),))
         assert index_faults(state) == []
 
 

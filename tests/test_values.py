@@ -295,3 +295,22 @@ class TestValueLayer:
         else:
             with pytest.raises(DomainTypeMismatch):
                 encode_value(ts)
+
+    @given(st.lists(st.text(st.sampled_from("a\u00e9\x00\ud800\udc00"), max_size=4), max_size=6))
+    def test_a_column_builds_the_values_its_class_builds(self, texts):
+        """``text_column``, ``ref_column`` and ``tuple_column`` build each
+        value as its class does, and a text column refuses what ``TextVal``
+        refuses."""
+        try:
+            want = [TextVal(s) for s in texts]
+        except DomainTypeMismatch:
+            with pytest.raises(DomainTypeMismatch):
+                values.text_column(texts)
+            return
+        got = values.text_column(texts)
+        assert got == want and all(type(v) is TextVal for v in got)
+        rows = list(range(1, len(texts) + 1))
+        assert values.ref_column("author", rows) == [RefVal("author", row) for row in rows]
+        members = [(v, IntVal(row)) for v, row in zip(want, rows)]
+        got = values.tuple_column("p", members)
+        assert got == [TupleVal("p", m) for m in members] and all(type(v) is TupleVal for v in got)
