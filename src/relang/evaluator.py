@@ -24,27 +24,26 @@ then checked on each row read, since a path honours one position only.
 
 A selection's result is a ``RowSet``: each tuple with the id of the row it
 was read from. Every consumer that wants rows takes these ids rather than
-finding the rows again by bisecting: a reference position's
-allowed rows, a connection's start rows, a remove or update target, and,
-through a product's spans, a reference a written tuple spells out. An id is
-taken only while its row still holds the very tuple read (an ``is`` test);
+finding the rows again by bisecting: a reference position's allowed rows,
+a connection's start rows, and a remove or update target. An id is taken
+only while its row still holds the very tuple read (an ``is`` test);
 otherwise, and in a relation where an update collision may be pending, the
-row is found by key. Every set, read or constructed, is keyed by its tuples
-themselves, whose equality, hash and order run in C (``values``), as is
-every index: a tuple is its own key, and nothing is encoded. Answers are
-values only: no row id reaches one.
+row is found by key, as is every reference a tuple spells out. Every set,
+read or constructed, is keyed by its tuples themselves, whose equality,
+hash and order run in C (``values``), as is every index: a tuple is its
+own key, and nothing is encoded. Answers are values only: no row id
+reaches one.
 
 A tuple may name another by spelling out its values. One function,
 ``conform``, reads such a spelling against a sequence of domains wherever it
 appears: a written tuple, an update assignment, a remove or update target, a
 domain constructor's position, and a selection's reference or inline-tuple
 position. It coerces each value to its domain, builds an inline tuple from
-spelled-out values, and takes a referenced row from a product's spans or
-else by key. A read reserves no row: a tuple naming a missing row matches
-nothing in a selection and is an error in a constructor, and while an
-update collision is pending a selection reads a spelled-out reference as
-naming its key's whole run. A fault found
-conforming a written tuple raises ``DomainTypeMismatch`` or
+spelled-out values, and finds a referenced row by key. A read reserves no
+row: a tuple naming a missing row matches nothing in a selection and is an
+error in a constructor, and while an update collision is pending a
+selection reads a spelled-out reference as naming its key's whole run. A
+fault found conforming a written tuple raises ``DomainTypeMismatch`` or
 ``ArityMismatch``; found evaluating an expression, it raises ``TypeMismatch``.
 
 The connection operator replaces joins: it finds the shortest path between
@@ -101,11 +100,6 @@ from .values import (
 SchemaCol = Domain
 
 
-# One part of a product tuple read from a stored row: (offset in the
-# tuple, relation, row id, the tuple the row held when it was read).
-Span = Tuple[int, str, int, tuple]
-
-
 class TupleSet:
     """A duplicate-free set of same-shaped tuples.
 
@@ -113,10 +107,8 @@ class TupleSet:
     one; constructed sets carry None. The completely empty constructor ``()``
     has no schema at all and unifies with any shape.
 
-    A tuple is its own identity in the set: ``_rows`` maps each tuple to its
-    spans, the parts of it read from stored rows (none for a constructed
-    tuple), so a consumer can take a part's row instead of finding it again
-    by its values. A set read from a stored relation is a ``RowSet``.
+    A tuple is its own identity in the set: ``_rows`` maps each tuple to
+    None. A set read from a stored relation is a ``RowSet``.
     Value order is key order: a reference orders by its target's row id.
     The shell prints tuples with each reference ordered by its target's
     values instead.
@@ -127,10 +119,10 @@ class TupleSet:
             tuple(schema) if schema is not None else None
         )
         self.relation = relation
-        self._rows: Dict[tuple, Tuple[Span, ...]] = rows if rows is not None else {}
+        self._rows: Dict[tuple, None] = rows if rows is not None else {}
 
     def add(self, values: tuple):
-        self._rows[tuple(values)] = ()
+        self._rows[tuple(values)] = None
 
     def __len__(self):
         return len(self.members())
@@ -143,16 +135,9 @@ class TupleSet:
         """The tuples in value order, which is key order."""
         return sorted(self._rows)
 
-    def entries(self, offset: int = 0):
-        """(tuple, spans) of each tuple, in no particular order, with the
-        spans moved by ``offset``, as a product places the tuple."""
-        if not offset:
-            return self._rows.items()
-        return [(v, tuple([(offset + at, *part) for at, *part in sp])) for v, sp in self._rows.items()]
-
     def having(self, keep) -> "TupleSet":
         """The subset of the tuples that pass ``keep``."""
-        return TupleSet(self.schema, self.relation, {v: sp for v, sp in self._rows.items() if keep(v)})
+        return TupleSet(self.schema, self.relation, dict.fromkeys(filter(keep, self._rows)))
 
     def stored(self, state: DbState, relation: str):
         """Where this set's tuples are stored in ``relation``: the row id ->
@@ -177,8 +162,7 @@ class RowSet(TupleSet):
     it was read from.
 
     ``ids`` maps row id -> tuple, and ``ordered`` says that it runs in key
-    order, as a key range reads it. Every tuple is its own span, from
-    offset 0.
+    order, as a key range reads it.
     """
 
     def __init__(self, schema, relation: str, ids: Dict[int, tuple], ordered: bool):
@@ -192,10 +176,6 @@ class RowSet(TupleSet):
 
     def tuples(self):
         return list(self.ids.values()) if self.ordered else sorted(self.ids.values())
-
-    def entries(self, offset: int = 0):
-        rel = self.relation
-        return [(v, ((offset, rel, r, v),)) for r, v in self.ids.items()]
 
     def having(self, keep) -> "RowSet":
         return RowSet(self.schema, self.relation, {r: v for r, v in self.ids.items() if keep(v)}, self.ordered)
@@ -538,7 +518,7 @@ def _as_tuple_set(value: EvalValue, what="a constructor member") -> TupleSet:
         return value
     if isinstance(value, bool):
         raise TypeMismatch(f"{what} cannot be a condition")
-    return TupleSet(_column(scalar_type_name(value)), rows={(value,): ()})
+    return TupleSet(_column(scalar_type_name(value)), rows={(value,): None})
 
 
 @functools.lru_cache(maxsize=1024)
@@ -563,19 +543,18 @@ def eval_product(members, env: Env) -> TupleSet:
 
 def product(parts) -> TupleSet:
     """The product of typed sets and scalars, a scalar acting as a
-    one-column set. Each member's spans move to the member's offset in the
-    product tuple."""
-    entries = [((), ())]  # (tuple, spans) of each product tuple so far
+    one-column set."""
+    tuples = [()]
     schema = ()
     for part in parts:
         if isinstance(part, TupleSet):
-            members = part.entries(len(schema))
+            members = part.members()
             schema += part.schema
         else:
-            members = (((part,), ()),)
+            members = ((part,),)
             schema += _column(scalar_type_name(part))
-        entries = [(values + v, head + sp) for values, head in entries for v, sp in members]
-    return TupleSet(schema, rows=dict(entries))
+        tuples = [values + v for values in tuples for v in members]
+    return TupleSet(schema, rows=dict.fromkeys(tuples))
 
 
 def eval_union(members, env: Env) -> TupleSet:
@@ -583,10 +562,9 @@ def eval_union(members, env: Env) -> TupleSet:
 
 
 def union(sets) -> TupleSet:
-    """The union of sets of one tuple shape, with their spans. A member's
-    int column where another has a real one reads as real, as ``conform``
-    reads an int at a real domain, and that member's tuples are no longer
-    its relation's."""
+    """The union of sets of one tuple shape. A member's int column where
+    another has a real one reads as real, as ``conform`` reads an int at a
+    real domain, and that member's tuples are no longer its relation's."""
     typed = [s for s in sets if s.schema is not None]
     if not typed:
         return TupleSet(None)
@@ -596,11 +574,10 @@ def union(sets) -> TupleSet:
         widened = [a.type_name != b.type_name for a, b in zip(s.schema, schema)]
         widen = any(widened)
         relations.add(None if widen else s.relation)
-        for values, sp in s.entries():
+        for values in s.members():
             if widen:
                 values = tuple([RealVal(float(v.value)) if w else v for v, w in zip(values, widened)])
-            if sp or values not in rows:
-                rows[values] = sp
+            rows[values] = None
     return TupleSet(schema, relations.pop() if len(relations) == 1 else None, rows)
 
 
@@ -644,20 +621,6 @@ class _RefResolver:
         self.pending = {} if pending is None else pending  # the plan's, read only
         self.buffer: Dict[Tuple[str, tuple], int] = {}
 
-    def held(self, spans, at: int, relation: str) -> Optional[RefVal]:
-        """A reference to the row of ``relation`` that the span of a flat
-        value list at offset ``at`` was read from, while that row still
-        holds the very tuple read; None when there is none.
-
-        Such a row is the first holder of its key, the row ``resolve``
-        names. It was the key's only holder when read (a selection reads no
-        row ids while a collision is pending) or added, and has not been
-        rekeyed since; a rekey stores its row after the key's holders."""
-        for start, rel, rowid, read in spans:
-            if start == at and rel == relation and self.state.indexes[relation].rows.get(rowid) is read:
-                return RefVal(relation, rowid)
-        return None
-
     def resolve(self, relation: str, values: tuple) -> RefVal:
         """A reference to the row stored first under the tuple's key, or to
         the row reserved for it."""
@@ -677,7 +640,7 @@ class _RefResolver:
         return RefVal(relation, rowid)
 
 
-def conform(domains: Tuple[Domain, ...], flat, resolver: _RefResolver, spans=()) -> tuple:
+def conform(domains: Tuple[Domain, ...], flat, resolver: _RefResolver) -> tuple:
     """The values a flat value list gives a sequence of domains: the one
     place a spelled-out tuple is read, by writes and reads alike.
 
@@ -685,17 +648,16 @@ def conform(domains: Tuple[Domain, ...], flat, resolver: _RefResolver, spans=())
     timestamp). A relation-valued domain takes a ready reference or inline
     tuple of its relation, or else that relation's values spelled out in
     place, as products over selections produce them, which are conformed in
-    turn: to an inline tuple, or to the row ``spans`` record them as read
-    from while that row still holds them, or else the row ``resolver`` finds
-    by key. A value its domain cannot take raises DomainTypeMismatch, and
-    too few or too many values ArityMismatch."""
-    values, end = _conform_from(domains, flat, 0, resolver, spans)
+    turn: to an inline tuple, or to the row ``resolver`` finds by key. A
+    value its domain cannot take raises DomainTypeMismatch, and too few or
+    too many values ArityMismatch."""
+    values, end = _conform_from(domains, flat, 0, resolver)
     if end != len(flat):
         raise ArityMismatch(f"too many values: the domains take {end}, got {len(flat)}")
     return values
 
 
-def _conform_from(domains, flat, i: int, resolver: _RefResolver, spans):
+def _conform_from(domains, flat, i: int, resolver: _RefResolver):
     out = []
     for dom in domains:
         if i >= len(flat):
@@ -714,19 +676,14 @@ def _conform_from(domains, flat, i: int, resolver: _RefResolver, spans):
                 out.append(v)
                 i += 1
                 continue
-            ref = resolver.held(spans, i, dom.type_name)
-            if ref is not None:
-                out.append(ref)
-                i += target.arity
-            else:
-                sub, i = _conform_from(target.domains, flat, i, resolver, spans)
-                out.append(resolver.resolve(dom.type_name, sub))
+            sub, i = _conform_from(target.domains, flat, i, resolver)
+            out.append(resolver.resolve(dom.type_name, sub))
         else:  # domain-class value, stored inline
             if isinstance(v, TupleVal) and v.relation == dom.type_name:
                 out.append(v)
                 i += 1
             else:
-                sub, i = _conform_from(target.domains, flat, i, resolver, spans)
+                sub, i = _conform_from(target.domains, flat, i, resolver)
                 out.append(TupleVal(dom.type_name, sub))
     return tuple(out), i
 
@@ -738,9 +695,9 @@ def _conformed(dom: Domain, spelled: TupleSet, state: DbState) -> list:
     resolver = _RefResolver(state)
     out = []
     try:
-        for flat, spans in spelled.entries():
+        for flat in spelled.members():
             try:
-                out.append(conform((dom,), flat, resolver, spans)[0])
+                out.append(conform((dom,), flat, resolver)[0])
             except _Miss:
                 out.append(None)
     except (ArityMismatch, DomainTypeMismatch) as exc:
@@ -786,7 +743,7 @@ def eval_selection(sel: syntax.Selection, env: Env) -> TupleSet:
     if name in env.state.runs:
         # a key names a collision's whole run: one tuple per key, and no row
         tuples = rows.values() if keep is None else filter(keep, rows.values())
-        return TupleSet(schema, name, dict.fromkeys(tuples, ()))
+        return TupleSet(schema, name, dict.fromkeys(tuples))
     if keep is not None:
         rows = {rowid: values for rowid, values in rows.items() if keep(values)}
     return RowSet(schema, name, rows, ordered)
@@ -1040,7 +997,7 @@ def eval_projection(proj: syntax.Projection, env: Env) -> TupleSet:
                 v = inner[pos]
             out.append(v)
         rows.append(tuple(out))
-    return TupleSet(tuple(col for col, _route in columns), rows=dict.fromkeys(rows, ()))
+    return TupleSet(tuple(col for col, _route in columns), rows=dict.fromkeys(rows))
 
 
 def _schema_position(schema, name: str):
@@ -1161,7 +1118,7 @@ def connect(target: str, source: TupleSet, env: Env) -> TupleSet:
     schema = relation_schema(catalog.lookup(target)) + relation_schema(catalog.lookup(source.relation))
     pages = env.state.indexes[target].rows.pages if pairs else None
     bits, mask = store.ROW_BITS, (1 << store.ROW_BITS) - 1
-    return TupleSet(schema, rows=dict.fromkeys([pages[end >> bits][end & mask] + starts[start] for start, end in pairs], ()))
+    return TupleSet(schema, rows=dict.fromkeys([pages[end >> bits][end & mask] + starts[start] for start, end in pairs]))
 
 
 def connected(target: str, source: TupleSet, env: Env):

@@ -216,12 +216,13 @@ def _referenced(catalog: Catalog, type_name: str) -> set:
 
 def _rising(state: DbState, name: str, memo: Dict[str, bool]) -> bool:
     """Whether the relation's row ids rise with its value order, as far as
-    its key order shows: every relation it references rises, so it is in
-    value order as stored (see ``_export_orders``), and its row ids rise
-    in key order. ``memo`` holds the relations judged already."""
+    its key order shows: no update collision is pending in it (a run holds
+    one tuple under several ids), every relation it references rises, so it
+    is in value order as stored (see ``_export_orders``), and its row ids
+    rise in key order. ``memo`` holds the relations judged already."""
     got = memo.get(name)
     if got is None:
-        idx = state.indexes.get(name)
+        idx = None if name in state.runs else state.indexes.get(name)
         got = memo[name] = idx is not None and _stored_in_value_order(state, name, memo) and _ids_rise(idx.id_chunks)
     return got
 

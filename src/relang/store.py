@@ -450,11 +450,10 @@ class MultitableIndex:
 
     def index_values(self, pos: int):
         """Give scalar position ``pos`` its map, built from the rows."""
-        pages = self.maps[pos] = {}
-        for rowid, values in self.rows.items():
-            key = values[pos]
-            pages.setdefault(_page_of(key), {}).setdefault(key, set()).add(rowid)
-        self.owned.update(id(part) for page in pages.values() for part in (page, *page.values()))
+        self.maps[pos] = {}  # kept when there are no rows
+        rows = list(self.rows.items())
+        if rows:
+            self._link_column(pos, [values[pos] for _rowid, values in rows], [rowid for rowid, _values in rows])
         self.valued += (pos,)
 
     def bucket(self, pos: int, key) -> Iterable[int]:

@@ -148,7 +148,7 @@ class TxnPlan:
                 )
             return []
         try:
-            return self._conform_all(rel, sorted(product(sets).entries()), deferred)
+            return self._conform_all(rel, product(sets).tuples(), deferred)
         except (ArityMismatch, DomainTypeMismatch, TypeMismatch, SchemaMismatch):
             if union_fallback:
                 return None
@@ -168,22 +168,22 @@ class TxnPlan:
         if isinstance(value, bool):
             raise TypeMismatch("a condition is not a set of tuples")
         if not isinstance(value, TupleSet):
-            return self._conform_all(rel, [((value,), ())], deferred)
+            return self._conform_all(rel, [(value,)], deferred)
         if value.schema is None:
             return []
         if value.relation == rel.name:
             return list(value.tuples())
-        return self._conform_all(rel, sorted(value.entries()), deferred)
+        return self._conform_all(rel, value.tuples(), deferred)
 
     def _conform_all(self, rel: RelationDef, flats, deferred: bool):
-        """Each (flat values, spans) conformed to ``rel``'s domains. In
-        strict mode a tuple referencing nothing cannot be stored, so it is
-        not a member of the relation, and is left out."""
+        """Each flat value list conformed to ``rel``'s domains, a reference
+        it spells out found by key. In strict mode a tuple referencing
+        nothing cannot be stored, so it is left out."""
         resolver = _RefResolver(self.shadow, deferred, self.pending)
         out = []
-        for flat, spans in flats:
+        for flat in flats:
             try:
-                out.append(conform(rel.domains, flat, resolver, spans))
+                out.append(conform(rel.domains, flat, resolver))
             except _Miss:
                 continue
         self._adopt_buffer(resolver)
@@ -255,7 +255,7 @@ class TxnPlan:
             values = self.shadow.indexes[relation].rows.get(rowid)
             if values is None:
                 continue  # already gone via an earlier cascade
-            removed[values] = ()
+            removed[values] = None
             # a referrer left behind is caught at commit
             for pair in self.shadow.erase(relation, rowid, cascade=cascade):
                 self.written[pair] = self._stmt
@@ -307,12 +307,12 @@ class TxnPlan:
                     f"assignment to {dom.attr!r} needs exactly one tuple,"
                     f" got {len(outcome)}"
                 )
-            ((flat, spans),) = outcome.entries()
+            (flat,) = outcome.members()
         elif dom.is_scalar or isinstance(outcome, (RefVal, TupleVal)):
-            flat, spans = (outcome,), ()
+            flat = (outcome,)
         else:
             raise TypeMismatch(f"assignment to {dom.attr!r} needs a {dom.type_name} tuple")
-        return conform((dom,), flat, resolver, spans)[0]
+        return conform((dom,), flat, resolver)[0]
 
     def _simple_relation(self, relation: str) -> RelationDef:
         rel = self.shadow.catalog.lookup(relation)

@@ -9,10 +9,10 @@ The lexing and snapshot oracles are the slow paths the code replaced: a
 character loop for the script lexer and one for snapshot rows, a sort of
 every relation by its export key for the export order, and a snapshot load
 that parses, builds and inserts each row in separate stages. ``by_values``
-switches the engine back to finding every row by its values, and
-``contains_tuple`` is that lookup. The formatting oracles write every cell
-through its value type's writer, formatting a referenced row again for each
-cell that references it, and sort every output by order key.
+switches the engine back to finding by its values every row that a set
+read, and ``contains_tuple`` is that lookup. The formatting oracles write
+every cell through its value type's writer, formatting a referenced row
+again for each cell that references it, and sort every output by order key.
 """
 
 import csv
@@ -24,7 +24,7 @@ import string
 import networkx as nx
 
 import relang
-from relang import evaluator, parse_script, shell, store, txn
+from relang import evaluator, parse_script, shell, store
 from relang.catalog import SCALAR_TYPES
 from relang.errors import (
     DanglingOrdinal,
@@ -124,7 +124,7 @@ def brute_force_connection(db, target, source_tuples, source_relation):
 def tuple_set(schema, tuples, relation=None):
     """A set built from the tuples' values: it holds no row ids, so every
     consumer finds its tuples' rows by key."""
-    return TupleSet(schema, relation, {tuple(t): () for t in tuples})
+    return TupleSet(schema, relation, dict.fromkeys(map(tuple, tuples)))
 
 
 def engine_connection_keys(db, target, source_relation):
@@ -173,7 +173,8 @@ def dangling_refs(state):
 
 def contains_tuple(state, relation, values):
     """The row stored first under the tuple, its own key, or None: how the
-    engine found a spelled-out tuple's row before sets kept row ids."""
+    engine finds a spelled-out tuple's row, and found the rows a set read
+    before sets kept row ids."""
     return state.indexes[relation].first(values)
 
 
@@ -182,24 +183,10 @@ def by_values(mp) -> None:
     sets kept the row ids they read, through ``mp`` (a
     ``pytest.MonkeyPatch``): no set names a row it was read from, so a
     reference position's allowed rows and a connection's start rows are
-    the rows stored under the set's keys (``run`` per key), a remove or
-    update target is ``contains_tuple`` of each key, and every spelled-out
-    reference, written or read, is resolved by key; a product keeps no
-    spans; and every output with a reference column sorts."""
-
-    def every_tuple_by_key(ts, state, relation):
-        return {}, ts.members()
-
-    def spanless(parts):
-        result = product(parts)
-        return TupleSet(result.schema, result.relation, dict.fromkeys(result.members(), ()))
-
-    product = evaluator.product
-    mp.setattr(evaluator.TupleSet, "stored", every_tuple_by_key)
-    mp.setattr(evaluator.RowSet, "stored", every_tuple_by_key)
-    mp.setattr(evaluator, "product", spanless)
-    mp.setattr(txn, "product", spanless)
-    mp.setattr(evaluator._RefResolver, "held", lambda resolver, spans, at, relation: None)
+    the rows stored under the set's keys (``run`` per key), and a remove
+    or update target is ``contains_tuple`` of each key, as a spelled-out
+    reference always is; and every output with a reference column sorts."""
+    mp.setattr(evaluator.RowSet, "stored", lambda ts, state, relation: ({}, ts.members()))
     mp.setattr(shell, "_rising", lambda state, name, memo: False)
 
 

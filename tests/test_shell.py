@@ -825,6 +825,22 @@ class TestValueOrder:
         assert sorted_by  # the new author sorts first but was stored last
         assert _printed(db, outputs) == _printed(load_snapshot(save_snapshot(db)), outputs)
 
+    def test_a_pending_update_collision_prints_in_value_order(self):
+        # the update leaves two "Bo" rows holding one tuple under different
+        # ids, so the books referencing them are not in value order by key
+        db = build_db(
+            "relation (author (name text) (birthdate timestamp))"
+            " relation (book author (title text) (year timestamp))"
+            ' add author ({"Bo" "1900"} {"Bo" "1950"}) add book ({(author "Bo" .) "t" "1900"}) commit'
+        )
+        printed = _printed(
+            db,
+            'update author (author "Bo" "1950") (birthdate "1900")'
+            ' add book {(author "Bo" .) "t" "1950"} output sexpr (book)',
+        )
+        years = re.findall(r'"t" \(timestamp "\+(\d+)"\)', printed)
+        assert years == sorted(years) and len(years) == 3
+
     @given(library_rows(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_two_insertion_orders_print_the_same_bytes(self, adds, rng):
