@@ -46,6 +46,19 @@ selection reads a spelled-out reference as naming its key's whole run. A
 fault found conforming a written tuple raises ``DomainTypeMismatch`` or
 ``ArityMismatch``; found evaluating an expression, it raises ``TypeMismatch``.
 
+A row expression, that is a selection's filter, an update's assignment or
+a function's body, is compiled once per statement into nested closures
+(``compile_row``), and so is an operator or a cast that ``eval_expr``
+meets. A closure reads each attribute at its position in the row, a
+constant built once and a constant pattern's regex compiled once; a node
+that reads sets (a selection, constructor, projection or connection) runs
+through ``eval_expr`` for each row. Compiling raises nothing. Each fault
+keeps its class and message and is raised at the row that meets it, in
+the order of the tree's nodes: ``&`` and ``|`` evaluate every operand, so
+a later operand's fault raises even where an earlier one decided the
+outcome, and an expression that no row reaches (over an empty relation, or
+behind a positional constraint that no row passes) raises nothing.
+
 The connection operator replaces joins: it finds the shortest path between
 two relations in the schema graph and chain-joins along it, returning the
 connected (target, source) pairs. The walk starts from the source set's rows
@@ -59,6 +72,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import operator
 import re as _re
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
@@ -328,17 +342,12 @@ _BUILTIN_IMPL = {"capitalize": _builtin_capitalize, "length": _builtin_length}
 
 def eval_expr(expr: syntax.Expr, env: Env) -> EvalValue:
     if isinstance(expr, syntax.Const):
-        if expr.kind == "int":
-            return IntVal(expr.value)
-        if expr.kind == "real":
-            return RealVal(expr.value)
-        return TextVal(expr.value)
+        return _constant(expr)
     if isinstance(expr, syntax.Name):
         return _resolve_name(expr.ident, env)
-    if isinstance(expr, syntax.OpApply):
-        return _eval_op(expr, env)
-    if isinstance(expr, syntax.Typecast):
-        return _eval_cast(expr, env)
+    if isinstance(expr, (syntax.OpApply, syntax.Typecast)):
+        frame = env.locals or {}
+        return compile_row(expr, _positions(frame))(env, tuple(frame.values()))
     if isinstance(expr, syntax.Selection):
         return eval_selection(expr, env)
     if isinstance(expr, syntax.Product):
@@ -354,55 +363,186 @@ def eval_expr(expr: syntax.Expr, env: Env) -> EvalValue:
     raise TypeMismatch(f"unevaluable expression: {expr!r}")
 
 
+def _constant(expr: syntax.Const) -> Value:
+    if expr.kind == "int":
+        return IntVal(expr.value)
+    if expr.kind == "real":
+        return RealVal(expr.value)
+    return TextVal(expr.value)
+
+
 def _resolve_name(ident: str, env: Env) -> EvalValue:
     if env.locals is not None and ident in env.locals:
         return env.locals[ident]
+    return _binding(ident, env)
+
+
+def _binding(ident: str, env: Env) -> EvalValue:
     if ident in env.bindings:
         return env.bindings[ident]
     raise UnknownName(f"unknown name {ident!r}")
+
+
+def _positions(attrs) -> Dict[str, int]:
+    """The position each attribute name reads, the last of a repeated one."""
+    return {attr: i for i, attr in enumerate(attrs)}
+
+
+# --- compiled row expressions --------------------------------------------------------
+
+_ARITHMETIC = frozenset("+-*/")
+_COMPARISONS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+_NUMBERS = (IntVal, RealVal)
+
+
+def compile_row(expr: syntax.Expr, positions: Mapping[str, int]):
+    """``expr`` as a closure ``(env, values) -> result`` over one row, whose
+    value for an attribute name is ``values[positions[name]]``.
+
+    Constants are built, and a constant pattern compiled, here, once. A
+    name reads its position, or else a binding when the closure runs. Any
+    node but a constant, a name, an operator or a cast runs through
+    ``eval_expr``, with the row's attributes as its locals. Compiling
+    raises nothing: each fault is raised by the closure, at the row and in
+    the order that evaluating the tree node by node finds it."""
+    kind = type(expr)
+    if kind is syntax.Const:
+        try:
+            value = _constant(expr)
+        except DomainTypeMismatch:
+            return lambda env, values: _constant(expr)  # raises at each row
+        return lambda env, values: value
+    if kind is syntax.Name:
+        ident = expr.ident
+        pos = positions.get(ident)
+        if pos is None:
+            return lambda env, values: _binding(ident, env)
+        return lambda env, values: values[pos]
+    if kind is syntax.OpApply:
+        return _compile_op(expr.op, expr.operands, positions)
+    if kind is syntax.Typecast:
+        inner, type_name = _compile_scalar(expr.expr, positions, "a castable value"), expr.type_name
+        return lambda env, values: _cast(inner(env, values), type_name)
+
+    def evaluated(env, values):
+        return eval_expr(expr, env.with_locals({attr: values[i] for attr, i in positions.items()}))
+
+    return evaluated
+
+
+def _compile_scalar(expr: syntax.Expr, positions, what="an operand"):
+    """``expr`` compiled to give one scalar: its result collapsed by
+    ``scalar_context``, unless it is a constant or an attribute."""
+    compiled = compile_row(expr, positions)
+    if type(expr) is syntax.Const or (type(expr) is syntax.Name and expr.ident in positions):
+        return compiled
+    return lambda env, values: scalar_context(compiled(env, values), what)
+
+
+def _compile_op(op: str, operands, positions):
+    if op in ("&", "|"):
+        return _connective(op, [compile_row(x, positions) for x in operands])
+    if op == "!":
+        if len(operands) != 1:
+            return _failing((), "'!' negates a single condition")
+        inner = compile_row(operands[0], positions)
+
+        def negation(env, values):
+            v = inner(env, values)
+            if type(v) is not bool:
+                raise TypeMismatch("'!' negates a condition")
+            return not v
+
+        return negation
+    scalars = [_compile_scalar(x, positions) for x in operands]
+    if op in _ARITHMETIC:
+        return lambda env, values: _fold_arithmetic(op, [f(env, values) for f in scalars])
+    if op in _COMPARISONS:
+        if len(scalars) != 2:
+            return _failing(scalars, f"comparison {op!r} takes exactly two operands")
+        return _comparison(op, *scalars)
+    if op == "~":
+        if len(scalars) != 2:
+            return _failing(scalars, "'~' takes a text and a pattern")
+        return _match(*scalars, operands[1])
+    return _failing(scalars, f"unknown operator {op!r}")
+
+
+def _failing(operands, message: str):
+    """A closure that evaluates the operands, then raises TypeMismatch."""
+
+    def fail(env, values):
+        for f in operands:
+            f(env, values)
+        raise TypeMismatch(message)
+
+    return fail
+
+
+def _connective(op: str, tests):
+    """``&`` or ``|``: every operand is evaluated, so a later one's fault
+    raises even where an earlier one decided the outcome."""
+    combine = operator.and_ if op == "&" else operator.or_
+    message = f"operator {op!r} combines conditions"
+
+    def connective(env, values):
+        result = None
+        for test in tests:
+            v = test(env, values)
+            if type(v) is not bool:
+                raise TypeMismatch(message)
+            result = v if result is None else combine(result, v)
+        return result
+
+    return connective
+
+
+def _comparison(op: str, left, right):
+    """Two texts, or two numbers, compare by their payloads; anything
+    else as ``_compare`` rules."""
+    cmp = _COMPARISONS[op]
+
+    def comparison(env, values):
+        a, b = left(env, values), right(env, values)
+        if (type(a) is TextVal and type(b) is TextVal) or (type(a) in _NUMBERS and type(b) in _NUMBERS):
+            return cmp(a[1], b[1])
+        return _compare(op, a, b)
+
+    return comparison
+
+
+def _match(text, pattern, pattern_expr: syntax.Expr):
+    """``~``; a constant pattern is compiled once, and a bad one raises at
+    each row tested."""
+    regex = None
+    if type(pattern_expr) is syntax.Const and pattern_expr.kind == "text":
+        try:
+            regex = _compile_pattern(pattern_expr.value)
+        except BadRegex:
+            pass
+
+    def match(env, values):
+        a, p = text(env, values), pattern(env, values)
+        if type(a) is not TextVal:
+            raise TypeMismatch("'~' matches a text first operand")
+        if type(p) is not TextVal:
+            raise TypeMismatch("'~' takes a text pattern")
+        return (regex or _compile_pattern(p[1])).fullmatch(a[1]) is not None
+
+    return match
 
 
 def _numeric(v: Value, op: str) -> Value:
     if isinstance(v, (IntVal, RealVal)):
         return v
     raise TypeMismatch(f"operator {op!r} needs numeric operands, got {scalar_type_name(v)}")
-
-
-def _eval_op(expr: syntax.OpApply, env: Env) -> EvalValue:
-    op = expr.op
-    if op in ("&", "|"):
-        result = None
-        for operand in expr.operands:
-            v = eval_expr(operand, env)
-            if not isinstance(v, bool):
-                raise TypeMismatch(f"operator {op!r} combines conditions")
-            result = v if result is None else (result and v if op == "&" else result or v)
-        return result
-    if op == "!":
-        if len(expr.operands) != 1:
-            raise TypeMismatch("'!' negates a single condition")
-        v = eval_expr(expr.operands[0], env)
-        if not isinstance(v, bool):
-            raise TypeMismatch("'!' negates a condition")
-        return not v
-    operands = [scalar_context(eval_expr(x, env), "an operand") for x in expr.operands]
-    first = operands[0]
-    if op in ("+", "-", "*", "/"):
-        return _fold_arithmetic(op, operands)
-    if op in ("=", "!=", "<", ">", "<=", ">="):
-        if len(operands) != 2:
-            raise TypeMismatch(f"comparison {op!r} takes exactly two operands")
-        return _compare(op, operands[0], operands[1])
-    if op == "~":
-        if len(operands) != 2:
-            raise TypeMismatch("'~' takes a text and a pattern")
-        if not isinstance(first, TextVal):
-            raise TypeMismatch("'~' matches a text first operand")
-        pattern = operands[1]
-        if not isinstance(pattern, TextVal):
-            raise TypeMismatch("'~' takes a text pattern")
-        return _compile_pattern(pattern.value).fullmatch(first.value) is not None
-    raise TypeMismatch(f"unknown operator {op!r}")
 
 
 def _fold_arithmetic(op: str, operands) -> Value:
@@ -469,9 +609,7 @@ def _compare(op: str, a: Value, b: Value) -> bool:
     return ka >= kb
 
 
-def _eval_cast(expr: syntax.Typecast, env: Env) -> Value:
-    v = scalar_context(eval_expr(expr.expr, env), "a castable value")
-    t = expr.type_name
+def _cast(v: Value, t: str) -> Value:
     if t == "int":
         if isinstance(v, IntVal):
             return v
@@ -808,24 +946,27 @@ def _candidates(name: str, bound, env: Env):
 def _keeper(schema, constraints, sel: syntax.Selection, env: Env):
     """The test of a tuple against every constraint and the filter, or None
     when there is nothing to test."""
-    filter_expr = sel.filter
-    if not constraints and filter_expr is None:
-        return None
-
-    def keep(values) -> bool:
-        return all(check(values[pos]) for pos, check in constraints) and (
-            filter_expr is None or _filter_passes(filter_expr, schema, values, env)
-        )
-
-    return keep
+    if sel.filter is None:
+        if not constraints:
+            return None
+        return lambda values: all(check(values[pos]) for pos, check in constraints)
+    passes = _row_filter(sel.filter, schema, env)
+    if not constraints:
+        return passes
+    return lambda values: all(check(values[pos]) for pos, check in constraints) and passes(values)
 
 
-def _filter_passes(filter_expr, schema, values, env: Env) -> bool:
-    frame = {col.attr: v for col, v in zip(schema, values)}
-    outcome = eval_expr(filter_expr, env.with_locals(frame))
-    if not isinstance(outcome, bool):
-        raise TypeMismatch("a selection filter must yield a condition")
-    return outcome
+def _row_filter(filter_expr, schema, env: Env):
+    """The filter, compiled once, as a test of a tuple of the schema."""
+    test = compile_row(filter_expr, _positions(col.attr for col in schema))
+
+    def passes(values) -> bool:
+        outcome = test(env, values)
+        if type(outcome) is not bool:
+            raise TypeMismatch("a selection filter must yield a condition")
+        return outcome
+
+    return passes
 
 
 def _positional_constraint(arg, col: SchemaCol, env: Env):
@@ -919,11 +1060,10 @@ def _construct_domain_tuples(rel: RelationDef, sel: syntax.Selection, env: Env) 
                 f"no such {dom.type_name!r} tuple to bind at position {dom.attr!r}"
             )
         position_sets.append(candidates)
-    result = TupleSet(rel.domains, relation=rel.name)
-    for combo in itertools.product(*position_sets):
-        if sel.filter is None or _filter_passes(sel.filter, rel.domains, combo, env):
-            result.add(combo)
-    return result
+    combos = itertools.product(*position_sets)
+    if sel.filter is not None:
+        combos = filter(_row_filter(sel.filter, rel.domains, env), combos)
+    return TupleSet(rel.domains, rel.name, dict.fromkeys(combos))
 
 
 # --- function application -----------------------------------------------------------
@@ -946,10 +1086,10 @@ def _apply_by_name(name: str, sel: syntax.Selection, env: Env) -> TupleSet:
     fn = env.catalog.lookup(name)
     params = tuple(d.type_name for d in fn.domains)
 
+    body = compile_row(fn.body, _positions(d.attr for d in fn.domains))
+
     def call(vals):
-        frame = {d.attr: v for d, v in zip(fn.domains, vals)}
-        out = eval_expr(fn.body, env.with_locals(frame))
-        return scalar_context(out, "a function result")
+        return scalar_context(body(env, vals), "a function result")
 
     return _apply(name, params, fn.result_type, args, call, env)
 

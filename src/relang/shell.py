@@ -219,7 +219,9 @@ def _rising(state: DbState, name: str, memo: Dict[str, bool]) -> bool:
     its key order shows: no update collision is pending in it (a run holds
     one tuple under several ids), every relation it references rises, so it
     is in value order as stored (see ``_export_orders``), and its row ids
-    rise in key order. ``memo`` holds the relations judged already."""
+    rise in key order. ``memo`` holds the relations judged already: a
+    sealed state's own ``rising``, which never goes stale since the state
+    never changes, or else one output's."""
     got = memo.get(name)
     if got is None:
         idx = None if name in state.runs else state.indexes.get(name)
@@ -256,7 +258,7 @@ def _output(result: TupleSet, state: DbState, order_attrs, scalars) -> Tuple[Lis
     if None in positions:
         raise UnknownAttr(f"no attribute {order_attrs[positions.index(None)]!r} to order by")
     tuples, get_row = result.tuples(), state.get_row
-    memo: Dict[str, bool] = {}
+    memo = state.rising if state.sealed else {}
     refs = set().union(*[_referenced(state.catalog, col.type_name) for col in result.schema])
     stored = all(_rising(state, t, memo) for t in refs)
     scalar = all(result.schema[p].type_name in SCALAR_TYPES for p in positions)
@@ -737,15 +739,13 @@ class Session:
             return
         if isinstance(result, OutputRequest):
             fmt = self.fmt or result.format_name or _default_format(self.out)
-            text = format_result(
-                result.value, fmt, self.db.txn.shadow, result.order_attrs
-            )
+            text = format_result(result.value, fmt, self.db.reading(), result.order_attrs)
             print(text, file=self.out)
             return
         if isinstance(result, TupleSet) and not isinstance(stmt, syntax.BareQuery):
             return  # DML return values are discarded unless bound or queried
         fmt = self.fmt or _default_format(self.out)
-        print(format_result(result, fmt, self.db.txn.shadow), file=self.out)
+        print(format_result(result, fmt, self.db.reading()), file=self.out)
 
 
 def _report_error(exc: Exception, err, line=None, column=None) -> None:

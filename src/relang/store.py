@@ -507,6 +507,9 @@ class DbState:
         self.indexes: Dict[str, MultitableIndex] = {}
         self.owned: Set[str] = set()  # relations whose index this state may write
         self.sealed = False
+        # the formatter's verdict, by relation, on whether row ids rise with
+        # value order (``shell._rising``), kept only once sealed
+        self.rising: Dict[str, bool] = {}
         self.building = threading.Lock()  # held while a value map is built
         # relations whose index may hold a deferred update collision's run
         self.runs: Set[str] = set()

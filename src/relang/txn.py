@@ -52,7 +52,9 @@ from .evaluator import (
     TupleSet,
     _as_tuple_set,
     _Miss,
+    _positions,
     _RefResolver,
+    compile_row,
     conform,
     connected,
     eval_expr,
@@ -266,12 +268,13 @@ class TxnPlan:
         self._require_open()
         self._stmt += 1
         rel = self._simple_relation(relation)
+        attrs = _positions(d.attr for d in rel.domains)
         positions = []
         for attr, value_expr in assignments:
             pos = rel.attr_index(attr)
             if pos is None:
                 raise UnknownAttr(f"{relation!r} has no attribute {attr!r}")
-            positions.append((pos, value_expr))
+            positions.append((pos, compile_row(value_expr, attrs)))
         updated = TupleSet(relation_schema(rel), relation=relation)
         env = self.env()
         resolver = _RefResolver(self.shadow, True, self.pending)
@@ -280,11 +283,9 @@ class TxnPlan:
         planned = []
         for rowid in self._resolve_target_rows(rel, set_expr):
             old = self.shadow.get_row(relation, rowid)
-            frame = {d.attr: v for d, v in zip(rel.domains, old)}
             new = list(old)
-            for pos, value_expr in positions:
-                outcome = eval_expr(value_expr, env.with_locals(frame))
-                new[pos] = self._conform_position(rel.domains[pos], outcome, resolver)
+            for pos, value in positions:
+                new[pos] = self._conform_position(rel.domains[pos], value(env, old), resolver)
             planned.append((rowid, tuple(new)))
         for rowid, new in planned:
             # a collision with another row is caught at commit
@@ -428,6 +429,13 @@ class Database:
     def env(self) -> Env:
         return self.txn.env()
 
+    def reading(self) -> DbState:
+        """The state a read of the ambient transaction sees: the published
+        one, which is sealed, while the transaction owns no index, and so
+        holds the very indexes the published state does; else its shadow."""
+        shadow = self.txn.shadow
+        return shadow if shadow.owned else self.published
+
     def eval(self, expr) -> object:
         return eval_expr(expr, self.env())
 
@@ -497,7 +505,9 @@ class Database:
 
     def refresh(self) -> None:
         """Reopen the ambient transaction over the current published state
-        (for callers that built the published state directly)."""
+        (for callers that built the published state directly, so that any
+        judgement kept on it is dropped)."""
+        self.published.rising = {}
         self.txn = TxnPlan(self.published)
 
     @property

@@ -13,6 +13,10 @@ switches the engine back to finding by its values every row that a set
 read, and ``contains_tuple`` is that lookup. The formatting oracles write
 every cell through its value type's writer, formatting a referenced row
 again for each cell that references it, and sort every output by order key.
+``interpret`` is the tree walk that compiled row expressions replaced: it
+evaluates an expression node by node on every call, building each constant
+again and looking up each pattern, and runs a called function's body the
+same way.
 """
 
 import csv
@@ -24,14 +28,18 @@ import string
 import networkx as nx
 
 import relang
-from relang import evaluator, parse_script, shell, store
-from relang.catalog import SCALAR_TYPES
+from relang import evaluator, parse_script, shell, store, syntax
+from relang.catalog import BUILTIN_FUNCTIONS, SCALAR_TYPES
 from relang.errors import (
+    BadCast,
     DanglingOrdinal,
     DomainTypeMismatch,
     IllegalCharacter,
+    NotEnumerable,
     SnapshotFormatError,
+    TypeMismatch,
     UnterminatedString,
+    echo,
 )
 from relang.evaluator import TupleSet
 from relang.store import iter_refs
@@ -57,6 +65,7 @@ from relang.values import (
     TupleVal,
     encode_tuple,
     encode_value,
+    parse_timestamp,
     quote_text,
     render_timestamp,
     unescape_char,
@@ -843,3 +852,135 @@ def connectable_pair(db, names, rng: random.Random, max_edges=3):
             if d <= max_edges:
                 candidates.append((a, b))
     return rng.choice(candidates)
+
+
+# --- the tree-walk interpreter ---------------------------------------------------
+
+
+def interpret(expr, env):
+    """``expr``'s value, walking the tree node by node: a name reads
+    ``env.locals``, then the bindings; a function called by name runs its
+    body through this walk; every other node goes to ``eval_expr``."""
+    if isinstance(expr, syntax.Const):
+        if expr.kind == "int":
+            return IntVal(expr.value)
+        if expr.kind == "real":
+            return RealVal(expr.value)
+        return TextVal(expr.value)
+    if isinstance(expr, syntax.Name):
+        if env.locals is not None and expr.ident in env.locals:
+            return env.locals[expr.ident]
+        return evaluator._binding(expr.ident, env)
+    if isinstance(expr, syntax.OpApply):
+        return _interpret_op(expr, env)
+    if isinstance(expr, syntax.Typecast):
+        return _interpret_cast(expr, env)
+    if isinstance(expr, syntax.Selection) and _is_function(expr.target, env):
+        return _interpret_call(expr, env)
+    return evaluator.eval_expr(expr, env)
+
+
+def _is_function(name, env) -> bool:
+    if name in env.bindings:
+        return False
+    return name in BUILTIN_FUNCTIONS or (name in env.catalog and env.catalog.lookup(name).klass == "function")
+
+
+def _interpret_op(expr, env):
+    op = expr.op
+    if op in ("&", "|"):
+        result = None
+        for operand in expr.operands:
+            v = interpret(operand, env)
+            if not isinstance(v, bool):
+                raise TypeMismatch(f"operator {op!r} combines conditions")
+            result = v if result is None else (result and v if op == "&" else result or v)
+        return result
+    if op == "!":
+        if len(expr.operands) != 1:
+            raise TypeMismatch("'!' negates a single condition")
+        v = interpret(expr.operands[0], env)
+        if not isinstance(v, bool):
+            raise TypeMismatch("'!' negates a condition")
+        return not v
+    operands = [evaluator.scalar_context(interpret(x, env), "an operand") for x in expr.operands]
+    first = operands[0]
+    if op in ("+", "-", "*", "/"):
+        return evaluator._fold_arithmetic(op, operands)
+    if op in ("=", "!=", "<", ">", "<=", ">="):
+        if len(operands) != 2:
+            raise TypeMismatch(f"comparison {op!r} takes exactly two operands")
+        return evaluator._compare(op, operands[0], operands[1])
+    if op == "~":
+        if len(operands) != 2:
+            raise TypeMismatch("'~' takes a text and a pattern")
+        if not isinstance(first, TextVal):
+            raise TypeMismatch("'~' matches a text first operand")
+        pattern = operands[1]
+        if not isinstance(pattern, TextVal):
+            raise TypeMismatch("'~' takes a text pattern")
+        return evaluator._compile_pattern(pattern.value).fullmatch(first.value) is not None
+    raise TypeMismatch(f"unknown operator {op!r}")
+
+
+def _interpret_cast(expr, env):
+    v = evaluator.scalar_context(interpret(expr.expr, env), "a castable value")
+    t = expr.type_name
+    if t == "int":
+        if isinstance(v, IntVal):
+            return v
+        if isinstance(v, RealVal):
+            return IntVal(int(v.value))
+        if isinstance(v, TextVal):
+            try:
+                return IntVal(int(v.value.strip()))
+            except ValueError:
+                raise BadCast(f"cannot read {echo(v.value)} as int") from None
+    elif t == "real":
+        if isinstance(v, RealVal):
+            return v
+        if isinstance(v, IntVal):
+            return RealVal(float(v.value))
+        if isinstance(v, TextVal):
+            try:
+                return RealVal(float(v.value.strip()))
+            except (ValueError, DomainTypeMismatch):
+                raise BadCast(f"cannot read {echo(v.value)} as real") from None
+    elif t == "text":
+        if isinstance(v, TextVal):
+            return v
+        if isinstance(v, IntVal):
+            return TextVal(str(v.value))
+        if isinstance(v, RealVal):
+            return TextVal(repr(v.value))
+        if isinstance(v, TimestampVal):
+            return TextVal(render_timestamp(v))
+    elif t == "timestamp":
+        if isinstance(v, TimestampVal):
+            return v
+        if isinstance(v, TextVal):
+            return parse_timestamp(v.value)
+    raise BadCast(f"cannot cast {evaluator.scalar_type_name(v)} to {t}")
+
+
+def _interpret_call(sel, env):
+    """A function applied to its arguments' values, as the engine applies
+    it, with the body walked for each combination."""
+    name = sel.target
+    if sel.filter is not None:
+        raise TypeMismatch(f"{name!r} is a function; it takes arguments, not a filter")
+    args = []
+    for arg in sel.args:
+        if isinstance(arg, syntax.Wildcard) or evaluator._is_type_marker(arg):
+            raise NotEnumerable(f"function {name!r} is not enumerable; all arguments must be bound")
+        args.append(evaluator._as_tuple_set(interpret(arg, env), "a function argument"))
+    if name in BUILTIN_FUNCTIONS:
+        params, result_type = BUILTIN_FUNCTIONS[name]
+        return evaluator._apply(name, params, result_type, args, evaluator._BUILTIN_IMPL[name], env)
+    fn = env.catalog.lookup(name)
+
+    def call(vals):
+        frame = {d.attr: v for d, v in zip(fn.domains, vals)}
+        return evaluator.scalar_context(interpret(fn.body, env.with_locals(frame)), "a function result")
+
+    return evaluator._apply(name, tuple(d.type_name for d in fn.domains), fn.result_type, args, call, env)

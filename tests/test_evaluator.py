@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -24,9 +24,19 @@ from relang.errors import (
     UnknownName,
     UnknownRelation,
 )
-from relang.catalog import MAX_CALL_DEPTH
+from relang.catalog import MAX_CALL_DEPTH, SCALAR_TYPES
 from relang.store import DbState
-from relang.evaluator import Env, SchemaCol, eval_expr, relation_schema, shortest_path
+from relang.evaluator import (
+    Env,
+    SchemaCol,
+    TupleSet,
+    compile_row,
+    eval_expr,
+    product,
+    relation_schema,
+    shortest_path,
+    union,
+)
 from relang.values import (
     IntVal,
     RealVal,
@@ -39,7 +49,7 @@ from relang.values import (
 )
 
 from conftest import build_db, q, rows, run
-from oracles import index_faults, random_tree_db, tuple_set
+from oracles import index_faults, interpret, random_tree_db, tuple_set
 
 
 class TestExpressions:
@@ -302,6 +312,83 @@ class TestFunctions:
             for va, vb in itertools.product(a_vals, b_vals):
                 pieces |= set(q(library, f"(avg2 {va} {vb})").members())
             assert set(whole.members()) == pieces
+
+
+class TestWhenRowExpressionsRaise:
+    """A filter, an update assignment and a function body are compiled once
+    per statement, and still raise only where evaluating them row by row
+    would: a fault is found at the first row that meets it, and an
+    expression that no row reaches raises nothing."""
+
+    COUNTERS = """
+    relation (counter (label text) (n int))
+    relation (nothing (label text) (n int))
+    function (twice (n int)) (* n 2)
+    function (unreadable (n int)) (+ n (int "x"))
+    add counter ({"a" 1} {"b" 2} {"c" 3})
+    commit
+    """
+
+    @pytest.fixture
+    def counters(self):
+        return build_db(self.COUNTERS)
+
+    @pytest.mark.parametrize("flt, error, message", [
+        ('(label ~ "(")', BadRegex, "pattern '\\(' uses '\\('"),
+        ('(label ~ "a[")', BadRegex, "unterminated character class"),
+        ("(label = zz)", UnknownName, "unknown name 'zz'"),
+        ("((twice zz) > 1)", UnknownName, "unknown name 'zz'"),
+    ])
+    def test_a_faulty_filter_raises_only_when_a_row_is_tested(self, counters, flt, error, message):
+        assert len(q(counters, f"(nothing :{flt})")) == 0
+        # a positional constraint that no row passes keeps the filter uncalled
+        assert len(q(counters, f'(counter "zz" . :{flt})')) == 0
+        assert len(q(counters, f"(counter . 7 :{flt})")) == 0
+        for _ in range(2):  # and a fault is raised afresh on every call
+            with pytest.raises(error, match=message):
+                q(counters, f"(counter :{flt})")
+
+    def test_every_operand_of_a_connective_is_evaluated(self, counters):
+        assert len(q(counters, "(nothing :(& (n > 100) ((/ n 0) > 1)))")) == 0
+        for flt in ("(& (n > 100) ((/ n 0) > 1))", "(| (n > 0) ((/ n 0) > 1))"):
+            with pytest.raises(TypeMismatch, match="division by zero"):
+                q(counters, f"(counter :{flt})")
+
+    def test_a_fault_is_raised_at_the_first_row_that_meets_it(self, counters):
+        # rows run in key order; "a" passes, "b" divides by zero
+        assert rows(q(counters, '(counter "a" . :((/ 6 (- 2 n)) > 1))'), counters.published) == {("a", 1)}
+        with pytest.raises(TypeMismatch, match="division by zero"):
+            q(counters, "(counter :((/ 6 (- 2 n)) > 1))")
+
+    def test_an_update_assignment_reads_the_rows_own_attributes(self, counters, library):
+        run(counters, "update counter (counter) (n (n + 1))")
+        assert rows(q(counters, "(counter)"), counters.txn.shadow) == {("a", 2), ("b", 3), ("c", 4)}
+        run(counters, 'update counter (counter "b" .) (label (text (twice n)) n (- n 10))')
+        assert rows(q(counters, "(counter)"), counters.txn.shadow) == {("a", 2), ("6", -7), ("c", 4)}
+        run(library, 'add author {"le Guin" "1929-10-21"}')
+        run(library, "update author (author) (name (capitalize name))")
+        assert {t[0] for t in rows(q(library, "(author)"), library.txn.shadow)} == {
+            "Dawkins", "Homer", "Austen", "Le Guin"
+        }
+
+    def test_an_update_of_no_row_raises_nothing(self, counters):
+        run(counters, 'update counter (counter "zz" .) (n (+ n zz) label (text (label ~ "(")))')
+        with pytest.raises(UnknownName, match="unknown name 'zz'"):
+            run(counters, 'update counter (counter "a" .) (n (+ n zz))')
+
+    def test_a_function_called_in_a_filter(self, counters):
+        assert rows(q(counters, "(counter :((twice n) > 3))"), counters.published) == {("b", 2), ("c", 3)}
+        assert rows(q(counters, "(counter :((twice (twice n)) = 8))"), counters.published) == {("b", 2)}
+        assert rows(q(counters, "(counter :((length label) = n))"), counters.published) == {("a", 1)}
+        # a call, or a fault beside it, that no row reaches raises nothing
+        assert len(q(counters, "(nothing :((twice (+ n zz)) > 1))")) == 0
+        assert len(q(counters, '(nothing :(& ((twice n) > 1) (label ~ "(")))')) == 0
+        assert len(q(counters, "(nothing :((unreadable n) > 1))")) == 0
+        assert len(q(counters, "(unreadable ())")) == 0
+        with pytest.raises(BadCast, match="cannot read 'x' as int"):
+            q(counters, "(counter :((unreadable n) > 1))")
+        with pytest.raises(BadRegex):
+            q(counters, '(counter :(& ((twice n) > 1) (label ~ "(")))')
 
 
 class TestProjection:
@@ -616,6 +703,131 @@ ints = st.lists(st.integers(-5, 5), min_size=1, max_size=4)
 
 def _union_text(values):
     return "(" + " ".join(str(v) for v in values) + ")"
+
+
+# Random row expressions over a row of every scalar type: arithmetic,
+# comparisons, '~', '&' '|' '!', casts, names that read the row, a binding
+# or nothing, and calls of built-in and user functions.
+ROW_ATTRS = ("i", "x", "s", "d")
+ROW_FUNCTIONS = """
+function (inc (n int)) (+ n 1)
+function (half (x real)) (/ x 2)
+function (inv (n int)) (/ 1 n)
+function (shout (s text)) (capitalize s)
+"""
+_row_values = st.tuples(
+    st.one_of(st.integers(-3, 3), st.sampled_from([-(1 << 63), (1 << 63) - 1])).map(IntVal),
+    st.sampled_from([0.0, 0.5, -2.5, 3.0, 1e308]).map(RealVal),
+    st.sampled_from(["", "a", "ab", "A1", " 7 ", "1950", "x.y"]).map(TextVal),
+    st.builds(TimestampVal, st.integers(-5, 2000), st.sampled_from([None, 1, 12])),
+)
+_leaves = st.one_of(
+    st.integers(-3, 3).map(lambda v: syntax.Const(v, "int")),
+    st.sampled_from([0.0, 0.5, -1.5, 1e308]).map(lambda v: syntax.Const(v, "real")),
+    st.sampled_from(["", "a", "a.*", "[a-z]+", "A?1", "(", "a[", "1950", " 3 "]).map(lambda v: syntax.Const(v, "text")),
+    st.sampled_from(ROW_ATTRS + ("zz", "one", "pair")).map(syntax.Name),
+)
+_COMPARISONS = ("=", "!=", "<", ">", "<=", ">=", "~")
+_OPS = ("+", "-", "*", "/", "&", "|", "!") + _COMPARISONS
+_operands = lambda inner: st.lists(inner, min_size=1, max_size=3).map(tuple)  # noqa: E731
+_CALLS = st.sampled_from(["inc", "half", "inv", "shout", "length", "capitalize"])
+_CASTS = st.sampled_from(sorted(SCALAR_TYPES))
+
+# mostly well-typed scalars and conditions, so that most cases give a value
+_op = lambda op, *args: syntax.OpApply(op, args)  # noqa: E731
+_call = lambda name, arg: syntax.Selection(name, (arg,))  # noqa: E731
+_ints = st.deferred(lambda: st.one_of(
+    st.integers(-3, 3).map(lambda v: syntax.Const(v, "int")),
+    st.just(syntax.Name("i")),
+    st.builds(syntax.OpApply, st.sampled_from("+-*"), st.lists(_ints, min_size=1, max_size=3).map(tuple)),
+    st.builds(lambda a: syntax.Typecast("int", a), st.one_of(_reals, _texts)),
+    st.builds(lambda a: _call("length", a), _texts),
+    st.builds(lambda name, a: _call(name, a), st.sampled_from(["inc", "inv"]), _ints),
+))
+_reals = st.deferred(lambda: st.one_of(
+    st.sampled_from([0.0, 0.5, -1.5, 1e308]).map(lambda v: syntax.Const(v, "real")),
+    st.just(syntax.Name("x")),
+    st.builds(syntax.OpApply, st.sampled_from("+-*/"), st.tuples(_reals, st.one_of(_ints, _reals))),
+    st.builds(lambda a, b: _op("/", a, b), _ints, _ints),
+    st.builds(lambda a: syntax.Typecast("real", a), _ints),
+    st.builds(lambda a: _call("half", a), st.one_of(_ints, _reals)),
+))
+_texts = st.deferred(lambda: st.one_of(
+    st.sampled_from(["", "a", "A1", "1950", " 3 ", "x.y"]).map(lambda v: syntax.Const(v, "text")),
+    st.just(syntax.Name("s")),
+    st.builds(lambda a: syntax.Typecast("text", a), st.one_of(_ints, _reals, _times)),
+    st.builds(lambda name, a: _call(name, a), st.sampled_from(["shout", "capitalize"]), _texts),
+))
+_times = st.one_of(
+    st.just(syntax.Name("d")),
+    st.sampled_from(["1950", "1950-03", "x"]).map(lambda v: syntax.Typecast("timestamp", syntax.Const(v, "text"))),
+)
+_PATTERNS = st.sampled_from(["a.*", "[a-z]+", "A?1", ".*5", "(", "a["]).map(lambda v: syntax.Const(v, "text"))
+_ORDERINGS = st.sampled_from(["=", "!=", "<", ">", "<=", ">="])
+_condition_exprs = st.recursive(
+    st.one_of(
+        st.builds(lambda op, a, b: _op(op, a, b), _ORDERINGS, st.one_of(_ints, _reals), st.one_of(_ints, _reals)),
+        st.builds(lambda op, a, b: _op(op, a, b), _ORDERINGS, _texts, _texts),
+        st.builds(lambda op, a, b: _op(op, a, b), _ORDERINGS, _times, st.one_of(_times, _texts)),
+        st.builds(lambda a, p: _op("~", a, p), _texts, st.one_of(_PATTERNS, _texts)),
+    ),
+    lambda inner: st.one_of(
+        st.builds(syntax.OpApply, st.sampled_from("&|"), _operands(inner)),
+        st.builds(lambda a: _op("!", a), inner),
+    ),
+    max_leaves=4,
+)
+# and any operator over anything, at any arity
+_any_exprs = st.recursive(
+    st.one_of(_leaves, _condition_exprs),
+    lambda inner: st.one_of(
+        st.builds(syntax.OpApply, st.sampled_from(_OPS), _operands(inner)),
+        st.builds(syntax.Typecast, _CASTS, inner),
+        st.builds(_call, _CALLS, inner),
+    ),
+    max_leaves=8,
+)
+row_exprs = st.one_of(_condition_exprs, _ints, _reals, _texts, _any_exprs)
+
+
+def _outcome(evaluate):
+    """What an evaluation gives, comparably: a value with its type, a set's
+    schema and tuples, or the class and message of what it raised."""
+    try:
+        result = evaluate()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return "raised", type(exc), str(exc)
+    if isinstance(result, TupleSet):
+        return "set", result.schema, set(result.members())
+    return "value", type(result), result
+
+
+@pytest.fixture(scope="module")
+def row_env():
+    db = build_db(ROW_FUNCTIONS)
+    bindings = {"one": product([IntVal(1)]), "pair": union([product([IntVal(1)]), product([IntVal(2)])])}
+    return Env(db.catalog, db.txn.shadow, bindings)
+
+
+@given(expr=row_exprs, values=_row_values)
+@settings(max_examples=300, deadline=None)
+@example(
+    expr=parse_expression("(& (i > 100) ((/ i 0) > 1))"), values=(IntVal(1), RealVal(0.5), TextVal("a"), TimestampVal(1)),
+)
+def test_a_compiled_row_expression_equals_the_tree_walk(row_env, expr, values):
+    compiled = compile_row(expr, {attr: i for i, attr in enumerate(ROW_ATTRS)})
+    want = _outcome(lambda: interpret(expr, row_env.with_locals(dict(zip(ROW_ATTRS, values)))))
+    assert _outcome(lambda: compiled(row_env, values)) == want
+    # compiling raised nothing, and running the closure again gives the same
+    assert _outcome(lambda: compiled(row_env, values)) == want
+
+
+def test_a_false_conjunct_still_raises_a_later_operands_fault(row_env):
+    expr = parse_expression("(& (i > 100) ((/ i 0) > 1))")
+    values = (IntVal(1), RealVal(0.5), TextVal("a"), TimestampVal(1))
+    compiled = compile_row(expr, {attr: i for i, attr in enumerate(ROW_ATTRS)})
+    with pytest.raises(TypeMismatch, match="division by zero"):
+        compiled(row_env, values)
 
 
 @given(ints, ints, ints)

@@ -57,3 +57,16 @@ def test_join_elimination_experiment_agrees_with_brute_force():
     )
     assert done.returncode == 0, done.stderr
     assert "engine == brute force on all" in done.stdout
+
+
+def test_the_size_probe_runs_on_a_small_library():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "size_probe.py"), "--sizes", "50", "--repeat", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("50 authors: ")
+    timed = [line.split("  ")[0].strip() for line in lines[2:]]
+    assert timed[0].startswith("point") and timed[-2:] == ["load_snapshot", "save_snapshot"]
+    assert 'sexpr (author :(name ~ "A0.*5"))' in timed

@@ -27,6 +27,7 @@ from relang.shell import (
     save_snapshot,
 )
 from relang.store import DbState, iter_refs
+from relang.values import RefVal, TextVal, TimestampVal
 
 from conftest import LIBRARY_DDL, LIBRARY_SCRIPT, build_db, fingerprint, q, rows, run
 from oracles import (
@@ -840,6 +841,40 @@ class TestValueOrder:
         )
         years = re.findall(r'"t" \(timestamp "\+(\d+)"\)', printed)
         assert years == sorted(years) and len(years) == 3
+
+    def test_a_sealed_states_judgement_is_kept_and_a_writers_is_not(self, monkeypatch):
+        db = build_db(
+            "relation (author (name text) (birthdate timestamp))"
+            " relation (book author (title text) (year timestamp))"
+            ' add author ({"Amy" "1900"} {"Bo" "1900"} {"Cy" "1900"})'
+            ' add book ({(author "Amy" .) "a" "1900"} {(author "Bo" .) "b" "1900"} {(author "Cy" .) "c" "1900"})'
+            " commit"
+        )
+        judged = []
+        rising = shell._rising
+        monkeypatch.setattr(shell, "_rising", lambda state, name, memo: judged.append(name) or rising(state, name, memo))
+        titles = lambda: re.findall(r'"(\w)" \(timestamp', _printed(db, "output sexpr (book)"))  # noqa: E731
+        assert titles() == ["a", "b", "c"] and db.reading() is db.published
+        assert db.published.rising == {"author": True}
+        judged.clear()
+        assert titles() == ["a", "b", "c"] and judged == ["author"]  # read from the memo
+        # renaming Amy puts the author ids out of value order in the
+        # transaction's state, which judges again for each output
+        run(db, 'update author (author "Amy" .) (name "Zoe")')
+        assert db.reading() is db.txn.shadow
+        for _ in range(2):
+            assert titles() == ["b", "c", "a"]
+        assert db.txn.shadow.rising == {} and db.published.rising == {"author": True}
+        run(db, "commit")
+        assert titles() == ["b", "c", "a"] and db.published.rising == {"author": False}
+        # a caller that writes the published state directly refreshes, which
+        # drops the judgement kept on it
+        run(db, 'update author (author "Zoe" .) (name "Amy") commit')
+        assert titles() == ["a", "b", "c"] and db.published.rising == {"author": True}
+        aaron, _ = db.published.insert("author", (TextVal("Aaron"), TimestampVal(1900)))
+        db.published.insert("book", (RefVal("author", aaron), TextVal("z"), TimestampVal(1900)))
+        db.refresh()
+        assert titles() == ["z", "a", "b", "c"]
 
     @given(library_rows(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
