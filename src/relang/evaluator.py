@@ -467,7 +467,8 @@ def _compile_op(op: str, operands, positions):
     if op in _COMPARISONS:
         if len(scalars) != 2:
             return _failing(scalars, f"comparison {op!r} takes exactly two operands")
-        return _comparison(op, *scalars)
+        left, right = scalars
+        return lambda env, values: _compare(op, left(env, values), right(env, values))
     if op == "~":
         if len(scalars) != 2:
             return _failing(scalars, "'~' takes a text and a pattern")
@@ -504,20 +505,6 @@ def _connective(op: str, tests):
     return connective
 
 
-def _comparison(op: str, left, right):
-    """Two texts, or two numbers, compare by their payloads; anything
-    else as ``_compare`` rules."""
-    cmp = _COMPARISONS[op]
-
-    def comparison(env, values):
-        a, b = left(env, values), right(env, values)
-        if (type(a) is TextVal and type(b) is TextVal) or (type(a) in _NUMBERS and type(b) in _NUMBERS):
-            return cmp(a[1], b[1])
-        return _compare(op, a, b)
-
-    return comparison
-
-
 def _match(text, pattern, pattern_expr: syntax.Expr):
     """``~``; a constant pattern is compiled once, and a bad one raises at
     each row tested."""
@@ -540,7 +527,7 @@ def _match(text, pattern, pattern_expr: syntax.Expr):
 
 
 def _numeric(v: Value, op: str) -> Value:
-    if isinstance(v, (IntVal, RealVal)):
+    if isinstance(v, _NUMBERS):
         return v
     raise TypeMismatch(f"operator {op!r} needs numeric operands, got {scalar_type_name(v)}")
 
@@ -576,8 +563,7 @@ def _fold_arithmetic(op: str, operands) -> Value:
 
 
 def _compare(op: str, a: Value, b: Value) -> bool:
-    numeric = isinstance(a, (IntVal, RealVal)) and isinstance(b, (IntVal, RealVal))
-    if numeric:
+    if isinstance(a, _NUMBERS) and isinstance(b, _NUMBERS):
         # int and real compare numerically; Python compares them exactly
         ka, kb = a.value, b.value
     elif isinstance(a, TextVal):
@@ -596,17 +582,7 @@ def _compare(op: str, a: Value, b: Value) -> bool:
         raise TypeMismatch("conditions are combined with '&', '|', and '!'")
     else:
         raise TypeMismatch(f"cannot compare {scalar_type_name(a)}")
-    if op == "=":
-        return ka == kb
-    if op == "!=":
-        return ka != kb
-    if op == "<":
-        return ka < kb
-    if op == ">":
-        return ka > kb
-    if op == "<=":
-        return ka <= kb
-    return ka >= kb
+    return _COMPARISONS[op](ka, kb)
 
 
 def _cast(v: Value, t: str) -> Value:

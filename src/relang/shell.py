@@ -219,9 +219,11 @@ def _rising(state: DbState, name: str, memo: Dict[str, bool]) -> bool:
     its key order shows: no update collision is pending in it (a run holds
     one tuple under several ids), every relation it references rises, so it
     is in value order as stored (see ``_export_orders``), and its row ids
-    rise in key order. ``memo`` holds the relations judged already: a
-    sealed state's own ``rising``, which never goes stale since the state
-    never changes, or else one output's."""
+    rise in key order. ``memo`` holds the relations judged already: one
+    output's, or a sealed state's own ``rising``. A sealed state is not
+    written through a transaction, but a caller may still fill a published
+    state directly (``load_snapshot`` does); such a write must be followed
+    by ``Database.refresh``, which drops the kept verdicts."""
     got = memo.get(name)
     if got is None:
         idx = None if name in state.runs else state.indexes.get(name)

@@ -508,7 +508,8 @@ class DbState:
         self.owned: Set[str] = set()  # relations whose index this state may write
         self.sealed = False
         # the formatter's verdict, by relation, on whether row ids rise with
-        # value order (``shell._rising``), kept only once sealed
+        # value order (``shell._rising``), kept only once sealed and dropped
+        # by ``Database.refresh`` after a direct write
         self.rising: Dict[str, bool] = {}
         self.building = threading.Lock()  # held while a value map is built
         # relations whose index may hold a deferred update collision's run

@@ -504,9 +504,11 @@ class Database:
         self.txn = TxnPlan(self.published)
 
     def refresh(self) -> None:
-        """Reopen the ambient transaction over the current published state
-        (for callers that built the published state directly, so that any
-        judgement kept on it is dropped)."""
+        """Reopen the ambient transaction over the current published state,
+        dropping the formatter's verdicts kept on it (``DbState.rising``).
+        Every direct write to the published state, one that does not go
+        through a transaction's commit, must be followed by this call, or
+        an output may trust a verdict the write made stale."""
         self.published.rising = {}
         self.txn = TxnPlan(self.published)
 

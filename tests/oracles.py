@@ -31,7 +31,6 @@ import relang
 from relang import evaluator, parse_script, shell, store, syntax
 from relang.catalog import BUILTIN_FUNCTIONS, SCALAR_TYPES
 from relang.errors import (
-    BadCast,
     DanglingOrdinal,
     DomainTypeMismatch,
     IllegalCharacter,
@@ -39,7 +38,6 @@ from relang.errors import (
     SnapshotFormatError,
     TypeMismatch,
     UnterminatedString,
-    echo,
 )
 from relang.evaluator import TupleSet
 from relang.store import iter_refs
@@ -65,7 +63,6 @@ from relang.values import (
     TupleVal,
     encode_tuple,
     encode_value,
-    parse_timestamp,
     quote_text,
     render_timestamp,
     unescape_char,
@@ -925,42 +922,7 @@ def _interpret_op(expr, env):
 
 def _interpret_cast(expr, env):
     v = evaluator.scalar_context(interpret(expr.expr, env), "a castable value")
-    t = expr.type_name
-    if t == "int":
-        if isinstance(v, IntVal):
-            return v
-        if isinstance(v, RealVal):
-            return IntVal(int(v.value))
-        if isinstance(v, TextVal):
-            try:
-                return IntVal(int(v.value.strip()))
-            except ValueError:
-                raise BadCast(f"cannot read {echo(v.value)} as int") from None
-    elif t == "real":
-        if isinstance(v, RealVal):
-            return v
-        if isinstance(v, IntVal):
-            return RealVal(float(v.value))
-        if isinstance(v, TextVal):
-            try:
-                return RealVal(float(v.value.strip()))
-            except (ValueError, DomainTypeMismatch):
-                raise BadCast(f"cannot read {echo(v.value)} as real") from None
-    elif t == "text":
-        if isinstance(v, TextVal):
-            return v
-        if isinstance(v, IntVal):
-            return TextVal(str(v.value))
-        if isinstance(v, RealVal):
-            return TextVal(repr(v.value))
-        if isinstance(v, TimestampVal):
-            return TextVal(render_timestamp(v))
-    elif t == "timestamp":
-        if isinstance(v, TimestampVal):
-            return v
-        if isinstance(v, TextVal):
-            return parse_timestamp(v.value)
-    raise BadCast(f"cannot cast {evaluator.scalar_type_name(v)} to {t}")
+    return evaluator._cast(v, expr.type_name)
 
 
 def _interpret_call(sel, env):
