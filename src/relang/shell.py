@@ -219,15 +219,24 @@ def _rising(state: DbState, name: str, memo: Dict[str, bool]) -> bool:
     its key order shows: no update collision is pending in it (a run holds
     one tuple under several ids), every relation it references rises, so it
     is in value order as stored (see ``_export_orders``), and its row ids
-    rise in key order. ``memo`` holds the relations judged already: one
-    output's, or a sealed state's own ``rising``. A sealed state is not
-    written through a transaction, but a caller may still fill a published
-    state directly (``load_snapshot`` does); such a write must be followed
-    by ``Database.refresh``, which drops the kept verdicts."""
+    rise in key order (``_ids_rise_on``). ``memo`` holds the relations
+    judged already in one output or save."""
     got = memo.get(name)
     if got is None:
         idx = None if name in state.runs else state.indexes.get(name)
-        got = memo[name] = idx is not None and _stored_in_value_order(state, name, memo) and _ids_rise(idx.id_chunks)
+        got = memo[name] = idx is not None and _stored_in_value_order(state, name, memo) and _ids_rise_on(state, name, idx)
+    return got
+
+
+def _ids_rise_on(state: DbState, name: str, idx) -> bool:
+    """``_ids_rise`` of the relation's index, kept on it (``ids_rise``)
+    unless ``state`` owns it: an index a state holds but does not own is
+    owned by no state, and so never changes (see ``store``)."""
+    got = idx.ids_rise
+    if got is None:
+        got = _ids_rise(idx.id_chunks)
+        if name not in state.owned:
+            idx.ids_rise = got
     return got
 
 
@@ -260,7 +269,7 @@ def _output(result: TupleSet, state: DbState, order_attrs, scalars) -> Tuple[Lis
     if None in positions:
         raise UnknownAttr(f"no attribute {order_attrs[positions.index(None)]!r} to order by")
     tuples, get_row = result.tuples(), state.get_row
-    memo = state.rising if state.sealed else {}
+    memo: Dict[str, bool] = {}
     refs = set().union(*[_referenced(state.catalog, col.type_name) for col in result.schema])
     stored = all(_rising(state, t, memo) for t in refs)
     scalar = all(result.schema[p].type_name in SCALAR_TYPES for p in positions)
@@ -336,15 +345,16 @@ def _export_orders(catalog: Catalog, state: DbState) -> Tuple[Dict[str, List[tup
     A reference's order key is its target's ordinal, which ranks targets in
     their own value order, and in key order it ranks by its target's row
     id. So a relation is in value order as stored when every relation it
-    references has ordinals that rise with their row ids, and so is a
-    relation that holds no reference; only the others are sorted by order
-    key. Ordinals rise with row ids in any loaded database (there they are
-    equal) and after appends in key order.
+    references has ordinals that rise with their row ids, as it has when
+    ``_rising`` holds, and so is a relation that holds no reference; only
+    the others are sorted by order key. Row ids rise in value order in any
+    loaded database (there they equal the ordinals) and after appends in
+    key order.
     """
     orders: Dict[str, Dict[int, int]] = {}  # row id -> export ordinal
     rows: Dict[str, List[tuple]] = {}
     ordered: Dict[str, List[int]] = {}
-    rising: Dict[str, bool] = {}  # whether a relation's ordinals rise with its row ids
+    rising: Dict[str, bool] = {}  # ``_rising``'s memo
     ref_key = lambda v: orders[v.relation][v.row]
 
     # definition order puts every relation after those it references
@@ -370,7 +380,6 @@ def _export_orders(catalog: Catalog, state: DbState) -> Tuple[Dict[str, List[tup
             rows[name] = [values for _k, _r, values in keyed]
         ordered[name] = rowids
         orders[name] = dict(zip(rowids, count(1)))
-        rising[name] = rowids == sorted(rowids)
     return rows, ordered
 
 
@@ -470,8 +479,6 @@ class _RowBlocks:
 
     def __init__(self, rel: RelationDef, catalog: Catalog, state: DbState, refs):
         self.rel, self.catalog, self.state, self.refs = rel, catalog, state, refs
-        # the positions that may hold a reference
-        self.linked = sorted({pos for target in refs for q, pos in catalog.referencing(target) if q == rel.name})
         self.leaves: list = []
         self.shape: list = []
         cells = _cell_pattern(rel, catalog, refs, self.leaves, self.shape)
@@ -538,7 +545,7 @@ class _RowBlocks:
         ordinal as its row id; False, storing nothing, for rows that do
         not."""
         name = self.rel.name
-        ids = self.state.extend(name, rows, self.linked)
+        ids = self.state.extend(name, rows)
         if ids is None:
             return False
         if name in self.refs:
@@ -741,13 +748,13 @@ class Session:
             return
         if isinstance(result, OutputRequest):
             fmt = self.fmt or result.format_name or _default_format(self.out)
-            text = format_result(result.value, fmt, self.db.reading(), result.order_attrs)
+            text = format_result(result.value, fmt, self.db.txn.shadow, result.order_attrs)
             print(text, file=self.out)
             return
         if isinstance(result, TupleSet) and not isinstance(stmt, syntax.BareQuery):
             return  # DML return values are discarded unless bound or queried
         fmt = self.fmt or _default_format(self.out)
-        print(format_result(result, fmt, self.db.reading()), file=self.out)
+        print(format_result(result, fmt, self.db.txn.shadow), file=self.out)
 
 
 def _report_error(exc: Exception, err, line=None, column=None) -> None:

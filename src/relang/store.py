@@ -75,7 +75,11 @@ copies only the page tables. So a state's first write to a relation costs
 O(rows / page size), and each write the pages it touches. An index no
 state owns is never written again: a published state, which a fork leaves
 owning nothing and ``sealed``, stays an immutable value that may be read
-concurrently; that is why only an unsealed state builds a value map.
+concurrently; that is why only an unsealed state builds a value map. A
+state gets ownership only by making or copying an index, so an index it
+holds but does not own is owned by no state: a verdict kept on it, such as
+``ids_rise`` (``shell._rising``), never goes stale, and a fresh index or a
+copy starts unjudged.
 """
 
 from __future__ import annotations
@@ -156,6 +160,7 @@ class MultitableIndex:
         # made or copied, and so may write
         self.owned: Set[int] = set()
         self.next_rowid = 1
+        self.ids_rise: Optional[bool] = None  # whether row ids rise in key order, once judged
 
     def copy(self) -> "MultitableIndex":
         """A copy for a new owner: it shares every page and bucket with this
@@ -382,13 +387,13 @@ class MultitableIndex:
                 else:
                     self._own(page, key, bucket, set).discard(rowid)
 
-    def extend(self, tuples: List[tuple], positions: Iterable[int]) -> List[int]:
-        """Store tuples that rise, the first above every key, as new rows
-        linked at ``positions`` and at each position in ``valued``; returns
-        their row ids. The layout is the one ``insert`` makes of them one
-        by one: the row pages and key chunks are filled by slices, the last
-        chunk up to ``CHUNK_MAX`` first, and each position's buckets are
-        made from its rows grouped by key."""
+    def extend(self, tuples: List[tuple]) -> List[int]:
+        """Store tuples that rise, the first above every key, as new rows,
+        linked as ``link`` links them; returns their row ids. The layout is
+        the one ``insert`` makes of them one by one: the row pages and key
+        chunks are filled by slices, the last chunk up to ``CHUNK_MAX``
+        first, and each position's buckets are made from its rows grouped
+        by key."""
         n, bits = len(tuples), ROW_BITS
         first = self.next_rowid
         self.next_rowid = end = first + n
@@ -411,7 +416,9 @@ class MultitableIndex:
             self.maxes[-1] = keys[-1]
         for at in range(at, n, CHUNK_MAX):
             self._new_chunk(len(self.maxes), tuples[at : at + CHUNK_MAX], ids[at : at + CHUNK_MAX])
-        for pos in sorted({*positions, *self.valued}):
+        # a position holds one type: the first tuple shows which hold references
+        linked = [pos for pos, v in enumerate(tuples[0]) if isinstance(v, (RefVal, TupleVal))]
+        for pos in sorted({*linked, *self.valued}):
             self._link_column(pos, list(map(itemgetter(pos), tuples)), ids)
         return ids
 
@@ -507,10 +514,6 @@ class DbState:
         self.indexes: Dict[str, MultitableIndex] = {}
         self.owned: Set[str] = set()  # relations whose index this state may write
         self.sealed = False
-        # the formatter's verdict, by relation, on whether row ids rise with
-        # value order (``shell._rising``), kept only once sealed and dropped
-        # by ``Database.refresh`` after a direct write
-        self.rising: Dict[str, bool] = {}
         self.building = threading.Lock()  # held while a value map is built
         # relations whose index may hold a deferred update collision's run
         self.runs: Set[str] = set()
@@ -569,20 +572,19 @@ class DbState:
                 return idx.id_chunks[c][i], False
         return self._store(relation, values, c, i, rowid), True
 
-    def extend(self, relation: str, tuples: List[tuple], linked: Iterable[int]) -> Optional[List[int]]:
+    def extend(self, relation: str, tuples: List[tuple]) -> Optional[List[int]]:
         """Store tuples that rise, the first above the relation's last, as
         new rows, as a snapshot load reads them; returns their row ids, in
-        order. ``linked`` must name every position that may hold a
-        reference; a value map is kept too. Tuples that do not rise, or do
-        not start above the last, are refused: nothing is stored, and the
-        result is None. The index is laid out as ``insert`` lays out the
-        same tuples."""
+        order. Tuples that do not rise, or do not start above the last, are
+        refused: nothing is stored, and the result is None. The index is
+        laid out, linked and value-mapped as ``insert`` leaves the same
+        tuples."""
         idx = self._index(relation)
         if not tuples:
             return []
         if (idx.maxes and not idx.maxes[-1] < tuples[0]) or not all(map(lt, tuples, islice(tuples, 1, None))):
             return None
-        return self._writable(relation).extend(tuples, linked)
+        return self._writable(relation).extend(tuples)
 
     def _store(self, relation: str, values: tuple, c: int, i: int, rowid) -> int:
         """Store a new tuple at slot ``i`` of chunk ``c`` (as

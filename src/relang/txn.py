@@ -429,13 +429,6 @@ class Database:
     def env(self) -> Env:
         return self.txn.env()
 
-    def reading(self) -> DbState:
-        """The state a read of the ambient transaction sees: the published
-        one, which is sealed, while the transaction owns no index, and so
-        holds the very indexes the published state does; else its shadow."""
-        shadow = self.txn.shadow
-        return shadow if shadow.owned else self.published
-
     def eval(self, expr) -> object:
         return eval_expr(expr, self.env())
 
@@ -504,12 +497,7 @@ class Database:
         self.txn = TxnPlan(self.published)
 
     def refresh(self) -> None:
-        """Reopen the ambient transaction over the current published state,
-        dropping the formatter's verdicts kept on it (``DbState.rising``).
-        Every direct write to the published state, one that does not go
-        through a transaction's commit, must be followed by this call, or
-        an output may trust a verdict the write made stale."""
-        self.published.rising = {}
+        """Reopen the ambient transaction over the current published state."""
         self.txn = TxnPlan(self.published)
 
     @property

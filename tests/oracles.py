@@ -220,7 +220,9 @@ def index_faults(state):
     one slot per id of its page and holds a row, and the page table covers
     every id handed out; every map page holds only keys of its own page
     and is non-empty, as is every bucket, and every map but a value map;
-    the row count is the number of stored rows. Empty on any state,
+    the row count is the number of stored rows. A row-id verdict kept on
+    the index (``ids_rise``) must be what a fresh walk of its ids finds,
+    and kept only on an index the state does not own. Empty on any state,
     published or not."""
     faults = []
     for rel_name, idx in state.indexes.items():
@@ -249,6 +251,8 @@ def index_faults(state):
             faults.append((rel_name, "keys out of order"))
         if any(rows.get(rowid) is not k for k, rowid in zip(keys, ids)) or sorted(ids) != sorted(rows):
             faults.append((rel_name, "keys differ from the rows"))
+        if idx.ids_rise is not None and (idx.ids_rise != (ids == sorted(ids)) or rel_name in state.owned):
+            faults.append((rel_name, "a kept row-id verdict differs from the ids, or may go stale"))
         if len(set(idx.valued)) != len(idx.valued) or not set(idx.valued) <= set(idx.maps):
             faults.append((rel_name, "a value map listed twice, or missing"))
         rebuilt = {}

@@ -842,7 +842,7 @@ class TestValueOrder:
         years = re.findall(r'"t" \(timestamp "\+(\d+)"\)', printed)
         assert years == sorted(years) and len(years) == 3
 
-    def test_a_sealed_states_judgement_is_kept_and_a_writers_is_not(self, monkeypatch):
+    def test_an_unowned_index_keeps_its_judgement_and_an_owned_one_does_not(self, monkeypatch):
         db = build_db(
             "relation (author (name text) (birthdate timestamp))"
             " relation (book author (title text) (year timestamp))"
@@ -850,31 +850,53 @@ class TestValueOrder:
             ' add book ({(author "Amy" .) "a" "1900"} {(author "Bo" .) "b" "1900"} {(author "Cy" .) "c" "1900"})'
             " commit"
         )
-        judged = []
-        rising = shell._rising
-        monkeypatch.setattr(shell, "_rising", lambda state, name, memo: judged.append(name) or rising(state, name, memo))
+        walks = []
+        ids_rise = shell._ids_rise
+        monkeypatch.setattr(shell, "_ids_rise", lambda id_chunks: walks.append(id_chunks) or ids_rise(id_chunks))
         titles = lambda: re.findall(r'"(\w)" \(timestamp', _printed(db, "output sexpr (book)"))  # noqa: E731
-        assert titles() == ["a", "b", "c"] and db.reading() is db.published
-        assert db.published.rising == {"author": True}
-        judged.clear()
-        assert titles() == ["a", "b", "c"] and judged == ["author"]  # read from the memo
-        # renaming Amy puts the author ids out of value order in the
-        # transaction's state, which judges again for each output
+        authors = lambda: db.txn.shadow.indexes["author"]  # noqa: E731
+        # the transaction owns no index: author's ids are walked once, and
+        # the verdict is kept on the index the published state shares
+        assert [titles(), titles()] == [["a", "b", "c"]] * 2 and len(walks) == 1
+        assert authors() is db.published.indexes["author"] and authors().ids_rise is True
+        # renaming Amy copies author into the transaction, which owns the
+        # copy: it starts unjudged and is judged again for each output
         run(db, 'update author (author "Amy" .) (name "Zoe")')
-        assert db.reading() is db.txn.shadow
-        for _ in range(2):
-            assert titles() == ["b", "c", "a"]
-        assert db.txn.shadow.rising == {} and db.published.rising == {"author": True}
+        walks.clear()
+        assert [titles(), titles()] == [["b", "c", "a"]] * 2 and len(walks) == 2
+        assert authors().ids_rise is None and db.published.indexes["author"].ids_rise is True
         run(db, "commit")
-        assert titles() == ["b", "c", "a"] and db.published.rising == {"author": False}
-        # a caller that writes the published state directly refreshes, which
-        # drops the judgement kept on it
+        walks.clear()
+        assert [titles(), titles()] == [["b", "c", "a"]] * 2 and len(walks) == 1
+        assert authors().ids_rise is False
         run(db, 'update author (author "Zoe" .) (name "Amy") commit')
-        assert titles() == ["a", "b", "c"] and db.published.rising == {"author": True}
+        assert titles() == ["a", "b", "c"] and authors().ids_rise is True
+        # a direct write to the published state copies each index it
+        # writes, unjudged; the transaction reopened over it reads the copies
         aaron, _ = db.published.insert("author", (TextVal("Aaron"), TimestampVal(1900)))
         db.published.insert("book", (RefVal("author", aaron), TextVal("z"), TimestampVal(1900)))
+        assert titles() == ["a", "b", "c"] and authors().ids_rise is True
         db.refresh()
-        assert titles() == ["z", "a", "b", "c"]
+        assert authors().ids_rise is None and titles() == ["z", "a", "b", "c"]
+        assert authors().ids_rise is False
+
+    def test_outputs_after_a_write_walk_each_unwritten_relation_once(self, library, monkeypatch):
+        run(library, 'add genre {"zany"}')  # it sorts last, so every relation rises
+        walked = []
+        ids_rise = shell._ids_rise
+        shadow = library.txn.shadow
+        names = {id(idx.id_chunks): name for name, idx in shadow.indexes.items()}
+        monkeypatch.setattr(shell, "_ids_rise", lambda id_chunks: walked.append(names[id(id_chunks)]) or ids_rise(id_chunks))
+        outputs = (
+            'output sexpr {genre (book (author "Homer" .) . .)}'
+            ' output sexpr {genre (book_genre (book (author "Homer" .) . .) .)}'
+        )
+        printed = _printed(library, outputs)
+        assert _printed(library, outputs) == printed and "Ulysses" in printed
+        assert walked.count("author") == walked.count("book") == 1
+        # genre, which the transaction wrote, is judged again for each output
+        # that references it
+        assert walked.count("genre") == 2 and shadow.owned == {"genre"}
 
     @given(library_rows(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)

@@ -96,8 +96,8 @@ class TestExtend:
     """``extend`` stores tuples as a snapshot load reads them: tuples that
     rise above the relation's last go last, and any others are refused."""
 
-    def extended(self, state, relation, values, linked=()):
-        return state.extend(relation, [values], linked)
+    def extended(self, state, relation, values):
+        return state.extend(relation, [values])
 
     def test_a_key_after_the_last_goes_last(self):
         state = library_state()
@@ -109,25 +109,23 @@ class TestExtend:
         state = library_state()
         self.extended(state, "genre", (TextVal("a"),))
         assert self.extended(state, "genre", (TextVal("a"),)) is None
-        assert state.extend("genre", [(TextVal("b"),), (TextVal("b"),)], ()) is None
+        assert state.extend("genre", [(TextVal("b"),), (TextVal("b"),)]) is None
         assert len(state.indexes["genre"].rows) == 1 and index_faults(state) == []
 
     def test_a_key_before_the_last_is_refused(self):
         state = library_state()
         self.extended(state, "genre", (TextVal("b"),))
         assert self.extended(state, "genre", (TextVal("a"),)) is None
-        assert state.extend("genre", [(TextVal("d"),), (TextVal("c"),)], ()) is None
+        assert state.extend("genre", [(TextVal("d"),), (TextVal("c"),)]) is None
         assert flat_ids(state.indexes["genre"]) == [1] and index_faults(state) == []
 
-    def test_only_the_named_positions_are_linked(self):
+    def test_a_reference_position_is_linked_unprompted(self):
         state = library_state()
         homer, _ = state.insert("author", author("Homer", "800 BC"))
         ulysses = (RefVal("author", homer), TextVal("Ulysses"), parse_timestamp("750 BC"))
-        assert self.extended(state, "book", ulysses, (0,)) == [1]
-        assert index_faults(state) == []
-        state.indexes["book"].maps.clear()
-        self.extended(state, "book", (RefVal("author", homer), TextVal("Z"), parse_timestamp("1")))
-        assert state.indexes["book"].maps == {}
+        assert self.extended(state, "book", ulysses) == [1]
+        assert list(state.indexes["book"].bucket(0, ("author", homer))) == [1]
+        assert list(state.indexes["book"].maps) == [0] and index_faults(state) == []
 
     def test_a_relation_with_a_value_map_keeps_it(self):
         state = library_state()

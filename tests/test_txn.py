@@ -651,6 +651,12 @@ def test_published_states_never_change(statements):
             pass  # a rejected statement, or a commit that aborted
         if db.published is not published[-1][0]:
             published.append((db.published, state_snapshot(db.published)))
+        # what the formatter keeps on an index rests on this: an index the
+        # transaction holds but does not own is owned by no live state
+        shadow = db.txn.shadow
+        for name, idx in shadow.indexes.items():
+            if name not in shadow.owned:
+                assert not any(name in state.owned and state.indexes[name] is idx for state, _saved in published)
     for state, saved in published:
         assert state_snapshot(state) == saved
         assert index_faults(state) == []
